@@ -18,8 +18,8 @@ import sys
 import numpy as np
 
 from . import codes, constructions
-from .errors import QwmError, SchemaError
-from .filtration import MetricContext, StepFiltration, descriptors, from_classical, validate
+from .errors import NotNested, QwmError, SchemaError
+from .filtration import MetricContext, StepFiltration, ValidationReport, descriptors, from_classical, validate
 from .geometry import AmplifiedProjection, rho
 from .lipschitz import AscentBudget, commutation_lipschitz_lower, spectral_lipschitz
 from .numerics import DEFAULT_CONFIG, NumericConfig
@@ -61,10 +61,6 @@ def parse_matrix(obj, pointer: str) -> np.ndarray:
         for j, entry in enumerate(row):
             out[i, j] = parse_complex(entry, f"{pointer}/{i}/{j}")
     return out
-
-
-def emit_subspace(s: OperatorSubspace):
-    return {"dim": s.n, "basis": [emit_matrix(b) for b in s.basis]}
 
 
 def parse_subspace(obj, pointer: str, cfg: NumericConfig) -> OperatorSubspace:
@@ -112,7 +108,9 @@ def parse_filtration(obj, cfg: NumericConfig) -> StepFiltration:
         bps.append(float(t))
         lvs.append(parse_subspace({"dim": n, "basis": step["basis"]}, ptr, cfg))
     try:
-        return StepFiltration(n, bps, lvs)
+        return StepFiltration(n, bps, lvs, cfg=cfg)
+    except NotNested:
+        raise
     except QwmError as exc:
         raise SchemaError(str(exc), "/steps")
 
@@ -132,10 +130,6 @@ def parse_projection(obj, base_dim: int, cfg: NumericConfig) -> AmplifiedProject
         return AmplifiedProjection(base_dim, m, mat, cfg)
     except QwmError as exc:
         raise SchemaError(str(exc), "/matrix")
-
-
-def emit_real_matrix(d: np.ndarray):
-    return [["inf" if math.isinf(v) else _fmt(float(v)) for v in row] for row in d]
 
 
 def parse_real_matrix(obj, pointer: str) -> np.ndarray:
@@ -177,13 +171,18 @@ def _load_filtration(path: str, cfg: NumericConfig) -> StepFiltration:
 
 
 def cmd_validate(args, cfg) -> int:
-    f = _load_filtration(args.filtration, cfg)
-    ctx = None
-    if args.algebra:
-        gens_obj = _read_json(args.algebra)
-        gens = [parse_matrix(g, f"/{i}") for i, g in enumerate(gens_obj)]
-        ctx = MetricContext.from_generators(gens, f.n, cfg)
-    report = validate(f, ctx, cfg)
+    try:
+        f = _load_filtration(args.filtration, cfg)
+    except NotNested as exc:
+        # a chain that is not nested cannot be built; report the axiom it breaks
+        report = ValidationReport(False, False, False, [("not_strictly_increasing", exc.level - 1)])
+    else:
+        ctx = None
+        if args.algebra:
+            gens_obj = _read_json(args.algebra)
+            gens = [parse_matrix(g, f"/{i}") for i, g in enumerate(gens_obj)]
+            ctx = MetricContext.from_generators(gens, f.n, cfg)
+        report = validate(f, ctx, cfg)
     desc = descriptors(f, cfg) if report.is_filtration else None
     out = {
         "schema": SCHEMA,

@@ -5,6 +5,7 @@ check, minimum distance, the volume bound, and induced corner metrics.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, field
 from itertools import combinations, product
@@ -74,22 +75,15 @@ def _site_basis(d: int) -> list[np.ndarray]:
     return out
 
 
-def _weighted_tensor_basis(n_sites: int, d: int, weight_cap: int) -> list[np.ndarray]:
-    """Elementary tensors over the site basis with at most ``weight_cap``
+def _weighted_tensors(n_sites: int, d: int, weight: int):
+    """Elementary tensors over the site basis with exactly ``weight``
     traceless factors; HS-orthonormal by construction."""
     site = _site_basis(d)
-    ident = 0  # index of the normalized identity
-    traceless = list(range(1, len(site)))
-    out = []
-    for w in range(weight_cap + 1):
-        for sites in combinations(range(n_sites), w):
-            for choices in product(traceless, repeat=w):
-                mat = np.ones((1, 1), dtype=complex)
-                pick = dict(zip(sites, choices))
-                for s in range(n_sites):
-                    mat = np.kron(mat, site[pick.get(s, ident)])
-                out.append(mat)
-    return out
+    traceless = range(1, len(site))  # index 0 is the normalized identity
+    for sites in combinations(range(n_sites), weight):
+        for choices in product(traceless, repeat=weight):
+            pick = dict(zip(sites, choices))
+            yield functools.reduce(np.kron, [site[pick.get(s, 0)] for s in range(n_sites)])
 
 
 def hamming_filtration(
@@ -103,11 +97,13 @@ def hamming_filtration(
     total = local_dim ** n_sites
     if total > cap:
         raise SizeLimit(f"ambient dimension {total} exceeds the cap {cap}")
-    levels = []
-    for t in range(n_sites + 1):
-        basis = np.stack(_weighted_tensor_basis(n_sites, local_dim, t))
-        levels.append(OperatorSubspace(total, basis))
-    f = StepFiltration(total, list(range(n_sites + 1)), levels)
+    # sorted by weight, the elementary tensors are a graded basis
+    cuts = [hamming_level_dimension(n_sites, local_dim, t) for t in range(n_sites + 1)]
+    basis = np.empty((cuts[-1], total, total), dtype=complex)
+    mats = (m for w in range(n_sites + 1) for m in _weighted_tensors(n_sites, local_dim, w))
+    for a, m in enumerate(mats):
+        basis[a] = m
+    f = StepFiltration.from_graded(total, range(n_sites + 1), basis, cuts)
     f.meta["sites"] = (n_sites, local_dim)
     return f
 
@@ -132,17 +128,17 @@ def block_filtration(blocks, cfg: NumericConfig = DEFAULT_CONFIG, cap: int = SIT
         raise SizeLimit(f"ambient dimension {total} exceeds the cap {cap}")
     offsets = np.cumsum([0] + sizes)
     max_weight = max(blocks)
-    levels = []
+    mats = []
+    cuts = []
     for t in range(max_weight + 1):
-        mats = []
         for bi, nb in enumerate(blocks):
             lo, hi = offsets[bi], offsets[bi + 1]
-            for m in _weighted_tensor_basis(nb, 2, min(t, nb)):
+            for m in _weighted_tensors(nb, 2, t):
                 emb = np.zeros((total, total), dtype=complex)
                 emb[lo:hi, lo:hi] = m
                 mats.append(emb)
-        levels.append(OperatorSubspace(total, np.stack(mats)))
-    f = StepFiltration(total, list(range(max_weight + 1)), levels)
+        cuts.append(len(mats))
+    f = StepFiltration.from_graded(total, range(max_weight + 1), np.stack(mats), cuts)
     f.meta["blocks"] = tuple(blocks)
     return f
 

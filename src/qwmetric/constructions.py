@@ -7,6 +7,7 @@ the M_2 classification, and co-Lipschitz numbers of morphisms.
 
 from __future__ import annotations
 
+import bisect
 import math
 
 import numpy as np
@@ -24,6 +25,7 @@ from .errors import (
     NotOperatorSystem,
     NotSubalgebra,
     NotSuperadditive,
+    PostconditionFailed,
 )
 from .filtration import MetricContext, StepFiltration, default_context, descriptors
 from .numerics import DEFAULT_CONFIG, NumericConfig, as_square, eye, op_norm
@@ -32,6 +34,7 @@ from .opspace import (
     VNAlgebra,
     adjoint,
     commutant,
+    complement,
     full_space,
     generated_vn_algebra,
     intersect,
@@ -86,13 +89,8 @@ def stabilize(f: StepFiltration, m: int, cfg: NumericConfig = DEFAULT_CONFIG) ->
     algebra."""
     if m < 1:
         raise MixedDimensions("amplification degree must be >= 1")
-    ident = np.eye(m)
-    scale = 1.0 / math.sqrt(m)
-    levels = []
-    for lv in f.levels:
-        basis = np.stack([np.kron(b, ident) * scale for b in lv.basis])
-        levels.append(OperatorSubspace(f.n * m, basis))
-    return StepFiltration(f.n * m, list(f.breakpoints), levels, f.meta)
+    basis = np.kron(f.basis, np.eye(m)) / math.sqrt(m)
+    return StepFiltration.from_graded(f.n * m, f.breakpoints, basis, f.cuts, f.meta)
 
 
 def truncate(f: StepFiltration, c: float, cfg: NumericConfig = DEFAULT_CONFIG) -> StepFiltration:
@@ -100,25 +98,14 @@ def truncate(f: StepFiltration, c: float, cfg: NumericConfig = DEFAULT_CONFIG) -
     if c < 0:
         raise MixedDimensions("truncation level must be >= 0")
     n = f.n
-    full = full_space(n)
     if c == 0:
-        return StepFiltration(n, [0.0], [full])
-    bps = [t for t in f.breakpoints if t < c]
-    lvs = [lv for t, lv in zip(f.breakpoints, f.levels) if t < c]
-    if lvs and lvs[-1].dim == n * n:
-        return StepFiltration(n, bps, lvs, f.meta)
-    bps.append(c)
-    lvs.append(full)
-    return StepFiltration(n, bps, lvs, f.meta).normalized(cfg)
-
-
-def _block_embed(mat: np.ndarray, n: int, k: int, first: bool) -> np.ndarray:
-    out = np.zeros((n + k, n + k), dtype=complex)
-    if first:
-        out[:n, :n] = mat
-    else:
-        out[n:, n:] = mat
-    return out
+        return StepFiltration(n, [0.0], [full_space(n)])
+    kept = bisect.bisect_left(f.breakpoints, c)
+    bps, cuts, basis = f.breakpoints[:kept], f.cuts[:kept], f.basis[: f.cuts[kept - 1]]
+    if cuts[-1] < n * n:
+        basis = np.concatenate([basis, complement(OperatorSubspace(n, basis), cfg).basis])
+        bps, cuts = bps + [c], cuts + [n * n]
+    return StepFiltration.from_graded(n, bps, basis, cuts, f.meta).normalized(cfg)
 
 
 def direct_sum(
@@ -140,25 +127,16 @@ def direct_sum(
                 f"bridge {bridge} below max(diam)/2 = {max(diam_f, diam_g) / 2}"
             )
     grid = sorted({*f.breakpoints, *g.breakpoints, *([bridge] if bridge is not None else [])})
-    off_diag = []
-    for i in range(n):
-        for j in range(k):
-            e = np.zeros((n + k, n + k), dtype=complex)
-            e[i, n + j] = 1.0
-            off_diag.append(e)
-            e2 = np.zeros((n + k, n + k), dtype=complex)
-            e2[n + j, i] = 1.0
-            off_diag.append(e2)
-    bps = []
-    lvs = []
-    for t in grid:
-        mats = [_block_embed(b, n, k, True) for b in f.value_at(t).basis]
-        mats += [_block_embed(b, n, k, False) for b in g.value_at(t).basis]
-        if bridge is not None and t >= bridge:
-            mats += off_diag
-        bps.append(t)
-        lvs.append(span(mats, n + k, cfg))
-    return StepFiltration(n + k, bps, lvs).normalized(cfg)
+    # the blocks' graded bases, then the off-diagonal matrix units entering at the bridge
+    off = [(i, j) for i in range(n + k) for j in range(n + k) if (i < n) != (j < n)] if bridge is not None else []
+    basis = np.zeros((len(f.basis) + len(g.basis) + len(off), n + k, n + k), dtype=complex)
+    basis[: len(f.basis), :n, :n] = f.basis
+    basis[len(f.basis) : len(f.basis) + len(g.basis), n:, n:] = g.basis
+    basis[len(f.basis) + len(g.basis) + np.arange(len(off)), [i for i, _ in off], [j for _, j in off]] = 1.0
+    times = np.concatenate([np.asarray(f.breakpoints)[f.grades], np.asarray(g.breakpoints)[g.grades], [bridge] * len(off)])
+    order = np.argsort(times, kind="stable")
+    cuts = np.searchsorted(times[order], grid, side="right")
+    return StepFiltration.from_graded(n + k, grid, basis[order], cuts).normalized(cfg)
 
 
 def meet(filtrations, cfg: NumericConfig = DEFAULT_CONFIG) -> StepFiltration:
@@ -179,7 +157,7 @@ def meet(filtrations, cfg: NumericConfig = DEFAULT_CONFIG) -> StepFiltration:
             lv = intersect(lv, f.value_at(t), cfg)
         bps.append(t)
         lvs.append(lv)
-    return StepFiltration(n, bps, lvs).normalized(cfg)
+    return StepFiltration(n, bps, lvs, cfg=cfg).normalized(cfg)
 
 
 def metric_product(f: StepFiltration, g: StepFiltration, cfg: NumericConfig = DEFAULT_CONFIG) -> StepFiltration:
@@ -196,12 +174,12 @@ def metric_product(f: StepFiltration, g: StepFiltration, cfg: NumericConfig = DE
         lv = intersect(tensor(vt, full_g, cfg), tensor(full_f, wt, cfg), cfg)
         expected = vt.dim * wt.dim
         if lv.dim != expected:
-            raise AssertionError(
+            raise PostconditionFailed(
                 f"Fubini intersection dim {lv.dim} != algebraic tensor dim {expected}"
             )
         bps.append(t)
         lvs.append(lv)
-    return StepFiltration(n * k, bps, lvs).normalized(cfg)
+    return StepFiltration(n * k, bps, lvs, cfg=cfg).normalized(cfg)
 
 
 def generated_filtration(
@@ -292,7 +270,7 @@ def generated_filtration(
             heapq.heappush(heap, (ts, counter, ("prod", (s, t))))
             counter += 1
 
-    out = StepFiltration(n, [t for t, _ in jumps], [lv for _, lv in jumps]).normalized(cfg)
+    out = StepFiltration(n, [t for t, _ in jumps], [lv for _, lv in jumps], cfg=cfg).normalized(cfg)
     out.meta["horizon_exact"] = horizon is None
     if horizon is not None:
         out.meta["horizon"] = horizon
@@ -324,7 +302,7 @@ def quotient(
         mats = [cols.conj().T @ b @ cols for b in lv.basis]
         bps.append(t)
         lvs.append(span(mats, k, cfg))
-    return StepFiltration(k, bps, lvs).normalized(cfg)
+    return StepFiltration(k, bps, lvs, cfg=cfg).normalized(cfg)
 
 
 def _natural_range_basis(p: np.ndarray, cfg: NumericConfig) -> np.ndarray:
@@ -385,7 +363,7 @@ def hoelder(f: StepFiltration, alpha: float, cfg: NumericConfig = DEFAULT_CONFIG
     if not 0 < alpha < 1:
         raise MixedDimensions("alpha must lie in (0, 1)")
     bps = [t ** alpha for t in f.breakpoints]
-    return StepFiltration(f.n, bps, list(f.levels), f.meta)
+    return StepFiltration.from_graded(f.n, bps, f.basis, f.cuts, f.meta)
 
 
 class PiecewiseLinear:
@@ -470,20 +448,18 @@ def f_transform(f: StepFiltration, fn: PiecewiseLinear, cfg: NumericConfig = DEF
     the old ones under f.  f must be nondecreasing and superadditive
     (validated on its node grid)."""
     _check_superadditive(fn)
-    placed: dict[float, OperatorSubspace] = {}
-    for t, lv in zip(f.breakpoints, f.levels):
+    placed: dict[float, int] = {}
+    for t, cut in zip(f.breakpoints, f.cuts):
         pre = fn.preimage_of_threshold(t)
         if pre is None:
             continue
         # several old breakpoints may collapse onto one time; keep the largest
-        if pre not in placed or lv.dim > placed[pre].dim:
-            placed[pre] = lv
-    f0 = fn(0.0)
-    placed.setdefault(0.0, f.value_at(f0) if math.isfinite(f0) else full_space(f.n))
+        placed[pre] = max(placed.get(pre, 0), cut)
+    # time 0 gets the level at f(0) unless a breakpoint already maps there
+    placed.setdefault(0.0, f.cuts[f.level_index_at(fn(0.0))])
     bps = sorted(placed)
-    lvs = [placed[t] for t in bps]
-    out = StepFiltration(f.n, bps, lvs, f.meta)
-    return out.normalized(cfg)
+    cuts = [placed[t] for t in bps]
+    return StepFiltration.from_graded(f.n, bps, f.basis[: cuts[-1]], cuts, f.meta).normalized(cfg)
 
 
 def operator_system_metric(system: OperatorSubspace, cfg: NumericConfig = DEFAULT_CONFIG) -> StepFiltration:
@@ -493,7 +469,7 @@ def operator_system_metric(system: OperatorSubspace, cfg: NumericConfig = DEFAUL
         raise NotOperatorSystem("input must be a self-adjoint unital subspace")
     if system.dim <= 1 or system.dim >= n * n:
         raise DegenerateChain("need C.I properly inside the system properly inside M_n")
-    return StepFiltration(n, [0.0, 1.0, 2.0], [scalar_space(n), system, full_space(n)])
+    return StepFiltration(n, [0.0, 1.0, 2.0], [scalar_space(n), system, full_space(n)], cfg=cfg)
 
 
 _M2_DIAG = np.diag([1.0, -1.0]).astype(complex)
@@ -509,22 +485,11 @@ def m2_metric(a: float, b: float, c: float, cfg: NumericConfig = DEFAULT_CONFIG)
         raise ConstraintViolation(f"need 0 <= a <= b <= c finite, got ({a}, {b}, {c})")
     if c > a + b:
         raise ConstraintViolation(f"need c <= a + b, got c = {c} > {a + b}")
-    i2 = eye(2)
-    chain = [
-        (0.0, span([i2], 2, cfg)),
-        (float(a), span([i2, _M2_DIAG], 2, cfg)),
-        (float(b), span([i2, _M2_DIAG, _M2_REAL_OFF], 2, cfg)),
-        (float(c), full_space(2)),
-    ]
-    bps = []
-    lvs = []
-    for t, lv in chain:
-        if bps and t == bps[-1]:
-            lvs[-1] = lv  # collapsed segment: the larger level wins
-        else:
-            bps.append(t)
-            lvs.append(lv)
-    return StepFiltration(2, bps, lvs).normalized(cfg)
+    # I, +diag, +real and +imaginary off-diagonal, entering at 0, a, b and c
+    basis = np.stack([eye(2), _M2_DIAG, _M2_REAL_OFF, _M2_IMAG_OFF]) / math.sqrt(2)
+    times = [0.0, float(a), float(b), float(c)]
+    bps = sorted(set(times))
+    return StepFiltration.from_graded(2, bps, basis, [sum(t <= s for t in times) for s in bps])
 
 
 def canonicalize_m2(f: StepFiltration, cfg: NumericConfig = DEFAULT_CONFIG):

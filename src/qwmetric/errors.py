@@ -17,6 +17,14 @@ class MixedDimensions(QwmError):
     pass
 
 
+class NotNested(MixedDimensions):
+    """Raised with the index of the first level missing part of the last."""
+
+    def __init__(self, message, level):
+        super().__init__(message)
+        self.level = level
+
+
 class DimensionMismatch(QwmError):
     pass
 
@@ -103,6 +111,10 @@ class SizeLimit(QwmError):
 
 class NotACode(QwmError):
     pass
+
+
+class PostconditionFailed(QwmError):
+    """An internal consistency check on a computed result failed."""
 
 
 class SchemaError(QwmError):

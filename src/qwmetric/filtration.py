@@ -6,26 +6,26 @@ A filtration is a strictly increasing chain of operator systems S_0 c S_1 c
 right-continuous step function V_t = S_i for the largest t_i <= t.  Infinite
 distances are encoded by a top level smaller than M_n; no infinite breakpoint
 is ever stored.
+
+The chain is stored as one HS-orthonormal basis of the top level, adapted
+to the flag, and one cut per breakpoint: ``levels[i]`` is the prefix view
+basis[:cut_i], not a copy, and the grade of a basis element (the level it
+enters) is its displacement gauge.  Levels handed to the constructor must be
+nested (NotNested, a MixedDimensions, otherwise); a repeated level is kept
+and :func:`validate` reports it as not strictly increasing.
 """
 
 from __future__ import annotations
 
+import bisect
 import math
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import MixedDimensions, NegativeTime, NotAPseudometric, NotDiagonalContext
-from .numerics import DEFAULT_CONFIG, NumericConfig, as_square
-from .opspace import (
-    OperatorSubspace,
-    VNAlgebra,
-    commutant,
-    full_space,
-    generated_vn_algebra,
-    product_span,
-    span,
-)
+from .errors import MixedDimensions, NegativeTime, NotAPseudometric, NotDiagonalContext, NotNested
+from .numerics import DEFAULT_CONFIG, NumericConfig, as_square, eye
+from .opspace import OperatorSubspace, VNAlgebra, commutant, full_space, generated_vn_algebra
 
 __all__ = [
     "StepFiltration",
@@ -41,36 +41,46 @@ __all__ = [
 class StepFiltration:
     """A quantum pseudometric as a step function of operator systems."""
 
-    def __init__(self, ambient_dim: int, breakpoints, levels, meta: dict | None = None):
+    def __init__(self, ambient_dim: int, breakpoints, levels, meta: dict | None = None, cfg: NumericConfig = DEFAULT_CONFIG):
+        self._set(ambient_dim, breakpoints, *_adapted_basis(int(ambient_dim), list(levels), cfg), meta)
+
+    @classmethod
+    def from_graded(cls, ambient_dim: int, breakpoints, basis, cuts, meta: dict | None = None) -> "StepFiltration":
+        """Filtration whose level i is spanned by basis[:cuts[i]]; ``basis``
+        must be HS-orthonormal and is shared, not copied."""
+        f = cls.__new__(cls)
+        f._set(ambient_dim, breakpoints, basis, cuts, meta)
+        return f
+
+    def _set(self, ambient_dim, breakpoints, basis, cuts, meta):
         self.n = int(ambient_dim)
         self.breakpoints = [float(t) for t in breakpoints]
-        self.levels = list(levels)
+        self.basis = np.asarray(basis, dtype=complex)
+        self.cuts = [int(c) for c in cuts]
         self.meta = dict(meta or {})
-        if len(self.breakpoints) != len(self.levels) or not self.levels:
+        if len(self.breakpoints) != len(self.cuts) or not self.cuts:
             raise MixedDimensions("breakpoints and levels must align and be nonempty")
         if abs(self.breakpoints[0]) > 0:
             raise MixedDimensions("first breakpoint must be 0")
-        for t0, t1 in zip(self.breakpoints, self.breakpoints[1:]):
-            if not t1 > t0:
-                raise MixedDimensions("breakpoints must be strictly increasing")
-        for lv in self.levels:
-            if lv.n != self.n:
-                raise MixedDimensions("level ambient dimension mismatch")
+        if not all(t1 > t0 for t0, t1 in zip(self.breakpoints, self.breakpoints[1:])):
+            raise MixedDimensions("breakpoints must be strictly increasing")
+        if self.basis.shape != (self.cuts[-1], self.n, self.n) or np.any(np.diff(self.cuts) < 0):
+            raise MixedDimensions("cuts must be nondecreasing and end at the basis size")
+        self.levels = tuple(OperatorSubspace(self.n, self.basis[:c]) for c in self.cuts)
 
     @property
     def top(self) -> OperatorSubspace:
         return self.levels[-1]
 
+    @property
+    def grades(self) -> np.ndarray:
+        """Index of the level each basis element enters."""
+        return np.repeat(np.arange(len(self.cuts)), np.diff(self.cuts, prepend=0))
+
     def level_index_at(self, t: float) -> int:
         if t < 0:
             raise NegativeTime(f"t = {t} < 0")
-        i = 0
-        for j, tj in enumerate(self.breakpoints):
-            if tj <= t:
-                i = j
-            else:
-                break
-        return i
+        return bisect.bisect_right(self.breakpoints, t) - 1
 
     def value_at(self, t: float) -> OperatorSubspace:
         """V_t: the level at the largest breakpoint <= t."""
@@ -82,44 +92,65 @@ class StepFiltration:
             return self.levels[-1]
         if t <= 0:
             raise NegativeTime("v_less_than needs t > 0")
-        i = -1
-        for j, tj in enumerate(self.breakpoints):
-            if tj < t:
-                i = j
-            else:
-                break
-        if i < 0:
-            # no level strictly below t; the zero-time level is the floor
-            return self.levels[0] if t > self.breakpoints[0] else _zero_like(self)
-        return self.levels[i]
+        return self.levels[bisect.bisect_left(self.breakpoints, t) - 1]
+
+    def _first_levels(self, mats: np.ndarray, cfg: NumericConfig):
+        """Index of the first level containing each matrix of a stack
+        (len(levels) outside the top), under the tolerance rule of
+        OperatorSubspace.contains, and the coefficients against the basis.
+        The squared residual at cut c is |part outside the top|^2 +
+        sum_{a >= c} |coef_a|^2: no nearly equal norms are subtracted."""
+        flat = mats.reshape(len(mats), -1)
+        top = self.basis.reshape(len(self.basis), -1)
+        coef = flat @ top.conj().T
+        outside = np.linalg.norm(flat - coef @ top, axis=1) ** 2
+        tail = np.cumsum((np.abs(coef) ** 2)[:, ::-1], axis=1)[:, ::-1]
+        tail = np.concatenate([tail, np.zeros((len(flat), 1))], axis=1)
+        scale = cfg.membership_tol * np.maximum(1.0, np.linalg.norm(flat, axis=1))
+        inside = outside[:, None] + tail[:, self.cuts] <= (scale ** 2)[:, None]
+        return np.where(inside.any(axis=1), inside.argmax(axis=1), len(self.cuts)), coef
 
     def displacement_gauge(self, a, cfg: NumericConfig = DEFAULT_CONFIG) -> float:
         """D(A) = inf{t : A in V_t}; +inf when A is outside the top level."""
         m = as_square(a)
         if m.shape[0] != self.n:
             raise MixedDimensions("matrix size does not match filtration")
-        for t, lv in zip(self.breakpoints, self.levels):
-            if lv.contains(m, cfg):
-                return t
-        return math.inf
+        i = self._first_levels(m[None], cfg)[0][0]
+        return self.breakpoints[i] if i < len(self.breakpoints) else math.inf
 
     def normalized(self, cfg: NumericConfig = DEFAULT_CONFIG) -> "StepFiltration":
         """Drop levels equal to their predecessor (restores strict inclusion)."""
-        bps = [self.breakpoints[0]]
-        lvs = [self.levels[0]]
-        for t, lv in zip(self.breakpoints[1:], self.levels[1:]):
-            if lv.dim != lvs[-1].dim or not lv.equals(lvs[-1], cfg):
-                bps.append(t)
-                lvs.append(lv)
-        return StepFiltration(self.n, bps, lvs, self.meta)
+        keep = [i for i, c in enumerate(self.cuts) if i == 0 or c != self.cuts[i - 1]]
+        bps, cuts = [self.breakpoints[i] for i in keep], [self.cuts[i] for i in keep]
+        return StepFiltration.from_graded(self.n, bps, self.basis, cuts, self.meta)
 
     def __repr__(self):
-        dims = [lv.dim for lv in self.levels]
-        return f"StepFiltration(n={self.n}, breakpoints={self.breakpoints}, level_dims={dims})"
+        return f"StepFiltration(n={self.n}, breakpoints={self.breakpoints}, level_dims={self.cuts})"
 
 
-def _zero_like(f: StepFiltration) -> OperatorSubspace:
-    return OperatorSubspace(f.n, np.zeros((0, f.n, f.n)))
+def _adapted_basis(n: int, levels, cfg: NumericConfig):
+    """One HS-orthonormal basis adapted to a nested chain of levels, and the
+    cut of each level.  A level whose basis already starts with the basis so
+    far keeps its own further elements (so a filtration read back from its
+    JSON keeps its basis); otherwise its part orthogonal to the previous
+    level is re-spanned."""
+    flat = np.zeros((0, n * n), dtype=complex)
+    cuts = []
+    for i, lv in enumerate(levels):
+        if lv.n != n:
+            raise MixedDimensions("level ambient dimension mismatch")
+        rows = lv._flat()
+        cut = len(flat)
+        if lv.dim < cut or (cut and np.linalg.norm(flat - (flat @ rows.conj().T) @ rows, axis=1).max() > cfg.membership_tol):
+            raise NotNested(f"level {i} does not contain level {i - 1}", i)
+        if np.allclose(rows[:cut], flat, rtol=0, atol=cfg.membership_tol):
+            new = rows[cut:]
+        else:
+            resid = rows - (rows @ flat.conj().T) @ flat
+            new = np.linalg.svd(resid, full_matrices=False)[2][: lv.dim - cut]
+        flat = np.concatenate([flat, new])
+        cuts.append(len(flat))
+    return flat.reshape(-1, n, n), cuts
 
 
 @dataclass
@@ -186,41 +217,54 @@ class ValidationReport:
         return self.is_filtration
 
 
+def _products(f: StepFiltration, ci: int, cj: int, cfg: NumericConfig):
+    """The products B_a B_b for a < ci, b < cj, in blocks of rows a: yields
+    each block's first a, the first level containing each product (shape
+    (rows, cj)) and the products' coefficients against the basis."""
+    rows = max(1, (1 << 20) // max(1, cj * f.n * f.n))  # about 16 MB of products per block
+    left, right = f.basis[:ci, None], f.basis[None, :cj]
+    for a0 in range(0, ci, rows):
+        prods = np.matmul(left[a0 : a0 + rows], right).reshape(-1, f.n, f.n)
+        first, coef = f._first_levels(prods, cfg)
+        yield a0, first.reshape(-1, cj), coef
+
+
+def _product_reach(f: StepFiltration, cfg: NumericConfig) -> np.ndarray:
+    """reach[i, j]: the first level containing V_{t_i} V_{t_j}, or
+    len(levels) when it leaves the top.  By bilinearity this is the largest
+    first level of a product B_a B_b with grades at most (i, j): one pass
+    over basis pairs, then a prefix maximum over grades."""
+    grades = f.grades
+    reach = np.full((len(f.cuts), len(f.cuts)), -1)
+    for a0, first, _ in _products(f, len(f.basis), len(f.basis), cfg):
+        np.maximum.at(reach, (grades[a0 : a0 + len(first), None], grades[None]), first)
+    return np.maximum.accumulate(np.maximum.accumulate(reach, axis=0), axis=1)
+
+
 def validate(f: StepFiltration, ctx: MetricContext | None = None, cfg: NumericConfig = DEFAULT_CONFIG) -> ValidationReport:
     """Check the filtration axioms and, when a context is given, the
     pseudometric (M' <= V_0) and metric (V_0 = M') conditions.
 
-    Every violated axiom is recorded with the witnessing data; the product
-    law is checked over all breakpoint pairs, which is necessary and
+    Every violated axiom is recorded with the witnessing data.  The product
+    law is checked for all breakpoint pairs, which is necessary and
     sufficient under step semantics.
     """
-    violations = []
-    for i, lv in enumerate(f.levels):
-        if not lv.is_operator_system(cfg):
-            violations.append(("not_operator_system", i))
-    for i in range(len(f.levels) - 1):
-        small, big = f.levels[i], f.levels[i + 1]
-        if not (big.contains_space(small, cfg) and big.dim > small.dim):
-            violations.append(("not_strictly_increasing", i))
-    for i, ti in enumerate(f.breakpoints):
-        for j, tj in enumerate(f.breakpoints):
-            target = f.value_at(ti + tj)
-            prod = product_span(f.levels[i], f.levels[j], cfg)
-            if not target.contains_space(prod, cfg):
-                violations.append(("product_law", (i, j)))
+    # level i is an operator system when I and the adjoints of its basis lie in it
+    mats = np.concatenate([eye(f.n)[None], np.conj(np.transpose(f.basis, (0, 2, 1)))])
+    system_from = np.maximum.accumulate(f._first_levels(mats, cfg)[0])
+    violations = [("not_operator_system", i) for i, c in enumerate(f.cuts) if system_from[c] > i]
+    violations += [("not_strictly_increasing", i) for i, c in enumerate(f.cuts[1:]) if c == f.cuts[i]]
+    reach, bps = _product_reach(f, cfg), f.breakpoints
+    violations += [
+        ("product_law", (i, j)) for i, ti in enumerate(bps) for j, tj in enumerate(bps) if reach[i, j] > f.level_index_at(ti + tj)
+    ]
     is_filtration = not violations
-    is_pseudometric = False
-    is_metric = False
-    if ctx is not None:
-        v0 = f.levels[0]
-        is_pseudometric = is_filtration and v0.contains_space(ctx.commutant, cfg)
-        if not v0.contains_space(ctx.commutant, cfg):
-            violations.append(("commutant_not_contained", 0))
-        is_metric = is_pseudometric and v0.dim == ctx.commutant.dim
-    else:
-        # with no context the filtration is a metric on (V_0)' by construction
-        is_pseudometric = is_filtration
-        is_metric = is_filtration
+    # with no context the filtration is a metric on (V_0)' by construction
+    holds = ctx is None or f.levels[0].contains_space(ctx.commutant, cfg)
+    if not holds:
+        violations.append(("commutant_not_contained", 0))
+    is_pseudometric = is_filtration and holds
+    is_metric = is_pseudometric and (ctx is None or f.levels[0].dim == ctx.commutant.dim)
     return ValidationReport(is_filtration, is_pseudometric, is_metric, violations)
 
 
@@ -252,76 +296,68 @@ def _check_classical(d: np.ndarray, cfg: NumericConfig):
 def from_classical(d, cfg: NumericConfig = DEFAULT_CONFIG):
     """Quantum pseudometric of a classical distance matrix on n points.
 
-    Level at t is the span of the matrix units E_xy with d(x, y) <= t.
-    Entries may be +inf; those pairs never enter, so the top level is the
-    block algebra of finite-distance components.  Returns (filtration, ctx)
-    with ctx the diagonal algebra.
+    Level at t is the span of the matrix units E_xy with d(x, y) <= t, so
+    the matrix units sorted by distance are a graded basis.  Entries may be
+    +inf; those pairs never enter, so the top level is the block algebra of
+    finite-distance components.  Returns (filtration, ctx) with ctx the
+    diagonal algebra.
     """
     d = np.asarray(d, dtype=float)
     _check_classical(d, cfg)
     n = d.shape[0]
-    finite = sorted({float(v) for v in d.reshape(-1) if math.isfinite(v)})
-    if not finite or finite[0] > 0:
-        finite = [0.0] + finite
-    breakpoints = []
-    levels = []
-    prev_dim = -1
-    for t in finite:
-        basis = np.zeros((0, n, n), dtype=complex)
-        mats = []
-        for x in range(n):
-            for y in range(n):
-                if d[x, y] <= t:
-                    e = np.zeros((n, n), dtype=complex)
-                    e[x, y] = 1.0
-                    mats.append(e)
-        lv = span(mats, n, cfg)
-        if lv.dim != prev_dim:
-            breakpoints.append(t)
-            levels.append(lv)
-            prev_dim = lv.dim
-    f = StepFiltration(n, breakpoints, levels)
-    return f, MetricContext.diagonal(n, cfg)
+    order = np.argsort(d, axis=None, kind="stable")[: np.isfinite(d).sum()]
+    basis = np.zeros((len(order), n, n), dtype=complex)
+    basis[np.arange(len(order)), order // n, order % n] = 1.0
+    breakpoints = sorted({0.0, *d.reshape(-1)[order].tolist()})
+    cuts = np.searchsorted(d.reshape(-1)[order], breakpoints, side="right")
+    return StepFiltration.from_graded(n, breakpoints, basis, cuts), MetricContext.diagonal(n, cfg)
 
 
 def to_classical(f: StepFiltration, ctx: MetricContext, cfg: NumericConfig = DEFAULT_CONFIG) -> np.ndarray:
     """Distance matrix recovered from a filtration over the diagonal algebra:
-    d(x, y) is the first breakpoint whose level touches the (x, y) entry."""
+    d(x, y) is the grade of the first basis element touching the (x, y)
+    entry."""
     if not ctx.is_diagonal(cfg):
         raise NotDiagonalContext("context algebra is not the diagonal algebra")
-    n = f.n
-    d = np.full((n, n), math.inf)
-    for t, lv in zip(f.breakpoints, f.levels):
-        touched = np.zeros((n, n), dtype=bool)
-        for b in lv.basis:
-            touched |= np.abs(b) > cfg.membership_tol
-        d[touched & ~np.isfinite(d)] = t
-    return d
+    top = len(f.cuts)
+    grade = np.where(np.abs(f.basis) > cfg.membership_tol, f.grades[:, None, None], top).min(axis=0, initial=top)
+    return np.append(f.breakpoints, math.inf)[grade]
+
+
+def _spans(f: StepFiltration, i: int, j: int, k: int, cfg: NumericConfig) -> bool:
+    """Whether the products B_a B_b (a < cut_i, b < cut_j) have rank dim V_k under
+    span's rank rule, read on their coefficients against V_k accumulated by QR."""
+    ci, cj, ck = f.cuts[i], f.cuts[j], f.cuts[k]
+    if not (ci and cj):
+        return ck == 0
+    r = np.zeros((0, ck), dtype=complex)
+    for _, _, coef in _products(f, ci, cj, cfg):
+        r = np.linalg.qr(np.concatenate([r, coef[:, :ck]]), mode="r")
+    s = np.linalg.svd(r, compute_uv=False)
+    return int(np.sum(s > cfg.rank_tol * s[0])) == ck
 
 
 def descriptors(f: StepFiltration, cfg: NumericConfig = DEFAULT_CONFIG) -> dict:
     """Scalar shape descriptors: diameter, uniform-discreteness gap, and the
-    path property certified on the breakpoint sum grid."""
-    n2 = f.n * f.n
-    diameter = math.inf
-    for t, lv in zip(f.breakpoints, f.levels):
-        if lv.dim == n2:
-            diameter = t
-            break
-    if len(f.breakpoints) == 1:
-        gap = math.inf
-    else:
-        gap = f.breakpoints[1]
+    path property certified on the breakpoint sum grid.
+
+    The path check runs once per distinct triple (i, j, k) of levels at
+    (s, t, s + t): V_i V_j = V_k when the products lie in V_k and span it.
+    Cheapest triples come first; one containing a spanning triple with the
+    same target spans too, so only its containment is checked."""
+    diameter = next((t for t, c in zip(f.breakpoints, f.cuts) if c == f.n * f.n), math.inf)
+    gap = f.breakpoints[1] if len(f.breakpoints) > 1 else math.inf
     grid = sorted({*f.breakpoints, *(a + b for a in f.breakpoints for b in f.breakpoints)})
-    path = True
-    for s in grid:
-        for t in grid:
-            lhs = product_span(f.value_at(s), f.value_at(t), cfg)
-            if not lhs.equals(f.value_at(s + t), cfg):
-                path = False
-                break
-        if not path:
+    at = f.level_index_at
+    triples = sorted({(at(s), at(t), at(s + t)) for s in grid for t in grid}, key=lambda x: f.cuts[x[0]] * f.cuts[x[1]])
+    reach = _product_reach(f, cfg)
+    spanning = []
+    for i, j, k in triples:
+        dominated = any(i >= i0 and j >= j0 and k == k0 for i0, j0, k0 in spanning)
+        if reach[i, j] > k or not (dominated or _spans(f, i, j, k, cfg)):
             break
+        spanning.append((i, j, k))
+    path = len(spanning) == len(triples)
     return {
         "diameter": diameter,
         "uniformly_discrete": True,

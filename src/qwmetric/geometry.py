@@ -95,10 +95,6 @@ def _align(p: AmplifiedProjection, q: AmplifiedProjection):
     return p.padded(m), q.padded(m), m
 
 
-def _compress_norm(p: np.ndarray, b: np.ndarray, q: np.ndarray, m: int) -> float:
-    return op_norm(p @ np.kron(b, np.eye(m)) @ q)
-
-
 def _batch_compression_norms(p: np.ndarray, basis: np.ndarray, q: np.ndarray, n: int, m: int) -> np.ndarray:
     """HS norms of P (B (x) I_m) Q over a stacked basis, without forming the
     Kronecker products."""
@@ -116,17 +112,19 @@ def _batch_compression_norms(p: np.ndarray, basis: np.ndarray, q: np.ndarray, n:
 def rho(f: StepFiltration, p: AmplifiedProjection, q: AmplifiedProjection, cfg: NumericConfig = DEFAULT_CONFIG) -> float:
     """rho(P, Q) = inf{t : P (A (x) I) Q != 0 for some A in V_t}.
 
-    Scanning an HS basis of each level is exact by linearity (the zero test
-    uses the HS norm of the compression).  Returns +inf when no level links
-    the pair.
+    Scanning an HS basis is exact by linearity (the zero test uses the HS
+    norm of the compression), and each level only adds its new graded
+    elements to the scan.  Returns +inf when no level links the pair.
     """
     if p.n != f.n:
         raise DimensionMismatch("projection base dimension does not match filtration")
     pp, qq, m = _align(p, q)
-    for t, lv in zip(f.breakpoints, f.levels):
-        norms = _batch_compression_norms(pp.matrix, lv.basis, qq.matrix, f.n, m)
+    lo = 0
+    for t, hi in zip(f.breakpoints, f.cuts):
+        norms = _batch_compression_norms(pp.matrix, f.basis[lo:hi], qq.matrix, f.n, m)
         if norms.size and norms.max() > cfg.membership_tol:
             return t
+        lo = hi
     return math.inf
 
 

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import CommutantMember, DimensionMismatch, NotHermitian, ZeroProjection
+from .errors import CommutantMember, DimensionMismatch, NotHermitian, PostconditionFailed, ZeroProjection
 from .filtration import StepFiltration
 from .geometry import AmplifiedProjection, _apply_level, rho, separating_projections
 from .numerics import (
@@ -197,7 +197,7 @@ def distance_operator(f: StepFiltration, r: AmplifiedProjection, c: float, cfg: 
         n_t = _apply_level(f.value_at(t), r, cfg)
         a += delta * (np.eye(nm) - n_t)
     if op_norm(a @ r.matrix) > 10 * cfg.membership_tol * max(1.0, c):
-        raise AssertionError("distance operator failed to annihilate its anchor")
+        raise PostconditionFailed("distance operator failed to annihilate its anchor")
     return a
 
 
@@ -232,10 +232,10 @@ def rho_from_gauge(f: StepFiltration, p: AmplifiedProjection, q: AmplifiedProjec
                 break
     if math.isfinite(direct):
         if abs(read - direct) > 1e-8 * max(1.0, abs(direct)):
-            raise AssertionError(f"gauge read-off {read} disagrees with rho {direct}")
+            raise PostconditionFailed(f"gauge read-off {read} disagrees with rho {direct}")
         return read
     if abs(read - ceiling) > 1e-8 * max(1.0, ceiling):
-        raise AssertionError("unlinkable pair failed the unbounded read-off check")
+        raise PostconditionFailed("unlinkable pair failed the unbounded read-off check")
     return math.inf
 
 

@@ -69,11 +69,6 @@ def hs_norm(a) -> float:
     return float(np.linalg.norm(np.asarray(a, dtype=complex)))
 
 
-def hs_inner(a, b) -> complex:
-    """tr(b* a), the Hilbert-Schmidt inner product."""
-    return complex(np.vdot(np.asarray(b, dtype=complex), np.asarray(a, dtype=complex)))
-
-
 def is_hermitian(a, cfg: NumericConfig = DEFAULT_CONFIG) -> bool:
     m = as_square(a)
     return op_norm(m - m.conj().T) <= cfg.membership_tol * max(1.0, op_norm(m))

@@ -118,10 +118,12 @@ def _orthonormalize(rows: np.ndarray, n: int, cfg: NumericConfig) -> np.ndarray:
     rows = rows[norms > 0]
     if rows.shape[0] == 0:
         return np.zeros((0, n, n), dtype=complex)
-    # keep an already-orthonormal family as given (stable matrix-unit bases)
-    gram = rows.conj() @ rows.T
-    if np.allclose(gram, np.eye(rows.shape[0]), atol=cfg.membership_tol):
-        return rows.reshape(-1, n, n)
+    # keep an already-orthonormal family as given (stable matrix-unit bases);
+    # more than n^2 rows cannot be orthonormal, so their Gram is not formed
+    if rows.shape[0] <= n * n:
+        gram = rows.conj() @ rows.T
+        if np.allclose(gram, np.eye(rows.shape[0]), atol=cfg.membership_tol):
+            return rows.reshape(-1, n, n)
     _, s, vh = np.linalg.svd(rows, full_matrices=False)
     r = int(np.sum(s > cfg.rank_tol * s[0])) if s.size else 0
     return vh[:r].reshape(-1, n, n)
@@ -171,14 +173,10 @@ def sum_spaces(s: OperatorSubspace, t: OperatorSubspace, cfg: NumericConfig = DE
 
 def _complement_rows(s: OperatorSubspace, cfg: NumericConfig) -> np.ndarray:
     """Orthonormal basis (as rows) of the HS orthocomplement of ``s``."""
-    n2 = s.n * s.n
     if s.dim == 0:
-        return np.eye(n2, dtype=complex)
-    flat = s._flat()
+        return np.eye(s.n * s.n, dtype=complex)
     # null space of the coefficient map v -> conj(flat) @ v
-    _, sv, vh = np.linalg.svd(flat, full_matrices=True)
-    r = int(np.sum(sv > cfg.rank_tol * sv[0])) if sv.size else 0
-    return vh[r:].conj()
+    return null_space_rows(s._flat().conj(), cfg)
 
 
 def complement(s: OperatorSubspace, cfg: NumericConfig = DEFAULT_CONFIG) -> OperatorSubspace:
@@ -243,7 +241,8 @@ def commutant(gens, n: int, cfg: NumericConfig = DEFAULT_CONFIG) -> VNAlgebra:
 def null_space_rows(k: np.ndarray, cfg: NumericConfig, scale: float = 1.0) -> np.ndarray:
     """Orthonormal rows spanning the null space of k, with the rank cutoff
     floored at ``rank_tol * scale`` so noise-level matrices count as zero."""
-    _, sv, vh = np.linalg.svd(k, full_matrices=True)
+    # a tall k's reduced SVD already holds all of V; its rows x rows U is never read
+    _, sv, vh = np.linalg.svd(k, full_matrices=k.shape[0] < k.shape[1])
     top = sv[0] if sv.size else 0.0
     r = int(np.sum(sv > cfg.rank_tol * max(top, scale)))
     return vh[r:].conj()

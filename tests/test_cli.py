@@ -216,6 +216,22 @@ class TestCommands:
             outs.add(out)
         assert len(outs) == 1
 
+    def test_metric_product_postcondition_is_typed(self, tmp_path, capsys, monkeypatch):
+        from qwmetric import constructions
+        from qwmetric.errors import PostconditionFailed
+        from qwmetric.opspace import scalar_space
+
+        # an intersection of the wrong dimension breaks the Fubini check
+        monkeypatch.setattr(constructions, "intersect", lambda s, t, cfg=DEFAULT_CONFIG: scalar_space(s.n))
+        f = m2_metric(1, 2, 3)
+        with pytest.raises(PostconditionFailed):
+            constructions.metric_product(f, f)
+        fpath = write_json(tmp_path, "f.json", emit_filtration(f))
+        code, out, err = run_cli(["transform", "product", "--filtration", fpath, "--with", fpath], capsys)
+        assert code == 2 and out == ""
+        blob = json.loads(err)
+        assert blob["kind"] == "error" and blob["error"].startswith("PostconditionFailed")
+
 
 class TestEntryPoint:
     def test_module_invocation(self, tmp_path):

@@ -1,3 +1,4 @@
+import json
 import math
 
 import numpy as np
@@ -13,7 +14,8 @@ from qwmetric import (
     to_classical,
     validate,
 )
-from qwmetric.errors import NegativeTime, NotAPseudometric, NotDiagonalContext
+from qwmetric.codes import hamming_filtration
+from qwmetric.errors import MixedDimensions, NegativeTime, NotAPseudometric, NotDiagonalContext
 from qwmetric.numerics import random_hermitian
 
 from conftest import DIAG, I2, IMAG_OFF, REAL_OFF, random_metric, random_step_filtration
@@ -41,6 +43,12 @@ class TestValidate:
         # the witnessing pair multiplies the dim-3 level with itself
         assert ("product_law", (1, 1)) in rep.violations
 
+    def test_product_law_reported_for_every_pair_above_a_violation(self):
+        # X Z leaves the top level, so V_1 V_2 and V_2 V_2 both break the law
+        # although Z Z = I on its own grade
+        f = StepFiltration(2, [0, 1, 1.5], [span([I2]), span([I2, REAL_OFF]), span([I2, REAL_OFF, DIAG])])
+        assert validate(f).violations == [("product_law", (1, 2)), ("product_law", (2, 1)), ("product_law", (2, 2))]
+
     def test_single_full_level(self):
         f = StepFiltration(2, [0.0], [full_space(2)])
         assert validate(f, MetricContext.full(2)).is_pseudometric
@@ -54,6 +62,38 @@ class TestValidate:
         f = StepFiltration(2, [0, 1], [span([I2]), span([I2, e12])])
         rep = validate(f)
         assert ("not_operator_system", 1) in rep.violations
+
+
+class TestGradedBasis:
+    def test_hamming_levels_are_prefix_views_of_one_basis(self):
+        h = hamming_filtration(3, 2)
+        assert [lv.dim for lv in h.levels] == h.cuts
+        for lv in h.levels:
+            assert np.shares_memory(lv.basis, h.basis)
+            np.testing.assert_array_equal(lv.basis, h.basis[: lv.dim])
+
+    def test_non_nested_levels_rejected(self, tmp_path, capsys):
+        from qwmetric.cli import emit_matrix, main
+
+        # the level at t = 1 misses the identity that spans the zero level
+        with pytest.raises(MixedDimensions):
+            StepFiltration(2, [0, 1, 2], [span([I2]), span([DIAG]), full_space(2)])
+        steps = [{"t": 0, "basis": [emit_matrix(I2)]}, {"t": 1, "basis": [emit_matrix(DIAG)]}]
+        path = tmp_path / "f.json"
+        path.write_text(json.dumps({"schema": "qwm/1", "kind": "filtration", "dim": 2, "steps": steps}))
+        assert main(["validate", "--filtration", str(path)]) == 2
+        out = json.loads(capsys.readouterr().out)
+        assert not out["is_filtration"]
+        assert out["violations"] == [["not_strictly_increasing", "0"]]
+
+    def test_repeated_level_is_reported_not_rejected(self):
+        f = StepFiltration(2, [0, 1, 2], [span([I2]), span([I2]), full_space(2)])
+        assert f.cuts == [1, 1, 4]
+        assert ("not_strictly_increasing", 0) in validate(f).violations
+
+    def test_hamming_four_qubits_validates(self):
+        rep = validate(hamming_filtration(4, 2))
+        assert rep.is_filtration and rep.violations == []
 
 
 class TestLookup:

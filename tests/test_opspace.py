@@ -100,6 +100,18 @@ def test_complement_demorgan():
     assert lhs.equals(rhs)
 
 
+@pytest.mark.parametrize("case", ["pauli_sum", "random"])
+def test_complement_is_hs_orthogonal_and_complementary(case):
+    if case == "pauli_sum":
+        s = span([I2, PAULI_X + PAULI_Y])
+    else:
+        s = random_subspace(3, 4, np.random.default_rng(11))
+    c = complement(s)
+    assert s.dim + c.dim == s.n * s.n
+    overlaps = np.einsum("aij,bij->ab", s.basis.conj(), c.basis)
+    assert np.abs(overlaps).max() < 1e-12
+
+
 def test_product_span_scalar_identity():
     s = span([I2, PAULI_X])
     assert product_span(span([I2]), s).equals(s)
