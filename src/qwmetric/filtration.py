@@ -104,8 +104,7 @@ class StepFiltration:
         top = self.basis.reshape(len(self.basis), -1)
         coef = flat @ top.conj().T
         outside = np.linalg.norm(flat - coef @ top, axis=1) ** 2
-        tail = np.cumsum((np.abs(coef) ** 2)[:, ::-1], axis=1)[:, ::-1]
-        tail = np.concatenate([tail, np.zeros((len(flat), 1))], axis=1)
+        tail = np.cumsum(np.abs(np.pad(coef, ((0, 0), (0, 1)))[:, ::-1]) ** 2, axis=1)[:, ::-1]
         scale = cfg.membership_tol * np.maximum(1.0, np.linalg.norm(flat, axis=1))
         inside = outside[:, None] + tail[:, self.cuts] <= (scale ** 2)[:, None]
         return np.where(inside.any(axis=1), inside.argmax(axis=1), len(self.cuts)), coef
@@ -254,10 +253,8 @@ def validate(f: StepFiltration, ctx: MetricContext | None = None, cfg: NumericCo
     system_from = np.maximum.accumulate(f._first_levels(mats, cfg)[0])
     violations = [("not_operator_system", i) for i, c in enumerate(f.cuts) if system_from[c] > i]
     violations += [("not_strictly_increasing", i) for i, c in enumerate(f.cuts[1:]) if c == f.cuts[i]]
-    reach, bps = _product_reach(f, cfg), f.breakpoints
-    violations += [
-        ("product_law", (i, j)) for i, ti in enumerate(bps) for j, tj in enumerate(bps) if reach[i, j] > f.level_index_at(ti + tj)
-    ]
+    target = np.searchsorted(f.breakpoints, np.add.outer(f.breakpoints, f.breakpoints), side="right") - 1
+    violations += [("product_law", (int(i), int(j))) for i, j in zip(*np.nonzero(_product_reach(f, cfg) > target))]
     is_filtration = not violations
     # with no context the filtration is a metric on (V_0)' by construction
     holds = ctx is None or f.levels[0].contains_space(ctx.commutant, cfg)
@@ -347,17 +344,19 @@ def descriptors(f: StepFiltration, cfg: NumericConfig = DEFAULT_CONFIG) -> dict:
     same target spans too, so only its containment is checked."""
     diameter = next((t for t, c in zip(f.breakpoints, f.cuts) if c == f.n * f.n), math.inf)
     gap = f.breakpoints[1] if len(f.breakpoints) > 1 else math.inf
-    grid = sorted({*f.breakpoints, *(a + b for a in f.breakpoints for b in f.breakpoints)})
-    at = f.level_index_at
-    triples = sorted({(at(s), at(t), at(s + t)) for s in grid for t in grid}, key=lambda x: f.cuts[x[0]] * f.cuts[x[1]])
+    bps, m = np.asarray(f.breakpoints), len(f.breakpoints)
+    grid = np.unique(np.add.outer(bps, bps))  # breakpoints and their sums, as bps[0] = 0
+    at = lambda x: np.searchsorted(bps, x, side="right") - 1
+    triples = {(i, c // m, c % m) for i, s in zip(at(grid), grid) for c in np.unique(at(grid) * m + at(s + grid))}
     reach = _product_reach(f, cfg)
-    spanning = []
-    for i, j, k in triples:
-        dominated = any(i >= i0 and j >= j0 and k == k0 for i0, j0, k0 in spanning)
+    spanning = {}
+    path = True
+    for i, j, k in sorted(triples, key=lambda x: f.cuts[x[0]] * f.cuts[x[1]]):
+        dominated = any(i >= i0 and j >= j0 for i0, j0 in spanning.get(k, ()))
         if reach[i, j] > k or not (dominated or _spans(f, i, j, k, cfg)):
+            path = False
             break
-        spanning.append((i, j, k))
-    path = len(spanning) == len(triples)
+        spanning.setdefault(k, []).append((i, j))
     return {
         "diameter": diameter,
         "uniformly_discrete": True,
