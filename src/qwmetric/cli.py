@@ -96,6 +96,8 @@ def parse_filtration(obj, cfg: NumericConfig) -> StepFiltration:
     if "dim" not in obj or "steps" not in obj:
         raise SchemaError("filtration needs 'dim' and 'steps'", "")
     n = obj["dim"]
+    if not (isinstance(n, int) and not isinstance(n, bool) and n >= 1):
+        raise SchemaError("'dim' must be a positive integer", "/dim")
     bps = []
     lvs = []
     for i, step in enumerate(obj["steps"]):
@@ -133,9 +135,12 @@ def parse_projection(obj, base_dim: int, cfg: NumericConfig) -> AmplifiedProject
 
 
 def parse_real_matrix(obj, pointer: str) -> np.ndarray:
-    rows = len(obj)
-    out = np.zeros((rows, len(obj[0])))
+    if not (isinstance(obj, list) and obj and all(isinstance(r, list) for r in obj)):
+        raise SchemaError("distance matrix must be a nested array", pointer)
+    out = np.zeros((len(obj), len(obj[0])))
     for i, row in enumerate(obj):
+        if len(row) != len(obj[0]):
+            raise SchemaError("ragged matrix rows", f"{pointer}/{i}")
         for j, v in enumerate(row):
             if v == "inf":
                 out[i, j] = math.inf

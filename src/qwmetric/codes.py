@@ -15,7 +15,7 @@ import numpy as np
 from .errors import NotACode, SizeLimit
 from .filtration import MetricContext, StepFiltration, default_context
 from .numerics import DEFAULT_CONFIG, NumericConfig, as_square, is_projection, op_norm
-from .opspace import OperatorSubspace, VNAlgebra, generated_vn_algebra, span, tensor
+from .opspace import OperatorSubspace, VNAlgebra, generated_vn_algebra, span
 from .constructions import TimedGenerators, _natural_range_basis, generated_filtration
 
 __all__ = [

@@ -18,6 +18,7 @@ and :func:`validate` reports it as not strictly increasing.
 from __future__ import annotations
 
 import bisect
+import functools
 import math
 from dataclasses import dataclass, field
 
@@ -228,16 +229,21 @@ def _products(f: StepFiltration, ci: int, cj: int, cfg: NumericConfig):
         yield a0, first.reshape(-1, cj), coef
 
 
+@functools.lru_cache(maxsize=1)
 def _product_reach(f: StepFiltration, cfg: NumericConfig) -> np.ndarray:
     """reach[i, j]: the first level containing V_{t_i} V_{t_j}, or
     len(levels) when it leaves the top.  By bilinearity this is the largest
     first level of a product B_a B_b with grades at most (i, j): one pass
-    over basis pairs, then a prefix maximum over grades."""
+    over basis pairs, then a prefix maximum over grades.  The last table is
+    kept (read-only), so validate followed by descriptors on the same
+    filtration makes the pass once."""
     grades = f.grades
     reach = np.full((len(f.cuts), len(f.cuts)), -1)
     for a0, first, _ in _products(f, len(f.basis), len(f.basis), cfg):
         np.maximum.at(reach, (grades[a0 : a0 + len(first), None], grades[None]), first)
-    return np.maximum.accumulate(np.maximum.accumulate(reach, axis=0), axis=1)
+    reach = np.maximum.accumulate(np.maximum.accumulate(reach, axis=0), axis=1)
+    reach.flags.writeable = False
+    return reach
 
 
 def validate(f: StepFiltration, ctx: MetricContext | None = None, cfg: NumericConfig = DEFAULT_CONFIG) -> ValidationReport:

@@ -22,6 +22,7 @@ from .numerics import (
     hs_norm,
     is_projection,
     op_norm,
+    range_basis,
     range_projection,
 )
 from .opspace import OperatorSubspace, complement, full_space, null_space_rows
@@ -75,10 +76,9 @@ class AmplifiedProjection:
             raise DimensionMismatch("padding cannot shrink the amplification")
         if m == self.m:
             return self
-        j = np.zeros((m, self.m), dtype=complex)
-        j[: self.m, :] = np.eye(self.m)
-        emb = np.kron(eye(self.n), j)
-        return AmplifiedProjection(self.n, m, emb @ self.matrix @ emb.conj().T)
+        out = np.zeros((self.n, m, self.n, m), dtype=complex)
+        out[:, : self.m, :, : self.m] = self.matrix.reshape(self.n, self.m, self.n, self.m)
+        return AmplifiedProjection(self.n, m, out.reshape(self.n * m, -1))
 
     @property
     def rank(self) -> int:
@@ -92,21 +92,26 @@ def _align(p: AmplifiedProjection, q: AmplifiedProjection):
     if p.n != q.n:
         raise DimensionMismatch("base dimensions differ")
     m = max(p.m, q.m)
-    return p.padded(m), q.padded(m), m
+    return p.padded(m), q.padded(m)
 
 
-def _batch_compression_norms(p: np.ndarray, basis: np.ndarray, q: np.ndarray, n: int, m: int) -> np.ndarray:
-    """HS norms of P (B (x) I_m) Q over a stacked basis, without forming the
-    Kronecker products."""
-    if basis.shape[0] == 0:
-        return np.zeros(0)
-    if m == 1:
-        out = np.einsum("ij,bjk,kl->bil", p, basis, q, optimize=True)
-        return np.linalg.norm(out.reshape(basis.shape[0], -1), axis=1)
-    p4 = p.reshape(n, m, n, m)
-    q4 = q.reshape(n, m, n, m)
-    out = np.einsum("iajc,bjk,kcld->biald", p4, basis, q4, optimize=True)
-    return np.linalg.norm(out.reshape(basis.shape[0], -1), axis=1)
+def _amplify(basis: np.ndarray, x: np.ndarray) -> np.ndarray:
+    """The columns (B (x) I_m) X for every B of a (k, n, n) stack, as one
+    (nm, k*c) matrix in stack order.  Rows are indexed base-first, so
+    B (x) I_m acts on X read as an n x (m*c) matrix: one batched matmul, and
+    the Kronecker product is never formed."""
+    nm, c = x.shape
+    return (basis @ x.reshape(basis.shape[1], -1)).reshape(-1, nm, c).transpose(1, 0, 2).reshape(nm, -1)
+
+
+def _compressions(p: np.ndarray, basis: np.ndarray, q: np.ndarray) -> np.ndarray:
+    """P (B (x) I_m) Q for every B of a stack, indexed (row, B, column)."""
+    return (p @ _amplify(basis, q)).reshape(len(p), len(basis), len(q))
+
+
+def _batch_compression_norms(p: np.ndarray, basis: np.ndarray, q: np.ndarray) -> np.ndarray:
+    """HS norms of P (B (x) I_m) Q over a stacked basis."""
+    return np.linalg.norm(_compressions(p, basis, q), axis=(0, 2))
 
 
 def rho(f: StepFiltration, p: AmplifiedProjection, q: AmplifiedProjection, cfg: NumericConfig = DEFAULT_CONFIG) -> float:
@@ -118,10 +123,10 @@ def rho(f: StepFiltration, p: AmplifiedProjection, q: AmplifiedProjection, cfg: 
     """
     if p.n != f.n:
         raise DimensionMismatch("projection base dimension does not match filtration")
-    pp, qq, m = _align(p, q)
+    pp, qq = _align(p, q)
     lo = 0
     for t, hi in zip(f.breakpoints, f.cuts):
-        norms = _batch_compression_norms(pp.matrix, f.basis[lo:hi], qq.matrix, f.n, m)
+        norms = _batch_compression_norms(pp.matrix, f.basis[lo:hi], qq.matrix)
         if norms.size and norms.max() > cfg.membership_tol:
             return t
         lo = hi
@@ -130,21 +135,14 @@ def rho(f: StepFiltration, p: AmplifiedProjection, q: AmplifiedProjection, cfg: 
 
 def linkable(p: AmplifiedProjection, q: AmplifiedProjection, cfg: NumericConfig = DEFAULT_CONFIG) -> bool:
     """True iff P (A (x) I) Q != 0 for some A in M_n; scans matrix units."""
-    pp, qq, m = _align(p, q)
-    n = p.n
-    units = full_space(n).basis
-    norms = _batch_compression_norms(pp.matrix, units, qq.matrix, n, m)
+    pp, qq = _align(p, q)
+    norms = _batch_compression_norms(pp.matrix, full_space(p.n).basis, qq.matrix)
     return bool(norms.size and norms.max() > cfg.membership_tol)
 
 
 def _apply_level(lv: OperatorSubspace, p: AmplifiedProjection, cfg: NumericConfig) -> np.ndarray:
     """Range projection of (S (x) I_m) applied to ran(P)."""
-    nm = p.n * p.m
-    if lv.dim == 0:
-        return np.zeros((nm, nm), dtype=complex)
-    im = np.eye(p.m)
-    stacked = np.concatenate([np.kron(b, im) @ p.matrix for b in lv.basis], axis=1)
-    return range_projection(stacked, cfg)
+    return range_projection(_amplify(lv.basis, p.matrix), cfg)
 
 
 def neighborhood(f: StepFiltration, p: AmplifiedProjection, eps: float, cfg: NumericConfig = DEFAULT_CONFIG) -> AmplifiedProjection:
@@ -174,7 +172,7 @@ def hausdorff_distance(f: StepFiltration, p: AmplifiedProjection, q: AmplifiedPr
     """inf{eps : P <= (Q)_eps and Q <= (P)_eps}, attained on the breakpoint
     grid for step data (the neighborhood only changes when eps crosses a
     breakpoint)."""
-    pp, qq, _ = _align(p, q)
+    pp, qq = _align(p, q)
     for t, lv in zip(f.breakpoints, f.levels):
         np_ = _apply_level(lv, pp, cfg)
         nq = _apply_level(lv, qq, cfg)
@@ -201,41 +199,21 @@ def separating_projections(f: StepFiltration, t: float, a, cfg: NumericConfig = 
     c = m0 - base.project(m0)
     if hs_norm(c) <= cfg.membership_tol * max(1.0, hs_norm(m0)):
         raise AlreadyInside(f"matrix already belongs to the level at t = {t}")
-    u, s, vh = np.linalg.svd(c)
-    r = int(np.sum(s > cfg.rank_tol * s[0]))
-    m = r
-    eta = np.zeros(f.n * m, dtype=complex)
-    xi = np.zeros(f.n * m, dtype=complex)
-    for i in range(m):
-        eta += np.kron(vh[i].conj(), _unit(m, i))
-        xi += s[i] * np.kron(u[:, i], _unit(m, i))
-    im = np.eye(m)
-    orbit = [np.kron(b, im) @ eta for b in f.levels[0].basis]
-    q = AmplifiedProjection.from_vectors(f.n, m, orbit, cfg)
-    qcols = _range_basis(q.matrix, cfg)
-    stacked = np.concatenate([np.kron(b, im) @ qcols for b in base.basis], axis=1)
-    l_proj = range_projection(stacked, cfg) if stacked.size else np.zeros_like(q.matrix)
+    _, s, vh = np.linalg.svd(c)
+    m = int(np.sum(s > cfg.rank_tol * s[0]))
+    # the rows of vh are the v_i^*; eta = sum v_i (x) e_i, base index first
+    eta = vh[:m].conj().T.reshape(-1, 1)
+    qcols = range_basis(_amplify(f.levels[0].basis, eta), cfg)
+    q = AmplifiedProjection(f.n, m, qcols @ qcols.conj().T, cfg)
+    l_proj = range_projection(_amplify(base.basis, qcols), cfg)
     p = AmplifiedProjection(f.n, m, eye(f.n * m) - l_proj, cfg)
     # numerical verification of the separation postcondition
-    if _batch_compression_norms(p.matrix, m0[None], q.matrix, f.n, m).max() <= cfg.membership_tol:
+    if _batch_compression_norms(p.matrix, m0[None], q.matrix).max() <= cfg.membership_tol:
         raise AlreadyInside("separation failed: witness compression vanished")
-    level_norms = _batch_compression_norms(p.matrix, base.basis, q.matrix, f.n, m)
+    level_norms = _batch_compression_norms(p.matrix, base.basis, q.matrix)
     if level_norms.size and level_norms.max() > cfg.membership_tol:
         raise AlreadyInside("separation failed: level not annihilated")
     return p, q
-
-
-def _unit(m: int, i: int) -> np.ndarray:
-    e = np.zeros(m, dtype=complex)
-    e[i] = 1.0
-    return e
-
-
-def _range_basis(p: np.ndarray, cfg: NumericConfig) -> np.ndarray:
-    """Orthonormal columns spanning ran(p) for a projection p."""
-    w, v = np.linalg.eigh((p + p.conj().T) / 2)
-    keep = w > 0.5
-    return v[:, keep]
 
 
 def probes_for_level(f: StepFiltration, t: float, cfg: NumericConfig = DEFAULT_CONFIG):
@@ -250,19 +228,12 @@ def rebuild_level(f: StepFiltration, t: float, probes, cfg: NumericConfig = DEFA
     probe pairs; with probes from :func:`probes_for_level` this recovers the
     level at t exactly."""
     n = f.n
+    units = full_space(n).basis
     blocks = []
     for p, q in probes:
-        pp, qq, m = _align(p, q)
-        nm = n * m
-        im = np.eye(m)
-        cols = []
-        e = np.zeros((n, n), dtype=complex)
-        for i in range(n):
-            for j in range(n):
-                e[i, j] = 1.0
-                cols.append((pp.matrix @ np.kron(e, im) @ qq.matrix).reshape(-1))
-                e[i, j] = 0.0
-        blocks.append(np.stack(cols, axis=1))
+        pp, qq = _align(p, q)
+        # one row per entry of P (E_ij (x) I) Q, one column per matrix unit
+        blocks.append(_compressions(pp.matrix, units, qq.matrix).transpose(0, 2, 1).reshape(-1, n * n))
     if not blocks:
         return full_space(n)
     k = np.concatenate(blocks, axis=0)

@@ -22,7 +22,6 @@ from .numerics import (
     DEFAULT_CONFIG,
     NumericConfig,
     as_square,
-    eye,
     hermitian_eig,
     is_hermitian,
     op_norm,

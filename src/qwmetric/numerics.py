@@ -121,20 +121,22 @@ def spectral_projection(a, kind: str, threshold: float, cfg: NumericConfig = DEF
     return out
 
 
+def range_basis(a, cfg: NumericConfig = DEFAULT_CONFIG) -> np.ndarray:
+    """Orthonormal columns spanning the column span of ``a``: its left
+    singular vectors above the relative rank cutoff (n x 0 for zero input)."""
+    m = as_matrix(a)
+    if m.size == 0:
+        return np.zeros((m.shape[0], 0), dtype=complex)
+    u, s, _ = np.linalg.svd(m, full_matrices=False)
+    return u[:, : int(np.sum(s > cfg.rank_tol * s[0]))]
+
+
 def range_projection(a, cfg: NumericConfig = DEFAULT_CONFIG) -> np.ndarray:
     """Orthogonal projection onto the column span of ``a``.
 
     Accepts rectangular input (n x k column stacks); the result is n x n.
     """
-    m = as_matrix(a)
-    n = m.shape[0]
-    if m.size == 0:
-        return np.zeros((n, n), dtype=complex)
-    u, s, _ = np.linalg.svd(m, full_matrices=False)
-    if s.size == 0 or s[0] <= 0:
-        return np.zeros((n, n), dtype=complex)
-    r = int(np.sum(s > cfg.rank_tol * s[0]))
-    basis = u[:, :r]
+    basis = range_basis(a, cfg)
     return basis @ basis.conj().T
 
 

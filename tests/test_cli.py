@@ -191,6 +191,38 @@ class TestCommands:
         assert code == 1
         assert "error" in json.loads(err)
 
+    @pytest.mark.parametrize(
+        "argv, payload",
+        [
+            (["build", "classical", "--matrix"], [[0, 1], [1]]),
+            (["build", "classical", "--matrix"], {"a": 1}),
+            (["validate", "--filtration"], {"dim": -1, "steps": [{"t": 0, "basis": []}]}),
+        ],
+        ids=["ragged-distances", "distances-not-an-array", "negative-dim"],
+    )
+    def test_malformed_input_is_a_schema_error(self, tmp_path, capsys, argv, payload):
+        path = write_json(tmp_path, "in.json", payload)
+        code, out, err = run_cli(argv + [path], capsys)
+        assert code == 1 and out == ""
+        blob = json.loads(err)
+        assert blob["kind"] == "error" and "pointer" in blob
+
+    def test_validate_makes_one_full_product_pass(self, tmp_path, capsys, monkeypatch):
+        from qwmetric import filtration
+
+        products = filtration._products
+        full = []
+
+        def counting(f, ci, cj, cfg):
+            full.append(ci == cj == len(f.basis))
+            return products(f, ci, cj, cfg)
+
+        monkeypatch.setattr(filtration, "_products", counting)
+        fpath = write_json(tmp_path, "h2.json", emit_filtration(hamming_filtration(2, 2)))
+        code, out, _ = run_cli(["validate", "--filtration", fpath], capsys)
+        assert code == 0 and json.loads(out)["path_flag"]
+        assert sum(full) == 1
+
     def test_build_classical_from_stdin(self, tmp_path, monkeypatch, capsys):
         import io
 

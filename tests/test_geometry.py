@@ -317,6 +317,35 @@ def test_rho_matches_brute_force_oracle(seed):
         assert rho(f, p, q) == brute_force_rho(f, p, q)
 
 
+@pytest.mark.parametrize("m_p, m_q", [(1, 2), (2, 3)])
+def test_padding_and_unequal_degrees_match_explicit_embedding(m_p, m_q):
+    """padded against kron(I_n, J), J the first m_p columns of I_{m_q}, and
+    rho on pairs of unequal degree against compressions formed with it."""
+    rng = np.random.default_rng(10 * m_p + m_q)
+    n = 3
+    d = random_metric(n, rng)
+    f, _ = from_classical(d)
+    emb = np.kron(np.eye(n), np.eye(m_q, m_p))
+    u = rng.standard_normal(m_p) + 1j * rng.standard_normal(m_p)
+    p = AmplifiedProjection(n, m_p, range_projection(np.kron(np.eye(n)[0], u)[:, None]))
+    p_emb = emb @ p.matrix @ emb.conj().T
+    np.testing.assert_allclose(p.padded(m_q).matrix, p_emb, atol=1e-12)
+    w = rng.standard_normal(m_q) + 1j * rng.standard_normal(m_q)
+    # q in a generic slot direction, then in a slot p does not reach
+    for slots, want in [(w, d[0, 2]), (np.eye(m_q)[-1], math.inf)]:
+        q = AmplifiedProjection(n, m_q, range_projection(np.kron(np.eye(n)[2], slots)[:, None]))
+        explicit = next(
+            (
+                t
+                for t, lv in zip(f.breakpoints, f.levels)
+                if any(op_norm(p_emb @ np.kron(b, np.eye(m_q)) @ q.matrix) > 1e-8 for b in lv.basis)
+            ),
+            math.inf,
+        )
+        assert explicit == want
+        assert rho(f, p, q) == rho(f, q, p) == explicit
+
+
 class TestRepresentationIndependence:
     """Distances are invariant under a global unitary change of basis and
     under enlarging the amplification with identity slots."""
