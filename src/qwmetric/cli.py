@@ -67,6 +67,8 @@ def parse_subspace(obj, pointer: str, cfg: NumericConfig) -> OperatorSubspace:
     if not isinstance(obj, dict) or "dim" not in obj or "basis" not in obj:
         raise SchemaError("subspace needs 'dim' and 'basis'", pointer)
     n = obj["dim"]
+    if not isinstance(obj["basis"], list):
+        raise SchemaError("'basis' must be a list of matrices", f"{pointer}/basis")
     mats = [parse_matrix(b, f"{pointer}/basis/{i}") for i, b in enumerate(obj["basis"])]
     for i, m in enumerate(mats):
         if m.shape != (n, n):
@@ -98,6 +100,8 @@ def parse_filtration(obj, cfg: NumericConfig) -> StepFiltration:
     n = obj["dim"]
     if not (isinstance(n, int) and not isinstance(n, bool) and n >= 1):
         raise SchemaError("'dim' must be a positive integer", "/dim")
+    if not isinstance(obj["steps"], list):
+        raise SchemaError("'steps' must be a list", "/steps")
     bps = []
     lvs = []
     for i, step in enumerate(obj["steps"]):

@@ -5,16 +5,15 @@ check, minimum distance, the volume bound, and induced corner metrics.
 
 from __future__ import annotations
 
-import functools
 import math
 from dataclasses import dataclass, field
-from itertools import combinations, product
+from itertools import combinations
 
 import numpy as np
 
 from .errors import NotACode, SizeLimit
 from .filtration import MetricContext, StepFiltration, default_context
-from .numerics import DEFAULT_CONFIG, NumericConfig, as_square, is_projection, op_norm
+from .numerics import DEFAULT_CONFIG, NumericConfig, as_square, is_projection, op_norm, range_basis
 from .opspace import OperatorSubspace, VNAlgebra, generated_vn_algebra, span
 from .constructions import TimedGenerators, _natural_range_basis, generated_filtration
 
@@ -56,9 +55,10 @@ class QuantumCode:
         return int(round(float(np.trace(self.projector).real)))
 
 
-def _site_basis(d: int) -> list[np.ndarray]:
-    """HS-orthonormal basis of M_d: normalized identity first, then the
-    traceless directions (off-diagonal matrix units and diagonal steps)."""
+def _site_basis(d: int) -> np.ndarray:
+    """HS-orthonormal basis of M_d, shape (d^2, d, d): normalized identity
+    first, then the traceless directions (off-diagonal matrix units and
+    diagonal steps)."""
     out = [np.eye(d, dtype=complex) / math.sqrt(d)]
     for i in range(d):
         for j in range(d):
@@ -72,18 +72,28 @@ def _site_basis(d: int) -> list[np.ndarray]:
         v[:k] = 1.0
         v[k] = -k
         out.append(np.diag(v).astype(complex) / math.sqrt(k * k + k))
-    return out
+    return np.stack(out)
 
 
-def _weighted_tensors(n_sites: int, d: int, weight: int):
-    """Elementary tensors over the site basis with exactly ``weight``
-    traceless factors; HS-orthonormal by construction."""
+def _fill_weight(out: np.ndarray, n_sites: int, d: int, weight: int) -> None:
+    """Write the elementary tensors over the site basis with exactly
+    ``weight`` traceless factors into ``out`` (count, d^n, d^n); they are
+    HS-orthonormal by construction.  Order: site set, then traceless choices
+    with the last site fastest.  Each factor is one broadcast outer product
+    over the stack of its (weight, site-set) group, the last one written
+    straight into ``out``."""
     site = _site_basis(d)
-    traceless = range(1, len(site))  # index 0 is the normalized identity
-    for sites in combinations(range(n_sites), weight):
-        for choices in product(traceless, repeat=weight):
-            pick = dict(zip(sites, choices))
-            yield functools.reduce(np.kron, [site[pick.get(s, 0)] for s in range(n_sites)])
+    group = (d * d - 1) ** weight
+    for a, sites in enumerate(combinations(range(n_sites), weight)):
+        rows = out[a * group : (a + 1) * group]
+        acc = np.ones((1, 1, 1), dtype=complex)
+        for s in range(n_sites):
+            y = site[1:] if s in sites else site[:1]  # site[0] is the normalized identity
+            (g, e, _), f = acc.shape, len(y)
+            # only axes are split, so this reshape of ``rows`` is a view
+            dest = rows.reshape(g, f, e, d, e, d) if s == n_sites - 1 else None
+            acc = np.multiply(acc[:, None, :, None, :, None], y[None, :, None, :, None, :], out=dest)
+            acc = acc.reshape(g * f, e * d, e * d)
 
 
 def hamming_filtration(
@@ -100,9 +110,8 @@ def hamming_filtration(
     # sorted by weight, the elementary tensors are a graded basis
     cuts = [hamming_level_dimension(n_sites, local_dim, t) for t in range(n_sites + 1)]
     basis = np.empty((cuts[-1], total, total), dtype=complex)
-    mats = (m for w in range(n_sites + 1) for m in _weighted_tensors(n_sites, local_dim, w))
-    for a, m in enumerate(mats):
-        basis[a] = m
+    for w, (lo, hi) in enumerate(zip([0] + cuts, cuts)):
+        _fill_weight(basis[lo:hi], n_sites, local_dim, w)
     f = StepFiltration.from_graded(total, range(n_sites + 1), basis, cuts)
     f.meta["sites"] = (n_sites, local_dim)
     return f
@@ -128,17 +137,16 @@ def block_filtration(blocks, cfg: NumericConfig = DEFAULT_CONFIG, cap: int = SIT
         raise SizeLimit(f"ambient dimension {total} exceeds the cap {cap}")
     offsets = np.cumsum([0] + sizes)
     max_weight = max(blocks)
-    mats = []
-    cuts = []
+    cuts = [sum(hamming_level_dimension(nb, 2, t) for nb in blocks) for t in range(max_weight + 1)]
+    basis = np.zeros((cuts[-1], total, total), dtype=complex)
+    a = 0
     for t in range(max_weight + 1):
         for bi, nb in enumerate(blocks):
             lo, hi = offsets[bi], offsets[bi + 1]
-            for m in _weighted_tensors(nb, 2, t):
-                emb = np.zeros((total, total), dtype=complex)
-                emb[lo:hi, lo:hi] = m
-                mats.append(emb)
-        cuts.append(len(mats))
-    f = StepFiltration.from_graded(total, range(max_weight + 1), np.stack(mats), cuts)
+            b = a + math.comb(nb, t) * 3 ** t
+            _fill_weight(basis[a:b, lo:hi, lo:hi], nb, 2, t)
+            a = b
+    f = StepFiltration.from_graded(total, range(max_weight + 1), basis, cuts)
     f.meta["blocks"] = tuple(blocks)
     return f
 
@@ -173,42 +181,37 @@ class KLReport:
 
 def kl_check(code: QuantumCode, k: float, cfg: NumericConfig = DEFAULT_CONFIG) -> KLReport:
     """Scalar-compression audit: for every basis element B of the level at k,
-    P B P must equal eps(B) P with eps(B) = tr(P B P) / tr(P)."""
-    p = code.projector
-    tr_p = float(np.trace(p).real)
+    P B P must equal eps(B) P with eps(B) = tr(P B P) / tr(P).
+
+    Read through the n x r code isometry V: ||V Y V*|| = ||Y|| in the
+    operator and the HS norm, so the residual is ||V* B V - eps I_r||, exactly.
+    """
+    tr_p = float(np.trace(code.projector).real)
     level = code.error_model.value_at(k)
-    eps = {}
-    residuals = []
-    worst = 0.0
-    worst_index = None
-    detects = True
-    for idx, b in enumerate(level.basis):
-        compressed = p @ b @ p
-        e = complex(np.trace(compressed) / tr_p)
-        eps[idx] = e
-        res = op_norm(compressed - e * p)
-        residuals.append(res)
-        if res > worst:
-            worst = res
-            worst_index = idx
-        if res > cfg.membership_tol * max(1.0, op_norm(b)):
-            detects = False
-    return KLReport(detects, eps, worst, worst_index, level.dim, residuals)
-
-
-def _compressed_dim(level: OperatorSubspace, p: np.ndarray, cfg: NumericConfig) -> int:
-    mats = [p @ b @ p for b in level.basis]
-    return span(mats, p.shape[0], cfg).dim
+    v = range_basis(code.projector, cfg)
+    x = v.conj().T @ level.basis @ v
+    eps = np.trace(x, axis1=1, axis2=2) / tr_p
+    res = np.linalg.norm(x - eps[:, None, None] * np.eye(x.shape[1]), 2, axis=(1, 2))
+    # max(1, ||B||) >= 1: only residuals above the tolerance need ||B||,
+    # taken largest first up to the first violation
+    over = np.argsort(-res)[: np.count_nonzero(res > cfg.membership_tol)]
+    detects = not any(res[i] > cfg.membership_tol * max(1.0, op_norm(level.basis[i])) for i in over)
+    worst_index = int(np.argmax(res)) if np.any(res > 0) else None
+    worst = 0.0 if worst_index is None else float(res[worst_index])
+    return KLReport(detects, dict(enumerate(eps.tolist())), worst, worst_index, level.dim, res.tolist())
 
 
 def min_distance(code: QuantumCode, cfg: NumericConfig = DEFAULT_CONFIG) -> float:
     """delta(P) = sup{t : P V_t P = P V_0 P}: the first breakpoint where the
-    compressed span strictly grows, or +inf when it never grows."""
-    p = code.projector
+    compressed span strictly grows, or +inf when it never grows.  The span
+    of the V* B V in M_r has the dimension of the span of the P B P."""
     f = code.error_model
-    base_dim = _compressed_dim(f.levels[0], p, cfg)
-    for t, lv in zip(f.breakpoints[1:], f.levels[1:]):
-        if _compressed_dim(lv, p, cfg) > base_dim:
+    v = range_basis(code.projector, cfg)
+    x = v.conj().T @ f.levels[0].basis @ v
+    base_dim = span(x, v.shape[1], cfg).dim
+    for t, lo, hi in zip(f.breakpoints[1:], f.cuts, f.cuts[1:]):
+        x = np.concatenate([x, v.conj().T @ f.basis[lo:hi] @ v])
+        if span(x, v.shape[1], cfg).dim > base_dim:
             return t
     return math.inf
 
@@ -229,14 +232,11 @@ def volume_bound(code: QuantumCode, k: float, cfg: NumericConfig = DEFAULT_CONFI
     audit = kl_check(code, k, cfg)
     if not audit.detects:
         raise NotACode("the code fails the scalar-compression audit at k")
-    p = code.projector
-    tr_p = float(np.trace(p).real)
+    tr_p = float(np.trace(code.projector).real)
     half = code.error_model.value_at(math.floor(k / 2))
-    m = half.dim
-    gram = np.zeros((m, m), dtype=complex)
-    for i, a in enumerate(half.basis):
-        for j, b in enumerate(half.basis):
-            gram[i, j] = np.trace(p @ b.conj().T @ a @ p) / tr_p
+    # tr(P B* A P) = <A V, B V>_HS: one Gram of the flattened B V
+    bv = (half.basis @ range_basis(code.projector, cfg)).reshape(half.dim, -1)
+    gram = bv @ bv.conj().T / tr_p
     w = np.linalg.eigvalsh((gram + gram.conj().T) / 2)
     top = max(float(w[-1]), 0.0)
     dim_k = int(np.sum(w > cfg.rank_tol * max(top, 1.0)))

@@ -63,24 +63,6 @@ class AscentBudget:
         return cls(restarts=0, steps=0)
 
 
-def _eig_with_halfline_projections(a: np.ndarray, cfg: NumericConfig):
-    """Clustered eigenvalues with cumulative low/high spectral projections."""
-    values, projections = hermitian_eig(a, cfg)
-    nm = a.shape[0]
-    lows = []
-    highs = []
-    acc = np.zeros((nm, nm), dtype=complex)
-    for p in projections:
-        acc = acc + p
-        lows.append(acc.copy())
-    acc = np.zeros((nm, nm), dtype=complex)
-    for p in reversed(projections):
-        acc = acc + p
-        highs.append(acc.copy())
-    highs.reverse()
-    return values, lows, highs
-
-
 def spectral_lipschitz(f: StepFiltration, a, amp_degree: int = 1, cfg: NumericConfig = DEFAULT_CONFIG) -> LipschitzReport:
     """L_s(A) = max over eigenvalue pairs of gap / rho of half-line spectral
     projections; 0/0 counts as 0, positive gap over rho = 0 as +inf."""
@@ -89,14 +71,16 @@ def spectral_lipschitz(f: StepFiltration, a, amp_degree: int = 1, cfg: NumericCo
         raise DimensionMismatch("matrix size does not match filtration * amplification")
     if not is_hermitian(m, cfg):
         raise NotHermitian("spectral Lipschitz number needs a Hermitian input")
-    values, lows, highs = _eig_with_halfline_projections(m, cfg)
+    values, projections = hermitian_eig(m, cfg)
+    # cumulative low and high half-line spectral projections, each wrapped once
+    lows = [AmplifiedProjection(f.n, amp_degree, p, cfg) for p in np.cumsum(projections, axis=0)]
+    highs = [AmplifiedProjection(f.n, amp_degree, p, cfg) for p in np.cumsum(projections[::-1], axis=0)[::-1]]
     best = 0.0
     witness = {"pair": None, "rho": None}
     for i in range(len(values)):
         for j in range(i + 1, len(values)):
             gap = values[j] - values[i]
-            p_low = AmplifiedProjection(f.n, amp_degree, lows[i], cfg)
-            p_high = AmplifiedProjection(f.n, amp_degree, highs[j], cfg)
+            p_low, p_high = lows[i], highs[j]
             r = rho(f, p_low, p_high, cfg)
             ratio = 0.0 if gap == 0 else (math.inf if r == 0 else gap / r)
             if ratio > best:
@@ -138,21 +122,33 @@ def commutation_lipschitz_lower(
     best = 0.0
     witness = {"t": None, "contraction": None}
 
-    def consider(t, c):
+    def consider(t, cs):
+        """Score a stack of candidates, normalized; ties keep the first."""
         nonlocal best, witness
-        c = _norm_one(c)
-        val = op_norm(m @ c - c @ m) / t
-        if val > best:
-            best = val
-            witness = {"t": t, "contraction": c}
+        if len(cs) == 0:
+            return
+        norms = np.linalg.norm(cs, 2, axis=(1, 2))
+        cs = cs / np.where(norms == 0, 1.0, norms)[:, None, None]
+        vals = np.linalg.norm(m @ cs - cs @ m, 2, axis=(1, 2)) / t
+        i = int(np.argmax(vals))
+        if vals[i] > best:
+            best = float(vals[i])
+            witness = {"t": t, "contraction": cs[i]}
 
+    # only the ascent reads the commutators of the raw basis
+    comms = m @ f.basis - f.basis @ m if budget.restarts > 0 else None
+    scored = 0
     for t, lv in zip(f.breakpoints, f.levels):
         if t <= 0 or lv.dim == 0:
             continue
-        for b in lv.basis:
-            consider(t, b)
+        # an element scored at an earlier t' < t had the larger ratio
+        # ||[A, C]|| / t' there, so only the elements entering at t compete
+        consider(t, f.basis[scored : lv.dim])
+        scored = lv.dim
+        if comms is None:
+            continue
         k = lv.dim
-        commutators = np.stack([m @ b - b @ m for b in lv.basis])
+        commutators = comms[:k]
         if np.max(np.abs(commutators)) <= cfg.membership_tol:
             continue
         for _ in range(budget.restarts):
@@ -169,7 +165,7 @@ def commutation_lipschitz_lower(
                 z = lv.coefficients(c) + step * grad.conj()
                 c = _norm_one(np.tensordot(z, lv.basis, axes=(0, 0)))
                 step *= 0.97
-            consider(t, c)
+            consider(t, c[None])
     return LipschitzReport(best, witness)
 
 
@@ -258,7 +254,6 @@ def lipschitz_witness(f: StepFiltration, c, seed: int = 0, cfg: NumericConfig = 
     ceiling = r if math.isfinite(r) else f.breakpoints[-1] + 1.0
     a = distance_operator(f, p, ceiling, cfg)
     m = p.m
-    phi = a @ np.kron(cm, np.eye(m)) - np.kron(cm, np.eye(m)) @ a
     b0 = None
     # coordinate slots first, then random rank-one slots
     rng = np.random.default_rng(seed)

@@ -197,8 +197,10 @@ class TestCommands:
             (["build", "classical", "--matrix"], [[0, 1], [1]]),
             (["build", "classical", "--matrix"], {"a": 1}),
             (["validate", "--filtration"], {"dim": -1, "steps": [{"t": 0, "basis": []}]}),
+            (["validate", "--filtration"], {"dim": 2, "steps": 5}),
+            (["validate", "--filtration"], {"dim": 2, "steps": [{"t": 0, "basis": 3}]}),
         ],
-        ids=["ragged-distances", "distances-not-an-array", "negative-dim"],
+        ids=["ragged-distances", "distances-not-an-array", "negative-dim", "steps-not-a-list", "basis-not-a-list"],
     )
     def test_malformed_input_is_a_schema_error(self, tmp_path, capsys, argv, payload):
         path = write_json(tmp_path, "in.json", payload)

@@ -1,4 +1,6 @@
+import functools
 import math
+from itertools import combinations, product
 
 import numpy as np
 import pytest
@@ -12,6 +14,7 @@ from qwmetric import (
 )
 from qwmetric.codes import (
     QuantumCode,
+    _site_basis,
     block_algebra_context,
     block_filtration,
     hamming_filtration,
@@ -81,6 +84,24 @@ class TestHammingFiltration:
         assert prod.breakpoints == h2.breakpoints
         for a, b in zip(prod.levels, h2.levels):
             assert a.dim == b.dim and a.equals(b)
+
+    @pytest.mark.parametrize(
+        "n_sites, local_dim",
+        [(n, d) for d in range(2, 9) for n in range(1, 7) if d ** n <= 64],
+    )
+    def test_basis_is_the_kron_enumeration(self, n_sites, local_dim):
+        """Weight, then site set, then traceless choices with the last site
+        fastest; each element the Kronecker product of its site factors."""
+        site = list(_site_basis(local_dim))
+        want = []
+        for w in range(n_sites + 1):
+            for sites in combinations(range(n_sites), w):
+                for choice in product(range(1, local_dim ** 2), repeat=w):
+                    pick = dict(zip(sites, choice))
+                    want.append(functools.reduce(np.kron, [site[pick.get(s, 0)] for s in range(n_sites)]))
+        h = hamming_filtration(n_sites, local_dim, cap=64)
+        np.testing.assert_array_equal(h.basis, np.stack(want))
+        assert h.cuts == [hamming_level_dimension(n_sites, local_dim, t) for t in range(n_sites + 1)]
 
     def test_three_fold_l1_power_dimensions(self):
         h1 = hamming_filtration(1, 2)
@@ -231,6 +252,87 @@ class TestVolumeBound:
         for k in range(n_sites + 1):
             if kl_check(code, k).detects:
                 assert volume_bound(code, k).holds
+
+
+def _explicit_audit(p, basis):
+    """Residuals ||P B P - eps P|| and eps = tr(P B P) / tr P, element by
+    element on n x n matrices."""
+    tr_p = np.trace(p).real
+    eps = [np.trace(p @ b @ p) / tr_p for b in basis]
+    res = [np.linalg.norm(p @ b @ p - e * p, 2) for b, e in zip(basis, eps)]
+    return np.array(eps), np.array(res)
+
+
+def _explicit_rank(mats, tol=1e-9):
+    rows = np.stack([m.reshape(-1) for m in mats])
+    s = np.linalg.svd(rows, compute_uv=False)
+    return int(np.sum(s > tol * s[0]))
+
+
+def _explicit_distance(p, f):
+    """First breakpoint where the span of the P B P grows past level 0."""
+    base = _explicit_rank([p @ b @ p for b in f.levels[0].basis])
+    for t, lv in zip(f.breakpoints[1:], f.levels[1:]):
+        if _explicit_rank([p @ b @ p for b in lv.basis]) > base:
+            return t
+    return math.inf
+
+
+def _explicit_dim_k(p, basis):
+    """Rank of the Gram form tr(P B* A P) / tr P on a level."""
+    tr_p = np.trace(p).real
+    gram = np.array([[np.trace(p @ b.conj().T @ a @ p) / tr_p for b in basis] for a in basis])
+    w = np.linalg.eigvalsh((gram + gram.conj().T) / 2)
+    return int(np.sum(w > 1e-9 * max(w[-1], 1.0)))
+
+
+# model name -> (largest k audited, builder)
+AUDIT_MODELS = {
+    "hamming2": (2, lambda: hamming_filtration(2, 2)),
+    "hamming3": (3, lambda: hamming_filtration(3, 2)),
+    "hamming4": (4, lambda: hamming_filtration(4, 2)),
+    "blocks12": (2, lambda: block_filtration([1, 2])),
+}
+
+
+class TestAuditsAgainstExplicitFormulas:
+    """kl_check, min_distance and volume_bound read the code through its
+    isometry; each is checked against its formula on n x n matrices."""
+
+    @pytest.mark.parametrize("rank", [1, 2, 3])
+    @pytest.mark.parametrize("model", list(AUDIT_MODELS))
+    def test_random_code(self, model, rank):
+        kmax, build = AUDIT_MODELS[model]
+        f = build()
+        rng = np.random.default_rng([rank, f.n])
+        v = rng.standard_normal((f.n, rank)) + 1j * rng.standard_normal((f.n, rank))
+        p = range_projection(v)
+        code = QuantumCode(p, f)
+        for k in range(kmax + 1):
+            basis = f.value_at(k).basis
+            eps, res = _explicit_audit(p, basis)
+            report = kl_check(code, k)
+            assert report.level_dim == len(basis)
+            np.testing.assert_allclose(report.residuals, res, rtol=0, atol=1e-12)
+            np.testing.assert_allclose([report.epsilon[i] for i in range(len(basis))], eps, rtol=0, atol=1e-12)
+            assert report.worst_residual == pytest.approx(res.max(), abs=1e-12)
+            if report.worst_index is not None:
+                assert report.residuals[report.worst_index] == report.worst_residual
+            want = all(r <= 1e-8 * max(1.0, np.linalg.norm(b, 2)) for r, b in zip(res, basis))
+            assert report.detects == want
+            if want:
+                rep = volume_bound(code, k)
+                dim_k = _explicit_dim_k(p, f.value_at(math.floor(k / 2)).basis)
+                assert (rep.dim_k, rep.bound) == (dim_k, f.n / dim_k)
+            else:
+                with pytest.raises(NotACode):
+                    volume_bound(code, k)
+        assert min_distance(code) == _explicit_distance(p, f)
+
+    def test_exact_code_has_no_worst_index(self, ham3):
+        report = kl_check(QuantumCode(basis_state_projection(8, 5), ham3), 3)
+        assert report.detects and report.worst_index is None and report.worst_residual == 0.0
+        assert report.residuals == [0.0] * 64
 
 
 class TestInducedMetric:

@@ -146,7 +146,39 @@ class TestGaugeAxioms:
         assert got <= slope * spectral_lipschitz(f, a).value + 1e-8
 
 
+def scan_every_prefix(f, a):
+    """The deterministic candidate scan written out: every element of every
+    level, normalized and rescored at every positive breakpoint."""
+    best, t_best, c_best = 0.0, None, None
+    for t, lv in zip(f.breakpoints, f.levels):
+        if t <= 0:
+            continue
+        for b in lv.basis:
+            nrm = op_norm(b)
+            c = b if nrm == 0 else b / nrm
+            val = op_norm(a @ c - c @ a) / t
+            if val > best:
+                best, t_best, c_best = val, t, c
+    return best, t_best, c_best
+
+
 class TestCommutationLower:
+    @pytest.mark.parametrize("seed", range(12))
+    def test_scan_matches_every_prefix_loop(self, seed):
+        rng = np.random.default_rng(seed)
+        n = int(rng.integers(2, 8))
+        cases = [from_classical(random_metric(n, rng))[0], random_step_filtration(int(rng.integers(2, 5)), rng)]
+        for f in cases:
+            for a in (np.diag(rng.uniform(-2, 2, f.n)).astype(complex), random_hermitian(f.n, rng)):
+                rep = commutation_lipschitz_lower(f, a, budget=AscentBudget.deterministic())
+                value, t, c = scan_every_prefix(f, a)
+                assert rep.value == value
+                assert rep.witness["t"] == t
+                if c is None:
+                    assert rep.witness["contraction"] is None
+                else:
+                    np.testing.assert_array_equal(rep.witness["contraction"], c)
+
     def test_commuting_operator_scores_zero(self, rng):
         f = random_step_filtration(3, rng)
         rep = commutation_lipschitz_lower(f, np.eye(3), budget=AscentBudget.deterministic())
