@@ -163,11 +163,11 @@ def scan_every_prefix(f, a):
 
 
 class TestCommutationLower:
-    @pytest.mark.parametrize("seed", range(12))
-    def test_scan_matches_every_prefix_loop(self, seed):
-        rng = np.random.default_rng(seed)
-        n = int(rng.integers(2, 8))
-        cases = [from_classical(random_metric(n, rng))[0], random_step_filtration(int(rng.integers(2, 5)), rng)]
+    @pytest.mark.parametrize("n", range(2, 8))
+    def test_scan_matches_every_prefix_loop(self, n):
+        rng = np.random.default_rng(n)
+        m = 2 + n % 3
+        cases = [from_classical(random_metric(n, rng))[0], random_step_filtration(m, rng), random_step_filtration(m, rng, levels=3)]
         for f in cases:
             for a in (np.diag(rng.uniform(-2, 2, f.n)).astype(complex), random_hermitian(f.n, rng)):
                 rep = commutation_lipschitz_lower(f, a, budget=AscentBudget.deterministic())
