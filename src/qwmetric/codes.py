@@ -13,7 +13,7 @@ import numpy as np
 
 from .errors import NotACode, SizeLimit
 from .filtration import MetricContext, StepFiltration, default_context
-from .numerics import DEFAULT_CONFIG, NumericConfig, as_square, is_projection, op_norm, range_basis
+from .numerics import DEFAULT_CONFIG, NumericConfig, as_square, is_projection, op_norm
 from .opspace import OperatorSubspace, VNAlgebra, generated_vn_algebra, span
 from .constructions import TimedGenerators, _natural_range_basis, generated_filtration
 
@@ -56,9 +56,8 @@ class QuantumCode:
 
 
 def _site_basis(d: int) -> np.ndarray:
-    """HS-orthonormal basis of M_d, shape (d^2, d, d): normalized identity
-    first, then the traceless directions (off-diagonal matrix units and
-    diagonal steps)."""
+    """HS-orthonormal basis of M_d, stacked: normalized identity first, then
+    the traceless directions (off-diagonal matrix units and diagonal steps)."""
     out = [np.eye(d, dtype=complex) / math.sqrt(d)]
     for i in range(d):
         for j in range(d):
@@ -76,12 +75,9 @@ def _site_basis(d: int) -> np.ndarray:
 
 
 def _fill_weight(out: np.ndarray, n_sites: int, d: int, weight: int) -> None:
-    """Write the elementary tensors over the site basis with exactly
-    ``weight`` traceless factors into ``out`` (count, d^n, d^n); they are
-    HS-orthonormal by construction.  Order: site set, then traceless choices
-    with the last site fastest.  Each factor is one broadcast outer product
-    over the stack of its (weight, site-set) group, the last one written
-    straight into ``out``."""
+    """Write the (HS-orthonormal) elementary tensors with exactly ``weight``
+    traceless factors into ``out``, by site set, then choices with the last
+    site fastest: one outer product per factor over a site-set group."""
     site = _site_basis(d)
     group = (d * d - 1) ** weight
     for a, sites in enumerate(combinations(range(n_sites), weight)):
@@ -179,39 +175,46 @@ class KLReport:
     residuals: list = field(default_factory=list)
 
 
+def _isometry(code: QuantumCode) -> np.ndarray:
+    """The n x r code isometry V: eigenvectors of P above 1/2, not a rank
+    cutoff, which could keep kernel directions P weights by nearly 0."""
+    w, u = np.linalg.eigh(code.projector)  # reads one triangle of P
+    return u[:, w > 0.5]
+
+
 def kl_check(code: QuantumCode, k: float, cfg: NumericConfig = DEFAULT_CONFIG) -> KLReport:
     """Scalar-compression audit: for every basis element B of the level at k,
-    P B P must equal eps(B) P with eps(B) = tr(P B P) / tr(P).
-
-    Read through the n x r code isometry V: ||V Y V*|| = ||Y|| in the
-    operator and the HS norm, so the residual is ||V* B V - eps I_r||, exactly.
-    """
+    P B P must equal eps(B) P with eps(B) = tr(P B P) / tr(P).  As
+    ||V Y V*|| = ||Y||, the residual is ||V* B V - eps I_r||, exactly.
+    ``worst_index``: the first residual within ``membership_tol`` of the
+    largest (ties by symmetry or rounding), None when all are below it."""
     tr_p = float(np.trace(code.projector).real)
     level = code.error_model.value_at(k)
-    v = range_basis(code.projector, cfg)
+    v = _isometry(code)
     x = v.conj().T @ level.basis @ v
     eps = np.trace(x, axis1=1, axis2=2) / tr_p
     res = np.linalg.norm(x - eps[:, None, None] * np.eye(x.shape[1]), 2, axis=(1, 2))
-    # max(1, ||B||) >= 1: only residuals above the tolerance need ||B||,
-    # taken largest first up to the first violation
-    over = np.argsort(-res)[: np.count_nonzero(res > cfg.membership_tol)]
-    detects = not any(res[i] > cfg.membership_tol * max(1.0, op_norm(level.basis[i])) for i in over)
-    worst_index = int(np.argmax(res)) if np.any(res > 0) else None
-    worst = 0.0 if worst_index is None else float(res[worst_index])
+    tol = cfg.membership_tol
+    # max(1, ||B||) >= 1: only residuals above the tolerance need ||B||
+    detects = not any(res[i] > tol * max(1.0, op_norm(level.basis[i])) for i in np.flatnonzero(res > tol))
+    worst = float(res.max(initial=0.0))
+    worst_index = int(np.argmax(res >= worst - tol)) if worst > tol else None
     return KLReport(detects, dict(enumerate(eps.tolist())), worst, worst_index, level.dim, res.tolist())
 
 
 def min_distance(code: QuantumCode, cfg: NumericConfig = DEFAULT_CONFIG) -> float:
     """delta(P) = sup{t : P V_t P = P V_0 P}: the first breakpoint where the
-    compressed span strictly grows, or +inf when it never grows.  The span
-    of the V* B V in M_r has the dimension of the span of the P B P."""
+    span of the V* B V (that of the P B P, isometrically) strictly grows."""
     f = code.error_model
-    v = range_basis(code.projector, cfg)
-    x = v.conj().T @ f.levels[0].basis @ v
-    base_dim = span(x, v.shape[1], cfg).dim
-    for t, lo, hi in zip(f.breakpoints[1:], f.cuts, f.cuts[1:]):
-        x = np.concatenate([x, v.conj().T @ f.basis[lo:hi] @ v])
-        if span(x, v.shape[1], cfg).dim > base_dim:
+    v = _isometry(code)
+    r = v.shape[1]
+    # filled level by level: the scan mostly stops far below the top level
+    x = np.empty((f.cuts[-1], r, r), dtype=complex)
+    dims = []
+    for t, lo, hi in zip(f.breakpoints, [0] + f.cuts, f.cuts):
+        x[lo:hi] = v.conj().T @ f.basis[lo:hi] @ v
+        dims.append(span(x[:hi], r, cfg).dim)
+        if dims[-1] > dims[0]:
             return t
     return math.inf
 
@@ -235,7 +238,7 @@ def volume_bound(code: QuantumCode, k: float, cfg: NumericConfig = DEFAULT_CONFI
     tr_p = float(np.trace(code.projector).real)
     half = code.error_model.value_at(math.floor(k / 2))
     # tr(P B* A P) = <A V, B V>_HS: one Gram of the flattened B V
-    bv = (half.basis @ range_basis(code.projector, cfg)).reshape(half.dim, -1)
+    bv = (half.basis @ _isometry(code)).reshape(half.dim, -1)
     gram = bv @ bv.conj().T / tr_p
     w = np.linalg.eigvalsh((gram + gram.conj().T) / 2)
     top = max(float(w[-1]), 0.0)

@@ -80,16 +80,15 @@ def spectral_lipschitz(f: StepFiltration, a, amp_degree: int = 1, cfg: NumericCo
     for i in range(len(values)):
         for j in range(i + 1, len(values)):
             gap = values[j] - values[i]
-            p_low, p_high = lows[i], highs[j]
-            r = rho(f, p_low, p_high, cfg)
+            r = rho(f, lows[i], highs[j], cfg)
             ratio = 0.0 if gap == 0 else (math.inf if r == 0 else gap / r)
             if ratio > best:
                 best = ratio
                 witness = {
                     "pair": (values[i], values[j]),
                     "rho": r,
-                    "low": p_low,
-                    "high": p_high,
+                    "low": lows[i],
+                    "high": highs[j],
                 }
     return LipschitzReport(best, witness)
 

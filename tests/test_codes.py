@@ -286,6 +286,12 @@ def _explicit_dim_k(p, basis):
     return int(np.sum(w > 1e-9 * max(w[-1], 1.0)))
 
 
+def _explicit_worst_index(res, tol=1e-8):
+    """First residual within tol of the largest, None when all are below tol."""
+    top = max(res, default=0.0)
+    return None if top <= tol else next(i for i, r in enumerate(res) if r >= top - tol)
+
+
 # model name -> (largest k audited, builder)
 AUDIT_MODELS = {
     "hamming2": (2, lambda: hamming_filtration(2, 2)),
@@ -316,8 +322,7 @@ class TestAuditsAgainstExplicitFormulas:
             np.testing.assert_allclose(report.residuals, res, rtol=0, atol=1e-12)
             np.testing.assert_allclose([report.epsilon[i] for i in range(len(basis))], eps, rtol=0, atol=1e-12)
             assert report.worst_residual == pytest.approx(res.max(), abs=1e-12)
-            if report.worst_index is not None:
-                assert report.residuals[report.worst_index] == report.worst_residual
+            assert report.worst_index == _explicit_worst_index(res)
             want = all(r <= 1e-8 * max(1.0, np.linalg.norm(b, 2)) for r, b in zip(res, basis))
             assert report.detects == want
             if want:
@@ -328,6 +333,36 @@ class TestAuditsAgainstExplicitFormulas:
                 with pytest.raises(NotACode):
                     volume_bound(code, k)
         assert min_distance(code) == _explicit_distance(p, f)
+
+    @pytest.mark.parametrize("model", list(AUDIT_MODELS))
+    def test_projector_perturbed_within_tolerance(self, model):
+        """P + delta Q, Q a rank-one kernel projection, is a projection
+        within membership_tol: its code is the range of P, and the audits
+        read it so, not as a code of rank + 1."""
+        kmax, build = AUDIT_MODELS[model]
+        f = build()
+        rng = np.random.default_rng([7, f.n])
+        v = rng.standard_normal((f.n, 3)) + 1j * rng.standard_normal((f.n, 3))
+        q, _ = np.linalg.qr(v)
+        p = q[:, :2] @ q[:, :2].conj().T
+        pert = p + 5e-9 * np.outer(q[:, 2], q[:, 2].conj())
+        exact, code = QuantumCode(p, f), QuantumCode(pert, f)
+        for k in range(kmax + 1):
+            basis = f.value_at(k).basis
+            _, res = _explicit_audit(pert, basis)
+            report = kl_check(code, k)
+            np.testing.assert_allclose(report.residuals, res, rtol=0, atol=1e-8)
+            assert report.detects == kl_check(exact, k).detects
+            if report.detects:
+                rep = volume_bound(code, k)
+                assert rep.dim_k == _explicit_dim_k(pert, f.value_at(math.floor(k / 2)).basis)
+        assert min_distance(code) == _explicit_distance(p, f)
+
+    def test_tied_residuals_name_the_first(self, ham3):
+        # the repetition code treats the three sites alike: Z_1, Z_2, Z_3 tie
+        report = kl_check(QuantumCode(repetition_code_projector(), ham3), 1)
+        tied = [i for i, r in enumerate(report.residuals) if abs(r - report.worst_residual) <= 1e-8]
+        assert len(tied) > 1 and report.worst_index == tied[0]
 
     def test_exact_code_has_no_worst_index(self, ham3):
         report = kl_check(QuantumCode(basis_state_projection(8, 5), ham3), 3)
