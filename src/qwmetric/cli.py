@@ -11,6 +11,7 @@ emitted).
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import sys
@@ -35,32 +36,78 @@ def _fmt(x: float) -> float:
     return float(f"{x:.12e}")
 
 
-def emit_complex(z: complex):
-    return [_fmt(float(z.real)), _fmt(float(z.imag))]
-
-
-def parse_complex(obj, pointer: str) -> complex:
-    if not (isinstance(obj, list) and len(obj) == 2 and all(isinstance(v, (int, float)) for v in obj)):
-        raise SchemaError("complex scalar must be a [re, im] pair", pointer)
-    return complex(obj[0], obj[1])
+def _fmt_array(x: np.ndarray) -> np.ndarray:
+    """_fmt of every entry of a float array, computed once per bit pattern
+    (so -0.0 stays apart from 0.0)."""
+    bits, inv = np.unique(x.reshape(-1).view(np.uint64), return_inverse=True)
+    return np.array([_fmt(v) for v in bits.view(float).tolist()])[inv].reshape(x.shape)
 
 
 def emit_matrix(m: np.ndarray):
-    return [[emit_complex(m[i, j]) for j in range(m.shape[1])] for i in range(m.shape[0])]
+    """Row-major nested [re, im] pairs; a stack of matrices gives a list of them."""
+    m = np.asarray(m, dtype=complex)
+    return _fmt_array(np.stack([m.real, m.imag], axis=-1)).tolist()
+
+
+def _numbers(obj) -> np.ndarray | None:
+    """obj as one float array when numpy reads every leaf as a number (JSON
+    ints and bools included, as the walker accepts them), else None."""
+    try:
+        a = np.array(obj)
+    except (ValueError, OverflowError):  # ragged rows, or ints past 64 bits
+        return None
+    return a.astype(float, copy=False) if a.dtype.kind in "biuf" else None
+
+
+def _finite(v) -> bool:
+    try:
+        return math.isfinite(v)
+    except OverflowError:  # an int beyond the float range
+        return False
+
+
+def _complex_entry_error(v) -> str | None:
+    if not (isinstance(v, list) and len(v) == 2 and all(isinstance(x, (int, float)) for x in v)):
+        return "complex scalar must be a [re, im] pair"
+    if not (_finite(v[0]) and _finite(v[1])):
+        return "complex entries must be finite numbers"
+    return None
+
+
+def _distance_entry_error(v) -> str | None:
+    if v == "inf":
+        return None
+    if not isinstance(v, (int, float)):
+        return "distance entries must be numbers or 'inf'"
+    if v != v or (isinstance(v, int) and not _finite(v)):
+        return "distance entries must not be NaN or beyond the float range"
+    return None
+
+
+def _check_entries(obj, pointer: str, entry_error) -> None:
+    """Raise SchemaError at the first ragged row or bad entry, row-major."""
+    for i, row in enumerate(obj):
+        if len(row) != len(obj[0]):
+            raise SchemaError("ragged matrix rows", f"{pointer}/{i}")
+        for j, v in enumerate(row):
+            message = entry_error(v)
+            if message:
+                raise SchemaError(message, f"{pointer}/{i}/{j}")
+
+
+def _is_nested(obj) -> bool:
+    return isinstance(obj, list) and bool(obj) and all(isinstance(r, list) for r in obj)
 
 
 def parse_matrix(obj, pointer: str) -> np.ndarray:
-    if not (isinstance(obj, list) and obj and all(isinstance(r, list) for r in obj)):
+    if not _is_nested(obj):
         raise SchemaError("matrix must be a nested array", pointer)
-    rows = len(obj)
-    cols = len(obj[0])
-    out = np.zeros((rows, cols), dtype=complex)
-    for i, row in enumerate(obj):
-        if len(row) != cols:
-            raise SchemaError("ragged matrix rows", f"{pointer}/{i}")
-        for j, entry in enumerate(row):
-            out[i, j] = parse_complex(entry, f"{pointer}/{i}/{j}")
-    return out
+    a = _numbers(obj)
+    if a is None or a.ndim != 3 or a.shape[2] != 2 or not np.isfinite(a).all():
+        _check_entries(obj, pointer, _complex_entry_error)
+        # what passes the check here: empty rows, or ints past 64 bits
+        a = np.array(obj, dtype=float).reshape(len(obj), len(obj[0]), 2)
+    return a.view(complex)[..., 0]
 
 
 def parse_subspace(obj, pointer: str, cfg: NumericConfig) -> OperatorSubspace:
@@ -69,24 +116,27 @@ def parse_subspace(obj, pointer: str, cfg: NumericConfig) -> OperatorSubspace:
     n = obj["dim"]
     if not isinstance(obj["basis"], list):
         raise SchemaError("'basis' must be a list of matrices", f"{pointer}/basis")
-    mats = [parse_matrix(b, f"{pointer}/basis/{i}") for i, b in enumerate(obj["basis"])]
-    for i, m in enumerate(mats):
-        if m.shape != (n, n):
-            raise SchemaError(f"basis matrix of shape {m.shape}, ambient {n}", f"{pointer}/basis/{i}")
-    if not mats:
+    a = _numbers(obj["basis"])
+    if a is not None and a.shape[1:] == (n, n, 2) and np.isfinite(a).all():
+        mats = a.view(complex)[..., 0]
+    else:
+        mats = [parse_matrix(b, f"{pointer}/basis/{i}") for i, b in enumerate(obj["basis"])]
+        for i, m in enumerate(mats):
+            if m.shape != (n, n):
+                raise SchemaError(f"basis matrix of shape {m.shape}, ambient {n}", f"{pointer}/basis/{i}")
+    if not len(mats):
         return OperatorSubspace(n, np.zeros((0, n, n)))
     return span(mats, n, cfg)
 
 
 def emit_filtration(f: StepFiltration):
+    mats = emit_matrix(f.basis)
     return {
         "schema": SCHEMA,
         "kind": "filtration",
         "dim": f.n,
-        "steps": [
-            {"t": _fmt(t), "basis": [emit_matrix(b) for b in lv.basis]}
-            for t, lv in zip(f.breakpoints, f.levels)
-        ],
+        # level i is the basis prefix basis[:cut_i], written out in full
+        "steps": [{"t": _fmt(t), "basis": mats[:cut]} for t, cut in zip(f.breakpoints, f.cuts)],
     }
 
 
@@ -109,7 +159,7 @@ def parse_filtration(obj, cfg: NumericConfig) -> StepFiltration:
         if not isinstance(step, dict) or "t" not in step or "basis" not in step:
             raise SchemaError("step needs 't' and 'basis'", ptr)
         t = step["t"]
-        if not isinstance(t, (int, float)) or not math.isfinite(t):
+        if not isinstance(t, (int, float)) or not _finite(t):
             raise SchemaError("breakpoints must be finite numbers", f"{ptr}/t")
         bps.append(float(t))
         lvs.append(parse_subspace({"dim": n, "basis": step["basis"]}, ptr, cfg))
@@ -139,20 +189,16 @@ def parse_projection(obj, base_dim: int, cfg: NumericConfig) -> AmplifiedProject
 
 
 def parse_real_matrix(obj, pointer: str) -> np.ndarray:
-    if not (isinstance(obj, list) and obj and all(isinstance(r, list) for r in obj)):
+    if not _is_nested(obj):
         raise SchemaError("distance matrix must be a nested array", pointer)
-    out = np.zeros((len(obj), len(obj[0])))
-    for i, row in enumerate(obj):
-        if len(row) != len(obj[0]):
-            raise SchemaError("ragged matrix rows", f"{pointer}/{i}")
-        for j, v in enumerate(row):
-            if v == "inf":
-                out[i, j] = math.inf
-            elif isinstance(v, (int, float)):
-                out[i, j] = float(v)
-            else:
-                raise SchemaError("distance entries must be numbers or 'inf'", f"{pointer}/{i}/{j}")
-    return out
+    a = _numbers(obj)
+    if a is None or a.ndim != 2 or np.isnan(a).any():
+        _check_entries(obj, pointer, _distance_entry_error)
+        # what passes the check here: 'inf' tokens, or ints past 64 bits
+        a = np.array(obj, dtype=object)
+        a[a == "inf"] = math.inf
+        a = a.astype(float)
+    return a
 
 
 def _read_json(path: str):
@@ -166,7 +212,89 @@ def _read_json(path: str):
 
 
 def _dump(obj) -> str:
-    return json.dumps(obj, sort_keys=True, indent=2)
+    """json.dumps(obj, sort_keys=True, indent=2), byte for byte; a rectangular
+    nest of lists of floats is rendered in one pass over one array."""
+    chunks = []
+    _encode(obj, 0, chunks)
+    return "".join(chunks)
+
+
+def _indent(depth: int) -> str:
+    return "\n" + "  " * depth
+
+
+def _encode(o, depth: int, chunks: list) -> None:
+    """Append the text of o, which starts at indent depth ``depth``."""
+    if isinstance(o, (list, tuple)):
+        a = _float_leaves(o)
+        if a is not None:
+            chunks.append(_float_array_text(a, depth))
+        elif not o:
+            chunks.append("[]")
+        else:
+            for i, v in enumerate(o):
+                chunks.append(("," if i else "[") + _indent(depth + 1))
+                _encode(v, depth + 1, chunks)
+            chunks.append(_indent(depth) + "]")
+    elif isinstance(o, dict):
+        if not o:
+            chunks.append("{}")
+            return
+        for i, (k, v) in enumerate(sorted(o.items())):
+            chunks.append(("," if i else "{") + _indent(depth + 1) + json.dumps(_key(k)) + ": ")
+            _encode(v, depth + 1, chunks)
+        chunks.append(_indent(depth) + "}")
+    else:
+        chunks.append(json.dumps(o))
+
+
+def _key(k) -> str:
+    """json's conversion of a dict key to a string."""
+    if isinstance(k, str):
+        return k
+    if isinstance(k, (int, float)) or k is None:
+        return json.dumps(k)
+    raise TypeError(f"keys must be str, int, float, bool or None, not {k.__class__.__name__}")
+
+
+def _float_leaves(o) -> np.ndarray | None:
+    """o as a float array when it is a rectangular nest of lists whose
+    leaves are all Python floats, else None."""
+    a = np.array(o, dtype=object)
+    if a.size == 0 or set(map(type, a.reshape(-1).tolist())) != {float}:
+        return None
+    return a.astype(float)
+
+
+# json's spelling of the floats whose repr is not JSON
+_JSON_FLOATS = {"nan": "NaN", "inf": "Infinity", "-inf": "-Infinity"}
+
+
+def _float_array_text(a: np.ndarray, depth: int) -> str:
+    """json's indented text of a.tolist(), for a nonempty float array whose
+    outer bracket starts at indent depth ``depth``."""
+    k = a.ndim
+    bits, inv = np.unique(a.reshape(-1).view(np.uint64), return_inverse=True)
+    words = np.array([_JSON_FLOATS.get(w, w) for w in map(repr, bits.view(float).tolist())], dtype=object)
+
+    def opened(r):  # open the r innermost lists
+        return "".join("[" + _indent(depth + p + 1) for p in range(k - r, k))
+
+    def closed(r):  # close the r innermost lists
+        return "".join(_indent(depth + p) + "]" for p in reversed(range(k - r, k)))
+
+    # between leaves g and g + 1 the r innermost lists close and reopen, r the
+    # number of trailing axes whose index wraps to 0
+    seps = np.array([closed(r) + "," + _indent(depth + k - r) + opened(r) for r in range(k)], dtype=object)
+    g = np.arange(1, a.size)
+    r = np.zeros(a.size - 1, dtype=np.intp)
+    for j in range(1, k):
+        r += g % math.prod(a.shape[j:]) == 0
+    out = np.empty(2 * a.size + 1, dtype=object)
+    out[0], out[-1] = opened(k), closed(k)
+    out[1::2] = words[inv]
+    out[2:-1:2] = seps[r]
+    return "".join(out.tolist())
 
 
 def _cfg_from_args(args) -> NumericConfig:
@@ -295,7 +423,7 @@ def cmd_code_check(args, cfg) -> int:
         "min_distance": "inf" if math.isinf(delta) else _fmt(delta),
     }
     if audit.detects:
-        vol = codes.volume_bound(code, args.k, cfg)
+        vol = codes._volume_bound(code, args.k, audit, cfg)
         out["volume"] = {
             "dim_k": vol.dim_k,
             "code_dim": vol.code_dim,
@@ -325,6 +453,7 @@ def cmd_classify_m2(args, cfg) -> int:
     return 0
 
 
+@functools.lru_cache(maxsize=None)
 def build_parser() -> argparse.ArgumentParser:
     ap = argparse.ArgumentParser(prog="qwmetric", description=__doc__)
     ap.add_argument("--tol", type=float, default=None, help="membership tolerance override")

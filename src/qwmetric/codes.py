@@ -232,16 +232,21 @@ def volume_bound(code: QuantumCode, k: float, cfg: NumericConfig = DEFAULT_CONFI
     """Gram-rank form of the packing bound: on the level at floor(k/2) the
     form <A, B> = eps(B* A) has rank dim_K, and a code passing the
     detectability audit at k satisfies dim(C) <= dim(H) / dim_K."""
-    audit = kl_check(code, k, cfg)
+    return _volume_bound(code, k, kl_check(code, k, cfg), cfg)
+
+
+def _volume_bound(code: QuantumCode, k: float, audit: KLReport, cfg: NumericConfig) -> VolumeReport:
+    """volume_bound, given the code's audit at k."""
     if not audit.detects:
         raise NotACode("the code fails the scalar-compression audit at k")
     tr_p = float(np.trace(code.projector).real)
     half = code.error_model.value_at(math.floor(k / 2))
     # tr(P B* A P) = <A V, B V>_HS: one Gram of the flattened B V
-    bv = (half.basis @ _isometry(code)).reshape(half.dim, -1)
+    v = _isometry(code)
+    bv = (half.basis @ v).reshape(half.dim, v.size)
     gram = bv @ bv.conj().T / tr_p
     w = np.linalg.eigvalsh((gram + gram.conj().T) / 2)
-    top = max(float(w[-1]), 0.0)
+    top = float(w.max(initial=0.0))
     dim_k = int(np.sum(w > cfg.rank_tol * max(top, 1.0)))
     ambient = code.error_model.n
     bound = ambient / dim_k if dim_k else math.inf

@@ -160,7 +160,7 @@ def commutation_lipschitz_lower(
                 if s[0] <= cfg.membership_tol:
                     break
                 # d sigma_max = Re(u^H [A, B_k] v dz_k); ascend along conj gradient
-                grad = np.array([u[:, 0].conj() @ comm @ vh[0].conj() for comm in commutators])
+                grad = (commutators @ vh[0].conj()) @ u[:, 0].conj()
                 z = lv.coefficients(c) + step * grad.conj()
                 c = _norm_one(np.tensordot(z, lv.basis, axes=(0, 0)))
                 step *= 0.97

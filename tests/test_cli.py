@@ -199,8 +199,22 @@ class TestCommands:
             (["validate", "--filtration"], {"dim": -1, "steps": [{"t": 0, "basis": []}]}),
             (["validate", "--filtration"], {"dim": 2, "steps": 5}),
             (["validate", "--filtration"], {"dim": 2, "steps": [{"t": 0, "basis": 3}]}),
+            (["validate", "--filtration"], {"dim": 1, "steps": [{"t": 0, "basis": [[[[10**400, 0]]]]}]}),
+            (["validate", "--filtration"], {"dim": 1, "steps": [{"t": 0, "basis": [[[[math.nan, 0]]]]}]}),
+            (["build", "classical", "--matrix"], [[0, 10**400], [10**400, 0]]),
+            (["build", "classical", "--matrix"], [[0, math.nan], [math.nan, 0]]),
         ],
-        ids=["ragged-distances", "distances-not-an-array", "negative-dim", "steps-not-a-list", "basis-not-a-list"],
+        ids=[
+            "ragged-distances",
+            "distances-not-an-array",
+            "negative-dim",
+            "steps-not-a-list",
+            "basis-not-a-list",
+            "huge-int-in-basis",
+            "nan-in-basis",
+            "huge-int-distance",
+            "nan-distance",
+        ],
     )
     def test_malformed_input_is_a_schema_error(self, tmp_path, capsys, argv, payload):
         path = write_json(tmp_path, "in.json", payload)
@@ -208,6 +222,46 @@ class TestCommands:
         assert code == 1 and out == ""
         blob = json.loads(err)
         assert blob["kind"] == "error" and "pointer" in blob
+
+    @pytest.mark.parametrize("entry", [[math.nan, 0], [math.inf, 0], [0, -math.inf], [10**400, 0]], ids=["nan", "inf", "-inf", "huge-int"])
+    def test_nonfinite_matrix_entry_is_a_schema_error(self, tmp_path, capsys, entry):
+        fpath = write_json(tmp_path, "f.json", emit_filtration(m2_metric(1, 2, 3)))
+        mpath = write_json(tmp_path, "m.json", [[[0.5, 0], [0, 0]], [[0, 0], entry]])
+        code, out, err = run_cli(["gauge", "--filtration", fpath, "--matrix", mpath], capsys)
+        assert code == 1 and out == ""
+        blob = json.loads(err)
+        assert blob["kind"] == "error" and blob["pointer"] == "/1/1"
+
+    def test_code_check_audits_once(self, tmp_path, capsys, monkeypatch):
+        from qwmetric import codes
+
+        kl_check = codes.kl_check
+        calls = []
+
+        def counting(code, k, cfg=DEFAULT_CONFIG):
+            calls.append(k)
+            return kl_check(code, k, cfg)
+
+        monkeypatch.setattr(codes, "kl_check", counting)
+        fpath = write_json(tmp_path, "h.json", emit_filtration(hamming_filtration(2, 2)))
+        p = np.zeros((4, 4), dtype=complex)
+        p[0, 0] = p[3, 3] = 1.0
+        ppath = write_json(tmp_path, "p.json", emit_matrix(p))
+        # every code detects the scalars of V_0, so the volume bound runs
+        code, out, _ = run_cli(["code-check", "--filtration", fpath, "--projector", ppath, "--k", "0"], capsys)
+        assert code == 0
+        assert json.loads(out)["volume"]["dim_k"] == 1
+        assert calls == [0.0]
+
+    def test_code_check_with_an_empty_level(self, tmp_path, capsys):
+        blob = emit_filtration(m2_metric(1, 2, 3))
+        blob["steps"][0]["basis"] = []
+        fpath = write_json(tmp_path, "f.json", blob)
+        ppath = write_json(tmp_path, "p.json", emit_matrix(np.diag([1.0, 0.0]).astype(complex)))
+        # the volume bound reads the empty level at floor(k / 2) = 0
+        code, out, _ = run_cli(["code-check", "--filtration", fpath, "--projector", ppath, "--k", "1"], capsys)
+        assert code == 0
+        assert json.loads(out)["volume"] == {"dim_k": 0, "code_dim": 1, "bound": "inf", "holds": True}
 
     def test_validate_makes_one_full_product_pass(self, tmp_path, capsys, monkeypatch):
         from qwmetric import filtration

@@ -162,6 +162,34 @@ def scan_every_prefix(f, a):
     return best, t_best, c_best
 
 
+def ascent_per_element_gradient(f, a, budget, seed, tol=1e-9):
+    """The commutation lower bound, its ascent gradient taken one basis
+    element at a time as u* [A, B_k] v."""
+    rng = np.random.default_rng(seed)
+    best = commutation_lipschitz_lower(f, a, budget=AscentBudget.deterministic()).value
+    comms = a @ f.basis - f.basis @ a
+    for t, lv in zip(f.breakpoints, f.levels):
+        k = lv.dim
+        if t <= 0 or k == 0 or np.max(np.abs(comms[:k])) <= tol:
+            continue
+        for _ in range(budget.restarts):
+            z = rng.standard_normal(k) + 1j * rng.standard_normal(k)
+            c = np.tensordot(z, lv.basis, axes=(0, 0))
+            c /= op_norm(c)
+            step = 0.5
+            for _ in range(budget.steps):
+                u, s, vh = np.linalg.svd(a @ c - c @ a)
+                if s[0] <= tol:
+                    break
+                grad = np.array([u[:, 0].conj() @ comm @ vh[0].conj() for comm in comms[:k]])
+                z = lv.coefficients(c) + step * grad.conj()
+                c = np.tensordot(z, lv.basis, axes=(0, 0))
+                c /= op_norm(c)
+                step *= 0.97
+            best = max(best, op_norm(a @ c - c @ a) / op_norm(c) / t)
+    return best
+
+
 class TestCommutationLower:
     @pytest.mark.parametrize("n", range(2, 8))
     def test_scan_matches_every_prefix_loop(self, n):
@@ -249,6 +277,17 @@ class TestCommutationLower:
         rep = commutation_lipschitz_lower(f, mf + 0.5j * e01, budget=AscentBudget.deterministic())
         assert rep.value > 0.0
         assert np.isfinite(rep.value)
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_batched_ascent_gradient_matches_per_element_formula(self, seed):
+        rng = np.random.default_rng(100 + seed)
+        budget = AscentBudget(restarts=2, steps=40)
+        for f, a in [
+            (from_classical(random_metric(3 + seed, rng))[0], np.diag(rng.uniform(-2, 2, 3 + seed)).astype(complex)),
+            (random_step_filtration(3, rng, levels=2), random_hermitian(3, rng)),
+        ]:
+            got = commutation_lipschitz_lower(f, a, budget=budget, seed=seed).value
+            assert got == pytest.approx(ascent_per_element_gradient(f, a, budget, seed), rel=1e-12, abs=0)
 
 
 class TestDistanceOperator:
