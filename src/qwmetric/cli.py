@@ -300,6 +300,8 @@ def _float_array_text(a: np.ndarray, depth: int) -> str:
 def _cfg_from_args(args) -> NumericConfig:
     if args.tol is None:
         return DEFAULT_CONFIG
+    if not 0 < args.tol < math.inf:  # NaN fails this too
+        raise SchemaError(f"--tol must be a positive finite number, got {args.tol!r}", "")
     return NumericConfig(rank_tol=min(args.tol, 0.1), membership_tol=args.tol, eig_cluster_tol=min(args.tol, 1e-6))
 
 
@@ -317,6 +319,8 @@ def cmd_validate(args, cfg) -> int:
         ctx = None
         if args.algebra:
             gens_obj = _read_json(args.algebra)
+            if not isinstance(gens_obj, list):
+                raise SchemaError("algebra must be a list of generator matrices", "")
             gens = [parse_matrix(g, f"/{i}") for i, g in enumerate(gens_obj)]
             ctx = MetricContext.from_generators(gens, f.n, cfg)
         report = validate(f, ctx, cfg)
@@ -522,9 +526,8 @@ def main(argv=None) -> int:
         args = ap.parse_args(argv)
     except SystemExit as exc:
         return 1 if exc.code not in (0, None) else 0
-    cfg = _cfg_from_args(args)
     try:
-        return args.fn(args, cfg)
+        return args.fn(args, _cfg_from_args(args))
     except SchemaError as exc:
         print(_dump({"schema": SCHEMA, "kind": "error", "error": str(exc), "pointer": exc.pointer}), file=sys.stderr)
         return 1

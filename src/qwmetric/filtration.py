@@ -181,21 +181,20 @@ class MetricContext:
     @classmethod
     def diagonal(cls, n: int, cfg: NumericConfig = DEFAULT_CONFIG) -> "MetricContext":
         """M = diagonal algebra of M_n (the classical algebra on n points)."""
-        basis = np.zeros((n, n, n), dtype=complex)
-        for i in range(n):
-            basis[i, i, i] = 1.0
-        return cls.from_algebra(VNAlgebra(n, basis, cfg, verify=False), cfg)
+        alg = VNAlgebra(n, _diagonal_units(n), cfg, verify=False)
+        # the diagonal algebra is maximal abelian, hence its own commutant
+        return cls(alg, alg)
 
     def is_diagonal(self, cfg: NumericConfig = DEFAULT_CONFIG) -> bool:
         n = self.algebra.n
-        if self.algebra.dim != n:
-            return False
-        for i in range(n):
-            e = np.zeros((n, n), dtype=complex)
-            e[i, i] = 1.0
-            if not self.algebra.contains(e, cfg):
-                return False
-        return True
+        return self.algebra.dim == n and bool(self.algebra.contains_each(_diagonal_units(n), cfg).all())
+
+
+def _diagonal_units(n: int) -> np.ndarray:
+    """The matrix units E_ii, shape (n, n, n)."""
+    units = np.zeros((n, n, n), dtype=complex)
+    units[np.arange(n), np.arange(n), np.arange(n)] = 1.0
+    return units
 
 
 def default_context(f: StepFiltration, cfg: NumericConfig = DEFAULT_CONFIG) -> MetricContext:
@@ -272,28 +271,35 @@ def validate(f: StepFiltration, ctx: MetricContext | None = None, cfg: NumericCo
 
 
 def _check_classical(d: np.ndarray, cfg: NumericConfig):
+    """Raise NotAPseudometric at the first failure, in the order of a scan
+    over x (self-distance, then each y: sign, symmetry), then over (x, y, z)
+    for the triangle inequality."""
     n = d.shape[0]
     if d.shape != (n, n):
         raise NotAPseudometric("distance matrix must be square")
     tol = cfg.membership_tol
-    for x in range(n):
-        if d[x, x] != 0:
+    negative = d < 0
+    with np.errstate(invalid="ignore"):  # inf - inf where both are infinite
+        infinite = np.isinf(d) | np.isinf(d.T)
+        asymmetric = np.where(infinite, d != d.T, np.abs(d - d.T) > tol * np.maximum(1.0, np.abs(d)))
+    bad = np.diagonal(d) != 0
+    rows = np.flatnonzero(bad | (negative | asymmetric).any(axis=1))
+    if rows.size:
+        x = int(rows[0])
+        if bad[x]:
             raise NotAPseudometric(f"nonzero self-distance at {x}", witness=(x, x, x))
-        for y in range(n):
-            if d[x, y] < 0:
-                raise NotAPseudometric(f"negative distance at ({x},{y})", witness=(x, y, y))
-            if math.isinf(d[x, y]) or math.isinf(d[y, x]):
-                if d[x, y] != d[y, x]:
-                    raise NotAPseudometric(f"asymmetric at ({x},{y})", witness=(x, y, x))
-            elif abs(d[x, y] - d[y, x]) > tol * max(1.0, abs(d[x, y])):
-                raise NotAPseudometric(f"asymmetric at ({x},{y})", witness=(x, y, x))
-    for x in range(n):
-        for y in range(n):
-            for z in range(n):
-                if d[x, z] > d[x, y] + d[y, z] + tol:
-                    raise NotAPseudometric(
-                        f"triangle inequality fails at ({x},{y},{z})", witness=(x, y, z)
-                    )
+        y = int(np.argmax(negative[x] | asymmetric[x]))
+        if negative[x, y]:
+            raise NotAPseudometric(f"negative distance at ({x},{y})", witness=(x, y, y))
+        raise NotAPseudometric(f"asymmetric at ({x},{y})", witness=(x, y, x))
+    block = max(1, (1 << 20) // max(1, n * n))  # about n^2 * block booleans at a time
+    for x0 in range(0, n, block):
+        # fails[x, y, z]: d(x, z) > d(x, y) + d(y, z) + tol
+        fails = d[x0 : x0 + block, None, :] > d[x0 : x0 + block, :, None] + d[None] + tol
+        if fails.any():
+            x, y, z = map(int, np.unravel_index(np.argmax(fails), fails.shape))
+            x += x0
+            raise NotAPseudometric(f"triangle inequality fails at ({x},{y},{z})", witness=(x, y, z))
 
 
 def from_classical(d, cfg: NumericConfig = DEFAULT_CONFIG):

@@ -8,6 +8,7 @@ base space first, so an operator A acting on the base is A (x) I_m.
 
 from __future__ import annotations
 
+import bisect
 import math
 
 import numpy as np
@@ -118,17 +119,21 @@ def rho(f: StepFiltration, p: AmplifiedProjection, q: AmplifiedProjection, cfg: 
     """rho(P, Q) = inf{t : P (A (x) I) Q != 0 for some A in V_t}.
 
     Scanning an HS basis is exact by linearity (the zero test uses the HS
-    norm of the compression), and each level only adds its new graded
-    elements to the scan.  Returns +inf when no level links the pair.
+    norm of the compression), so rho is the breakpoint of the grade of the
+    first graded element with a nonzero compression.  The scan takes whole
+    levels in chunks that at least double, and stops at the first chunk
+    holding such an element.  Returns +inf when no level links the pair.
     """
     if p.n != f.n:
         raise DimensionMismatch("projection base dimension does not match filtration")
     pp, qq = _align(p, q)
     lo = 0
-    for t, hi in zip(f.breakpoints, f.cuts):
-        norms = _batch_compression_norms(pp.matrix, f.basis[lo:hi], qq.matrix)
-        if norms.size and norms.max() > cfg.membership_tol:
-            return t
+    while lo < f.cuts[-1]:
+        level = min(bisect.bisect_left(f.cuts, max(2 * lo, lo + 64)), len(f.cuts) - 1)
+        hi = f.cuts[level]
+        linked = np.flatnonzero(_batch_compression_norms(pp.matrix, f.basis[lo:hi], qq.matrix) > cfg.membership_tol)
+        if linked.size:
+            return f.breakpoints[bisect.bisect_right(f.cuts, lo + linked[0])]
         lo = hi
     return math.inf
 

@@ -142,11 +142,10 @@ def range_projection(a, cfg: NumericConfig = DEFAULT_CONFIG) -> np.ndarray:
 
 def is_projection(p, cfg: NumericConfig = DEFAULT_CONFIG) -> bool:
     m = as_square(p)
-    scale = max(1.0, op_norm(m))
-    return (
-        op_norm(m - m.conj().T) <= cfg.membership_tol * scale
-        and op_norm(m @ m - m) <= cfg.membership_tol * scale
-    )
+    # |P - P*|, |P^2 - P| and |P| in one batched SVD call
+    asym, idem, norm = np.linalg.norm(np.stack([m - m.conj().T, m @ m - m, m]), 2, axis=(1, 2))
+    tol = cfg.membership_tol * max(1.0, norm)
+    return bool(asym <= tol and idem <= tol)
 
 
 def random_unitary(n: int, rng: np.random.Generator) -> np.ndarray:

@@ -60,15 +60,23 @@ class OperatorSubspace:
         c = self.coefficients(a)
         return np.tensordot(c, self.basis, axes=(0, 0))
 
+    def contains_each(self, mats, cfg: NumericConfig = DEFAULT_CONFIG) -> np.ndarray:
+        """Membership of every matrix of a (k, n, n) stack, one boolean
+        each: the HS residual after projection is at most
+        membership_tol * max(1, |A|_HS)."""
+        mats = np.asarray(mats, dtype=complex)
+        if mats.ndim != 3 or mats.shape[1:] != (self.n, self.n):
+            raise MixedDimensions(f"stack of shape {mats.shape} vs ambient {self.n}")
+        flat = mats.reshape(len(mats), -1)
+        rows = self._flat()
+        residual = np.linalg.norm(flat - (flat @ rows.conj().T) @ rows, axis=1)
+        return residual <= cfg.membership_tol * np.maximum(1.0, np.linalg.norm(flat, axis=1))
+
     def contains(self, a, cfg: NumericConfig = DEFAULT_CONFIG) -> bool:
-        m = as_square(a)
-        if m.shape[0] != self.n:
-            raise MixedDimensions(f"matrix of size {m.shape[0]} vs ambient {self.n}")
-        residual = hs_norm(m - self.project(m))
-        return residual <= cfg.membership_tol * max(1.0, hs_norm(m))
+        return bool(self.contains_each(as_square(a)[None], cfg)[0])
 
     def contains_space(self, other: "OperatorSubspace", cfg: NumericConfig = DEFAULT_CONFIG) -> bool:
-        return all(self.contains(b, cfg) for b in other.basis)
+        return not other.dim or bool(self.contains_each(other.basis, cfg).all())
 
     def equals(self, other: "OperatorSubspace", cfg: NumericConfig = DEFAULT_CONFIG) -> bool:
         """Mutual containment; insensitive to basis order and rotation."""
@@ -81,7 +89,7 @@ class OperatorSubspace:
         )
 
     def is_self_adjoint(self, cfg: NumericConfig = DEFAULT_CONFIG) -> bool:
-        return all(self.contains(b.conj().T, cfg) for b in self.basis)
+        return bool(self.contains_each(adjoint(self).basis, cfg).all())
 
     def is_unital(self, cfg: NumericConfig = DEFAULT_CONFIG) -> bool:
         return self.contains(eye(self.n), cfg)
@@ -104,10 +112,10 @@ class VNAlgebra(OperatorSubspace):
                 raise MixedDimensions("algebra must contain the identity")
             if not self.is_self_adjoint(cfg):
                 raise MixedDimensions("algebra must be closed under adjoints")
+            # one basis row against the whole basis at a time: dim products held
             for b in self.basis:
-                for c in self.basis:
-                    if not self.contains(b @ c, cfg):
-                        raise MixedDimensions("algebra must be closed under products")
+                if not self.contains_each(b @ self.basis, cfg).all():
+                    raise MixedDimensions("algebra must be closed under products")
 
 
 def _orthonormalize(rows: np.ndarray, n: int, cfg: NumericConfig) -> np.ndarray:

@@ -185,6 +185,24 @@ class TestCommands:
         blob = json.loads(out)
         assert blob["is_pseudometric"] and not blob["is_metric"]
 
+    @pytest.mark.parametrize("payload", [5, "x", {"a": 1}, None])
+    def test_algebra_that_is_not_a_list_is_a_schema_error(self, tmp_path, capsys, payload):
+        fpath = write_json(tmp_path, "f.json", emit_filtration(m2_metric(1, 2, 3)))
+        apath = write_json(tmp_path, "alg.json", payload)
+        code, out, err = run_cli(["validate", "--filtration", fpath, "--algebra", apath], capsys)
+        assert (code, out) == (1, "")
+        blob = json.loads(err)
+        assert blob["kind"] == "error" and blob["pointer"] == ""
+
+    @pytest.mark.parametrize("tol", ["0", "-1", "nan", "inf", "-0.0"])
+    def test_tolerance_that_is_not_positive_and_finite_is_a_json_error(self, tmp_path, capsys, tol):
+        fpath = write_json(tmp_path, "f.json", emit_filtration(m2_metric(1, 2, 3)))
+        code, out, err = run_cli(["--tol", tol, "validate", "--filtration", fpath], capsys)
+        assert (code, out) == (1, "")
+        assert "--tol" in json.loads(err)["error"]
+        code, out, _ = run_cli(["--tol", "1e-6", "validate", "--filtration", fpath], capsys)
+        assert code == 0 and json.loads(out)["is_metric"]
+
     def test_schema_error_exit_code(self, tmp_path, capsys):
         bad = write_json(tmp_path, "bad.json", {"kind": "filtration", "dim": 2})
         code, _, err = run_cli(["validate", "--filtration", bad], capsys)

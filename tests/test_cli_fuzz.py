@@ -1,10 +1,11 @@
 """CLI fuzz test: mutated input files never end in a traceback.
 
-Valid filtration, matrix, projector and distance files are mutated (wrong
-types, ragged rows, huge ints, NaN and infinities, missing keys) and run
-through ``cli.main``.  Every run must exit 0, 1 or 2 and print JSON on
-stdout or stderr; an exception other than a ``QwmError`` escapes ``main``
-and fails the test.
+Valid filtration, matrix, projector, projection, algebra and distance files
+are mutated (wrong types, ragged rows, huge ints, NaN and infinities,
+missing keys) and run through ``cli.main``, with or without a global
+``--tol`` drawn from valid and invalid values.  Every run must exit 0, 1 or
+2 and print JSON on stdout or stderr; an exception other than a
+``QwmError`` escapes ``main`` and fails the test.
 """
 
 import copy
@@ -28,6 +29,9 @@ BASE = {
     "matrix": emit_matrix(np.array([[0.5, 1 - 1j], [1 + 1j, -2.0]])),
     "projector": emit_matrix(np.diag([1.0, 0.0]).astype(complex)),
     "distance": [[0, 1, 2.5], [1, 0, "inf"], [2.5, "inf", 0]],
+    "p": {"m": 1, "matrix": emit_matrix(np.diag([1.0, 0.0]).astype(complex))},
+    "q": {"m": 2, "matrix": emit_matrix(np.kron(np.diag([0.0, 1.0]), np.full((2, 2), 0.5)))},
+    "algebra": [emit_matrix(np.diag([1.0, -1.0]).astype(complex))],
 }
 
 # argv with {name} for each input file, and the inputs the command reads
@@ -37,7 +41,14 @@ COMMANDS = {
     "build-classical": (["build", "classical", "--matrix", "{distance}"], ["distance"]),
     "code-check": (["code-check", "--filtration", "{filtration}", "--projector", "{projector}", "--k", "1"], ["filtration", "projector"]),
     "transform-truncate": (["transform", "truncate", "--filtration", "{filtration}", "--at", "1.5"], ["filtration"]),
+    "validate-algebra": (["validate", "--filtration", "{filtration}", "--algebra", "{algebra}"], ["filtration", "algebra"]),
+    "distance": (["distance", "--filtration", "{filtration}", "--p", "{p}", "--q", "{q}"], ["filtration", "p", "q"]),
+    "lipschitz": (["lipschitz", "--filtration", "{filtration}", "--matrix", "{matrix}"], ["filtration", "matrix"]),
+    "classify-m2": (["classify-m2", "--filtration", "{filtration}"], ["filtration"]),
 }
+
+# global --tol values, valid and invalid; None leaves the option out
+TOLS = [None, 0, -1, math.nan, math.inf, 1e-300, 0.5]
 
 REPLACEMENTS = ["x", "inf", None, True, {}, [], [[]], 0, -1, 2**70, 10**400, -(10**400), 1e308, math.nan, math.inf, -math.inf]
 
@@ -89,6 +100,8 @@ def mutated_inputs(draw, names):
 def test_mutated_inputs_exit_with_json(command, data):
     template, names = COMMANDS[command]
     files = data.draw(mutated_inputs(names))
+    tol = data.draw(st.sampled_from(TOLS))
+    options = [] if tol is None else ["--tol", repr(tol)]
     with tempfile.TemporaryDirectory() as tmp:
         where = {}
         for name, obj in files.items():
@@ -97,7 +110,7 @@ def test_mutated_inputs_exit_with_json(command, data):
                 json.dump(obj, fh)
         out, err = io.StringIO(), io.StringIO()
         with redirect_stdout(out), redirect_stderr(err):
-            code = main([arg.format(**where) for arg in template])
+            code = main(options + [arg.format(**where) for arg in template])
     assert code in (0, 1, 2)
     blob = json.loads(out.getvalue() or err.getvalue())
     # a report goes to stdout, an error alone to stderr

@@ -17,6 +17,7 @@ from qwmetric import (
 from qwmetric.codes import hamming_filtration
 from qwmetric.errors import MixedDimensions, NegativeTime, NotAPseudometric, NotDiagonalContext
 from qwmetric.numerics import random_hermitian
+from qwmetric.opspace import VNAlgebra, commutant
 
 from conftest import DIAG, I2, IMAG_OFF, REAL_OFF, random_metric, random_step_filtration
 
@@ -214,6 +215,105 @@ class TestClassicalRoundTrip:
         for x in range(4):
             for y in range(4):
                 assert d[x, y] == bin(x ^ y).count("1")
+
+
+    def test_round_trip_on_forty_points(self):
+        # the diagonal context is written down, so this stays small
+        d = random_metric(40, np.random.default_rng(40))
+        f, ctx = from_classical(d)
+        np.testing.assert_array_equal(to_classical(f, ctx), d)
+
+
+def loop_check_classical(d, tol):
+    """The scan of _check_classical, one entry at a time: the first failure
+    as (message, witness), or None."""
+    n = d.shape[0]
+    for x in range(n):
+        if d[x, x] != 0:
+            return f"nonzero self-distance at {x}", (x, x, x)
+        for y in range(n):
+            if d[x, y] < 0:
+                return f"negative distance at ({x},{y})", (x, y, y)
+            if math.isinf(d[x, y]) or math.isinf(d[y, x]):
+                if d[x, y] != d[y, x]:
+                    return f"asymmetric at ({x},{y})", (x, y, x)
+            elif abs(d[x, y] - d[y, x]) > tol * max(1.0, abs(d[x, y])):
+                return f"asymmetric at ({x},{y})", (x, y, x)
+    for x in range(n):
+        for y in range(n):
+            for z in range(n):
+                if d[x, z] > d[x, y] + d[y, z] + tol:
+                    return f"triangle inequality fails at ({x},{y},{z})", (x, y, z)
+    return None
+
+
+def broken_metrics():
+    """Distance matrices each breaking the axioms in one or more places."""
+    rng = np.random.default_rng(11)
+    out = []
+    for _ in range(40):
+        n = int(rng.integers(3, 9))
+        d = random_metric(n, rng)
+        if rng.random() < 0.3:
+            half = n // 2
+            d[:half, half:] = d[half:, :half] = math.inf
+        # half the matrices only stretch symmetric pairs, to reach the triangle scan
+        kinds = [4] if len(out) % 2 else [0, 1, 2, 3, 4]
+        for _ in range(int(rng.integers(1, 4))):
+            x, y = rng.choice(n, size=2, replace=False)
+            kind = rng.choice(kinds)
+            if kind == 0:
+                d[y, y] = rng.choice([0.5, -1e-3, math.nan])
+            elif kind == 1:
+                d[x, y] = d[y, x] = -0.25
+            elif kind == 2:
+                d[x, y] += rng.choice([1e-3, 1e-9, 2e-8])  # one entry only
+            elif kind == 3:
+                d[x, y] = math.inf  # one entry only
+            else:
+                d[x, y] = d[y, x] = d[x, y] + rng.choice([10.0, 10.0, 5e-9, 5e-8])
+        out.append(d)
+    # two row blocks of the triangle scan, failing only in the second
+    d = random_metric(110, rng)
+    d[95, 100] = d[100, 95] = 50.0
+    out.append(d)
+    return out
+
+
+@pytest.mark.parametrize("d", broken_metrics())
+def test_check_classical_names_the_first_witness_of_the_loop(d):
+    expected = loop_check_classical(d, 1e-8)
+    if expected is None:
+        from_classical(d)
+        return
+    with pytest.raises(NotAPseudometric) as exc:
+        from_classical(d)
+    assert (str(exc.value), exc.value.witness) == expected
+
+
+class TestDiagonalContext:
+    @pytest.mark.parametrize("n", range(1, 9))
+    def test_commutant_is_the_solved_commutant(self, n):
+        ctx = MetricContext.diagonal(n)
+        assert ctx.commutant.equals(commutant(ctx.algebra.basis, n))
+        VNAlgebra(n, ctx.commutant.basis)  # verification raises on failure
+        assert ctx.is_diagonal()
+
+    def test_nothing_is_solved(self, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("the diagonal context solved for its commutant")
+
+        monkeypatch.setattr("qwmetric.filtration.commutant", refuse)
+        for n in (1, 5, 32):
+            assert MetricContext.diagonal(n).commutant.dim == n
+
+    def test_is_diagonal_needs_every_unit(self):
+        units = np.zeros((3, 3, 3), dtype=complex)
+        units[[0, 1, 2], [0, 1, 1], [0, 1, 2]] = 1.0  # E_00, E_11, E_12
+        alg = VNAlgebra(3, units, verify=False)
+        assert not MetricContext(alg, alg).is_diagonal()
+        assert MetricContext.diagonal(3).is_diagonal()
+        assert not MetricContext.full(3).is_diagonal()
 
 
 def to_classical_via_projection_scan(f):

@@ -317,6 +317,78 @@ def test_rho_matches_brute_force_oracle(seed):
         assert rho(f, p, q) == brute_force_rho(f, p, q)
 
 
+def per_level_rho(f, p, q):
+    """The scan one level at a time: the breakpoint of the first level with
+    an element B whose compression P (B (x) I) Q has HS norm above 1e-8."""
+    m = max(p.m, q.m)
+    pp, qq = p.padded(m).matrix, q.padded(m).matrix
+    lo = 0
+    for t, hi in zip(f.breakpoints, f.cuts):
+        if any(np.linalg.norm(pp @ np.kron(b, np.eye(m)) @ qq) > 1e-8 for b in f.basis[lo:hi]):
+            return t
+        lo = hi
+    return math.inf
+
+
+def chunked_scan_cases():
+    """(name, filtration): classical metrics whose bases split into several
+    chunks (n >= 9, so more than 64 elements), with and without infinite
+    distances, and quantum filtrations."""
+    from qwmetric.codes import block_filtration, hamming_filtration
+
+    rng = np.random.default_rng(77)
+    cases = [(f"classical-{n}", from_classical(random_metric(n, rng))[0]) for n in (9, 10, 12)]
+    d = random_metric(10, rng)
+    d[:4, 4:] = d[4:, :4] = math.inf
+    cases.append(("classical-10-two-components", from_classical(d)[0]))
+    cases.append(("hamming-3", hamming_filtration(3, 2)))
+    cases.append(("blocks-1-2", block_filtration([1, 2])))
+    cases += [(f"generated-{n}", random_step_filtration(n, rng, levels=2)) for n in (3, 4)]
+    return cases
+
+
+@pytest.mark.parametrize("f", [pytest.param(f, id=name) for name, f in chunked_scan_cases()])
+@pytest.mark.parametrize("m", [1, 2])
+def test_chunked_rho_matches_per_level_scan(f, m):
+    rng = np.random.default_rng(len(f.basis) + m)
+    n = f.n
+    pairs = []
+    # point pairs: x = y is linked at level 0, and split components never link
+    for x, y in [(0, 0), (0, n - 1), (n - 1, 1), (1, n // 2)]:
+        slot = np.zeros(m)
+        slot[0] = 1.0
+        p = np.kron(basis_state_projection(n, x), np.outer(slot, slot))
+        q = np.kron(basis_state_projection(n, y), np.outer(slot, slot))
+        pairs.append((AmplifiedProjection(n, m, p), AmplifiedProjection(n, m, q)))
+    for _ in range(4):
+        vp = rng.standard_normal((n * m, 1)) + 1j * rng.standard_normal((n * m, 1))
+        vq = rng.standard_normal((n * m, 2)) + 1j * rng.standard_normal((n * m, 2))
+        pairs.append((AmplifiedProjection(n, m, range_projection(vp)), AmplifiedProjection(n, m, range_projection(vq))))
+    if m == 2:  # disjoint slots never link
+        e0, e1 = np.diag([1.0, 0.0]), np.diag([0.0, 1.0])
+        pairs.append((AmplifiedProjection(n, 2, np.kron(np.eye(n), e0)), AmplifiedProjection(n, 2, np.kron(np.eye(n), e1))))
+    got = [rho(f, p, q) for p, q in pairs]
+    assert got == [per_level_rho(f, p, q) for p, q in pairs]
+    assert got[0] == 0.0
+
+
+def test_chunked_rho_reaches_later_chunks_and_inf():
+    """Point pairs of the chunked-scan cases are linked past the first chunk
+    (at a grade whose elements start at index 64 or later) and at inf."""
+    later = infinite = 0
+    for _, f in chunked_scan_cases():
+        points = [base_proj(basis_state_projection(f.n, x)) for x in range(f.n)]
+        for p in points:
+            for q in points:
+                r = rho(f, p, q)
+                assert r == per_level_rho(f, p, q)
+                if r == math.inf:
+                    infinite += 1
+                elif f.level_index_at(r) > 0:
+                    later += f.cuts[f.level_index_at(r) - 1] >= 64
+    assert later and infinite
+
+
 @pytest.mark.parametrize("m_p, m_q", [(1, 2), (2, 3)])
 def test_padding_and_unequal_degrees_match_explicit_embedding(m_p, m_q):
     """padded against kron(I_n, J), J the first m_p columns of I_{m_q}, and

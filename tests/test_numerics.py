@@ -8,6 +8,7 @@ from qwmetric.numerics import (
     DEFAULT_CONFIG,
     NumericConfig,
     hermitian_eig,
+    is_projection,
     op_norm,
     range_projection,
     random_hermitian,
@@ -126,3 +127,24 @@ def test_op_norm_unitary_invariance(seed):
     u = random_unitary(3, rng)
     v = random_unitary(3, rng)
     assert op_norm(u @ a @ v) == pytest.approx(op_norm(a), abs=1e-9)
+
+
+def test_is_projection_matches_three_op_norms_near_the_cutoff():
+    """The stacked norms decide as |P - P*|, |P^2 - P| and |P| taken apart."""
+    rng = np.random.default_rng(3)
+    tol = DEFAULT_CONFIG.membership_tol
+    seen = []
+    for n in (1, 2, 4):
+        for rank in range(n + 1):
+            v = rng.standard_normal((n, rank)) + 1j * rng.standard_normal((n, rank))
+            p = range_projection(v) if rank else np.zeros((n, n), dtype=complex)
+            h = random_hermitian(n, rng)
+            h /= op_norm(h)
+            for direction in (h, 1j * h):
+                for factor in (0.25, 0.5, 1 - 1e-5, 1 + 1e-5, 2.0, 4.0):
+                    m = p + factor * tol * direction
+                    scale = max(1.0, op_norm(m))
+                    ref = op_norm(m - m.conj().T) <= tol * scale and op_norm(m @ m - m) <= tol * scale
+                    assert is_projection(m) == ref
+                    seen.append(ref)
+    assert any(seen) and not all(seen)

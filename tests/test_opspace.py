@@ -4,7 +4,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from qwmetric.errors import MixedDimensions
-from qwmetric.numerics import random_hermitian
+from qwmetric.numerics import DEFAULT_CONFIG, random_hermitian
 from qwmetric.opspace import (
     VNAlgebra,
     adjoint,
@@ -230,3 +230,63 @@ def test_tensor_dimension_product(seed):
 def test_vnalgebra_verification_rejects_non_algebra():
     with pytest.raises(MixedDimensions):
         VNAlgebra(2, span([I2, np.array([[0, 1], [0, 0]], dtype=complex)]).basis)
+
+
+def single_rule(s, m, tol=DEFAULT_CONFIG.membership_tol):
+    """The membership rule of contains, written for one matrix."""
+    return np.linalg.norm(m - s.project(m)) <= tol * max(1.0, np.linalg.norm(m))
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_stacked_membership_matches_single_rule_at_the_cutoff(seed):
+    rng = np.random.default_rng(seed)
+    n = 3
+    s = random_subspace(n, int(rng.integers(1, 8)), rng)
+    perp = complement(s).basis
+    tol = DEFAULT_CONFIG.membership_tol
+    mats, expected = [], []
+    # the in-space part sets the cutoff scale max(1, |A|); a unit direction
+    # outside the space carries a residual just inside or outside the cutoff
+    for size in (0.2, 1.0, 4.0):
+        inside = s.project(rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n)))
+        inside *= size / np.linalg.norm(inside)
+        w = np.tensordot(rng.standard_normal(len(perp)), perp, axes=1)
+        w /= np.linalg.norm(w)
+        for factor in (0.5, 1 - 1e-4, 1 - 1e-5, 1 + 1e-5, 1 + 1e-4, 2.0):
+            mats.append(inside + factor * tol * max(1.0, size) * w)
+            expected.append(factor < 1)
+    mats = np.stack(mats)
+    assert s.contains_each(mats).tolist() == [single_rule(s, m) for m in mats] == expected
+    assert [s.contains(m) for m in mats] == expected
+
+
+@pytest.mark.parametrize("seed", range(6))
+def test_stacked_checks_match_per_element_loops(seed):
+    rng = np.random.default_rng(seed)
+    n = int(rng.integers(2, 4))
+    h = random_hermitian(n, rng)
+    e01 = np.zeros((n, n), dtype=complex)
+    e01[0, 1] = 1.0
+    spaces = [
+        random_subspace(n, int(rng.integers(1, n * n)), rng),
+        span([np.eye(n), h]),
+        span([np.eye(n), e01]),
+        span([np.eye(n), h, h @ h @ h + 1j * h]),
+        generated_vn_algebra([h], n),
+        generated_vn_algebra([e01], n),
+        commutant([h], n),
+        full_space(n),
+        scalar_space(n),
+    ]
+    for s in spaces:
+        for t in spaces:
+            assert s.contains_space(t) == all(single_rule(s, b) for b in t.basis)
+        adjoints = all(single_rule(s, b.conj().T) for b in s.basis)
+        assert s.is_self_adjoint() == adjoints
+        closed = all(single_rule(s, b @ c) for b in s.basis for c in s.basis)
+        try:
+            VNAlgebra(n, s.basis)
+            accepted = True
+        except MixedDimensions:
+            accepted = False
+        assert accepted == (single_rule(s, np.eye(n)) and adjoints and closed)
