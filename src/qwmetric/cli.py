@@ -305,8 +305,24 @@ def _cfg_from_args(args) -> NumericConfig:
     return NumericConfig(rank_tol=min(args.tol, 0.1), membership_tol=args.tol, eig_cluster_tol=min(args.tol, 1e-6))
 
 
+def _check_counts(args) -> None:
+    """The integer global options: a degree of at least 1, a seed and a
+    budget of at least 0."""
+    for name, value, least in (("amplification", args.amplification, 1), ("seed", args.seed, 0), ("budget", args.budget, 0)):
+        if value < least:
+            raise SchemaError(f"--{name} must be an integer >= {least}, got {value}", "")
+
+
 def _load_filtration(path: str, cfg: NumericConfig) -> StepFiltration:
     return parse_filtration(_read_json(path), cfg)
+
+
+def _load_matrix(path: str, size: int, what: str) -> np.ndarray:
+    """A size x size matrix file; any other shape is a schema error."""
+    m = parse_matrix(_read_json(path), "")
+    if m.shape != (size, size):
+        raise SchemaError(f"{what} of shape {m.shape}, expected ({size}, {size})", "")
+    return m
 
 
 def cmd_validate(args, cfg) -> int:
@@ -322,6 +338,9 @@ def cmd_validate(args, cfg) -> int:
             if not isinstance(gens_obj, list):
                 raise SchemaError("algebra must be a list of generator matrices", "")
             gens = [parse_matrix(g, f"/{i}") for i, g in enumerate(gens_obj)]
+            for i, g in enumerate(gens):
+                if g.shape != (f.n, f.n):
+                    raise SchemaError(f"generator of shape {g.shape}, expected ({f.n}, {f.n})", f"/{i}")
             ctx = MetricContext.from_generators(gens, f.n, cfg)
         report = validate(f, ctx, cfg)
     desc = descriptors(f, cfg) if report.is_filtration else None
@@ -343,7 +362,7 @@ def cmd_validate(args, cfg) -> int:
 
 def cmd_gauge(args, cfg) -> int:
     f = _load_filtration(args.filtration, cfg)
-    a = parse_matrix(_read_json(args.matrix), "")
+    a = _load_matrix(args.matrix, f.n, "matrix")
     d = f.displacement_gauge(a, cfg)
     print(_dump({"schema": SCHEMA, "kind": "gauge", "displacement": "inf" if math.isinf(d) else _fmt(d)}))
     return 0
@@ -360,7 +379,7 @@ def cmd_distance(args, cfg) -> int:
 
 def cmd_lipschitz(args, cfg) -> int:
     f = _load_filtration(args.filtration, cfg)
-    a = parse_matrix(_read_json(args.matrix), "")
+    a = _load_matrix(args.matrix, f.n * args.amplification, "matrix")
     ls = spectral_lipschitz(f, a, amp_degree=args.amplification, cfg=cfg)
     budget = AscentBudget(restarts=args.budget, steps=200) if args.budget else AscentBudget.deterministic()
     lc = commutation_lipschitz_lower(f, a, budget=budget, seed=args.seed, cfg=cfg) if args.amplification == 1 else None
@@ -414,7 +433,7 @@ def cmd_transform(args, cfg) -> int:
 
 def cmd_code_check(args, cfg) -> int:
     f = _load_filtration(args.filtration, cfg)
-    p = parse_matrix(_read_json(args.projector), "")
+    p = _load_matrix(args.projector, f.n, "projector")
     code = codes.QuantumCode(p, f)
     audit = codes.kl_check(code, args.k, cfg)
     delta = codes.min_distance(code, cfg)
@@ -527,6 +546,7 @@ def main(argv=None) -> int:
     except SystemExit as exc:
         return 1 if exc.code not in (0, None) else 0
     try:
+        _check_counts(args)
         return args.fn(args, _cfg_from_args(args))
     except SchemaError as exc:
         print(_dump({"schema": SCHEMA, "kind": "error", "error": str(exc), "pointer": exc.pointer}), file=sys.stderr)

@@ -5,9 +5,11 @@ check, minimum distance, the volume bound, and induced corner metrics.
 
 from __future__ import annotations
 
+import bisect
+import functools
 import math
 from dataclasses import dataclass, field
-from itertools import combinations
+from itertools import combinations, product
 
 import numpy as np
 
@@ -29,6 +31,9 @@ __all__ = [
 ]
 
 SITE_CAP = 256
+# from this dimension on, a block's elements are applied as two half-site
+# factors; below it, the dense elements of a weight beat the split
+SPLIT_FROM = 32
 
 
 @dataclass
@@ -54,10 +59,20 @@ class QuantumCode:
     def dim_code(self) -> int:
         return int(round(float(np.trace(self.projector).real)))
 
+    @functools.cached_property
+    def isometry(self) -> np.ndarray:
+        """The n x r code isometry V: eigenvectors of P above 1/2, not a rank
+        cutoff, which could keep kernel directions P weights by nearly 0.
+        Computed once per code; every audit reads it."""
+        w, u = np.linalg.eigh(self.projector)  # reads one triangle of P
+        return u[:, w > 0.5]
 
+
+@functools.lru_cache(maxsize=None)
 def _site_basis(d: int) -> np.ndarray:
     """HS-orthonormal basis of M_d, stacked: normalized identity first, then
-    the traceless directions (off-diagonal matrix units and diagonal steps)."""
+    the traceless directions (off-diagonal matrix units and diagonal steps).
+    Shared and read-only."""
     out = [np.eye(d, dtype=complex) / math.sqrt(d)]
     for i in range(d):
         for j in range(d):
@@ -71,7 +86,9 @@ def _site_basis(d: int) -> np.ndarray:
         v[:k] = 1.0
         v[k] = -k
         out.append(np.diag(v).astype(complex) / math.sqrt(k * k + k))
-    return np.stack(out)
+    out = np.stack(out)
+    out.flags.writeable = False
+    return out
 
 
 def _fill_weight(out: np.ndarray, n_sites: int, d: int, weight: int) -> None:
@@ -92,23 +109,162 @@ def _fill_weight(out: np.ndarray, n_sites: int, d: int, weight: int) -> None:
             acc = acc.reshape(g * f, e * d, e * d)
 
 
+@functools.lru_cache(maxsize=None)
+def _weight_block(n_sites: int, d: int, weight: int) -> np.ndarray:
+    """The elements of weight ``weight`` on ``n_sites`` qudits, dense and in
+    basis order (on no sites, the 1 x 1 identity).  Shared and read-only."""
+    out = np.ones((math.comb(n_sites, weight) * (d * d - 1) ** weight, d ** n_sites, d ** n_sites), dtype=complex)
+    if n_sites:
+        _fill_weight(out, n_sites, d, weight)
+    out.flags.writeable = False
+    return out
+
+
+@functools.lru_cache(maxsize=None)
+def _weight_labels(n_sites: int, d: int, weight: int) -> np.ndarray:
+    """The labels of the elements of weight ``weight`` on ``n_sites`` qudits,
+    in basis order: the index into ``_site_basis(d)`` at each site."""
+    choices = np.array(list(product(range(1, d * d), repeat=weight)), dtype=np.intp).reshape((d * d - 1) ** weight, weight)
+    out = np.zeros((math.comb(n_sites, weight), len(choices), n_sites), dtype=np.intp)
+    for a, sites in enumerate(combinations(range(n_sites), weight)):
+        out[a][:, list(sites)] = choices
+    out = out.reshape(-1, n_sites)
+    out.flags.writeable = False
+    return out
+
+
+@functools.lru_cache(maxsize=None)
+def _site_norms(d: int) -> np.ndarray:
+    return np.linalg.norm(_site_basis(d), 2, axis=(1, 2))
+
+
+@functools.lru_cache(maxsize=None)
+def _split_plan(n_sites: int, d: int, weight: int) -> tuple:
+    """Index plan of the two-half split of the weight-``weight`` elements on
+    ``n_sites`` qudits.  An element is L (x) R, L on the first h = n_sites // 2
+    sites and R on the rest; per weight wl of L, every pair of an L of weight
+    wl and an R of weight ``weight - wl`` is an element.  Returns, per wl,
+    (wl, pos) with pos[i, j] the position in basis order of the element
+    _weight_block(h, d, wl)[i] (x) _weight_block(n_sites - h, d, weight - wl)[j]."""
+    h, q = n_sites // 2, d * d - 1
+    rank = {s: a for a, s in enumerate(combinations(range(n_sites), weight))}
+    plan = []
+    for wl in range(max(0, weight - (n_sites - h)), min(weight, h) + 1):
+        wr = weight - wl
+        # site-set rank of each (left set, right set) pair
+        sets = np.array(
+            [[rank[sl + tuple(h + s for s in sr)] for sr in combinations(range(n_sites - h), wr)] for sl in combinations(range(h), wl)],
+            dtype=np.intp,
+        ).reshape(math.comb(h, wl), math.comb(n_sites - h, wr))
+        # local indices: the left choice, then the right one, last site fastest
+        pos = sets[:, None, :, None] * q ** weight + np.arange(q ** wl)[None, :, None, None] * q ** wr + np.arange(q ** wr)
+        pos = pos.reshape(math.comb(h, wl) * q ** wl, -1)
+        pos.flags.writeable = False
+        plan.append((wl, pos))
+    return tuple(plan)
+
+
+def _apply_weight(n_sites: int, d: int, weight: int, x: np.ndarray, out: np.ndarray) -> None:
+    """Write B x into ``out`` (count, d**n_sites, c) for every element B of
+    weight ``weight`` on ``n_sites`` qudits.  Below dimension SPLIT_FROM the
+    dense elements take one batched product.  Above it, with B = L (x) R as
+    in _split_plan and x read as (left index, right index, column), the R
+    factors act first, then the L factors: two batched products per weight
+    of L, and the pairs are scattered to basis order."""
+    if d ** n_sites < SPLIT_FROM:
+        np.matmul(_weight_block(n_sites, d, weight), x, out=out)
+        return
+    h = n_sites // 2
+    dl, dr, c = d ** h, d ** (n_sites - h), x.shape[1]
+    xr = x.reshape(dl, dr, c).transpose(1, 0, 2).reshape(dr, dl * c)
+    dest = out.reshape(len(out), dl, dr, c, copy=False)
+    for wl, pos in _split_plan(n_sites, d, weight):
+        left, right = _weight_block(h, d, wl), _weight_block(n_sites - h, d, weight - wl)
+        z = (right @ xr).reshape(len(right), dr, dl, c).transpose(2, 0, 1, 3).reshape(dl, -1)
+        dest[pos] = (left @ z).reshape(len(left), dl, len(right), dr, c).transpose(0, 2, 1, 3, 4)
+
+
+class SiteFactors:
+    """A graded basis of elementary tensors, held as factors: the site basis
+    of M_d and, per element, a label (its block and the site-local index at
+    each site of the block, 0 for the identity).  Blocks of qudits sit on
+    the diagonal of M_n.  Elements come by weight (the number of
+    non-identity factors, which is the grade), then block, then site set,
+    then local indices with the last site fastest.
+
+    ``dense`` writes the basis out, within ``cap``; ``apply`` and
+    ``element_norm`` never do."""
+
+    def __init__(self, blocks, d: int, cap: int):
+        self.blocks, self.d, self.cap = tuple(blocks), d, cap
+        # d^nb is formed only once it is known to be small
+        if max(self.blocks) * math.log2(d) >= 31.5 or sum(d ** nb for nb in self.blocks) ** 2 >= 2 ** 63:
+            raise SizeLimit(f"blocks of up to {max(self.blocks)} sites of dimension {d}: too many basis elements to index")
+        self.offsets = [0]
+        for nb in self.blocks:
+            self.offsets.append(self.offsets[-1] + d ** nb)
+        n = self.offsets[-1]
+        # runs of elements of one weight in one block: (start, stop, weight, block)
+        self.runs, start = [], 0
+        for w in range(max(self.blocks) + 1):
+            for b, nb in enumerate(self.blocks):
+                stop = start + math.comb(nb, w) * (d * d - 1) ** w
+                if stop > start:
+                    self.runs.append((start, stop, w, b))
+                start = stop
+        self.shape = (start, n, n)
+        self._starts = [r[0] for r in self.runs]
+        # a block below SPLIT_FROM is applied through its dense elements, at
+        # most 31^4 entries: built with the model, not by the first audit
+        for _, _, w, b in self.runs:
+            if d ** self.blocks[b] < SPLIT_FROM:
+                _weight_block(self.blocks[b], d, w)
+
+    @property
+    def cuts(self) -> list:
+        """Number of elements of weight at most t, for t = 0..max weight."""
+        return [max(stop for _, stop, w, _ in self.runs if w <= t) for t in range(max(self.blocks) + 1)]
+
+    def dense(self) -> np.ndarray:
+        n = self.shape[1]
+        if n > self.cap:
+            raise SizeLimit(f"ambient dimension {n} exceeds the cap {self.cap}")
+        out = np.zeros(self.shape, dtype=complex)
+        for start, stop, w, b in self.runs:
+            lo, hi = self.offsets[b], self.offsets[b + 1]
+            _fill_weight(out[start:stop, lo:hi, lo:hi], self.blocks[b], self.d, w)
+        return out
+
+    def apply(self, lo: int, hi: int, x: np.ndarray) -> np.ndarray:
+        """The (hi - lo, n, c) stack of B x over the elements lo..hi - 1."""
+        # whole runs are computed; callers ask for whole levels, which are
+        # unions of runs
+        runs = [r for r in self.runs if r[0] < hi and r[1] > lo]
+        first, last = (runs[0][0], runs[-1][1]) if runs else (lo, lo)
+        out = (np.empty if len(self.blocks) == 1 else np.zeros)((last - first, self.shape[1], x.shape[1]), dtype=complex)
+        for start, stop, w, b in runs:
+            o0, o1 = self.offsets[b], self.offsets[b + 1]
+            _apply_weight(self.blocks[b], self.d, w, x[o0:o1], out[start - first : stop - first, o0:o1])
+        return out[lo - first : hi - first]
+
+    def element_norm(self, i: int) -> float:
+        """||B_i||: the product of the operator norms of its site factors."""
+        start, _, w, b = self.runs[bisect.bisect_right(self._starts, i) - 1]
+        labels = _weight_labels(self.blocks[b], self.d, w)[i - start]
+        return float(np.prod(_site_norms(self.d)[labels]))
+
+
 def hamming_filtration(
     n_sites: int, local_dim: int = 2, cfg: NumericConfig = DEFAULT_CONFIG, cap: int = SITE_CAP
 ) -> StepFiltration:
     """Quantum Hamming metric on n qudits: integer breakpoints 0..n, level t
     spanned by elementary tensors with at most t non-identity factors.  The
-    level dimension is sum_{j<=t} C(n, j) (d^2 - 1)^j."""
+    level dimension is sum_{j<=t} C(n, j) (d^2 - 1)^j.  The basis is held as
+    site factors; ``cap`` bounds the ambient dimension of its dense form."""
     if n_sites < 1 or local_dim < 2:
         raise SizeLimit("need at least one site of local dimension >= 2")
-    total = local_dim ** n_sites
-    if total > cap:
-        raise SizeLimit(f"ambient dimension {total} exceeds the cap {cap}")
-    # sorted by weight, the elementary tensors are a graded basis
-    cuts = [hamming_level_dimension(n_sites, local_dim, t) for t in range(n_sites + 1)]
-    basis = np.empty((cuts[-1], total, total), dtype=complex)
-    for w, (lo, hi) in enumerate(zip([0] + cuts, cuts)):
-        _fill_weight(basis[lo:hi], n_sites, local_dim, w)
-    f = StepFiltration.from_graded(total, range(n_sites + 1), basis, cuts)
+    factors = SiteFactors([n_sites], local_dim, cap)
+    f = StepFiltration.from_graded(factors.shape[1], range(n_sites + 1), factors, factors.cuts)
     f.meta["sites"] = (n_sites, local_dim)
     return f
 
@@ -123,26 +279,14 @@ def hamming_level_dimension(n_sites: int, local_dim: int, t: int) -> int:
 def block_filtration(blocks, cfg: NumericConfig = DEFAULT_CONFIG, cap: int = SITE_CAP) -> StepFiltration:
     """Mixed classical/quantum model: block-diagonal sums over disentangled
     qubit packets, graded by the total number of corrupted sites; the zero
-    level is the block-scalar algebra (the commutant of the block algebra)."""
+    level is the block-scalar algebra (the commutant of the block algebra).
+    The basis is held as site factors; ``cap`` bounds the ambient dimension
+    of its dense form."""
     blocks = [int(b) for b in blocks]
     if not blocks or any(b < 1 for b in blocks):
         raise SizeLimit("need at least one block of at least one qubit")
-    sizes = [2 ** b for b in blocks]
-    total = sum(sizes)
-    if total > cap:
-        raise SizeLimit(f"ambient dimension {total} exceeds the cap {cap}")
-    offsets = np.cumsum([0] + sizes)
-    max_weight = max(blocks)
-    cuts = [sum(hamming_level_dimension(nb, 2, t) for nb in blocks) for t in range(max_weight + 1)]
-    basis = np.zeros((cuts[-1], total, total), dtype=complex)
-    a = 0
-    for t in range(max_weight + 1):
-        for bi, nb in enumerate(blocks):
-            lo, hi = offsets[bi], offsets[bi + 1]
-            b = a + math.comb(nb, t) * 3 ** t
-            _fill_weight(basis[a:b, lo:hi, lo:hi], nb, 2, t)
-            a = b
-    f = StepFiltration.from_graded(total, range(max_weight + 1), basis, cuts)
+    factors = SiteFactors(blocks, 2, cap)
+    f = StepFiltration.from_graded(factors.shape[1], range(max(blocks) + 1), factors, factors.cuts)
     f.meta["blocks"] = tuple(blocks)
     return f
 
@@ -175,44 +319,36 @@ class KLReport:
     residuals: list = field(default_factory=list)
 
 
-def _isometry(code: QuantumCode) -> np.ndarray:
-    """The n x r code isometry V: eigenvectors of P above 1/2, not a rank
-    cutoff, which could keep kernel directions P weights by nearly 0."""
-    w, u = np.linalg.eigh(code.projector)  # reads one triangle of P
-    return u[:, w > 0.5]
-
-
 def kl_check(code: QuantumCode, k: float, cfg: NumericConfig = DEFAULT_CONFIG) -> KLReport:
     """Scalar-compression audit: for every basis element B of the level at k,
     P B P must equal eps(B) P with eps(B) = tr(P B P) / tr(P).  As
     ||V Y V*|| = ||Y||, the residual is ||V* B V - eps I_r||, exactly.
     ``worst_index``: the first residual within ``membership_tol`` of the
     largest (ties by symmetry or rounding), None when all are below it."""
+    f, v = code.error_model, code.isometry
     tr_p = float(np.trace(code.projector).real)
-    level = code.error_model.value_at(k)
-    v = _isometry(code)
-    x = v.conj().T @ level.basis @ v
+    cut = f.cuts[f.level_index_at(k)]
+    x = v.conj().T @ f.apply(0, cut, v)
     eps = np.trace(x, axis1=1, axis2=2) / tr_p
     res = np.linalg.norm(x - eps[:, None, None] * np.eye(x.shape[1]), 2, axis=(1, 2))
     tol = cfg.membership_tol
     # max(1, ||B||) >= 1: only residuals above the tolerance need ||B||
-    detects = not any(res[i] > tol * max(1.0, op_norm(level.basis[i])) for i in np.flatnonzero(res > tol))
+    detects = not any(res[i] > tol * max(1.0, f.element_norm(i)) for i in np.flatnonzero(res > tol))
     worst = float(res.max(initial=0.0))
     worst_index = int(np.argmax(res >= worst - tol)) if worst > tol else None
-    return KLReport(detects, dict(enumerate(eps.tolist())), worst, worst_index, level.dim, res.tolist())
+    return KLReport(detects, dict(enumerate(eps.tolist())), worst, worst_index, cut, res.tolist())
 
 
 def min_distance(code: QuantumCode, cfg: NumericConfig = DEFAULT_CONFIG) -> float:
     """delta(P) = sup{t : P V_t P = P V_0 P}: the first breakpoint where the
     span of the V* B V (that of the P B P, isometrically) strictly grows."""
-    f = code.error_model
-    v = _isometry(code)
+    f, v = code.error_model, code.isometry
     r = v.shape[1]
     # filled level by level: the scan mostly stops far below the top level
     x = np.empty((f.cuts[-1], r, r), dtype=complex)
     dims = []
     for t, lo, hi in zip(f.breakpoints, [0] + f.cuts, f.cuts):
-        x[lo:hi] = v.conj().T @ f.basis[lo:hi] @ v
+        x[lo:hi] = v.conj().T @ f.apply(lo, hi, v)
         dims.append(span(x[:hi], r, cfg).dim)
         if dims[-1] > dims[0]:
             return t
@@ -239,16 +375,16 @@ def _volume_bound(code: QuantumCode, k: float, audit: KLReport, cfg: NumericConf
     """volume_bound, given the code's audit at k."""
     if not audit.detects:
         raise NotACode("the code fails the scalar-compression audit at k")
+    f, v = code.error_model, code.isometry
     tr_p = float(np.trace(code.projector).real)
-    half = code.error_model.value_at(math.floor(k / 2))
+    cut = f.cuts[f.level_index_at(math.floor(k / 2))]
     # tr(P B* A P) = <A V, B V>_HS: one Gram of the flattened B V
-    v = _isometry(code)
-    bv = (half.basis @ v).reshape(half.dim, v.size)
+    bv = f.apply(0, cut, v).reshape(cut, v.size)
     gram = bv @ bv.conj().T / tr_p
     w = np.linalg.eigvalsh((gram + gram.conj().T) / 2)
     top = float(w.max(initial=0.0))
     dim_k = int(np.sum(w > cfg.rank_tol * max(top, 1.0)))
-    ambient = code.error_model.n
+    ambient = f.n
     bound = ambient / dim_k if dim_k else math.inf
     holds = code.dim_code <= bound + cfg.membership_tol
     return VolumeReport(dim_k, code.dim_code, ambient, bound, holds)

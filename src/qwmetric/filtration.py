@@ -13,6 +13,11 @@ basis[:cut_i], not a copy, and the grade of a basis element (the level it
 enters) is its displacement gauge.  Levels handed to the constructor must be
 nested (NotNested, a MixedDimensions, otherwise); a repeated level is kept
 and :func:`validate` reports it as not strictly increasing.
+
+The basis may also be held in factored form (``codes.SiteFactors``): then
+``basis`` and ``levels`` are written out once, when first read, and
+:meth:`StepFiltration.apply` and :meth:`StepFiltration.element_norm` never
+write it out.
 """
 
 from __future__ import annotations
@@ -25,7 +30,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import MixedDimensions, NegativeTime, NotAPseudometric, NotDiagonalContext, NotNested
-from .numerics import DEFAULT_CONFIG, NumericConfig, as_square, eye
+from .numerics import DEFAULT_CONFIG, NumericConfig, as_square, eye, op_norm
 from .opspace import OperatorSubspace, VNAlgebra, commutant, full_space, generated_vn_algebra
 
 __all__ = [
@@ -48,7 +53,9 @@ class StepFiltration:
     @classmethod
     def from_graded(cls, ambient_dim: int, breakpoints, basis, cuts, meta: dict | None = None) -> "StepFiltration":
         """Filtration whose level i is spanned by basis[:cuts[i]]; ``basis``
-        must be HS-orthonormal and is shared, not copied."""
+        must be HS-orthonormal and is shared, not copied.  It is a (k, n, n)
+        stack, or a factored basis: an object with ``shape``, ``dense()``,
+        ``apply(lo, hi, x)`` and ``element_norm(i)`` (``codes.SiteFactors``)."""
         f = cls.__new__(cls)
         f._set(ambient_dim, breakpoints, basis, cuts, meta)
         return f
@@ -56,7 +63,8 @@ class StepFiltration:
     def _set(self, ambient_dim, breakpoints, basis, cuts, meta):
         self.n = int(ambient_dim)
         self.breakpoints = [float(t) for t in breakpoints]
-        self.basis = np.asarray(basis, dtype=complex)
+        self._factors = basis if hasattr(basis, "dense") else None
+        self._basis = np.asarray(basis, dtype=complex) if self._factors is None else None
         self.cuts = [int(c) for c in cuts]
         self.meta = dict(meta or {})
         if len(self.breakpoints) != len(self.cuts) or not self.cuts:
@@ -65,9 +73,39 @@ class StepFiltration:
             raise MixedDimensions("first breakpoint must be 0")
         if not all(t1 > t0 for t0, t1 in zip(self.breakpoints, self.breakpoints[1:])):
             raise MixedDimensions("breakpoints must be strictly increasing")
-        if self.basis.shape != (self.cuts[-1], self.n, self.n) or np.any(np.diff(self.cuts) < 0):
+        if self._graded.shape != (self.cuts[-1], self.n, self.n) or np.any(np.diff(self.cuts) < 0):
             raise MixedDimensions("cuts must be nondecreasing and end at the basis size")
-        self.levels = tuple(OperatorSubspace(self.n, self.basis[:c]) for c in self.cuts)
+
+    @property
+    def _graded(self):
+        """The basis as stored: the dense stack, or its factors."""
+        return self._basis if self._factors is None else self._factors
+
+    @property
+    def basis(self) -> np.ndarray:
+        """The graded basis as a dense (k, n, n) stack; a factored basis is
+        written out on the first read and kept."""
+        if self._basis is None:
+            self._basis = self._factors.dense()
+        return self._basis
+
+    @functools.cached_property
+    def levels(self) -> tuple:
+        return tuple(OperatorSubspace(self.n, self.basis[:c]) for c in self.cuts)
+
+    def apply(self, lo: int, hi: int, x: np.ndarray) -> np.ndarray:
+        """basis[lo:hi] applied to the columns of the n x c matrix x: the
+        (hi - lo, n, c) stack of the B x.  A dense basis takes one batched
+        product; a factored one is never written out."""
+        if self._factors is None:
+            return self.basis[lo:hi] @ x
+        return self._factors.apply(lo, hi, x)
+
+    def element_norm(self, i: int) -> float:
+        """Operator norm of basis element i."""
+        if self._factors is None:
+            return op_norm(self.basis[i])
+        return self._factors.element_norm(i)
 
     @property
     def top(self) -> OperatorSubspace:
@@ -122,7 +160,7 @@ class StepFiltration:
         """Drop levels equal to their predecessor (restores strict inclusion)."""
         keep = [i for i, c in enumerate(self.cuts) if i == 0 or c != self.cuts[i - 1]]
         bps, cuts = [self.breakpoints[i] for i in keep], [self.cuts[i] for i in keep]
-        return StepFiltration.from_graded(self.n, bps, self.basis, cuts, self.meta)
+        return StepFiltration.from_graded(self.n, bps, self._graded, cuts, self.meta)
 
     def __repr__(self):
         return f"StepFiltration(n={self.n}, breakpoints={self.breakpoints}, level_dims={self.cuts})"

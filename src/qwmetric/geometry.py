@@ -96,23 +96,34 @@ def _align(p: AmplifiedProjection, q: AmplifiedProjection):
     return p.padded(m), q.padded(m)
 
 
-def _amplify(basis: np.ndarray, x: np.ndarray) -> np.ndarray:
-    """The columns (B (x) I_m) X for every B of a (k, n, n) stack, as one
-    (nm, k*c) matrix in stack order.  Rows are indexed base-first, so
-    B (x) I_m acts on X read as an n x (m*c) matrix: one batched matmul, and
-    the Kronecker product is never formed."""
-    nm, c = x.shape
-    return (basis @ x.reshape(basis.shape[1], -1)).reshape(-1, nm, c).transpose(1, 0, 2).reshape(nm, -1)
+def _stacked(basis: np.ndarray, x: np.ndarray) -> np.ndarray:
+    """The products B X' for every B of a (k, n, n) stack, X' the nm x c
+    operand X read as an n x (m*c) matrix (see _amplify)."""
+    n = basis.shape[1]
+    return basis @ x.reshape(n, x.size // n)
 
 
-def _compressions(p: np.ndarray, basis: np.ndarray, q: np.ndarray) -> np.ndarray:
-    """P (B (x) I_m) Q for every B of a stack, indexed (row, B, column)."""
-    return (p @ _amplify(basis, q)).reshape(len(p), len(basis), len(q))
+def _amplify(bx: np.ndarray, nm: int) -> np.ndarray:
+    """The columns (B (x) I_m) X for every B, as one (nm, k*c) matrix in
+    stack order, from the products B X' of _stacked or
+    StepFiltration.apply.  Rows are indexed base-first, so B (x) I_m acts
+    on X read as an n x (m*c) matrix: one batched product, and the
+    Kronecker product is never formed."""
+    k, n, mc = bx.shape
+    c = n * mc // nm
+    return bx.reshape(k, nm, c).transpose(1, 0, 2).reshape(nm, k * c)
 
 
-def _batch_compression_norms(p: np.ndarray, basis: np.ndarray, q: np.ndarray) -> np.ndarray:
-    """HS norms of P (B (x) I_m) Q over a stacked basis."""
-    return np.linalg.norm(_compressions(p, basis, q), axis=(0, 2))
+def _compressions(p: np.ndarray, bq: np.ndarray) -> np.ndarray:
+    """P (B (x) I_m) Q for every B, indexed (row, B, column), from the
+    products B Q' (see _amplify)."""
+    k, n, mc = bq.shape
+    return (p @ _amplify(bq, p.shape[1])).reshape(len(p), k, n * mc // p.shape[1])
+
+
+def _batch_compression_norms(p: np.ndarray, bq: np.ndarray) -> np.ndarray:
+    """HS norms of P (B (x) I_m) Q over a stack of products B Q'."""
+    return np.linalg.norm(_compressions(p, bq), axis=(0, 2))
 
 
 def rho(f: StepFiltration, p: AmplifiedProjection, q: AmplifiedProjection, cfg: NumericConfig = DEFAULT_CONFIG) -> float:
@@ -127,11 +138,14 @@ def rho(f: StepFiltration, p: AmplifiedProjection, q: AmplifiedProjection, cfg: 
     if p.n != f.n:
         raise DimensionMismatch("projection base dimension does not match filtration")
     pp, qq = _align(p, q)
+    # zero rows of P and zero columns of Q add nothing to the HS norms
+    pm, qm = pp.matrix[pp.matrix.any(axis=1)], qq.matrix[:, qq.matrix.any(axis=0)]
     lo = 0
     while lo < f.cuts[-1]:
         level = min(bisect.bisect_left(f.cuts, max(2 * lo, lo + 64)), len(f.cuts) - 1)
         hi = f.cuts[level]
-        linked = np.flatnonzero(_batch_compression_norms(pp.matrix, f.basis[lo:hi], qq.matrix) > cfg.membership_tol)
+        norms = _batch_compression_norms(pm, f.apply(lo, hi, qm.reshape(f.n, qm.size // f.n)))
+        linked = np.flatnonzero(norms > cfg.membership_tol)
         if linked.size:
             return f.breakpoints[bisect.bisect_right(f.cuts, lo + linked[0])]
         lo = hi
@@ -141,13 +155,13 @@ def rho(f: StepFiltration, p: AmplifiedProjection, q: AmplifiedProjection, cfg: 
 def linkable(p: AmplifiedProjection, q: AmplifiedProjection, cfg: NumericConfig = DEFAULT_CONFIG) -> bool:
     """True iff P (A (x) I) Q != 0 for some A in M_n; scans matrix units."""
     pp, qq = _align(p, q)
-    norms = _batch_compression_norms(pp.matrix, full_space(p.n).basis, qq.matrix)
+    norms = _batch_compression_norms(pp.matrix, _stacked(full_space(p.n).basis, qq.matrix))
     return bool(norms.size and norms.max() > cfg.membership_tol)
 
 
 def _apply_level(lv: OperatorSubspace, p: AmplifiedProjection, cfg: NumericConfig) -> np.ndarray:
     """Range projection of (S (x) I_m) applied to ran(P)."""
-    return range_projection(_amplify(lv.basis, p.matrix), cfg)
+    return range_projection(_amplify(_stacked(lv.basis, p.matrix), len(p.matrix)), cfg)
 
 
 def neighborhood(f: StepFiltration, p: AmplifiedProjection, eps: float, cfg: NumericConfig = DEFAULT_CONFIG) -> AmplifiedProjection:
@@ -208,14 +222,14 @@ def separating_projections(f: StepFiltration, t: float, a, cfg: NumericConfig = 
     m = int(np.sum(s > cfg.rank_tol * s[0]))
     # the rows of vh are the v_i^*; eta = sum v_i (x) e_i, base index first
     eta = vh[:m].conj().T.reshape(-1, 1)
-    qcols = range_basis(_amplify(f.levels[0].basis, eta), cfg)
+    qcols = range_basis(_amplify(_stacked(f.levels[0].basis, eta), len(eta)), cfg)
     q = AmplifiedProjection(f.n, m, qcols @ qcols.conj().T, cfg)
-    l_proj = range_projection(_amplify(base.basis, qcols), cfg)
+    l_proj = range_projection(_amplify(_stacked(base.basis, qcols), len(qcols)), cfg)
     p = AmplifiedProjection(f.n, m, eye(f.n * m) - l_proj, cfg)
     # numerical verification of the separation postcondition
-    if _batch_compression_norms(p.matrix, m0[None], q.matrix).max() <= cfg.membership_tol:
+    if _batch_compression_norms(p.matrix, _stacked(m0[None], q.matrix)).max() <= cfg.membership_tol:
         raise AlreadyInside("separation failed: witness compression vanished")
-    level_norms = _batch_compression_norms(p.matrix, base.basis, q.matrix)
+    level_norms = _batch_compression_norms(p.matrix, _stacked(base.basis, q.matrix))
     if level_norms.size and level_norms.max() > cfg.membership_tol:
         raise AlreadyInside("separation failed: level not annihilated")
     return p, q
@@ -238,7 +252,7 @@ def rebuild_level(f: StepFiltration, t: float, probes, cfg: NumericConfig = DEFA
     for p, q in probes:
         pp, qq = _align(p, q)
         # one row per entry of P (E_ij (x) I) Q, one column per matrix unit
-        blocks.append(_compressions(pp.matrix, units, qq.matrix).transpose(0, 2, 1).reshape(-1, n * n))
+        blocks.append(_compressions(pp.matrix, _stacked(units, qq.matrix)).transpose(0, 2, 1).reshape(-1, n * n))
     if not blocks:
         return full_space(n)
     k = np.concatenate(blocks, axis=0)

@@ -221,6 +221,15 @@ class TestCommands:
             (["validate", "--filtration"], {"dim": 1, "steps": [{"t": 0, "basis": [[[[math.nan, 0]]]]}]}),
             (["build", "classical", "--matrix"], [[0, 10**400], [10**400, 0]]),
             (["build", "classical", "--matrix"], [[0, math.nan], [math.nan, 0]]),
+            (["gauge", "--filtration", "{m2}", "--matrix"], emit_matrix(np.eye(3))),
+            (["lipschitz", "--filtration", "{m2}", "--matrix"], emit_matrix(np.eye(3))),
+            (["code-check", "--filtration", "{m2}", "--k", "1", "--projector"], emit_matrix(np.eye(3))),
+            (["validate", "--filtration", "{m2}", "--algebra"], [emit_matrix(np.eye(3))]),
+            (["validate", "--filtration", "{m2}", "--algebra"], [emit_matrix(np.eye(2)), emit_matrix(np.ones((2, 3)))]),
+            (["--amplification", "0", "lipschitz", "--filtration", "{m2}", "--matrix"], emit_matrix(np.diag([1.0, 0.0]))),
+            (["--amplification", "-1", "lipschitz", "--filtration", "{m2}", "--matrix"], emit_matrix(np.diag([1.0, 0.0]))),
+            (["--seed", "-5", "--budget", "1", "lipschitz", "--filtration", "{m2}", "--matrix"], emit_matrix(np.diag([1.0, 0.0]))),
+            (["--budget", "-1", "lipschitz", "--filtration", "{m2}", "--matrix"], emit_matrix(np.diag([1.0, 0.0]))),
         ],
         ids=[
             "ragged-distances",
@@ -232,11 +241,21 @@ class TestCommands:
             "nan-in-basis",
             "huge-int-distance",
             "nan-distance",
+            "gauge-matrix-of-wrong-size",
+            "lipschitz-matrix-of-wrong-size",
+            "projector-of-wrong-size",
+            "generator-of-wrong-size",
+            "generator-not-square",
+            "amplification-zero",
+            "amplification-negative",
+            "seed-negative",
+            "budget-negative",
         ],
     )
     def test_malformed_input_is_a_schema_error(self, tmp_path, capsys, argv, payload):
+        m2 = write_json(tmp_path, "m2.json", emit_filtration(m2_metric(1, 2, 3)))
         path = write_json(tmp_path, "in.json", payload)
-        code, out, err = run_cli(argv + [path], capsys)
+        code, out, err = run_cli([a.format(m2=m2) for a in argv] + [path], capsys)
         assert code == 1 and out == ""
         blob = json.loads(err)
         assert blob["kind"] == "error" and "pointer" in blob

@@ -2,8 +2,9 @@
 
 Valid filtration, matrix, projector, projection, algebra and distance files
 are mutated (wrong types, ragged rows, huge ints, NaN and infinities,
-missing keys) and run through ``cli.main``, with or without a global
-``--tol`` drawn from valid and invalid values.  Every run must exit 0, 1 or
+missing keys) and run through ``cli.main``, with or without each global
+option (``--tol``, ``--amplification``, ``--budget``, ``--seed``) drawn
+from valid and invalid values.  Every run must exit 0, 1 or
 2 and print JSON on stdout or stderr; an exception other than a
 ``QwmError`` escapes ``main`` and fails the test.
 """
@@ -47,8 +48,14 @@ COMMANDS = {
     "classify-m2": (["classify-m2", "--filtration", "{filtration}"], ["filtration"]),
 }
 
-# global --tol values, valid and invalid; None leaves the option out
-TOLS = [None, 0, -1, math.nan, math.inf, 1e-300, 0.5]
+# global option values: (valid, invalid); the option may also be left out.
+# The sets are small and fixed so that no value starts long or wide work.
+GLOBALS = {
+    "--tol": ([1e-300, 0.5], [0, -1, math.nan, math.inf]),
+    "--amplification": ([1, 2], [-1, 0]),
+    "--budget": ([0, 1, 2], [-1]),
+    "--seed": ([0, 2**64], [-5]),
+}
 
 REPLACEMENTS = ["x", "inf", None, True, {}, [], [[]], 0, -1, 2**70, 10**400, -(10**400), 1e308, math.nan, math.inf, -math.inf]
 
@@ -100,8 +107,11 @@ def mutated_inputs(draw, names):
 def test_mutated_inputs_exit_with_json(command, data):
     template, names = COMMANDS[command]
     files = data.draw(mutated_inputs(names))
-    tol = data.draw(st.sampled_from(TOLS))
-    options = [] if tol is None else ["--tol", repr(tol)]
+    options, invalid = [], False
+    for option, (valid, bad) in GLOBALS.items():
+        value = data.draw(st.sampled_from([None] + valid + bad))
+        options += [] if value is None else [option, repr(value)]
+        invalid = invalid or value in bad
     with tempfile.TemporaryDirectory() as tmp:
         where = {}
         for name, obj in files.items():
@@ -112,6 +122,8 @@ def test_mutated_inputs_exit_with_json(command, data):
         with redirect_stdout(out), redirect_stderr(err):
             code = main(options + [arg.format(**where) for arg in template])
     assert code in (0, 1, 2)
+    # an invalid global option is a usage error, whatever the files hold
+    assert code == 1 or not invalid
     blob = json.loads(out.getvalue() or err.getvalue())
     # a report goes to stdout, an error alone to stderr
     assert (blob["kind"] == "error") == (out.getvalue() == "")

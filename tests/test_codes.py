@@ -8,6 +8,7 @@ import pytest
 from qwmetric import (
     AmplifiedProjection,
     MetricContext,
+    StepFiltration,
     from_classical,
     rho,
     validate,
@@ -28,7 +29,7 @@ from qwmetric.constructions import lp_product
 from qwmetric.errors import NotACode, SizeLimit
 from qwmetric.numerics import range_projection
 
-from conftest import basis_state_projection
+from conftest import I2, PAULI_X, PAULI_Y, PAULI_Z, basis_state_projection
 
 
 def repetition_code_projector():
@@ -64,8 +65,9 @@ class TestHammingFiltration:
         assert validate(h, MetricContext.full(4)).is_metric
 
     def test_size_cap(self):
+        h = hamming_filtration(9, 2)
         with pytest.raises(SizeLimit):
-            hamming_filtration(9, 2)
+            h.basis
 
     @pytest.mark.parametrize("n_sites", [2, 3])
     def test_rho_is_bit_hamming_distance(self, n_sites):
@@ -102,6 +104,19 @@ class TestHammingFiltration:
         h = hamming_filtration(n_sites, local_dim, cap=64)
         np.testing.assert_array_equal(h.basis, np.stack(want))
         assert h.cuts == [hamming_level_dimension(n_sites, local_dim, t) for t in range(n_sites + 1)]
+
+    @pytest.mark.parametrize(
+        "n_sites, pairs",
+        [(7, [(0, 0), (0, 1), (5, 6), (0, 127), (0b1010101, 0b0101010), (3, 96)]), (9, [(0, 0), (0, 256), (0, 7), (0, 0b100010001), (256, 0b100010001)])],
+    )
+    def test_rho_on_models_past_the_dense_cap(self, n_sites, pairs):
+        """rho reads the factored basis: 9 qubits are past SITE_CAP, and the
+        7-qubit model is built with a cap below its size, so writing either
+        basis out would raise."""
+        h = hamming_filtration(n_sites, 2, cap=64)
+        states = {x: AmplifiedProjection.base(basis_state_projection(2 ** n_sites, x)) for pair in pairs for x in pair}
+        for x, y in pairs:
+            assert rho(h, states[x], states[y]) == bin(x ^ y).count("1")
 
     def test_three_fold_l1_power_dimensions(self):
         h1 = hamming_filtration(1, 2)
@@ -368,6 +383,156 @@ class TestAuditsAgainstExplicitFormulas:
         report = kl_check(QuantumCode(basis_state_projection(8, 5), ham3), 3)
         assert report.detects and report.worst_index is None and report.worst_residual == 0.0
         assert report.residuals == [0.0] * 64
+
+
+PAULI = {"I": I2, "X": PAULI_X, "Y": PAULI_Y, "Z": PAULI_Z}
+
+# stabilizer generators as Pauli strings (Gottesman, quant-ph/9705052)
+FIVE_QUBIT = ["XZZXI", "IXZZX", "XIXZZ", "ZXIXZ"]
+STEANE = ["IIIXXXX", "IXXIIXX", "XIXIXIX", "IIIZZZZ", "IZZIIZZ", "ZIZIZIZ"]
+SHOR = ["ZZIIIIIII", "IZZIIIIII", "IIIZZIIII", "IIIIZZIII", "IIIIIIZZI", "IIIIIIIZZ", "XXXXXXIII", "IIIXXXXXX"]
+
+
+def stabilizer_projector(stabilizers):
+    """prod_g (I + g) / 2 over commuting generators; each Pauli string acts
+    site by site on the rows, so no 2^n x 2^n string is formed."""
+    n = len(stabilizers[0])
+    p = np.eye(2 ** n, dtype=complex)
+    for g in stabilizers:
+        gp = p.reshape((2,) * n + (2 ** n,))
+        for s, c in enumerate(g):
+            gp = np.moveaxis(np.tensordot(PAULI[c], gp, axes=(1, s)), 0, s)
+        p = (p + gp.reshape(p.shape)) / 2
+    return p
+
+
+class TestStabilizerCodes:
+    """Audits of stabilizer codes on Hamming models of 5, 7 and 9 qubits,
+    whose dense bases would take 17 MB, 4.3 GB and 1.1 TB: each model is
+    built with a cap below its size, so writing its basis out would raise."""
+
+    def test_five_qubit_code(self):
+        code = QuantumCode(stabilizer_projector(FIVE_QUBIT), hamming_filtration(5, 2, cap=16))
+        assert code.dim_code == 2
+        assert kl_check(code, 2).detects and not kl_check(code, 3).detects
+        assert min_distance(code) == 3
+        rep = volume_bound(code, 2)
+        # a perfect code: the bound 32 / 16 is tight
+        assert (rep.dim_k, rep.bound, rep.holds) == (16, 2.0, True)
+
+    def test_steane_code(self):
+        code = QuantumCode(stabilizer_projector(STEANE), hamming_filtration(7, 2, cap=16))
+        assert code.dim_code == 2
+        assert [kl_check(code, k).detects for k in range(4)] == [True, True, True, False]
+        assert min_distance(code) == 3
+
+    def test_shor_code(self):
+        code = QuantumCode(stabilizer_projector(SHOR), hamming_filtration(9, 2))
+        assert code.dim_code == 2
+        assert min_distance(code) == 3
+        # degenerate: Z_1 Z_2 is a stabilizer, so Z_1 and Z_2 act alike on
+        # the code and the Gram form on the 1 + 27 elements of level 1 is
+        # singular
+        rep = volume_bound(code, 2)
+        assert rep.dim_k < 28 and rep.holds
+
+    def test_one_code_is_decomposed_once(self, ham3, monkeypatch):
+        eigh, calls = np.linalg.eigh, []
+
+        def counting(a, *args, **kwargs):
+            calls.append(a.shape)
+            return eigh(a, *args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, "eigh", counting)
+        code = QuantumCode(basis_state_projection(8, 3), ham3)
+        assert kl_check(code, 2).detects
+        volume_bound(code, 2)
+        min_distance(code)
+        assert calls == [(8, 8)]
+
+
+def _dense_copy(f):
+    """The same filtration with its basis held dense: the reference path."""
+    return StepFiltration.from_graded(f.n, f.breakpoints, f.basis, f.cuts, f.meta)
+
+
+def _criterion_07_codes():
+    """The random codes of acceptance criterion 07, in its order."""
+    rng = np.random.default_rng(107)
+    for _ in range(40):
+        n_sites = int(rng.integers(2, 4))
+        dim = 2 ** n_sites
+        r = int(rng.integers(1, 3))
+        v = rng.standard_normal((dim, r)) + 1j * rng.standard_normal((dim, r))
+        yield n_sites, range_projection(v)
+
+
+def _audit(code, kmax):
+    """Every audit result the factored and the dense path must share."""
+    out = []
+    for k in range(kmax + 1):
+        report = kl_check(code, k)
+        vol = volume_bound(code, k) if report.detects else None
+        out.append((report, vol and (vol.dim_k, vol.bound, vol.holds)))
+    return out, min_distance(code)
+
+
+def _assert_same_audits(p, f):
+    kmax = len(f.cuts) - 1
+    (got, got_md), (want, want_md) = _audit(QuantumCode(p, f), kmax), _audit(QuantumCode(p, _dense_copy(f)), kmax)
+    assert got_md == want_md
+    for (a, vol_a), (b, vol_b) in zip(got, want):
+        assert (a.detects, a.level_dim, a.worst_index, vol_a) == (b.detects, b.level_dim, b.worst_index, vol_b)
+        np.testing.assert_allclose(a.residuals, b.residuals, rtol=0, atol=1e-12)
+        np.testing.assert_allclose(list(a.epsilon.values()), list(b.epsilon.values()), rtol=0, atol=1e-12)
+        assert a.worst_residual == pytest.approx(b.worst_residual, abs=1e-12)
+
+
+AGREE_MODELS = {
+    **{name: build for name, (_, build) in AUDIT_MODELS.items()},
+    "hamming1": lambda: hamming_filtration(1, 2),
+    "qutrits2": lambda: hamming_filtration(2, 3),
+}
+
+
+class TestFactoredAndDenseAgree:
+    """The factored basis and its dense form give the same audits: exactly
+    on every decision and index, within 1e-12 on residuals and eps."""
+
+    def test_criterion_07_corpus(self):
+        models = {n: hamming_filtration(n, 2) for n in (2, 3)}
+        _assert_same_audits(repetition_code_projector(), models[3])
+        for n_sites, p in _criterion_07_codes():
+            _assert_same_audits(p, models[n_sites])
+
+    @pytest.mark.parametrize("model", list(AGREE_MODELS))
+    @pytest.mark.parametrize("rank", [1, 2, 3])
+    def test_random_codes(self, model, rank):
+        f = AGREE_MODELS[model]()
+        rng = np.random.default_rng([rank, f.n, 8])
+        v = rng.standard_normal((f.n, rank)) + 1j * rng.standard_normal((f.n, rank))
+        _assert_same_audits(range_projection(v), f)
+
+    @pytest.mark.parametrize("model", ["hamming4", "blocks12"])
+    def test_stabilizer_and_basis_state_codes(self, model):
+        f = AUDIT_MODELS[model][1]()
+        _assert_same_audits(basis_state_projection(f.n, 1) + basis_state_projection(f.n, f.n - 1), f)
+        if model == "hamming4":
+            _assert_same_audits(stabilizer_projector(["XXXX", "ZZZZ"]), f)
+
+    @pytest.mark.parametrize("model", ["hamming2", "hamming3", "hamming4", "blocks12"])
+    def test_rho(self, model):
+        f = AUDIT_MODELS[model][1]()
+        dense = _dense_copy(f)
+        rng = np.random.default_rng([f.n, 9])
+        projections = [AmplifiedProjection.base(basis_state_projection(f.n, x)) for x in range(f.n)]
+        for m in (1, 2):
+            for _ in range(3):
+                v = rng.standard_normal((f.n * m, 1)) + 1j * rng.standard_normal((f.n * m, 1))
+                projections.append(AmplifiedProjection(f.n, m, range_projection(v)))
+        for p in projections:
+            for q in projections[:: max(1, len(projections) // 7)]:
+                assert rho(f, p, q) == rho(dense, p, q)
 
 
 class TestInducedMetric:
