@@ -313,6 +313,14 @@ def _check_counts(args) -> None:
             raise SchemaError(f"--{name} must be an integer >= {least}, got {value}", "")
 
 
+def _check_floats(args) -> None:
+    """The float options of transform are finite numbers; each construction
+    checks its own domain."""
+    for name in ("at", "alpha", "p", "bridge"):
+        if not math.isfinite(getattr(args, name) or 0.0):
+            raise SchemaError(f"--{name} must be a finite number, got {getattr(args, name)!r}", "")
+
+
 def _load_filtration(path: str, cfg: NumericConfig) -> StepFiltration:
     return parse_filtration(_read_json(path), cfg)
 
@@ -411,6 +419,7 @@ def cmd_build(args, cfg) -> int:
 
 
 def cmd_transform(args, cfg) -> int:
+    _check_floats(args)
     f = _load_filtration(args.filtration, cfg)
     if args.what == "truncate":
         out = constructions.truncate(f, args.at, cfg)

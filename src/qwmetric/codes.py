@@ -164,24 +164,31 @@ def _split_plan(n_sites: int, d: int, weight: int) -> tuple:
     return tuple(plan)
 
 
-def _apply_weight(n_sites: int, d: int, weight: int, x: np.ndarray, out: np.ndarray) -> None:
-    """Write B x into ``out`` (count, d**n_sites, c) for every element B of
-    weight ``weight`` on ``n_sites`` qudits.  Below dimension SPLIT_FROM the
-    dense elements take one batched product.  Above it, with B = L (x) R as
-    in _split_plan and x read as (left index, right index, column), the R
-    factors act first, then the L factors: two batched products per weight
-    of L, and the pairs are scattered to basis order."""
+def _apply_weight(n_sites: int, d: int, weight: int, x: np.ndarray, out: np.ndarray, skip: int = 0) -> None:
+    """Write B x into ``out`` (count, d**n_sites, c) for the elements B of
+    weight ``weight`` on ``n_sites`` qudits from position ``skip`` on.  Below
+    dimension SPLIT_FROM the dense elements take one batched product.  Above
+    it, with B = L (x) R as in _split_plan and x read as (left index, right
+    index, column), the R factors act first, then the L factors: two batched
+    products per weight of L, scattered to basis order."""
     if d ** n_sites < SPLIT_FROM:
-        np.matmul(_weight_block(n_sites, d, weight), x, out=out)
+        np.matmul(_weight_block(n_sites, d, weight)[skip : skip + len(out)], x, out=out)
         return
     h = n_sites // 2
     dl, dr, c = d ** h, d ** (n_sites - h), x.shape[1]
     xr = x.reshape(dl, dr, c).transpose(1, 0, 2).reshape(dr, dl * c)
     dest = out.reshape(len(out), dl, dr, c, copy=False)
+    # a range inside the run (a bounded rho chunk) needs only the L and R of its pairs
+    whole = skip == 0 and len(out) == math.comb(n_sites, weight) * (d * d - 1) ** weight
     for wl, pos in _split_plan(n_sites, d, weight):
         left, right = _weight_block(h, d, wl), _weight_block(n_sites - h, d, weight - wl)
+        if not whole:
+            inside = (pos >= skip) & (pos < skip + len(out))
+            rows, cols = np.flatnonzero(inside.any(axis=1)), np.flatnonzero(inside.any(axis=0))
+            left, right, pos = left[rows], right[cols], np.where(inside, pos - skip, -1)[np.ix_(rows, cols)]
         z = (right @ xr).reshape(len(right), dr, dl, c).transpose(2, 0, 1, 3).reshape(dl, -1)
-        dest[pos] = (left @ z).reshape(len(left), dl, len(right), dr, c).transpose(0, 2, 1, 3, 4)
+        keep = slice(None) if whole else pos >= 0
+        dest[pos[keep]] = (left @ z).reshape(len(left), dl, len(right), dr, c).transpose(0, 2, 1, 3, 4)[keep]
 
 
 class SiteFactors:
@@ -237,15 +244,13 @@ class SiteFactors:
 
     def apply(self, lo: int, hi: int, x: np.ndarray) -> np.ndarray:
         """The (hi - lo, n, c) stack of B x over the elements lo..hi - 1."""
-        # whole runs are computed; callers ask for whole levels, which are
-        # unions of runs
-        runs = [r for r in self.runs if r[0] < hi and r[1] > lo]
-        first, last = (runs[0][0], runs[-1][1]) if runs else (lo, lo)
-        out = (np.empty if len(self.blocks) == 1 else np.zeros)((last - first, self.shape[1], x.shape[1]), dtype=complex)
-        for start, stop, w, b in runs:
-            o0, o1 = self.offsets[b], self.offsets[b + 1]
-            _apply_weight(self.blocks[b], self.d, w, x[o0:o1], out[start - first : stop - first, o0:o1])
-        return out[lo - first : hi - first]
+        out = (np.empty if len(self.blocks) == 1 else np.zeros)((hi - lo, self.shape[1], x.shape[1]), dtype=complex)
+        for start, stop, w, b in self.runs:
+            if start < hi and stop > lo:
+                o0, o1 = self.offsets[b], self.offsets[b + 1]
+                a = max(lo, start)
+                _apply_weight(self.blocks[b], self.d, w, x[o0:o1], out[a - lo : min(hi, stop) - lo, o0:o1], a - start)
+        return out
 
     def element_norm(self, i: int) -> float:
         """||B_i||: the product of the operator norms of its site factors."""

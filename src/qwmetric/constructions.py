@@ -1,13 +1,17 @@
 """Constructions on step filtrations: truncation, direct sums (with optional
-bridge), meets, Fubini metric products, generated filtrations (the engine
-behind graph metrics, subobjects and lp products), quotients, Hoelder and
+bridge), meets, Fubini and lp metric products, generated filtrations (the
+engine behind graph metrics and subobjects), quotients, Hoelder and
 superadditive reparameterizations, the operator-system three-level metric,
 the M_2 classification, and co-Lipschitz numbers of morphisms.
+
+Truncations, direct sums, both products and the M_2 metric give each basis
+element an entry time and build through StepFiltration.from_times.
 """
 
 from __future__ import annotations
 
 import bisect
+import functools
 import math
 
 import numpy as np
@@ -25,7 +29,6 @@ from .errors import (
     NotOperatorSystem,
     NotSubalgebra,
     NotSuperadditive,
-    PostconditionFailed,
 )
 from .filtration import MetricContext, StepFiltration, default_context, descriptors
 from .numerics import DEFAULT_CONFIG, NumericConfig, as_square, eye, op_norm
@@ -38,11 +41,11 @@ from .opspace import (
     full_space,
     generated_vn_algebra,
     intersect,
+    kron_stack,
     product_span,
     scalar_space,
     span,
     sum_spaces,
-    tensor,
 )
 
 __all__ = [
@@ -64,6 +67,9 @@ __all__ = [
     "canonicalize_m2",
     "co_lipschitz_number",
 ]
+
+# event times closer than this to the first time of their run are merged
+TIME_MERGE = 1e-12
 
 
 class TimedGenerators:
@@ -94,18 +100,16 @@ def stabilize(f: StepFiltration, m: int, cfg: NumericConfig = DEFAULT_CONFIG) ->
 
 
 def truncate(f: StepFiltration, c: float, cfg: NumericConfig = DEFAULT_CONFIG) -> StepFiltration:
-    """Levels below c kept, everything at and above c becomes M_n."""
-    if c < 0:
-        raise MixedDimensions("truncation level must be >= 0")
-    n = f.n
-    if c == 0:
-        return StepFiltration(n, [0.0], [full_space(n)])
-    kept = bisect.bisect_left(f.breakpoints, c)
-    bps, cuts, basis = f.breakpoints[:kept], f.cuts[:kept], f.basis[: f.cuts[kept - 1]]
-    if cuts[-1] < n * n:
-        basis = np.concatenate([basis, complement(OperatorSubspace(n, basis), cfg).basis])
-        bps, cuts = bps + [c], cuts + [n * n]
-    return StepFiltration.from_graded(n, bps, basis, cuts, f.meta).normalized(cfg)
+    """Levels below c kept, everything at and above c becomes M_n: the
+    elements entering before c keep their times, and the HS complement of
+    their span enters at c."""
+    if not 0 <= c < math.inf:
+        raise MixedDimensions("truncation level must be finite and >= 0")
+    times = f.times
+    kept = np.searchsorted(times, c)
+    below = f.basis[:kept]
+    basis = np.concatenate([below, complement(OperatorSubspace(f.n, below), cfg).basis])
+    return StepFiltration.from_times(f.n, basis, np.concatenate([times[:kept], np.full(len(basis) - kept, c)]), f.meta)
 
 
 def direct_sum(
@@ -118,6 +122,8 @@ def direct_sum(
     off-diagonal blocks adjoin at every t >= r."""
     n, k = f.n, g.n
     if bridge is not None:
+        if not math.isfinite(bridge):
+            raise MixedDimensions("bridge must be finite")
         diam_f = descriptors(f, cfg)["diameter"]
         diam_g = descriptors(g, cfg)["diameter"]
         if not math.isfinite(diam_f) or not math.isfinite(diam_g):
@@ -126,17 +132,13 @@ def direct_sum(
             raise BridgeTooSmall(
                 f"bridge {bridge} below max(diam)/2 = {max(diam_f, diam_g) / 2}"
             )
-    grid = sorted({*f.breakpoints, *g.breakpoints, *([bridge] if bridge is not None else [])})
     # the blocks' graded bases, then the off-diagonal matrix units entering at the bridge
     off = [(i, j) for i in range(n + k) for j in range(n + k) if (i < n) != (j < n)] if bridge is not None else []
     basis = np.zeros((len(f.basis) + len(g.basis) + len(off), n + k, n + k), dtype=complex)
     basis[: len(f.basis), :n, :n] = f.basis
     basis[len(f.basis) : len(f.basis) + len(g.basis), n:, n:] = g.basis
     basis[len(f.basis) + len(g.basis) + np.arange(len(off)), [i for i, _ in off], [j for _, j in off]] = 1.0
-    times = np.concatenate([np.asarray(f.breakpoints)[f.grades], np.asarray(g.breakpoints)[g.grades], [bridge] * len(off)])
-    order = np.argsort(times, kind="stable")
-    cuts = np.searchsorted(times[order], grid, side="right")
-    return StepFiltration.from_graded(n + k, grid, basis[order], cuts).normalized(cfg)
+    return StepFiltration.from_times(n + k, basis, np.concatenate([f.times, g.times, [bridge] * len(off)]))
 
 
 def meet(filtrations, cfg: NumericConfig = DEFAULT_CONFIG) -> StepFiltration:
@@ -149,37 +151,16 @@ def meet(filtrations, cfg: NumericConfig = DEFAULT_CONFIG) -> StepFiltration:
         if f.n != n:
             raise MixedDimensions("meet requires a common ambient dimension")
     grid = sorted({t for f in fs for t in f.breakpoints})
-    bps = []
-    lvs = []
-    for t in grid:
-        lv = fs[0].value_at(t)
-        for f in fs[1:]:
-            lv = intersect(lv, f.value_at(t), cfg)
-        bps.append(t)
-        lvs.append(lv)
-    return StepFiltration(n, bps, lvs, cfg=cfg).normalized(cfg)
+    lvs = [functools.reduce(lambda a, b: intersect(a, b, cfg), [f.value_at(t) for f in fs]) for t in grid]
+    return StepFiltration(n, grid, lvs, cfg=cfg).normalized(cfg)
 
 
 def metric_product(f: StepFiltration, g: StepFiltration, cfg: NumericConfig = DEFAULT_CONFIG) -> StepFiltration:
     """Fubini product: level at t is (V_t (x) M_k) cap (M_n (x) W_t), which at
-    finite dimension equals V_t (x) W_t; the equality is asserted."""
-    n, k = f.n, g.n
-    full_f = full_space(n)
-    full_g = full_space(k)
-    grid = sorted({*f.breakpoints, *g.breakpoints})
-    bps = []
-    lvs = []
-    for t in grid:
-        vt, wt = f.value_at(t), g.value_at(t)
-        lv = intersect(tensor(vt, full_g, cfg), tensor(full_f, wt, cfg), cfg)
-        expected = vt.dim * wt.dim
-        if lv.dim != expected:
-            raise PostconditionFailed(
-                f"Fubini intersection dim {lv.dim} != algebraic tensor dim {expected}"
-            )
-        bps.append(t)
-        lvs.append(lv)
-    return StepFiltration(n * k, bps, lvs, cfg=cfg).normalized(cfg)
+    finite dimension equals V_t (x) W_t, so B_a (x) C_b enters at
+    max(s_a, t_b)."""
+    times = np.maximum.outer(f.times, g.times).reshape(-1)
+    return StepFiltration.from_times(f.n * g.n, kron_stack(f.basis, g.basis), times)
 
 
 def generated_filtration(
@@ -206,18 +187,12 @@ def generated_filtration(
     jumps = [(0.0, base_level)]
 
     def value_at(t):
-        lv = jumps[0][1]
-        for s, cand in jumps:
-            if s <= t + 1e-12:
-                lv = cand
-            else:
-                break
-        return lv
+        return jumps[bisect.bisect_right(jumps, t + TIME_MERGE, key=lambda jump: jump[0]) - 1][1]
 
     counter = 0
     heap = []
     for u, g in tg.gens:
-        if horizon is not None and u > horizon + 1e-12:
+        if horizon is not None and u > horizon + TIME_MERGE:
             continue
         heapq.heappush(heap, (u, counter, ("gen", g)))
         counter += 1
@@ -229,7 +204,7 @@ def generated_filtration(
             raise NonConvergent("generated filtration event budget exhausted")
         t, _, payload = heapq.heappop(heap)
         payloads = [payload]
-        while heap and abs(heap[0][0] - t) < 1e-12:
+        while heap and abs(heap[0][0] - t) < TIME_MERGE:
             payloads.append(heapq.heappop(heap)[2])
         current = value_at(t)
         if current.dim == n * n:
@@ -255,7 +230,7 @@ def generated_filtration(
             if bigger.dim == grown.dim:
                 break
             grown = bigger
-        if jumps and abs(jumps[-1][0] - t) < 1e-12:
+        if jumps and abs(jumps[-1][0] - t) < TIME_MERGE:
             jumps[-1] = (t, grown)
         else:
             jumps.append((t, grown))
@@ -263,7 +238,7 @@ def generated_filtration(
             if s <= 0:
                 continue
             ts = t + s
-            if horizon is not None and ts > horizon + 1e-12:
+            if horizon is not None and ts > horizon + TIME_MERGE:
                 continue
             heapq.heappush(heap, (ts, counter, ("prod", (t, s))))
             counter += 1
@@ -296,13 +271,8 @@ def quotient(
     k = cols.shape[1]
     if k == 0:
         raise NotCentral("zero projection gives an empty quotient")
-    bps = []
-    lvs = []
-    for t, lv in zip(f.breakpoints, f.levels):
-        mats = [cols.conj().T @ b @ cols for b in lv.basis]
-        bps.append(t)
-        lvs.append(span(mats, k, cfg))
-    return StepFiltration(k, bps, lvs, cfg=cfg).normalized(cfg)
+    lvs = [span([cols.conj().T @ b @ cols for b in lv.basis], k, cfg) for lv in f.levels]
+    return StepFiltration(k, f.breakpoints, lvs, cfg=cfg).normalized(cfg)
 
 
 def _natural_range_basis(p: np.ndarray, cfg: NumericConfig) -> np.ndarray:
@@ -344,17 +314,24 @@ def subobject(
 
 def lp_product(f: StepFiltration, g: StepFiltration, p: float, cfg: NumericConfig = DEFAULT_CONFIG) -> StepFiltration:
     """Smallest filtration with V_s (x) W_t inside the level at
-    (s^p + t^p)^(1/p); contained in the metric product levelwise."""
-    if p < 1:
-        raise MixedDimensions("lp product needs p >= 1")
-    base = generated_vn_algebra(tensor(f.levels[0], g.levels[0], cfg).basis, f.n * g.n, cfg)
-    gens = []
-    for s, lv_f in zip(f.breakpoints, f.levels):
-        for t, lv_g in zip(g.breakpoints, g.levels):
-            time = (s ** p + t ** p) ** (1.0 / p)
-            if time > 0:
-                gens.append((time, tensor(lv_f, lv_g, cfg)))
-    return generated_filtration(TimedGenerators(base, gens), horizon=None, cfg=cfg)
+    (s^p + t^p)^(1/p); contained in the metric product levelwise.
+
+    For filtrations f and g, Minkowski's inequality puts the product of the
+    spans at two such times inside the span at a third, so B_a (x) C_b
+    enters at (s_a^p + t_b^p)^(1/p), a time within TIME_MERGE of the first
+    time of its run taking that first value, as in the generated engine.
+    Inputs that are not filtrations are not closed up."""
+    if not 1 <= p < math.inf:
+        raise MixedDimensions("lp product needs a finite p >= 1")
+    times = ((f.times[:, None] ** p + g.times[None] ** p) ** (1.0 / p)).reshape(-1)
+    order = np.argsort(times, kind="stable")
+    runs = times[order]
+    i = 0
+    while i < len(runs):
+        j = max(i + 1, int(np.searchsorted(runs, runs[i] + TIME_MERGE)))
+        runs[i:j] = runs[i]
+        i = j
+    return StepFiltration.from_times(f.n * g.n, kron_stack(f.basis, g.basis)[order], runs)
 
 
 def hoelder(f: StepFiltration, alpha: float, cfg: NumericConfig = DEFAULT_CONFIG) -> StepFiltration:
@@ -487,9 +464,7 @@ def m2_metric(a: float, b: float, c: float, cfg: NumericConfig = DEFAULT_CONFIG)
         raise ConstraintViolation(f"need c <= a + b, got c = {c} > {a + b}")
     # I, +diag, +real and +imaginary off-diagonal, entering at 0, a, b and c
     basis = np.stack([eye(2), _M2_DIAG, _M2_REAL_OFF, _M2_IMAG_OFF]) / math.sqrt(2)
-    times = [0.0, float(a), float(b), float(c)]
-    bps = sorted(set(times))
-    return StepFiltration.from_graded(2, bps, basis, [sum(t <= s for t in times) for s in bps])
+    return StepFiltration.from_times(2, basis, [0.0, a, b, c])
 
 
 def canonicalize_m2(f: StepFiltration, cfg: NumericConfig = DEFAULT_CONFIG):
@@ -543,7 +518,7 @@ def canonicalize_m2(f: StepFiltration, cfg: NumericConfig = DEFAULT_CONFIG):
             # missing from the system (the HS complement inside M_2)
             sp3 = span(rotated, 2, cfg)
             comp = None
-            for cand in _traceless_hermitian_grid():
+            for cand in (_M2_DIAG, _M2_REAL_OFF, _M2_IMAG_OFF):
                 resid = cand - sp3.project(cand)
                 if op_norm(resid) > 1e-7:
                     comp = resid + resid.conj().T
@@ -579,12 +554,6 @@ def canonicalize_m2(f: StepFiltration, cfg: NumericConfig = DEFAULT_CONFIG):
         if not moved.equals(target, cfg):
             raise NotCanonicalizable("conjugated chain does not match the canonical form")
     return float(a), float(b), float(c), u
-
-
-def _traceless_hermitian_grid():
-    yield _M2_DIAG
-    yield _M2_REAL_OFF
-    yield _M2_IMAG_OFF
 
 
 def reflexivity_flag_m2(a: float, b: float, c: float) -> bool:
@@ -635,15 +604,8 @@ def co_lipschitz_number(
                 raise NotHomomorphism("phi is not multiplicative on the algebra")
 
     def embedded_level(t):
-        lv = f.value_at(t)
-        mats = []
-        for i in range(amp_dim):
-            for j in range(amp_dim):
-                e = np.zeros((amp_dim, amp_dim), dtype=complex)
-                e[i, j] = 1.0
-                for bmat in lv.basis:
-                    mats.append(um.conj().T @ np.kron(e, bmat) @ um)
-        return span(mats, g.n, cfg)
+        # U* (E_ij (x) B) U over the matrix units E_ij of M_k and the basis of V_t
+        return span(um.conj().T @ kron_stack(full_space(amp_dim).basis, f.value_at(t).basis) @ um, g.n, cfg)
 
     candidates = list(f.breakpoints)
     ratios = []

@@ -60,6 +60,17 @@ class StepFiltration:
         f._set(ambient_dim, breakpoints, basis, cuts, meta)
         return f
 
+    @classmethod
+    def from_times(cls, ambient_dim: int, basis, times, meta: dict | None = None) -> "StepFiltration":
+        """Filtration whose element basis[i] enters at times[i]: the (k, n, n)
+        HS-orthonormal stack sorted stably by time, one breakpoint per
+        distinct time, and 0 always a breakpoint.  No two levels are equal."""
+        times = np.asarray(times, dtype=float)
+        order = np.argsort(times, kind="stable")
+        bps = sorted({0.0, *times.tolist()})  # not np.unique: its first call adds about 1 MB of RSS
+        cuts = np.searchsorted(times[order], bps, side="right")
+        return cls.from_graded(ambient_dim, bps, np.asarray(basis)[order], cuts, meta)
+
     def _set(self, ambient_dim, breakpoints, basis, cuts, meta):
         self.n = int(ambient_dim)
         self.breakpoints = [float(t) for t in breakpoints]
@@ -69,6 +80,8 @@ class StepFiltration:
         self.meta = dict(meta or {})
         if len(self.breakpoints) != len(self.cuts) or not self.cuts:
             raise MixedDimensions("breakpoints and levels must align and be nonempty")
+        if not all(map(math.isfinite, self.breakpoints)):
+            raise MixedDimensions("breakpoints must be finite")
         if abs(self.breakpoints[0]) > 0:
             raise MixedDimensions("first breakpoint must be 0")
         if not all(t1 > t0 for t0, t1 in zip(self.breakpoints, self.breakpoints[1:])):
@@ -115,6 +128,11 @@ class StepFiltration:
     def grades(self) -> np.ndarray:
         """Index of the level each basis element enters."""
         return np.repeat(np.arange(len(self.cuts)), np.diff(self.cuts, prepend=0))
+
+    @property
+    def times(self) -> np.ndarray:
+        """Entry time of each basis element: its grade's breakpoint."""
+        return np.asarray(self.breakpoints)[self.grades]
 
     def level_index_at(self, t: float) -> int:
         if t < 0:
@@ -352,12 +370,10 @@ def from_classical(d, cfg: NumericConfig = DEFAULT_CONFIG):
     d = np.asarray(d, dtype=float)
     _check_classical(d, cfg)
     n = d.shape[0]
-    order = np.argsort(d, axis=None, kind="stable")[: np.isfinite(d).sum()]
-    basis = np.zeros((len(order), n, n), dtype=complex)
-    basis[np.arange(len(order)), order // n, order % n] = 1.0
-    breakpoints = sorted({0.0, *d.reshape(-1)[order].tolist()})
-    cuts = np.searchsorted(d.reshape(-1)[order], breakpoints, side="right")
-    return StepFiltration.from_graded(n, breakpoints, basis, cuts), MetricContext.diagonal(n, cfg)
+    finite = np.flatnonzero(np.isfinite(d))
+    units = np.zeros((len(finite), n, n), dtype=complex)
+    units[np.arange(len(finite)), finite // n, finite % n] = 1.0
+    return StepFiltration.from_times(n, units, d.reshape(-1)[finite]), MetricContext.diagonal(n, cfg)
 
 
 def to_classical(f: StepFiltration, ctx: MetricContext, cfg: NumericConfig = DEFAULT_CONFIG) -> np.ndarray:
@@ -366,9 +382,7 @@ def to_classical(f: StepFiltration, ctx: MetricContext, cfg: NumericConfig = DEF
     entry."""
     if not ctx.is_diagonal(cfg):
         raise NotDiagonalContext("context algebra is not the diagonal algebra")
-    top = len(f.cuts)
-    grade = np.where(np.abs(f.basis) > cfg.membership_tol, f.grades[:, None, None], top).min(axis=0, initial=top)
-    return np.append(f.breakpoints, math.inf)[grade]
+    return np.where(np.abs(f.basis) > cfg.membership_tol, f.times[:, None, None], math.inf).min(axis=0, initial=math.inf)
 
 
 def _spans(f: StepFiltration, i: int, j: int, k: int, cfg: NumericConfig) -> bool:

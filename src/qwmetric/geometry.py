@@ -131,19 +131,20 @@ def rho(f: StepFiltration, p: AmplifiedProjection, q: AmplifiedProjection, cfg: 
 
     Scanning an HS basis is exact by linearity (the zero test uses the HS
     norm of the compression), so rho is the breakpoint of the grade of the
-    first graded element with a nonzero compression.  The scan takes whole
-    levels in chunks that at least double, and stops at the first chunk
-    holding such an element.  Returns +inf when no level links the pair.
+    first graded element with a nonzero compression.  The scan takes chunks
+    that at least double up to a level end, cut at about 16 MB of products,
+    and stops at the first holding such an element (+inf if none does).
     """
     if p.n != f.n:
         raise DimensionMismatch("projection base dimension does not match filtration")
     pp, qq = _align(p, q)
     # zero rows of P and zero columns of Q add nothing to the HS norms
     pm, qm = pp.matrix[pp.matrix.any(axis=1)], qq.matrix[:, qq.matrix.any(axis=0)]
+    budget = max(1, (1 << 20) // max(1, qm.size))  # elements per chunk: each gives qm.size entries
     lo = 0
     while lo < f.cuts[-1]:
         level = min(bisect.bisect_left(f.cuts, max(2 * lo, lo + 64)), len(f.cuts) - 1)
-        hi = f.cuts[level]
+        hi = min(f.cuts[level], lo + budget)
         norms = _batch_compression_norms(pm, f.apply(lo, hi, qm.reshape(f.n, qm.size // f.n)))
         linked = np.flatnonzero(norms > cfg.membership_tol)
         if linked.size:

@@ -142,8 +142,12 @@ def range_projection(a, cfg: NumericConfig = DEFAULT_CONFIG) -> np.ndarray:
 
 def is_projection(p, cfg: NumericConfig = DEFAULT_CONFIG) -> bool:
     m = as_square(p)
+    residuals = np.stack([m - m.conj().T, m @ m - m])
+    # the HS norm bounds the operator norm, and the cutoff is at least membership_tol
+    if np.linalg.norm(residuals, axis=(1, 2)).max() <= cfg.membership_tol:
+        return True
     # |P - P*|, |P^2 - P| and |P| in one batched SVD call
-    asym, idem, norm = np.linalg.norm(np.stack([m - m.conj().T, m @ m - m, m]), 2, axis=(1, 2))
+    asym, idem, norm = np.linalg.norm(np.concatenate([residuals, m[None]]), 2, axis=(1, 2))
     tol = cfg.membership_tol * max(1.0, norm)
     return bool(asym <= tol and idem <= tol)
 

@@ -216,11 +216,14 @@ def adjoint(s: OperatorSubspace) -> OperatorSubspace:
 
 def tensor(s: OperatorSubspace, t: OperatorSubspace, cfg: NumericConfig = DEFAULT_CONFIG) -> OperatorSubspace:
     """span{B (x) C} inside M_{nm}; Kronecker products of the bases."""
-    nm = s.n * t.n
-    if s.dim == 0 or t.dim == 0:
-        return OperatorSubspace(nm, np.zeros((0, nm, nm)))
-    basis = np.stack([np.kron(b, c) for b in s.basis for c in t.basis])
-    return OperatorSubspace(nm, basis)
+    return OperatorSubspace(s.n * t.n, kron_stack(s.basis, t.basis))
+
+
+def kron_stack(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """The Kronecker products a_i (x) b_j of a (p, n, n) and a (q, k, k)
+    stack, as one (p*q, nk, nk) stack with i major."""
+    (p, n, _), (q, k, _) = a.shape, b.shape
+    return np.einsum("aij,bkl->abikjl", a, b).reshape(p * q, n * k, n * k)
 
 
 def commutant(gens, n: int, cfg: NumericConfig = DEFAULT_CONFIG) -> VNAlgebra:

@@ -230,6 +230,13 @@ class TestCommands:
             (["--amplification", "-1", "lipschitz", "--filtration", "{m2}", "--matrix"], emit_matrix(np.diag([1.0, 0.0]))),
             (["--seed", "-5", "--budget", "1", "lipschitz", "--filtration", "{m2}", "--matrix"], emit_matrix(np.diag([1.0, 0.0]))),
             (["--budget", "-1", "lipschitz", "--filtration", "{m2}", "--matrix"], emit_matrix(np.diag([1.0, 0.0]))),
+            (["transform", "truncate", "--at", "nan", "--filtration"], emit_filtration(m2_metric(1, 2, 3))),
+            (["transform", "truncate", "--at", "inf", "--filtration"], emit_filtration(m2_metric(1, 2, 3))),
+            (["transform", "hoelder", "--alpha", "nan", "--filtration"], emit_filtration(m2_metric(1, 2, 3))),
+            (["transform", "lp", "--p", "nan", "--with", "{m2}", "--filtration"], emit_filtration(m2_metric(1, 2, 3))),
+            (["transform", "lp", "--p", "inf", "--with", "{m2}", "--filtration"], emit_filtration(m2_metric(1, 2, 3))),
+            (["transform", "direct-sum", "--bridge", "inf", "--with", "{m2}", "--filtration"], emit_filtration(m2_metric(1, 2, 3))),
+            (["transform", "direct-sum", "--bridge", "nan", "--with", "{m2}", "--filtration"], emit_filtration(m2_metric(1, 2, 3))),
         ],
         ids=[
             "ragged-distances",
@@ -250,6 +257,13 @@ class TestCommands:
             "amplification-negative",
             "seed-negative",
             "budget-negative",
+            "truncate-at-nan",
+            "truncate-at-inf",
+            "hoelder-alpha-nan",
+            "lp-p-nan",
+            "lp-p-inf",
+            "direct-sum-bridge-inf",
+            "direct-sum-bridge-nan",
         ],
     )
     def test_malformed_input_is_a_schema_error(self, tmp_path, capsys, argv, payload):
@@ -341,21 +355,21 @@ class TestCommands:
             outs.add(out)
         assert len(outs) == 1
 
-    def test_metric_product_postcondition_is_typed(self, tmp_path, capsys, monkeypatch):
-        from qwmetric import constructions
-        from qwmetric.errors import PostconditionFailed
-        from qwmetric.opspace import scalar_space
-
-        # an intersection of the wrong dimension breaks the Fubini check
-        monkeypatch.setattr(constructions, "intersect", lambda s, t, cfg=DEFAULT_CONFIG: scalar_space(s.n))
-        f = m2_metric(1, 2, 3)
-        with pytest.raises(PostconditionFailed):
-            constructions.metric_product(f, f)
-        fpath = write_json(tmp_path, "f.json", emit_filtration(f))
-        code, out, err = run_cli(["transform", "product", "--filtration", fpath, "--with", fpath], capsys)
+    @pytest.mark.parametrize(
+        "option, error",
+        [(["direct-sum", "--bridge", "1"], "BridgeTooSmall"), (["direct-sum", "--bridge", "-1"], "BridgeTooSmall"), (["truncate", "--at", "-1"], "MixedDimensions"),
+         (["lp", "--p", "0.5"], "MixedDimensions"), (["hoelder", "--alpha", "1"], "MixedDimensions")],
+        ids=["bridge-below-half-the-diameter", "bridge-negative", "at-negative", "p-below-one", "alpha-one"],
+    )
+    def test_construction_error_in_transform_is_typed(self, tmp_path, capsys, option, error):
+        """A finite float option outside the construction's domain is a
+        library error: exit 2 with a JSON error, as any QwmError in transform."""
+        fpath = write_json(tmp_path, "f.json", emit_filtration(m2_metric(1, 2, 3)))
+        what, *rest = option
+        code, out, err = run_cli(["transform", what, "--filtration", fpath, "--with", fpath, *rest], capsys)
         assert code == 2 and out == ""
         blob = json.loads(err)
-        assert blob["kind"] == "error" and blob["error"].startswith("PostconditionFailed")
+        assert blob["kind"] == "error" and blob["error"].startswith(error)
 
 
 class TestEntryPoint:

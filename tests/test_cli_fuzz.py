@@ -4,9 +4,10 @@ Valid filtration, matrix, projector, projection, algebra and distance files
 are mutated (wrong types, ragged rows, huge ints, NaN and infinities,
 missing keys) and run through ``cli.main``, with or without each global
 option (``--tol``, ``--amplification``, ``--budget``, ``--seed``) drawn
-from valid and invalid values.  Every run must exit 0, 1 or
-2 and print JSON on stdout or stderr; an exception other than a
-``QwmError`` escapes ``main`` and fails the test.
+from valid and invalid values; the transforms draw their float option
+(``--at``, ``--p``, ``--bridge``) the same way.  Every run must exit 0, 1
+or 2 and print JSON on stdout or stderr, and an invalid option must exit 1;
+an exception other than a ``QwmError`` escapes ``main`` and fails the test.
 """
 
 import copy
@@ -41,7 +42,10 @@ COMMANDS = {
     "gauge": (["gauge", "--filtration", "{filtration}", "--matrix", "{matrix}"], ["filtration", "matrix"]),
     "build-classical": (["build", "classical", "--matrix", "{distance}"], ["distance"]),
     "code-check": (["code-check", "--filtration", "{filtration}", "--projector", "{projector}", "--k", "1"], ["filtration", "projector"]),
-    "transform-truncate": (["transform", "truncate", "--filtration", "{filtration}", "--at", "1.5"], ["filtration"]),
+    "transform-truncate": (["transform", "truncate", "--filtration", "{filtration}"], ["filtration"]),
+    "transform-product": (["transform", "product", "--filtration", "{filtration}", "--with", "{filtration}"], ["filtration"]),
+    "transform-lp": (["transform", "lp", "--filtration", "{filtration}", "--with", "{filtration}"], ["filtration"]),
+    "transform-direct-sum": (["transform", "direct-sum", "--filtration", "{filtration}", "--with", "{filtration}"], ["filtration"]),
     "validate-algebra": (["validate", "--filtration", "{filtration}", "--algebra", "{algebra}"], ["filtration", "algebra"]),
     "distance": (["distance", "--filtration", "{filtration}", "--p", "{p}", "--q", "{q}"], ["filtration", "p", "q"]),
     "lipschitz": (["lipschitz", "--filtration", "{filtration}", "--matrix", "{matrix}"], ["filtration", "matrix"]),
@@ -55,6 +59,17 @@ GLOBALS = {
     "--amplification": ([1, 2], [-1, 0]),
     "--budget": ([0, 1, 2], [-1]),
     "--seed": ([0, 2**64], [-5]),
+}
+
+# the float option each transform draws: finite values the data may accept
+# (a bridge below half the diameter fails in the library), a finite value
+# no data accepts (never exit 0) and values that are not finite numbers
+# (a usage error, exit 1)
+FLOATS = {"transform-truncate": "--at", "transform-lp": "--p", "transform-direct-sum": "--bridge"}
+FLOAT_VALUES = {
+    "--at": ([0.0, 1.5, 4.0], [-1], [math.nan, math.inf]),
+    "--p": ([1.0, 1.5, 2.0], [-1], [math.nan, math.inf]),
+    "--bridge": ([1.0, 1.5, 10.0], [-1], [math.nan, math.inf]),
 }
 
 REPLACEMENTS = ["x", "inf", None, True, {}, [], [[]], 0, -1, 2**70, 10**400, -(10**400), 1e308, math.nan, math.inf, -math.inf]
@@ -90,9 +105,9 @@ def mutate(obj, at, kind, value):
 
 
 @st.composite
-def mutated_inputs(draw, names):
+def mutated_inputs(draw, names, least=1):
     files = {name: copy.deepcopy(BASE[name]) for name in BASE}
-    for _ in range(draw(st.integers(1, 2))):
+    for _ in range(draw(st.integers(least, 2))):
         name = draw(st.sampled_from(names))
         at = draw(st.sampled_from(list(paths(files[name]))))
         kind = draw(st.sampled_from(["replace", "replace", "drop", "repeat"]))
@@ -106,12 +121,20 @@ def mutated_inputs(draw, names):
 @given(data=st.data())
 def test_mutated_inputs_exit_with_json(command, data):
     template, names = COMMANDS[command]
-    files = data.draw(mutated_inputs(names))
+    # a float option is also drawn with the files intact, where only it can fail
+    files = data.draw(mutated_inputs(names, least=0 if command in FLOATS else 1))
     options, invalid = [], False
     for option, (valid, bad) in GLOBALS.items():
         value = data.draw(st.sampled_from([None] + valid + bad))
         options += [] if value is None else [option, repr(value)]
         invalid = invalid or value in bad
+    extra, rejected = [], False
+    if command in FLOATS:
+        valid, outside, bad = FLOAT_VALUES[FLOATS[command]]
+        value = data.draw(st.sampled_from(valid + outside + bad))
+        extra = [FLOATS[command], repr(value)]
+        invalid = invalid or value in bad
+        rejected = value in outside
     with tempfile.TemporaryDirectory() as tmp:
         where = {}
         for name, obj in files.items():
@@ -120,10 +143,11 @@ def test_mutated_inputs_exit_with_json(command, data):
                 json.dump(obj, fh)
         out, err = io.StringIO(), io.StringIO()
         with redirect_stdout(out), redirect_stderr(err):
-            code = main(options + [arg.format(**where) for arg in template])
+            code = main(options + [arg.format(**where) for arg in template] + extra)
     assert code in (0, 1, 2)
-    # an invalid global option is a usage error, whatever the files hold
+    # an invalid option is a usage error, whatever the files hold
     assert code == 1 or not invalid
+    assert code != 0 or not rejected
     blob = json.loads(out.getvalue() or err.getvalue())
     # a report goes to stdout, an error alone to stderr
     assert (blob["kind"] == "error") == (out.getvalue() == "")

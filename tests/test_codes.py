@@ -107,7 +107,7 @@ class TestHammingFiltration:
 
     @pytest.mark.parametrize(
         "n_sites, pairs",
-        [(7, [(0, 0), (0, 1), (5, 6), (0, 127), (0b1010101, 0b0101010), (3, 96)]), (9, [(0, 0), (0, 256), (0, 7), (0, 0b100010001), (256, 0b100010001)])],
+        [(7, [(0, 0), (0, 1), (5, 6), (0, 127), (0b1010101, 0b0101010), (3, 96)]), (9, [(0, 0), (0, 256), (0, 7), (0, 0b100010001), (256, 0b100010001), (0, 0b11111), (0b110000011, 0b000111001)])],
     )
     def test_rho_on_models_past_the_dense_cap(self, n_sites, pairs):
         """rho reads the factored basis: 9 qubits are past SITE_CAP, and the
@@ -117,6 +117,18 @@ class TestHammingFiltration:
         states = {x: AmplifiedProjection.base(basis_state_projection(2 ** n_sites, x)) for pair in pairs for x in pair}
         for x, y in pairs:
             assert rho(h, states[x], states[y]) == bin(x ^ y).count("1")
+
+    @pytest.mark.parametrize("blocks", [[5], [2, 5]])
+    def test_apply_on_element_ranges(self, blocks):
+        """Ranges that start or end inside a run of one weight, as rho's
+        bounded chunks take them, give the products of the dense basis."""
+        f = block_filtration(blocks)
+        rng = np.random.default_rng(len(blocks))
+        x = rng.standard_normal((f.n, 2)) + 1j * rng.standard_normal((f.n, 2))
+        k = len(f.basis)
+        ranges = [(0, k), (0, 1), (k - 1, k), (3, 3)] + [tuple(sorted(rng.integers(0, k + 1, size=2))) for _ in range(8)]
+        for lo, hi in ranges:
+            np.testing.assert_allclose(f.apply(lo, hi, x), f.basis[lo:hi] @ x, atol=1e-12)
 
     def test_three_fold_l1_power_dimensions(self):
         h1 = hamming_filtration(1, 2)

@@ -42,9 +42,10 @@ from qwmetric.errors import (
     NotOperatorSystem,
     NotSubalgebra,
     NotSuperadditive,
+    QwmError,
 )
 from qwmetric.numerics import random_unitary
-from qwmetric.opspace import VNAlgebra, scalar_space
+from qwmetric.opspace import VNAlgebra, generated_vn_algebra, intersect, scalar_space, tensor
 
 from conftest import (
     DIAG,
@@ -228,12 +229,16 @@ class TestMetricProduct:
 
     @pytest.mark.parametrize("seed", range(3))
     def test_intersection_equals_algebraic_tensor(self, seed):
+        """The Fubini level (V_t (x) M_k) cap (M_n (x) W_t), computed by
+        intersection, is the level the product builds from V_t (x) W_t, at
+        every breakpoint of either factor."""
         rng = np.random.default_rng(seed)
         f1 = random_step_filtration(2, rng)
         f2 = random_step_filtration(2, rng, classical=True)
-        prod = metric_product(f1, f2)  # raises internally if dims mismatch
-        for t, lv in zip(prod.breakpoints, prod.levels):
-            assert lv.dim == f1.value_at(t).dim * f2.value_at(t).dim
+        prod = metric_product(f1, f2)
+        for t in sorted({*f1.breakpoints, *f2.breakpoints}):
+            fubini = intersect(tensor(f1.value_at(t), full_space(2)), tensor(full_space(2), f2.value_at(t)))
+            assert prod.value_at(t).equals(fubini)
 
     def test_metric_iff_both_factors_metric(self, rng):
         d_metric = random_metric(2, rng)
@@ -315,6 +320,14 @@ class TestGeneratedFiltration:
                         prod = product_span(product_span(prod, sym[i][1]), base_sp)
                     acc = sum_spaces(acc, prod)
             assert f.value_at(t).equals(acc)
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf])
+def test_non_finite_parameters_rejected(bad):
+    f = m2_metric(1, 2, 3)
+    for build in (lambda: truncate(f, bad), lambda: direct_sum(f, f, bad), lambda: lp_product(f, f, bad)):
+        with pytest.raises(QwmError):
+            build()
 
 
 class TestConstructorsEmitValidFiltrations:
@@ -437,7 +450,48 @@ def quotient_pseudometric_oracle(d, classes):
     return dd
 
 
+def lp_by_engine(f, g, p):
+    """The lp product as the generated engine builds it: the smallest
+    filtration over the algebra generated by V_0 (x) W_0 holding each
+    V_s (x) W_t at (s^p + t^p)^(1/p)."""
+    base = generated_vn_algebra(tensor(f.levels[0], g.levels[0]).basis, f.n * g.n)
+    gens = [
+        ((s ** p + t ** p) ** (1.0 / p), tensor(v, w))
+        for s, v in zip(f.breakpoints, f.levels)
+        for t, w in zip(g.breakpoints, g.levels)
+        if s or t
+    ]
+    return generated_filtration(TimedGenerators(base, gens))
+
+
+def assert_same_lp(f, g, p):
+    lp, engine = lp_product(f, g, p), lp_by_engine(f, g, p)
+    assert lp.cuts == engine.cuts
+    np.testing.assert_allclose(lp.breakpoints, engine.breakpoints, rtol=0, atol=1e-12)
+    assert all(a.equals(b) for a, b in zip(lp.levels, engine.levels))
+
+
 class TestLpProduct:
+    @pytest.mark.parametrize("p", [1.0, 1.5, 2.0, 3.0])
+    def test_closed_form_equals_the_generated_engine(self, p):
+        """On random and classical filtrations, as in criterion 10."""
+        rng = np.random.default_rng(int(10 * p))
+        for trial in range(8):
+            na, nb = [(2, 2), (2, 2), (2, 2), (2, 2), (2, 3), (2, 3), (3, 2), (3, 2)][trial]
+            fa = random_step_filtration(na, rng, classical=bool(trial % 2))
+            fb = random_step_filtration(nb, rng, classical=trial >= 2)
+            assert_same_lp(fa, fb, p)
+
+    def test_times_one_ulp_apart_merge(self):
+        """0.1 + 0.7 and 0.3 + 0.5 differ in the last bit; the engine's
+        merge rule makes them one level, at the first of the two."""
+        fa, _ = from_classical(np.array([[0, 0.1, 0.3], [0.1, 0, 0.3], [0.3, 0.3, 0]]))
+        fb, _ = from_classical(np.array([[0, 0.5, 0.7], [0.5, 0, 0.7], [0.7, 0.7, 0]]))
+        lp = lp_product(fa, fb, 1.0)
+        assert lp.breakpoints == [0, 0.1, 0.3, 0.5, 0.6, 0.7, 0.1 + 0.7, 1.0]
+        assert lp.cuts == [9, 15, 27, 33, 37, 49, 65, 81]
+        assert_same_lp(fa, fb, 1.0)
+
     def test_taxicab_on_two_edges(self):
         fa, _ = from_classical(np.array([[0.0, 1.0], [1.0, 0.0]]))
         fb, _ = from_classical(np.array([[0.0, 2.0], [2.0, 0.0]]))

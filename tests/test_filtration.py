@@ -96,6 +96,20 @@ class TestGradedBasis:
         rep = validate(hamming_filtration(4, 2))
         assert rep.is_filtration and rep.violations == []
 
+    def test_from_times_sorts_stably_with_a_breakpoint_at_zero(self):
+        units = full_space(2).basis
+        f = StepFiltration.from_times(2, units, [2.0, 0.5, 2.0, 0.5])
+        assert f.breakpoints == [0.0, 0.5, 2.0] and f.cuts == [0, 2, 4]
+        np.testing.assert_array_equal(f.basis, units[[1, 3, 0, 2]])
+        np.testing.assert_array_equal(f.times, [0.5, 0.5, 2.0, 2.0])
+
+    @pytest.mark.parametrize("bps", [[0.0, math.inf], [math.nan], [0.0, math.nan]])
+    def test_non_finite_breakpoints_rejected(self, bps):
+        with pytest.raises(MixedDimensions):
+            StepFiltration.from_graded(1, bps, np.ones((1, 1, 1)), [0] * (len(bps) - 1) + [1])
+        with pytest.raises(MixedDimensions):
+            StepFiltration.from_times(1, np.ones((1, 1, 1)), bps[-1:])
+
 
 class TestLookup:
     def test_step_semantics(self):

@@ -389,6 +389,28 @@ def test_chunked_rho_reaches_later_chunks_and_inf():
     assert later and infinite
 
 
+def test_rho_chunks_stay_within_the_product_budget():
+    """On 9 qubits a pair at distance 5 is found in chunks of at most 2^20
+    products (2048 elements on a 512 x 1 column), not in one 30 618-element
+    level of weight 5; a classical metric on 10 points keeps whole levels."""
+    from qwmetric.codes import hamming_filtration
+
+    def chunks(f, y):
+        spans, apply = [], f.apply
+        f.apply = lambda lo, hi, x: spans.append((lo, hi)) or apply(lo, hi, x)
+        r = rho(f, base_proj(basis_state_projection(f.n, 0)), base_proj(basis_state_projection(f.n, y)))
+        return r, spans
+
+    h = hamming_filtration(9, 2, cap=64)
+    r, spans = chunks(h, 0b11111)
+    assert r == 5 and max(hi - lo for lo, hi in spans) == 2048
+    assert any(hi not in h.cuts for _, hi in spans)
+    f = from_classical(random_metric(10, np.random.default_rng(9)))[0]
+    r, spans = chunks(f, 7)
+    assert r == per_level_rho(f, base_proj(basis_state_projection(10, 0)), base_proj(basis_state_projection(10, 7)))
+    assert all(hi in f.cuts for _, hi in spans)
+
+
 @pytest.mark.parametrize("m_p, m_q", [(1, 2), (2, 3)])
 def test_padding_and_unequal_degrees_match_explicit_embedding(m_p, m_q):
     """padded against kron(I_n, J), J the first m_p columns of I_{m_q}, and

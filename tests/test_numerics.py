@@ -148,3 +148,28 @@ def test_is_projection_matches_three_op_norms_near_the_cutoff():
                     assert is_projection(m) == ref
                     seen.append(ref)
     assert any(seen) and not all(seen)
+
+
+def test_is_projection_decides_as_three_op_norms_past_the_frobenius_shortcut():
+    """Near-projections whose HS residual exceeds the tolerance while the
+    operator-norm residual may not: the shortcut cannot accept them, and the
+    decision is still the one of |P - P*|, |P^2 - P| and |P|."""
+    rng = np.random.default_rng(4)
+    tol = DEFAULT_CONFIG.membership_tol
+    n = 16
+    seen = set()
+    for rank in (0, 5, n):
+        v = rng.standard_normal((n, rank)) + 1j * rng.standard_normal((n, rank))
+        p = range_projection(v) if rank else np.zeros((n, n), dtype=complex)
+        # a unitary conjugate of a diagonal of signs: operator norm 1, HS norm 4
+        u = random_unitary(n, rng)
+        h = u @ np.diag(rng.choice([-1.0, 1.0], n)) @ u.conj().T
+        for direction in (h, 1j * h):
+            for factor in (0.1, 0.3, 0.45, 0.6, 1 - 1e-5, 1 + 1e-5):
+                m = p + factor * tol * direction
+                scale = max(1.0, op_norm(m))
+                ref = op_norm(m - m.conj().T) <= tol * scale and op_norm(m @ m - m) <= tol * scale
+                assert is_projection(m) == ref
+                hs = max(np.linalg.norm(m - m.conj().T), np.linalg.norm(m @ m - m))
+                seen.add((bool(hs > tol), ref))
+    assert {(False, True), (True, True), (True, False)} <= seen
