@@ -15,7 +15,7 @@ import numpy as np
 
 from .errors import NotACode, SizeLimit
 from .filtration import MetricContext, StepFiltration, default_context
-from .numerics import DEFAULT_CONFIG, NumericConfig, as_square, is_projection, op_norm
+from .numerics import DEFAULT_CONFIG, NumericConfig, as_square, commutes_each, is_projection, rank
 from .opspace import OperatorSubspace, VNAlgebra, generated_vn_algebra, span
 from .constructions import TimedGenerators, _natural_range_basis, generated_filtration
 
@@ -49,7 +49,8 @@ class QuantumCode:
         p = as_square(self.projector)
         if not is_projection(p):
             raise NotACode("code projector must be an orthogonal projection")
-        if float(np.trace(p).real) < 1 - 1e-8:
+        # a projection's trace is its rank, an integer: 1/2 splits rank 0 from 1
+        if float(np.trace(p).real) < 0.5:
             raise NotACode("code projector must have rank >= 1")
         if p.shape[0] != self.error_model.n:
             raise NotACode("projector size does not match the error model")
@@ -386,9 +387,8 @@ def _volume_bound(code: QuantumCode, k: float, audit: KLReport, cfg: NumericConf
     # tr(P B* A P) = <A V, B V>_HS: one Gram of the flattened B V
     bv = f.apply(0, cut, v).reshape(cut, v.size)
     gram = bv @ bv.conj().T / tr_p
-    w = np.linalg.eigvalsh((gram + gram.conj().T) / 2)
-    top = float(w.max(initial=0.0))
-    dim_k = int(np.sum(w > cfg.rank_tol * max(top, 1.0)))
+    # the floor 1 makes a Gram of rounding noise rank 0
+    dim_k = rank(np.linalg.eigvalsh((gram + gram.conj().T) / 2), cfg, scale=1.0)
     ambient = f.n
     bound = ambient / dim_k if dim_k else math.inf
     holds = code.dim_code <= bound + cfg.membership_tol
@@ -408,9 +408,8 @@ def induced_metric(
     if not is_projection(pm, cfg):
         raise NotACode("corner needs an orthogonal projection")
     ctx = ctx or default_context(f, cfg)
-    for b in ctx.commutant.basis:
-        if op_norm(pm @ b - b @ pm) > cfg.membership_tol * max(1.0, op_norm(b)):
-            raise NotACode("projection must belong to the context algebra")
+    if not commutes_each(pm, ctx.commutant.basis, cfg).all():
+        raise NotACode("projection must belong to the context algebra")
     cols = _natural_range_basis(pm, cfg)
     k = cols.shape[1]
     base = generated_vn_algebra(

@@ -12,6 +12,8 @@ from __future__ import annotations
 
 import bisect
 import functools
+import heapq
+import itertools
 import math
 
 import numpy as np
@@ -31,7 +33,7 @@ from .errors import (
     NotSuperadditive,
 )
 from .filtration import MetricContext, StepFiltration, default_context, descriptors
-from .numerics import DEFAULT_CONFIG, NumericConfig, as_square, eye, op_norm
+from .numerics import DEFAULT_CONFIG, NumericConfig, as_square, commutes_each, eye, op_norm
 from .opspace import (
     OperatorSubspace,
     VNAlgebra,
@@ -68,7 +70,8 @@ __all__ = [
     "co_lipschitz_number",
 ]
 
-# event times closer than this to the first time of their run are merged
+# event times closer than this to the first time of their run are merged; a
+# resolution of times, not a matrix tolerance, so --tol leaves breakpoints alone
 TIME_MERGE = 1e-12
 
 
@@ -180,22 +183,19 @@ def generated_filtration(
     generation beyond it (the result then repeats its top level, recorded in
     ``meta``).
     """
-    import heapq
-
     n = tg.base.n
-    base_level = OperatorSubspace(n, tg.base.basis)
+    # a generator within TIME_MERGE of 0 merges into the zero level, which
+    # stays an algebra: its time is the run's first, 0
+    early = [b for t, g in tg.gens if t < TIME_MERGE for b in g.basis]
+    base_level = OperatorSubspace(n, generated_vn_algebra([*tg.base.basis, *early], n, cfg).basis if early else tg.base.basis)
     jumps = [(0.0, base_level)]
 
     def value_at(t):
         return jumps[bisect.bisect_right(jumps, t + TIME_MERGE, key=lambda jump: jump[0]) - 1][1]
 
-    counter = 0
-    heap = []
-    for u, g in tg.gens:
-        if horizon is not None and u > horizon + TIME_MERGE:
-            continue
-        heapq.heappush(heap, (u, counter, ("gen", g)))
-        counter += 1
+    tick = itertools.count()  # ties in time pop in push order
+    heap = [(u, next(tick), ("gen", g)) for u, g in tg.gens if TIME_MERGE <= u and (horizon is None or u <= horizon + TIME_MERGE)]
+    heapq.heapify(heap)
     max_events = 4 * (n * n + len(tg.gens) + 2) ** 2
     processed = 0
     while heap:
@@ -211,15 +211,9 @@ def generated_filtration(
             continue
         mats = list(current.basis)
         for kind, data in payloads:
-            if kind == "gen":
-                mats.extend(data.basis)
-                mats.extend(adjoint(data).basis)
-            else:
-                s1, s2 = data
-                left, right = value_at(s1), value_at(s2)
-                prods = product_span(left, right, cfg)
-                mats.extend(prods.basis)
-                mats.extend(adjoint(prods).basis)
+            space = data if kind == "gen" else product_span(value_at(data[0]), value_at(data[1]), cfg)
+            mats.extend(space.basis)
+            mats.extend(adjoint(space).basis)
         grown = span(mats, n, cfg)
         if grown.dim == current.dim:
             continue
@@ -230,20 +224,16 @@ def generated_filtration(
             if bigger.dim == grown.dim:
                 break
             grown = bigger
-        if jumps and abs(jumps[-1][0] - t) < TIME_MERGE:
+        if abs(jumps[-1][0] - t) < TIME_MERGE:
+            # a merged jump keeps the first time of its run
+            t = jumps[-1][0]
             jumps[-1] = (t, grown)
         else:
             jumps.append((t, grown))
-        for s, _lv in jumps:
-            if s <= 0:
-                continue
-            ts = t + s
-            if horizon is not None and ts > horizon + TIME_MERGE:
-                continue
-            heapq.heappush(heap, (ts, counter, ("prod", (t, s))))
-            counter += 1
-            heapq.heappush(heap, (ts, counter, ("prod", (s, t))))
-            counter += 1
+        for s, _ in jumps:
+            if s > 0 and (horizon is None or t + s <= horizon + TIME_MERGE):
+                heapq.heappush(heap, (t + s, next(tick), ("prod", (t, s))))
+                heapq.heappush(heap, (t + s, next(tick), ("prod", (s, t))))
 
     out = StepFiltration(n, [t for t, _ in jumps], [lv for _, lv in jumps], cfg=cfg).normalized(cfg)
     out.meta["horizon_exact"] = horizon is None
@@ -264,9 +254,8 @@ def quotient(
     scale = max(1.0, op_norm(rm))
     if op_norm(rm @ rm - rm) > cfg.membership_tol * scale or op_norm(rm - rm.conj().T) > cfg.membership_tol * scale:
         raise NotCentral("quotient needs an orthogonal projection")
-    for b in list(ctx.algebra.basis) + list(ctx.commutant.basis):
-        if op_norm(rm @ b - b @ rm) > cfg.membership_tol * max(1.0, op_norm(b)):
-            raise NotCentral("projection is not central in the context algebra")
+    if not commutes_each(rm, np.concatenate([ctx.algebra.basis, ctx.commutant.basis]), cfg).all():
+        raise NotCentral("projection is not central in the context algebra")
     cols = _natural_range_basis(rm, cfg)
     k = cols.shape[1]
     if k == 0:
@@ -285,11 +274,11 @@ def _natural_range_basis(p: np.ndarray, cfg: NumericConfig) -> np.ndarray:
         for u in picked:
             v = v - (u.conj() @ v) * u
         nrm = np.linalg.norm(v)
+        # p is a projection only within membership_tol, so a dependent column
+        # leaves a remainder of order sqrt(membership_tol), not of order tol
         if nrm > math.sqrt(cfg.membership_tol):
             picked.append(v / nrm)
-    if not picked:
-        return np.zeros((n, 0), dtype=complex)
-    return np.stack(picked, axis=1)
+    return np.stack(picked, axis=1) if picked else np.zeros((n, 0), dtype=complex)
 
 
 def subobject(
@@ -404,17 +393,17 @@ class PiecewiseLinear:
         return self.inf_from
 
 
-def _check_superadditive(fn: PiecewiseLinear):
+def _check_superadditive(fn: PiecewiseLinear, cfg: NumericConfig):
     pts = sorted(set(fn.grid()) | {a + b for a in fn.grid() for b in fn.grid()})
     for s in pts:
         for t in pts:
             fs, ft, fst = fn(s), fn(t), fn(s + t)
             if math.isinf(fst):
                 continue
-            if fs + ft > fst + 1e-9 * max(1.0, abs(fst)):
+            if fs + ft > fst + cfg.membership_tol * max(1.0, abs(fst)):
                 raise NotSuperadditive(f"f({s}) + f({t}) > f({s + t})", witness=(s, t))
     for s, t in zip(pts, pts[1:]):
-        if fn(t) < fn(s) - 1e-12:
+        if fn(t) < fn(s) - cfg.membership_tol:
             raise NotSuperadditive("data is not nondecreasing", witness=(s, t))
     if fn.final_slope < 0:
         raise NotSuperadditive("final slope must be nonnegative", witness=(pts[-1], pts[-1]))
@@ -424,7 +413,7 @@ def f_transform(f: StepFiltration, fn: PiecewiseLinear, cfg: NumericConfig = DEF
     """Reparameterize: V^f_t = V_{f(t)}; new breakpoints are the preimages of
     the old ones under f.  f must be nondecreasing and superadditive
     (validated on its node grid)."""
-    _check_superadditive(fn)
+    _check_superadditive(fn, cfg)
     placed: dict[float, int] = {}
     for t, cut in zip(f.breakpoints, f.cuts):
         pre = fn.preimage_of_threshold(t)
@@ -493,7 +482,7 @@ def canonicalize_m2(f: StepFiltration, cfg: NumericConfig = DEFAULT_CONFIG):
         # guarantees one of norm at least 1/sqrt(2), so the direction is
         # numerically clean
         best = None
-        best_norm = 1e-7
+        best_norm = cfg.membership_tol
         for base in space.basis:
             for cand in (base + base.conj().T, 1j * (base - base.conj().T)):
                 traceless = cand - np.trace(cand) / 2 * eye(2)
@@ -520,7 +509,7 @@ def canonicalize_m2(f: StepFiltration, cfg: NumericConfig = DEFAULT_CONFIG):
             comp = None
             for cand in (_M2_DIAG, _M2_REAL_OFF, _M2_IMAG_OFF):
                 resid = cand - sp3.project(cand)
-                if op_norm(resid) > 1e-7:
+                if op_norm(resid) > cfg.membership_tol:
                     comp = resid + resid.conj().T
                     break
             if comp is None:
@@ -540,7 +529,7 @@ def canonicalize_m2(f: StepFiltration, cfg: NumericConfig = DEFAULT_CONFIG):
                 off = cand[0, 1]
                 if theta is None or abs(off) > abs(theta):
                     theta = off
-        if theta is None or abs(theta) <= 1e-7:
+        if theta is None or abs(theta) <= cfg.membership_tol:
             raise NotCanonicalizable("dim-3 level has no off-diagonal generator")
         phase = np.diag([1.0, np.conj(theta) / abs(theta)]).astype(complex)
         u = u @ phase
@@ -584,43 +573,37 @@ def co_lipschitz_number(
         raise NotIsometry(f"carrier must map C^{g.n} into C^{amp_dim}x{f.n}")
     if op_norm(um.conj().T @ um - eye(g.n)) > cfg.membership_tol:
         raise NotIsometry("U*U != I")
+    # slack: U and R are given separately, each exact only within membership_tol
     if op_norm(um @ um.conj().T - rm) > 10 * cfg.membership_tol:
         raise NotIsometry("UU* does not match the range projection R")
-    for bmat in ctx.algebra.basis:
-        if op_norm(rm @ np.kron(np.eye(amp_dim), bmat) - np.kron(np.eye(amp_dim), bmat) @ rm) > cfg.membership_tol * max(1.0, op_norm(bmat)):
-            raise NotIsometry("R must lie in M_k (x) M'")
+    basis = ctx.algebra.basis
+    if not commutes_each(rm, kron_stack(eye(amp_dim)[None], basis), cfg).all():
+        raise NotIsometry("R must lie in M_k (x) M'")
 
     def phi(a):
-        return um.conj().T @ np.kron(np.eye(amp_dim), a) @ um
+        """U* (I_k (x) A) U for each A of a (k, n, n) stack."""
+        return um.conj().T @ kron_stack(eye(amp_dim)[None], a) @ um
 
-    ident = eye(f.n)
-    if op_norm(phi(ident) - eye(g.n)) > cfg.membership_tol:
+    if op_norm(phi(eye(f.n)[None])[0] - eye(g.n)) > cfg.membership_tol:
         raise NotHomomorphism("phi(I) != I")
-    for x in ctx.algebra.basis:
-        if op_norm(phi(x.conj().T) - phi(x).conj().T) > 1e-6:
-            raise NotHomomorphism("phi does not respect adjoints")
-        for y in ctx.algebra.basis:
-            if op_norm(phi(x @ y) - phi(x) @ phi(y)) > 1e-6 * max(1.0, op_norm(x) * op_norm(y)):
-                raise NotHomomorphism("phi is not multiplicative on the algebra")
+    images, norms = phi(basis), np.linalg.norm(basis, 2, axis=(1, 2))
+    adjoints = phi(np.conj(np.transpose(basis, (0, 2, 1)))) - np.conj(np.transpose(images, (0, 2, 1)))
+    if np.any(np.linalg.norm(adjoints, 2, axis=(1, 2)) > cfg.membership_tol * np.maximum(1.0, norms)):
+        raise NotHomomorphism("phi does not respect adjoints")
+    # one stacked norm per basis row x, over all y
+    for x, px, nx in zip(basis, images, norms):
+        if np.any(np.linalg.norm(phi(x @ basis) - px @ images, 2, axis=(1, 2)) > cfg.membership_tol * np.maximum(1.0, nx * norms)):
+            raise NotHomomorphism("phi is not multiplicative on the algebra")
 
     def embedded_level(t):
         # U* (E_ij (x) B) U over the matrix units E_ij of M_k and the basis of V_t
         return span(um.conj().T @ kron_stack(full_space(amp_dim).basis, f.value_at(t).basis) @ um, g.n, cfg)
 
-    candidates = list(f.breakpoints)
     ratios = []
     for s, w in zip(g.breakpoints, g.levels):
-        t_min = None
-        for t in candidates:
-            if embedded_level(t).contains_space(w, cfg):
-                t_min = t
-                break
-        if t_min is None:
+        t_min = next((t for t in f.breakpoints if embedded_level(t).contains_space(w, cfg)), None)
+        if t_min is None or (s == 0 and t_min > 0):
             return math.inf
-        if s == 0:
-            if t_min > 0:
-                return math.inf
-            continue
-        ratios.append(t_min / s)
-    positive = [x for x in ratios if x > 0]
-    return max(positive) if positive else 0.0
+        if s > 0:
+            ratios.append(t_min / s)
+    return max((x for x in ratios if x > 0), default=0.0)

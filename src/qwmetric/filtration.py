@@ -30,8 +30,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import MixedDimensions, NegativeTime, NotAPseudometric, NotDiagonalContext, NotNested
-from .numerics import DEFAULT_CONFIG, NumericConfig, as_square, eye, op_norm
-from .opspace import OperatorSubspace, VNAlgebra, commutant, full_space, generated_vn_algebra
+from .numerics import DEFAULT_CONFIG, NumericConfig, as_square, eye, op_norm, rank
+from .opspace import OperatorSubspace, VNAlgebra, _orthonormalize, commutant, full_space, generated_vn_algebra
 
 __all__ = [
     "StepFiltration",
@@ -187,9 +187,11 @@ class StepFiltration:
 def _adapted_basis(n: int, levels, cfg: NumericConfig):
     """One HS-orthonormal basis adapted to a nested chain of levels, and the
     cut of each level.  A level whose basis already starts with the basis so
-    far keeps its own further elements (so a filtration read back from its
-    JSON keeps its basis); otherwise its part orthogonal to the previous
-    level is re-spanned."""
+    far offers its own further elements; otherwise it offers its part
+    orthogonal to the previous level.  What a level offers is re-spanned by
+    opspace._orthonormalize, which keeps an orthonormal family as given (so
+    a filtration read back from its JSON keeps its basis) and counts any
+    other by the rank rule."""
     flat = np.zeros((0, n * n), dtype=complex)
     cuts = []
     for i, lv in enumerate(levels):
@@ -199,12 +201,11 @@ def _adapted_basis(n: int, levels, cfg: NumericConfig):
         cut = len(flat)
         if lv.dim < cut or (cut and np.linalg.norm(flat - (flat @ rows.conj().T) @ rows, axis=1).max() > cfg.membership_tol):
             raise NotNested(f"level {i} does not contain level {i - 1}", i)
-        if np.allclose(rows[:cut], flat, rtol=0, atol=cfg.membership_tol):
+        if np.abs(rows[:cut] - flat).max(initial=0.0) <= cfg.membership_tol:
             new = rows[cut:]
         else:
-            resid = rows - (rows @ flat.conj().T) @ flat
-            new = np.linalg.svd(resid, full_matrices=False)[2][: lv.dim - cut]
-        flat = np.concatenate([flat, new])
+            new = rows - (rows @ flat.conj().T) @ flat
+        flat = np.concatenate([flat, _orthonormalize(new, n, cfg).reshape(-1, n * n)])
         cuts.append(len(flat))
     return flat.reshape(-1, n, n), cuts
 
@@ -394,8 +395,7 @@ def _spans(f: StepFiltration, i: int, j: int, k: int, cfg: NumericConfig) -> boo
     r = np.zeros((0, ck), dtype=complex)
     for _, _, coef in _products(f, ci, cj, cfg):
         r = np.linalg.qr(np.concatenate([r, coef[:, :ck]]), mode="r")
-    s = np.linalg.svd(r, compute_uv=False)
-    return int(np.sum(s > cfg.rank_tol * s[0])) == ck
+    return rank(np.linalg.svd(r, compute_uv=False), cfg) == ck
 
 
 def descriptors(f: StepFiltration, cfg: NumericConfig = DEFAULT_CONFIG) -> dict:

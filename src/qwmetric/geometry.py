@@ -25,6 +25,7 @@ from .numerics import (
     op_norm,
     range_basis,
     range_projection,
+    rank,
 )
 from .opspace import OperatorSubspace, complement, full_space, null_space_rows
 
@@ -64,12 +65,6 @@ class AmplifiedProjection:
         """Wrap an unamplified projection in M_n (m = 1)."""
         p = as_square(p)
         return cls(p.shape[0], 1, p, cfg)
-
-    @classmethod
-    def from_vectors(cls, base_dim: int, amp_degree: int, vectors, cfg: NumericConfig = DEFAULT_CONFIG) -> "AmplifiedProjection":
-        """Projection onto the span of column vectors in C^n (x) C^m."""
-        cols = np.stack([np.asarray(v, dtype=complex).reshape(-1) for v in vectors], axis=1)
-        return cls(base_dim, amp_degree, range_projection(cols, cfg), cfg)
 
     def padded(self, m: int) -> "AmplifiedProjection":
         """Embed into amplification degree m >= self.m by adjoining zero slots."""
@@ -220,7 +215,7 @@ def separating_projections(f: StepFiltration, t: float, a, cfg: NumericConfig = 
     if hs_norm(c) <= cfg.membership_tol * max(1.0, hs_norm(m0)):
         raise AlreadyInside(f"matrix already belongs to the level at t = {t}")
     _, s, vh = np.linalg.svd(c)
-    m = int(np.sum(s > cfg.rank_tol * s[0]))
+    m = rank(s, cfg)
     # the rows of vh are the v_i^*; eta = sum v_i (x) e_i, base index first
     eta = vh[:m].conj().T.reshape(-1, 1)
     qcols = range_basis(_amplify(_stacked(f.levels[0].basis, eta), len(eta)), cfg)

@@ -18,7 +18,7 @@ from .errors import NonSquare, NotHermitian
 class NumericConfig:
     """Tolerance knobs shared by the whole library.
 
-    rank_tol         relative singular-value cutoff for rank decisions
+    rank_tol         relative singular-value cutoff of the rank rule (see rank)
     membership_tol   residual cutoff for membership / zero tests
     eig_cluster_tol  absolute width used to merge near-degenerate eigenvalues
     """
@@ -121,14 +121,23 @@ def spectral_projection(a, kind: str, threshold: float, cfg: NumericConfig = DEF
     return out
 
 
+def rank(s, cfg: NumericConfig = DEFAULT_CONFIG, scale: float = 0.0) -> int:
+    """The rank rule, the one place rank_tol is read: the number of values of
+    ``s`` (singular values, or eigenvalues of a Gram matrix) above
+    rank_tol * max(max(s), scale).  A positive ``scale`` floors the cutoff
+    where an all-noise ``s`` must count as rank 0."""
+    s = np.asarray(s)
+    return int(np.count_nonzero(s > cfg.rank_tol * max(s.max(initial=0.0), scale)))
+
+
 def range_basis(a, cfg: NumericConfig = DEFAULT_CONFIG) -> np.ndarray:
     """Orthonormal columns spanning the column span of ``a``: its left
-    singular vectors above the relative rank cutoff (n x 0 for zero input)."""
+    singular vectors counted by the rank rule (n x 0 for zero input)."""
     m = as_matrix(a)
     if m.size == 0:
         return np.zeros((m.shape[0], 0), dtype=complex)
     u, s, _ = np.linalg.svd(m, full_matrices=False)
-    return u[:, : int(np.sum(s > cfg.rank_tol * s[0]))]
+    return u[:, : rank(s, cfg)]
 
 
 def range_projection(a, cfg: NumericConfig = DEFAULT_CONFIG) -> np.ndarray:
@@ -138,6 +147,18 @@ def range_projection(a, cfg: NumericConfig = DEFAULT_CONFIG) -> np.ndarray:
     """
     basis = range_basis(a, cfg)
     return basis @ basis.conj().T
+
+
+def commutes_each(r, mats, cfg: NumericConfig = DEFAULT_CONFIG) -> np.ndarray:
+    """Whether ``r`` commutes with each matrix B of a (k, n, n) stack, one
+    boolean each: ||r B - B r|| <= membership_tol * max(1, ||B||)."""
+    mats = np.asarray(mats, dtype=complex)
+    comm = np.linalg.norm(r @ mats - mats @ r, 2, axis=(1, 2))
+    out = comm <= cfg.membership_tol
+    # max(1, ||B||) >= 1: only commutators above the tolerance need ||B||
+    big = np.flatnonzero(~out)
+    out[big] = comm[big] <= cfg.membership_tol * np.maximum(1.0, np.linalg.norm(mats[big], 2, axis=(1, 2)))
+    return out
 
 
 def is_projection(p, cfg: NumericConfig = DEFAULT_CONFIG) -> bool:

@@ -11,7 +11,7 @@ from __future__ import annotations
 import numpy as np
 
 from .errors import MixedDimensions, NonConvergent
-from .numerics import DEFAULT_CONFIG, NumericConfig, as_square, eye, hs_norm
+from .numerics import DEFAULT_CONFIG, NumericConfig, as_square, eye, hs_norm, rank
 
 __all__ = [
     "OperatorSubspace",
@@ -119,22 +119,19 @@ class VNAlgebra(OperatorSubspace):
 
 
 def _orthonormalize(rows: np.ndarray, n: int, cfg: NumericConfig) -> np.ndarray:
-    """SVD-orthonormalize stacked vectorizations; returns (k, n, n)."""
-    if rows.shape[0] == 0:
-        return np.zeros((0, n, n), dtype=complex)
-    norms = np.linalg.norm(rows, axis=1)
-    rows = rows[norms > 0]
-    if rows.shape[0] == 0:
-        return np.zeros((0, n, n), dtype=complex)
-    # keep an already-orthonormal family as given (stable matrix-unit bases);
+    """HS-orthonormal basis of the span of stacked vectorizations, the one
+    re-span path; returns (k, n, n).  A family whose Gram matrix is the
+    identity within membership_tol, entrywise, is kept as given (stable
+    matrix-unit bases, bitwise JSON round trips); any other is replaced by
+    its right singular vectors counted by the rank rule."""
+    rows = rows[np.linalg.norm(rows, axis=1) > 0]
     # more than n^2 rows cannot be orthonormal, so their Gram is not formed
     if rows.shape[0] <= n * n:
         gram = rows.conj() @ rows.T
-        if np.allclose(gram, np.eye(rows.shape[0]), atol=cfg.membership_tol):
+        if np.abs(gram - np.eye(len(rows))).max(initial=0.0) <= cfg.membership_tol:
             return rows.reshape(-1, n, n)
     _, s, vh = np.linalg.svd(rows, full_matrices=False)
-    r = int(np.sum(s > cfg.rank_tol * s[0])) if s.size else 0
-    return vh[:r].reshape(-1, n, n)
+    return vh[: rank(s, cfg)].reshape(-1, n, n)
 
 
 def span(mats, ambient_dim: int | None = None, cfg: NumericConfig = DEFAULT_CONFIG) -> OperatorSubspace:
@@ -250,13 +247,11 @@ def commutant(gens, n: int, cfg: NumericConfig = DEFAULT_CONFIG) -> VNAlgebra:
 
 
 def null_space_rows(k: np.ndarray, cfg: NumericConfig, scale: float = 1.0) -> np.ndarray:
-    """Orthonormal rows spanning the null space of k, with the rank cutoff
-    floored at ``rank_tol * scale`` so noise-level matrices count as zero."""
+    """Orthonormal rows spanning the null space of k; the rank rule takes
+    ``scale`` as its floor, so noise-level matrices count as zero."""
     # a tall k's reduced SVD already holds all of V; its rows x rows U is never read
     _, sv, vh = np.linalg.svd(k, full_matrices=k.shape[0] < k.shape[1])
-    top = sv[0] if sv.size else 0.0
-    r = int(np.sum(sv > cfg.rank_tol * max(top, scale)))
-    return vh[r:].conj()
+    return vh[rank(sv, cfg, scale) :].conj()
 
 
 def generated_vn_algebra(gens, n: int, cfg: NumericConfig = DEFAULT_CONFIG) -> VNAlgebra:

@@ -283,6 +283,18 @@ class TestGeneratedFiltration:
         f = generated_filtration(TimedGenerators(base, [(1.0, span([I2, DIAG]))]))
         assert len(f.levels) == 1 and f.levels[0].dim == 4
 
+    def test_generator_within_the_time_merge_of_zero_joins_the_zero_level(self):
+        """A run's merged jump keeps the run's first time, here 0, and the zero
+        level stays an algebra."""
+        base = VNAlgebra(2, scalar_space(2).basis, verify=False)
+        f = generated_filtration(TimedGenerators(base, [(5e-13, span([I2, DIAG]))]))
+        assert f.breakpoints == [0.0] and f.levels[0].equals(span([I2, DIAG]))
+        g = generated_filtration(TimedGenerators(base, [(5e-13, span([I2, DIAG, REAL_OFF])), (1.0, span([I2, REAL_OFF]))]))
+        assert g.breakpoints == [0.0] and g.cuts == [4]
+        h = generated_filtration(TimedGenerators(base, [(5e-13, span([I2, DIAG])), (1.0, span([I2, REAL_OFF]))]))
+        assert h.breakpoints == [0.0, 1.0] and h.cuts == [2, 4]
+        assert validate(f).is_filtration and validate(g).is_filtration and validate(h).is_filtration
+
     def test_all_constructors_validate(self, rng):
         base = VNAlgebra(3, scalar_space(3).basis, verify=False)
         h = np.diag([1.0, -1.0, 0.0]).astype(complex)

@@ -17,7 +17,7 @@ from qwmetric import (
 from qwmetric.codes import hamming_filtration
 from qwmetric.errors import MixedDimensions, NegativeTime, NotAPseudometric, NotDiagonalContext
 from qwmetric.numerics import random_hermitian
-from qwmetric.opspace import VNAlgebra, commutant
+from qwmetric.opspace import OperatorSubspace, VNAlgebra, commutant
 
 from conftest import DIAG, I2, IMAG_OFF, REAL_OFF, random_metric, random_step_filtration
 
@@ -91,6 +91,24 @@ class TestGradedBasis:
         f = StepFiltration(2, [0, 1, 2], [span([I2]), span([I2]), full_space(2)])
         assert f.cuts == [1, 1, 4]
         assert ("not_strictly_increasing", 0) in validate(f).violations
+
+    @pytest.mark.parametrize(
+        "given",
+        [
+            [I2, DIAG, DIAG],  # a dependent level: span{I, Z, Z}
+            [DIAG, I2, DIAG],  # the prefix elsewhere, and one element repeated
+        ],
+    )
+    def test_levels_handed_in_are_re_spanned_by_the_rank_rule(self, given):
+        """A level whose basis is not orthonormal gets the dimension of its
+        span and an HS-orthonormal graded basis."""
+        lv = OperatorSubspace(2, np.stack([m / np.linalg.norm(m) for m in given]))
+        f = StepFiltration(2, [0, 1, 2], [span([I2]), lv, full_space(2)])
+        assert f.cuts == [1, 2, 4]
+        flat = f.basis.reshape(4, -1)
+        np.testing.assert_allclose(flat.conj() @ flat.T, np.eye(4), atol=1e-12)
+        assert f.levels[1].equals(span([I2, DIAG]))
+        assert validate(f).is_filtration
 
     def test_hamming_four_qubits_validates(self):
         rep = validate(hamming_filtration(4, 2))

@@ -1,3 +1,6 @@
+import ast
+import pathlib
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -7,14 +10,17 @@ from qwmetric.errors import NotHermitian
 from qwmetric.numerics import (
     DEFAULT_CONFIG,
     NumericConfig,
+    commutes_each,
     hermitian_eig,
     is_projection,
     op_norm,
     range_projection,
     random_hermitian,
     random_unitary,
+    rank,
     spectral_projection,
 )
+from qwmetric.opspace import span
 
 from conftest import PAULI_X, PAULI_Y
 
@@ -173,3 +179,68 @@ def test_is_projection_decides_as_three_op_norms_past_the_frobenius_shortcut():
                 hs = max(np.linalg.norm(m - m.conj().T), np.linalg.norm(m @ m - m))
                 seen.add((bool(hs > tol), ref))
     assert {(False, True), (True, True), (True, False)} <= seen
+
+
+def test_rank_rule_is_relative_with_an_optional_floor():
+    cfg = NumericConfig(rank_tol=1e-3)
+    s = np.array([10.0, 1e-2 + 1e-6, 1e-2, 1e-5])
+    # the cutoff is rank_tol * max(s) = 1e-2, strict
+    assert rank(s, cfg) == 2
+    assert rank(s[::-1], cfg) == 2
+    assert rank(np.zeros(3), cfg) == 0
+    assert rank(np.zeros(0), cfg) == 0
+    # a floor above max(s) raises the cutoff: noise-level values count as zero
+    assert rank(np.array([1e-12, 1e-13]), cfg) == 2
+    assert rank(np.array([1e-12, 1e-13]), cfg, scale=1.0) == 0
+    assert rank(s, cfg, scale=1e3) == 1
+
+
+def test_commutes_each_decides_per_element_with_the_norm_floor():
+    cfg = NumericConfig(membership_tol=1e-6)
+    r = np.diag([1.0, 0.0]).astype(complex)
+    x = np.array([[0, 1], [1, 0]], dtype=complex)
+    mats = np.stack([np.eye(2), np.diag([3.0, -1.0]), 1e-7 * x, 1e3 * (np.eye(2) + 1e-10 * x), x])
+    # ||[r, B]|| against membership_tol * max(1, ||B||), element by element
+    np.testing.assert_array_equal(commutes_each(r, mats, cfg), [True, True, True, True, False])
+    assert commutes_each(r, np.zeros((0, 2, 2)), cfg).shape == (0,)
+
+
+def test_span_of_a_nearly_unit_element_is_unit():
+    """The orthonormality test of the re-span path compares the Gram matrix
+    with the identity entrywise within membership_tol, with no relative
+    slack: a norm of 1 + 4e-6 is not kept as given."""
+    s = span([(1 + 4e-6) * np.eye(2) / np.sqrt(2)])
+    assert s.dim == 1
+    assert abs(np.linalg.norm(s.basis[0]) - 1.0) < 1e-12
+
+
+SRC = pathlib.Path(__file__).resolve().parents[1] / "src" / "qwmetric"
+
+
+def _scopes(tree):
+    """Yield (node, enclosing top-level def or class name, or None)."""
+    for top in tree.body:
+        name = top.name if isinstance(top, (ast.FunctionDef, ast.ClassDef)) else None
+        if name is None and isinstance(top, ast.Assign):
+            name = "=".join(t.id for t in top.targets if isinstance(t, ast.Name))
+        for node in ast.walk(top):
+            yield node, name
+
+
+def test_tolerances_have_one_home():
+    """Every rank decision reads rank_tol through numerics.rank, and every
+    float literal below 1e-3 is a NumericConfig default, the time merge of
+    the constructions or the mapping of the CLI's --tol."""
+    rank_reads, small = set(), set()
+    for path in sorted(SRC.glob("*.py")):
+        for node, scope in _scopes(ast.parse(path.read_text())):
+            where = (path.name, scope)
+            if isinstance(node, ast.Attribute) and node.attr == "rank_tol":
+                rank_reads.add(where)
+            elif isinstance(node, ast.keyword) and node.arg == "rank_tol":
+                rank_reads.add(where)
+            elif isinstance(node, ast.Constant) and type(node.value) is float and 0 < node.value < 1e-3:
+                small.add(where)
+    assert rank_reads <= {("numerics.py", "NumericConfig"), ("numerics.py", "rank"), ("cli.py", "_cfg_from_args")}
+    assert ("numerics.py", "rank") in rank_reads
+    assert small <= {("numerics.py", "NumericConfig"), ("constructions.py", "TIME_MERGE"), ("cli.py", "_cfg_from_args")}
