@@ -191,7 +191,7 @@ def _adapted_basis(n: int, levels, cfg: NumericConfig):
     orthogonal to the previous level.  What a level offers is re-spanned by
     opspace._orthonormalize, which keeps an orthonormal family as given (so
     a filtration read back from its JSON keeps its basis) and counts any
-    other by the rank rule."""
+    other by the rank rule, floored at the size of the level's rows."""
     flat = np.zeros((0, n * n), dtype=complex)
     cuts = []
     for i, lv in enumerate(levels):
@@ -205,7 +205,9 @@ def _adapted_basis(n: int, levels, cfg: NumericConfig):
             new = rows[cut:]
         else:
             new = rows - (rows @ flat.conj().T) @ flat
-        flat = np.concatenate([flat, _orthonormalize(new, n, cfg).reshape(-1, n * n)])
+        # floored at the rows' own size: a level equal to the one before leaves rounding noise
+        scale = np.linalg.norm(rows, axis=1).max(initial=0.0)
+        flat = np.concatenate([flat, _orthonormalize(new, n, cfg, scale).reshape(-1, n * n)])
         cuts.append(len(flat))
     return flat.reshape(-1, n, n), cuts
 

@@ -154,11 +154,7 @@ def commutes_each(r, mats, cfg: NumericConfig = DEFAULT_CONFIG) -> np.ndarray:
     boolean each: ||r B - B r|| <= membership_tol * max(1, ||B||)."""
     mats = np.asarray(mats, dtype=complex)
     comm = np.linalg.norm(r @ mats - mats @ r, 2, axis=(1, 2))
-    out = comm <= cfg.membership_tol
-    # max(1, ||B||) >= 1: only commutators above the tolerance need ||B||
-    big = np.flatnonzero(~out)
-    out[big] = comm[big] <= cfg.membership_tol * np.maximum(1.0, np.linalg.norm(mats[big], 2, axis=(1, 2)))
-    return out
+    return comm <= cfg.membership_tol * np.maximum(1.0, np.linalg.norm(mats, 2, axis=(1, 2)))
 
 
 def is_projection(p, cfg: NumericConfig = DEFAULT_CONFIG) -> bool:

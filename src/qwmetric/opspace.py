@@ -118,12 +118,13 @@ class VNAlgebra(OperatorSubspace):
                     raise MixedDimensions("algebra must be closed under products")
 
 
-def _orthonormalize(rows: np.ndarray, n: int, cfg: NumericConfig) -> np.ndarray:
+def _orthonormalize(rows: np.ndarray, n: int, cfg: NumericConfig, scale: float = 0.0) -> np.ndarray:
     """HS-orthonormal basis of the span of stacked vectorizations, the one
     re-span path; returns (k, n, n).  A family whose Gram matrix is the
     identity within membership_tol, entrywise, is kept as given (stable
     matrix-unit bases, bitwise JSON round trips); any other is replaced by
-    its right singular vectors counted by the rank rule."""
+    its right singular vectors counted by the rank rule, with ``scale`` as
+    its floor (the size of the rows before a projection left them)."""
     rows = rows[np.linalg.norm(rows, axis=1) > 0]
     # more than n^2 rows cannot be orthonormal, so their Gram is not formed
     if rows.shape[0] <= n * n:
@@ -131,7 +132,7 @@ def _orthonormalize(rows: np.ndarray, n: int, cfg: NumericConfig) -> np.ndarray:
         if np.abs(gram - np.eye(len(rows))).max(initial=0.0) <= cfg.membership_tol:
             return rows.reshape(-1, n, n)
     _, s, vh = np.linalg.svd(rows, full_matrices=False)
-    return vh[: rank(s, cfg)].reshape(-1, n, n)
+    return vh[: rank(s, cfg, scale)].reshape(-1, n, n)
 
 
 def span(mats, ambient_dim: int | None = None, cfg: NumericConfig = DEFAULT_CONFIG) -> OperatorSubspace:

@@ -44,7 +44,7 @@ from qwmetric.errors import (
     NotSuperadditive,
     QwmError,
 )
-from qwmetric.numerics import random_unitary
+from qwmetric.numerics import NumericConfig, random_unitary
 from qwmetric.opspace import VNAlgebra, generated_vn_algebra, intersect, scalar_space, tensor
 
 from conftest import (
@@ -567,6 +567,13 @@ class TestReparameterizations:
             f_transform(f, concave)
         assert exc.value.witness is not None
 
+    def test_decreasing_data_rejected_at_the_resolution_of_times(self, rng):
+        # convex, hence superadditive, but f(1) < f(0); a loose matrix tolerance does not excuse it
+        f = random_step_filtration(2, rng)
+        dip = PiecewiseLinear([(0.0, 0.0), (1.0, -5e-3)], final_slope=1.0)
+        with pytest.raises(NotSuperadditive, match="nondecreasing"):
+            f_transform(f, dip, NumericConfig(membership_tol=1e-2))
+
     def test_hoelder_alpha_range(self, rng):
         f = random_step_filtration(2, rng)
         with pytest.raises(Exception):
@@ -683,6 +690,21 @@ class TestCoLipschitz:
         got = co_lipschitz_number(f, g, 1, np.eye(3), np.eye(3), ctx)
         expected = max(t / min(t, c) for t in f.breakpoints if t > 0)
         assert got == pytest.approx(expected, abs=1e-9)
+
+    def test_carrier_inside_the_accepted_slack(self):
+        """U is within membership_tol of an isometry and UU* within 10 tol of
+        R = E_00 (x) I, so phi is multiplicative only up to what those
+        premises allow (about 1.75 tol here); the number is still returned."""
+        cfg = NumericConfig(membership_tol=1e-3)
+        f = StepFiltration(2, [0, 1, 2], [span([I2]), span([I2, DIAG]), full_space(2)])
+        ctx = MetricContext.full(2)
+        e0, e1 = np.eye(2)[:, :1], np.eye(2)[:, 1:]
+        r = np.kron(e0 @ e0.T, I2)
+        tilt, shrink = 9.4e-3, 0.99e-3
+        u = (np.kron(e0, I2) + tilt * np.kron(e1, REAL_OFF)) * math.sqrt((1 - shrink) / (1 + tilt**2))
+        assert np.linalg.norm(u.conj().T @ u - I2, 2) <= cfg.membership_tol
+        assert np.linalg.norm(u @ u.conj().T - r, 2) <= 10 * cfg.membership_tol
+        assert co_lipschitz_number(f, f, 2, r, u, ctx, cfg) == co_lipschitz_number(f, f, 2, r, np.kron(e0, I2), ctx, cfg)
 
     def test_composition_bound(self, rng):
         # L(psi o phi) <= L(psi) L(phi) for classical compositions

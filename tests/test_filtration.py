@@ -16,7 +16,7 @@ from qwmetric import (
 )
 from qwmetric.codes import hamming_filtration
 from qwmetric.errors import MixedDimensions, NegativeTime, NotAPseudometric, NotDiagonalContext
-from qwmetric.numerics import random_hermitian
+from qwmetric.numerics import random_hermitian, random_unitary
 from qwmetric.opspace import OperatorSubspace, VNAlgebra, commutant
 
 from conftest import DIAG, I2, IMAG_OFF, REAL_OFF, random_metric, random_step_filtration
@@ -109,6 +109,21 @@ class TestGradedBasis:
         np.testing.assert_allclose(flat.conj() @ flat.T, np.eye(4), atol=1e-12)
         assert f.levels[1].equals(span([I2, DIAG]))
         assert validate(f).is_filtration
+
+    @pytest.mark.parametrize("rotation", [None, 0, 1])
+    def test_a_stalled_level_given_in_another_basis_keeps_its_cut(self, rotation):
+        """A level equal to the one before, handed in with an orthonormal
+        basis that does not start with the basis so far, adds nothing: its
+        part orthogonal to that basis is rounding noise."""
+        before = span([I2, DIAG])
+        if rotation is None:
+            given = np.stack([np.diag([1.0, 0.0]), np.diag([0.0, 1.0])]).astype(complex)
+        else:
+            u = random_unitary(2, np.random.default_rng(rotation))
+            given = np.einsum("ij,jkl->ikl", u, before.basis)
+        f = StepFiltration(2, [0, 1, 2, 3], [span([I2]), before, OperatorSubspace(2, given), full_space(2)])
+        assert f.cuts == [1, 2, 2, 4]
+        assert f.levels[2].equals(before)
 
     def test_hamming_four_qubits_validates(self):
         rep = validate(hamming_filtration(4, 2))
