@@ -309,10 +309,15 @@ def lp_product(f: StepFiltration, g: StepFiltration, p: float, cfg: NumericConfi
     spans at two such times inside the span at a third, so B_a (x) C_b
     enters at (s_a^p + t_b^p)^(1/p), a time within TIME_MERGE of the first
     time of its run taking that first value, as in the generated engine.
-    Inputs that are not filtrations are not closed up."""
+    Inputs that are not filtrations are not closed up.  The time is
+    computed as max(s, t) (1 + (min/max)^p)^(1/p), which neither under- nor
+    overflows for large p."""
     if not 1 <= p < math.inf:
         raise MixedDimensions("lp product needs a finite p >= 1")
-    times = ((f.times[:, None] ** p + g.times[None] ** p) ** (1.0 / p)).reshape(-1)
+    s, t = f.times[:, None], g.times[None]
+    hi, lo = np.maximum(s, t), np.minimum(s, t)
+    ratio = np.divide(lo, hi, out=np.zeros_like(hi), where=hi > 0)
+    times = (hi * (1 + ratio ** p) ** (1.0 / p)).reshape(-1)
     order = np.argsort(times, kind="stable")
     runs = times[order]
     i = 0
@@ -601,14 +606,22 @@ def co_lipschitz_number(
         if np.any(np.linalg.norm(phi(x @ basis) - px @ images, 2, axis=(1, 2)) > sx * np.maximum(1.0, norms)):
             raise NotHomomorphism("phi is not multiplicative on the algebra")
 
-    def embedded_level(t):
-        # U* (E_ij (x) B) U over the matrix units E_ij of M_k and the basis of V_t
-        return span(um.conj().T @ kron_stack(full_space(amp_dim).basis, f.value_at(t).basis) @ um, g.n, cfg)
+    def embedded_level(lv):
+        # U* (E_ij (x) B) U over the matrix units E_ij of M_k and the basis of the level
+        return span(um.conj().T @ kron_stack(full_space(amp_dim).basis, lv.basis) @ um, g.n, cfg)
 
+    # the levels of g are nested, so the first level of f absorbing each one
+    # never moves back: each level of f is embedded once, when first reached
     ratios = []
+    k, embedded = 0, embedded_level(f.levels[0])
     for s, w in zip(g.breakpoints, g.levels):
-        t_min = next((t for t in f.breakpoints if embedded_level(t).contains_space(w, cfg)), None)
-        if t_min is None or (s == 0 and t_min > 0):
+        while not embedded.contains_space(w, cfg):
+            k += 1
+            if k == len(f.levels):
+                return math.inf
+            embedded = embedded_level(f.levels[k])
+        t_min = f.breakpoints[k]
+        if s == 0 and t_min > 0:
             return math.inf
         if s > 0:
             ratios.append(t_min / s)

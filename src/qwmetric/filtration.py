@@ -186,28 +186,29 @@ class StepFiltration:
 
 def _adapted_basis(n: int, levels, cfg: NumericConfig):
     """One HS-orthonormal basis adapted to a nested chain of levels, and the
-    cut of each level.  A level whose basis already starts with the basis so
-    far offers its own further elements; otherwise it offers its part
-    orthogonal to the previous level.  What a level offers is re-spanned by
+    cut of each level.  Each level's basis is re-spanned by
     opspace._orthonormalize, which keeps an orthonormal family as given (so
-    a filtration read back from its JSON keeps its basis) and counts any
-    other by the rank rule, floored at the size of the level's rows."""
+    a filtration read back from its JSON keeps its basis) and replaces any
+    other by an orthonormal one; nesting is tested against that span.  A
+    level whose basis then starts with the basis so far adds its own further
+    elements; otherwise it adds its part orthogonal to the previous level,
+    re-spanned the same way under the rank rule floored at 1, the size of
+    an orthonormal row."""
     flat = np.zeros((0, n * n), dtype=complex)
     cuts = []
     for i, lv in enumerate(levels):
         if lv.n != n:
             raise MixedDimensions("level ambient dimension mismatch")
-        rows = lv._flat()
+        rows = _orthonormalize(lv._flat(), n, cfg).reshape(-1, n * n)
         cut = len(flat)
-        if lv.dim < cut or (cut and np.linalg.norm(flat - (flat @ rows.conj().T) @ rows, axis=1).max() > cfg.membership_tol):
+        if len(rows) < cut or (cut and np.linalg.norm(flat - (flat @ rows.conj().T) @ rows, axis=1).max() > cfg.membership_tol):
             raise NotNested(f"level {i} does not contain level {i - 1}", i)
         if np.abs(rows[:cut] - flat).max(initial=0.0) <= cfg.membership_tol:
             new = rows[cut:]
         else:
-            new = rows - (rows @ flat.conj().T) @ flat
-        # floored at the rows' own size: a level equal to the one before leaves rounding noise
-        scale = np.linalg.norm(rows, axis=1).max(initial=0.0)
-        flat = np.concatenate([flat, _orthonormalize(new, n, cfg, scale).reshape(-1, n * n)])
+            # floored at the size of an orthonormal row: a level equal to the one before leaves rounding noise
+            new = _orthonormalize(rows - (rows @ flat.conj().T) @ flat, n, cfg, 1.0).reshape(-1, n * n)
+        flat = np.concatenate([flat, new])
         cuts.append(len(flat))
     return flat.reshape(-1, n, n), cuts
 

@@ -121,31 +121,75 @@ def _batch_compression_norms(p: np.ndarray, bq: np.ndarray) -> np.ndarray:
     return np.linalg.norm(_compressions(p, bq), axis=(0, 2))
 
 
+def _chunks(f: StepFiltration, entries: int):
+    """The element ranges [lo, hi) of a scan of the graded basis: each ends
+    at the first cut at or past twice its start and at least 64 elements
+    on, or sooner, once its products (``entries`` per element) would pass
+    2^20 complex entries, about 16 MB."""
+    budget = max(1, (1 << 20) // max(1, entries))
+    lo = 0
+    while lo < f.cuts[-1]:
+        level = min(bisect.bisect_left(f.cuts, max(2 * lo, lo + 64)), len(f.cuts) - 1)
+        hi = min(f.cuts[level], lo + budget)
+        yield lo, hi
+        lo = hi
+
+
 def rho(f: StepFiltration, p: AmplifiedProjection, q: AmplifiedProjection, cfg: NumericConfig = DEFAULT_CONFIG) -> float:
     """rho(P, Q) = inf{t : P (A (x) I) Q != 0 for some A in V_t}.
 
     Scanning an HS basis is exact by linearity (the zero test uses the HS
     norm of the compression), so rho is the breakpoint of the grade of the
-    first graded element with a nonzero compression.  The scan takes chunks
-    that at least double up to a level end, cut at about 16 MB of products,
-    and stops at the first holding such an element (+inf if none does).
+    first graded element with a nonzero compression.  The scan takes the
+    chunks of _chunks and stops at the first holding such an element (+inf
+    if none does).
     """
     if p.n != f.n:
         raise DimensionMismatch("projection base dimension does not match filtration")
     pp, qq = _align(p, q)
     # zero rows of P and zero columns of Q add nothing to the HS norms
     pm, qm = pp.matrix[pp.matrix.any(axis=1)], qq.matrix[:, qq.matrix.any(axis=0)]
-    budget = max(1, (1 << 20) // max(1, qm.size))  # elements per chunk: each gives qm.size entries
-    lo = 0
-    while lo < f.cuts[-1]:
-        level = min(bisect.bisect_left(f.cuts, max(2 * lo, lo + 64)), len(f.cuts) - 1)
-        hi = min(f.cuts[level], lo + budget)
+    for lo, hi in _chunks(f, qm.size):
         norms = _batch_compression_norms(pm, f.apply(lo, hi, qm.reshape(f.n, qm.size // f.n)))
         linked = np.flatnonzero(norms > cfg.membership_tol)
         if linked.size:
             return f.breakpoints[bisect.bisect_right(f.cuts, lo + linked[0])]
-        lo = hi
     return math.inf
+
+
+def _rho_table(f: StepFiltration, blocks, cfg: NumericConfig) -> np.ndarray:
+    """rho(P_{<=i}, Q_{>=j}) for every i < j in one scan, P_{<=i} the
+    projection onto the columns of blocks[0..i] and Q_{>=j} onto those of
+    blocks[j..]: the blocks are orthonormal and together span C^{nm}
+    (numerics._eig_clusters).  Entries with i >= j are nan.
+
+    With V the blocks side by side, P = V_{<=i} V_{<=i}* and the HS norm
+    is unitarily invariant, so ||P (B (x) I) Q||_HS^2 is the sum of the
+    squared HS norms of the blocks (k, l), k <= i <= j <= l, of
+    V* (B (x) I) V: a prefix sum over i and a suffix sum over j, held to
+    rho's own zero test.  The scan takes the chunks of rho and stops once
+    every pair is linked."""
+    v = np.concatenate(blocks, axis=1)
+    starts = np.cumsum([0] + [b.shape[1] for b in blocks[:-1]])
+    p = len(blocks)
+    upper = np.triu(np.ones((p, p), dtype=bool), 1)
+    pending, first = upper.copy(), np.full((p, p), -1)
+    vh = v.conj().T
+    for lo, hi in _chunks(f, v.size):
+        if not pending.any():
+            break
+        c = _compressions(vh, f.apply(lo, hi, v.reshape(f.n, v.size // f.n)))
+        # squared norms of the cluster blocks, indexed (i, B, j)
+        sq = np.add.reduceat(np.add.reduceat(c.real ** 2 + c.imag ** 2, starts, axis=0), starts, axis=2)
+        sq = np.cumsum(np.cumsum(sq, axis=0)[:, :, ::-1], axis=2)[:, :, ::-1]
+        linked = np.sqrt(sq) > cfg.membership_tol
+        hit = pending & linked.any(axis=1)
+        first[hit] = lo + linked.argmax(axis=1)[hit]
+        pending &= ~hit
+    table = np.where(upper, math.inf, math.nan)
+    found = first >= 0
+    table[found] = np.asarray(f.breakpoints)[np.searchsorted(f.cuts, first[found], side="right")]
+    return table
 
 
 def linkable(p: AmplifiedProjection, q: AmplifiedProjection, cfg: NumericConfig = DEFAULT_CONFIG) -> bool:

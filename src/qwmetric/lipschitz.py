@@ -15,15 +15,15 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import CommutantMember, DimensionMismatch, NotHermitian, PostconditionFailed, ZeroProjection
+from .errors import CommutantMember, DimensionMismatch, PostconditionFailed, ZeroProjection
 from .filtration import StepFiltration
-from .geometry import AmplifiedProjection, _align, _apply_level, rho, separating_projections
+from .geometry import AmplifiedProjection, _align, _apply_level, _rho_table, rho, separating_projections
 from .numerics import (
     DEFAULT_CONFIG,
     NumericConfig,
+    _eig_clusters,
     as_square,
     hermitian_eig,
-    is_hermitian,
     op_norm,
     range_projection,
     spectral_projection,
@@ -65,32 +65,36 @@ class AscentBudget:
 
 def spectral_lipschitz(f: StepFiltration, a, amp_degree: int = 1, cfg: NumericConfig = DEFAULT_CONFIG) -> LipschitzReport:
     """L_s(A) = max over eigenvalue pairs of gap / rho of half-line spectral
-    projections; 0/0 counts as 0, positive gap over rho = 0 as +inf."""
+    projections; 0/0 counts as 0, positive gap over rho = 0 as +inf, and
+    ties keep the first pair.  Every rho comes from one scan of the graded
+    basis (geometry._rho_table); only the witness's two projections are
+    formed and checked."""
     m = as_square(a)
     if m.shape[0] != f.n * amp_degree:
         raise DimensionMismatch("matrix size does not match filtration * amplification")
-    if not is_hermitian(m, cfg):
-        raise NotHermitian("spectral Lipschitz number needs a Hermitian input")
-    values, projections = hermitian_eig(m, cfg)
-    # cumulative low and high half-line spectral projections, each wrapped once
-    lows = [AmplifiedProjection(f.n, amp_degree, p, cfg) for p in np.cumsum(projections, axis=0)]
-    highs = [AmplifiedProjection(f.n, amp_degree, p, cfg) for p in np.cumsum(projections[::-1], axis=0)[::-1]]
-    best = 0.0
-    witness = {"pair": None, "rho": None}
+    # _eig_clusters raises NotHermitian on a non-Hermitian input
+    values, blocks = _eig_clusters(m, cfg)
+    table = _rho_table(f, blocks, cfg)
+    best, at = 0.0, None
     for i in range(len(values)):
         for j in range(i + 1, len(values)):
             gap = values[j] - values[i]
-            r = rho(f, lows[i], highs[j], cfg)
+            r = float(table[i, j])
             ratio = 0.0 if gap == 0 else (math.inf if r == 0 else gap / r)
             if ratio > best:
-                best = ratio
-                witness = {
-                    "pair": (values[i], values[j]),
-                    "rho": r,
-                    "low": lows[i],
-                    "high": highs[j],
-                }
-    return LipschitzReport(best, witness)
+                best, at = ratio, (i, j, r)
+    if at is None:
+        return LipschitzReport(best, {"pair": None, "rho": None})
+    i, j, r = at
+    # the witness's half-line projections, summed in the order of a cumulative sum from each end
+    low = sum(b @ b.conj().T for b in blocks[: i + 1])
+    high = sum(b @ b.conj().T for b in reversed(blocks[j:]))
+    return LipschitzReport(best, {
+        "pair": (values[i], values[j]),
+        "rho": r,
+        "low": AmplifiedProjection(f.n, amp_degree, low, cfg),
+        "high": AmplifiedProjection(f.n, amp_degree, high, cfg),
+    })
 
 
 def _norm_one(c: np.ndarray) -> np.ndarray:
@@ -121,19 +125,21 @@ def commutation_lipschitz_lower(
     best = 0.0
     witness = {"t": None, "contraction": None}
 
-    def consider(t, cs):
-        """Score a stack of candidates, normalized; ties keep the first."""
+    def consider(t, vals, cs):
+        """Keep the best of a stack of scored candidates; ties keep the first."""
         nonlocal best, witness
-        if len(cs) == 0:
-            return
-        norms = np.linalg.norm(cs, 2, axis=(1, 2))
-        cs = cs / np.where(norms == 0, 1.0, norms)[:, None, None]
-        vals = np.linalg.norm(m @ cs - cs @ m, 2, axis=(1, 2)) / t
         i = int(np.argmax(vals))
         if vals[i] > best:
             best = float(vals[i])
             witness = {"t": t, "contraction": cs[i]}
 
+    def normalized(cs):
+        norms = np.linalg.norm(cs, 2, axis=(1, 2))
+        return cs / np.where(norms == 0, 1.0, norms)[:, None, None]
+
+    # every basis element normalized and its commutator norm taken, in one batched call each
+    units = normalized(f.basis)
+    scores = np.linalg.norm(m @ units - units @ m, 2, axis=(1, 2))
     # only the ascent reads the commutators of the raw basis
     comms = m @ f.basis - f.basis @ m if budget.restarts > 0 else None
     scored = 0
@@ -142,7 +148,8 @@ def commutation_lipschitz_lower(
             continue
         # an element scored at an earlier t' < t had the larger ratio
         # ||[A, C]|| / t' there, so only the elements entering at t compete
-        consider(t, f.basis[scored : lv.dim])
+        if lv.dim > scored:
+            consider(t, scores[scored : lv.dim] / t, units[scored : lv.dim])
         scored = lv.dim
         if comms is None:
             continue
@@ -164,7 +171,8 @@ def commutation_lipschitz_lower(
                 z = lv.coefficients(c) + step * grad.conj()
                 c = _norm_one(np.tensordot(z, lv.basis, axes=(0, 0)))
                 step *= 0.97
-            consider(t, c[None])
+            c = normalized(c[None])
+            consider(t, np.linalg.norm(m @ c - c @ m, 2, axis=(1, 2)) / t, c)
     return LipschitzReport(best, witness)
 
 

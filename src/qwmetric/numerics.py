@@ -74,20 +74,17 @@ def is_hermitian(a, cfg: NumericConfig = DEFAULT_CONFIG) -> bool:
     return op_norm(m - m.conj().T) <= cfg.membership_tol * max(1.0, op_norm(m))
 
 
-def hermitian_eig(a, cfg: NumericConfig = DEFAULT_CONFIG):
-    """Clustered eigendecomposition of a Hermitian matrix.
-
-    Returns ``(eigenvalues, projections)`` with eigenvalues strictly ascending
-    after merging values within ``eig_cluster_tol``, and one orthogonal
-    projection per cluster.  The input is symmetrized before decomposition.
-    """
+def _eig_clusters(a, cfg: NumericConfig):
+    """The clustering rule of hermitian_eig: the cluster means, strictly
+    ascending, and the eigenvector block (orthonormal columns) of each
+    cluster, in order, so the blocks side by side are the whole unitary."""
     m = as_square(a)
     if not is_hermitian(m, cfg):
         raise NotHermitian("matrix is not Hermitian within tolerance")
     h = (m + m.conj().T) / 2
     w, v = np.linalg.eigh(h)
     values = []
-    projections = []
+    blocks = []
     i = 0
     n = len(w)
     while i < n:
@@ -95,11 +92,21 @@ def hermitian_eig(a, cfg: NumericConfig = DEFAULT_CONFIG):
         # grow the cluster while consecutive gaps stay below the merge width
         while j < n and w[j] - w[j - 1] <= cfg.eig_cluster_tol:
             j += 1
-        block = v[:, i:j]
         values.append(float(np.mean(w[i:j])))
-        projections.append(block @ block.conj().T)
+        blocks.append(v[:, i:j])
         i = j
-    return values, projections
+    return values, blocks
+
+
+def hermitian_eig(a, cfg: NumericConfig = DEFAULT_CONFIG):
+    """Clustered eigendecomposition of a Hermitian matrix.
+
+    Returns ``(eigenvalues, projections)`` with eigenvalues strictly ascending
+    after merging values within ``eig_cluster_tol``, and one orthogonal
+    projection per cluster.  The input is symmetrized before decomposition.
+    """
+    values, blocks = _eig_clusters(a, cfg)
+    return values, [b @ b.conj().T for b in blocks]
 
 
 def spectral_projection(a, kind: str, threshold: float, cfg: NumericConfig = DEFAULT_CONFIG) -> np.ndarray:

@@ -529,6 +529,18 @@ class TestLpProduct:
             assert prod.value_at(t).contains_space(lp.value_at(t))
 
 
+    @pytest.mark.parametrize("abc", [(0.5, 0.5, 0.9), (1.0, 2.0, 3.0)])
+    def test_large_p_neither_underflows_nor_overflows(self, abc):
+        """At p = 2000, 0.5^p underflows to 0 and 2^p overflows; every time
+        stays within (1 + 2^(1/p)) of max(s, t) and the product is valid."""
+        f = m2_metric(*abc)
+        lp = lp_product(f, f, 2000)
+        assert validate(lp).is_filtration
+        assert lp.cuts[0] == 1
+        hi = np.maximum(f.times[:, None], f.times[None]).reshape(-1)
+        assert np.all(lp.times >= np.sort(hi)) and np.all(lp.times <= 2 ** (1 / 2000) * np.sort(hi))
+
+
 class TestReparameterizations:
     def test_snowflake_classical(self, rng):
         d = random_metric(3, rng)
@@ -653,6 +665,17 @@ class TestCoLipschitz:
         d = random_metric(3, rng)
         f, ctx = from_classical(d)
         assert co_lipschitz_number(f, f, 1, np.eye(3), np.eye(3), ctx) == 1.0
+
+    def test_each_level_of_f_is_embedded_once(self, rng, monkeypatch):
+        """The levels of g are nested, so the scan over the breakpoints of f
+        only moves forward: one span per level of f on the identity."""
+        import qwmetric.constructions as constructions
+
+        f, ctx = from_classical(random_metric(4, rng))
+        calls = []
+        monkeypatch.setattr(constructions, "span", lambda *a, **k: calls.append(a) or span(*a, **k))
+        assert co_lipschitz_number(f, f, 1, np.eye(4), np.eye(4), ctx) == 1.0
+        assert len(f.breakpoints) == 7 and len(calls) == 7
 
     @pytest.mark.parametrize("seed", range(4))
     def test_classical_composition_equals_function_lipschitz(self, seed):

@@ -15,7 +15,7 @@ from qwmetric import (
     validate,
 )
 from qwmetric.codes import hamming_filtration
-from qwmetric.errors import MixedDimensions, NegativeTime, NotAPseudometric, NotDiagonalContext
+from qwmetric.errors import MixedDimensions, NegativeTime, NotAPseudometric, NotDiagonalContext, NotNested
 from qwmetric.numerics import random_hermitian, random_unitary
 from qwmetric.opspace import OperatorSubspace, VNAlgebra, commutant
 
@@ -124,6 +124,21 @@ class TestGradedBasis:
         f = StepFiltration(2, [0, 1, 2, 3], [span([I2]), before, OperatorSubspace(2, given), full_space(2)])
         assert f.cuts == [1, 2, 2, 4]
         assert f.levels[2].equals(before)
+
+    def test_a_level_with_a_non_orthonormal_basis_is_nested(self):
+        """Nesting is tested against an orthonormal span of each level, so a
+        level handed in as I/sqrt(2) and (I + Z)/2, which are not orthogonal,
+        contains span{I}; a level of the same kind without I does not."""
+        lv = OperatorSubspace(2, np.stack([I2 / math.sqrt(2), (I2 + DIAG) / 2]))
+        f = StepFiltration(2, [0, 1, 2], [span([I2]), lv, full_space(2)])
+        assert f.cuts == [1, 2, 4]
+        flat = f.basis.reshape(4, -1)
+        np.testing.assert_allclose(flat.conj() @ flat.T, np.eye(4), atol=1e-12)
+        assert f.levels[1].equals(span([I2, DIAG]))
+        assert validate(f).is_filtration
+        off = OperatorSubspace(2, np.stack([DIAG / math.sqrt(2), (DIAG + REAL_OFF) / 2]))
+        with pytest.raises(NotNested):
+            StepFiltration(2, [0, 1, 2], [span([I2]), off, full_space(2)])
 
     def test_hamming_four_qubits_validates(self):
         rep = validate(hamming_filtration(4, 2))

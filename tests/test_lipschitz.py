@@ -1,3 +1,4 @@
+import functools
 import math
 
 import numpy as np
@@ -14,7 +15,10 @@ from qwmetric.lipschitz import (
     spectral_join,
     spectral_lipschitz,
 )
-from qwmetric.numerics import op_norm, random_hermitian, range_projection
+from qwmetric.codes import hamming_filtration
+from qwmetric.constructions import truncate
+from qwmetric.geometry import _rho_table
+from qwmetric.numerics import DEFAULT_CONFIG, _eig_clusters, hermitian_eig, op_norm, random_hermitian, random_unitary, range_projection
 
 from conftest import (
     DIAG,
@@ -80,6 +84,81 @@ class TestSpectralLipschitz:
         lo, hi = rep.witness["pair"]
         r = rho(f, rep.witness["low"], rep.witness["high"])
         assert (hi - lo) / r == pytest.approx(rep.value, abs=1e-8)
+
+
+def rho_every_pair(f, a, amp_degree=1):
+    """The spectral Lipschitz number written out: one rho scan per
+    eigenvalue pair, between the cumulative half-line projections.  Also
+    returns every pair's rho, keyed by the pair's cluster indices."""
+    values, projections = hermitian_eig(a)
+    lows, highs = np.cumsum(projections, axis=0), np.cumsum(projections[::-1], axis=0)[::-1]
+    best, pair, r_best, rhos = 0.0, None, None, {}
+    for i in range(len(values)):
+        for j in range(i + 1, len(values)):
+            gap = values[j] - values[i]
+            low, high = (AmplifiedProjection(f.n, amp_degree, p) for p in (lows[i], highs[j]))
+            r = rhos[i, j] = rho(f, low, high)
+            ratio = 0.0 if gap == 0 else (math.inf if r == 0 else gap / r)
+            if ratio > best:
+                best, pair, r_best = ratio, (values[i], values[j]), r
+    return best, pair, r_best, rhos
+
+
+@functools.lru_cache(maxsize=1)
+def spectral_cases():
+    """(filtration, Hermitian A, amplification) for the one-scan oracle."""
+    rng = np.random.default_rng(2718)
+    cases = []
+    for n in (3, 5, 7):
+        f, _ = from_classical(random_metric(n, rng))
+        cases += [(f, np.diag(rng.uniform(-2, 2, n)).astype(complex), 1), (f, random_hermitian(n, rng), 1)]
+    # two components at infinite distance: pairs across them never link
+    d = np.full((4, 4), math.inf)
+    d[:2, :2] = d[2:, 2:] = [[0.0, 1.5], [1.5, 0.0]]
+    f, _ = from_classical(d)
+    cases += [(f, np.diag([0.0, 1.0, 3.0, -2.0]).astype(complex), 1), (f, random_hermitian(4, rng), 1)]
+    # points 0 and 1 glued: the first pair at rho = 0 is linked only through the farther cluster
+    f, _ = from_classical(random_metric(3, rng, allow_zero=True))
+    cases.append((f, np.diag([0.0, 2.0, 1.0]).astype(complex), 1))
+    for n in (2, 3, 4):
+        g = random_step_filtration(n, rng, levels=2)
+        cases += [(g, random_hermitian(n, rng), 1), (truncate(g, 0.8 * g.breakpoints[-1]), random_hermitian(n, rng), 1)]
+        cases += [(g, random_hermitian(2 * n, rng), 2), (g, random_hermitian(3 * n, rng), 3)]
+    # eigenvalue gaps just inside and just outside the merge width
+    tol = DEFAULT_CONFIG.eig_cluster_tol
+    f, _ = from_classical(random_metric(4, rng))
+    for gap in (0.5 * tol, 2 * tol):
+        u = random_unitary(4, rng)
+        for lam in ([0.0, gap, 1.0, 1.0 + gap], [0.0, gap, 2 * gap, 1.0]):
+            a = u @ np.diag(lam) @ u.conj().T
+            cases += [(f, (a + a.conj().T) / 2, 1), (f, np.diag(lam).astype(complex), 1)]
+    cases.append((hamming_filtration(3, 2), random_hermitian(16, rng), 2))
+    return cases
+
+
+class TestSpectralScan:
+    """spectral_lipschitz reads every rho from one scan of the graded basis."""
+
+    @pytest.mark.parametrize("case", range(len(spectral_cases())))
+    def test_matches_one_rho_per_pair(self, case):
+        f, a, m = spectral_cases()[case]
+        rep = spectral_lipschitz(f, a, amp_degree=m)
+        value, pair, r, rhos = rho_every_pair(f, a, m)
+        table = _rho_table(f, _eig_clusters(a, DEFAULT_CONFIG)[1], DEFAULT_CONFIG)
+        assert {ij: table[ij] for ij in rhos} == rhos
+        assert rep.value == value
+        assert rep.witness["pair"] == pair
+        assert rep.witness["rho"] == r
+        if pair is not None:
+            lo, hi = rep.witness["low"], rep.witness["high"]
+            assert (lo.m, hi.m) == (m, m)
+            assert rho(f, lo, hi) == r
+
+    def test_factored_basis_stays_factored(self, rng):
+        f = hamming_filtration(4, 2)
+        rep = spectral_lipschitz(f, random_hermitian(32, rng), amp_degree=2)
+        assert rep.value > 0
+        assert f._basis is None
 
 
 class TestGaugeAxioms:
