@@ -16,7 +16,7 @@ import numpy as np
 from .errors import NotACode, SizeLimit
 from .filtration import MetricContext, StepFiltration, default_context
 from .numerics import DEFAULT_CONFIG, NumericConfig, as_square, commutes_each, is_projection, rank
-from .opspace import OperatorSubspace, VNAlgebra, generated_vn_algebra, span
+from .opspace import VNAlgebra, generated_vn_algebra, span
 from .constructions import TimedGenerators, _natural_range_basis, generated_filtration
 
 __all__ = [
@@ -422,6 +422,4 @@ def induced_metric(
         compressed = span([cols.conj().T @ b @ cols for b in lv.basis], k, cfg)
         if compressed.dim:
             gens.append((t, compressed))
-    if not gens:
-        return StepFiltration(k, [0.0], [OperatorSubspace(k, base.basis)])
     return generated_filtration(TimedGenerators(base, gens), horizon=None, cfg=cfg)

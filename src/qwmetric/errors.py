@@ -93,10 +93,6 @@ class NotIsometry(QwmError):
     pass
 
 
-class NotHomomorphism(QwmError):
-    pass
-
-
 class BridgeTooSmall(QwmError):
     pass
 

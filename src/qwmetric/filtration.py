@@ -31,7 +31,7 @@ import numpy as np
 
 from .errors import MixedDimensions, NegativeTime, NotAPseudometric, NotDiagonalContext, NotNested
 from .numerics import DEFAULT_CONFIG, NumericConfig, as_square, eye, op_norm, rank
-from .opspace import OperatorSubspace, VNAlgebra, _orthonormalize, commutant, full_space, generated_vn_algebra
+from .opspace import OperatorSubspace, VNAlgebra, _extend, _orthonormalize, commutant, full_space, generated_vn_algebra
 
 __all__ = [
     "StepFiltration",
@@ -192,8 +192,7 @@ def _adapted_basis(n: int, levels, cfg: NumericConfig):
     other by an orthonormal one; nesting is tested against that span.  A
     level whose basis then starts with the basis so far adds its own further
     elements; otherwise it adds its part orthogonal to the previous level,
-    re-spanned the same way under the rank rule floored at 1, the size of
-    an orthonormal row."""
+    through opspace._extend, the one growth step of a graded basis."""
     flat = np.zeros((0, n * n), dtype=complex)
     cuts = []
     for i, lv in enumerate(levels):
@@ -207,7 +206,7 @@ def _adapted_basis(n: int, levels, cfg: NumericConfig):
             new = rows[cut:]
         else:
             # floored at the size of an orthonormal row: a level equal to the one before leaves rounding noise
-            new = _orthonormalize(rows - (rows @ flat.conj().T) @ flat, n, cfg, 1.0).reshape(-1, n * n)
+            new = _extend(flat, rows, n, cfg)
         flat = np.concatenate([flat, new])
         cuts.append(len(flat))
     return flat.reshape(-1, n, n), cuts

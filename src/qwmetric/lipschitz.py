@@ -26,7 +26,6 @@ from .numerics import (
     hermitian_eig,
     op_norm,
     range_projection,
-    spectral_projection,
 )
 
 __all__ = [
@@ -214,13 +213,14 @@ def rho_from_gauge(f: StepFiltration, p: AmplifiedProjection, q: AmplifiedProjec
     pp, qq = _align(p, q)
     ceiling = direct if math.isfinite(direct) else f.breakpoints[-1] + 1.0
     a = distance_operator(f, pp, ceiling, cfg)
-    values, qm = sorted(hermitian_eig(a, cfg)[0], reverse=True), qq.matrix
-    # the eigenvalue of A on ran(Q), else the largest v with Q <= P_[v, inf)(A);
-    # slack: A is exact only within the slack of distance_operator
+    values, qm = hermitian_eig(a, cfg)[0], qq.matrix
+    # the eigenvalue of A on ran(Q), which is then the largest v with Q <= P_[v, inf)(A): every
+    # N_t below the ceiling annihilates Q, since ran(Q) is orthogonal to (V_t (x) I) ran(P), so
+    # A Q = ceiling Q; slack: A is exact only within the slack of distance_operator
     aq, slack = a @ qm, 10 * cfg.membership_tol
-    read = next((v for v in values if op_norm(aq - v * qm) <= slack * max(1.0, abs(v))), None)
+    read = next((v for v in reversed(values) if op_norm(aq - v * qm) <= slack * max(1.0, abs(v))), None)
     if read is None:
-        read = next((v for v in values if op_norm(spectral_projection(a, "ge", v, cfg) @ qm - qm) <= slack), 0.0)
+        raise PostconditionFailed("Q is not in an eigenspace of the distance operator")
     if abs(read - ceiling) > cfg.membership_tol * max(1.0, ceiling):
         raise PostconditionFailed(f"gauge read-off {read} disagrees with rho {direct}")
     return read if math.isfinite(direct) else math.inf
@@ -281,18 +281,15 @@ def spectral_join(a, b, cfg: NumericConfig = DEFAULT_CONFIG) -> np.ndarray:
     ma, mb = as_square(a), as_square(b)
     if ma.shape != mb.shape:
         raise DimensionMismatch("operands of the join must have equal size")
-    va, _ = hermitian_eig(ma, cfg)
-    vb, _ = hermitian_eig(mb, cfg)
-    thresholds = sorted(set(va) | set(vb))
+    clusters = [_eig_clusters(ma, cfg), _eig_clusters(mb, cfg)]
+    thresholds = sorted({v for values, _ in clusters for v in values})
     n = ma.shape[0]
     out = thresholds[0] * np.eye(n, dtype=complex)
-    prev = thresholds[0]
-    for t in thresholds[1:]:
-        # E(s) for s in [prev, t): join of the two strict upper projections
-        mid = (prev + t) / 2
-        pa = np.eye(n) - spectral_projection(ma, "le", mid, cfg)
-        pb = np.eye(n) - spectral_projection(mb, "le", mid, cfg)
-        e = range_projection(np.concatenate([pa, pb], axis=1), cfg)
-        out = out + (t - prev) * e
-        prev = t
+    for prev, t in zip(thresholds, thresholds[1:]):
+        # E(s) for s in [prev, t): the join of the two strict upper projections, the range of
+        # the eigenvector blocks above the midpoint (a closed lower half-line takes the
+        # clusters within eig_cluster_tol of its end)
+        cut = (prev + t) / 2 + cfg.eig_cluster_tol
+        above = [blk for values, blocks in clusters for v, blk in zip(values, blocks) if v > cut]
+        out = out + (t - prev) * range_projection(np.concatenate([np.zeros((n, 0)), *above], axis=1), cfg)
     return out

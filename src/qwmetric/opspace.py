@@ -135,6 +135,17 @@ def _orthonormalize(rows: np.ndarray, n: int, cfg: NumericConfig, scale: float =
     return vh[: rank(s, cfg, scale)].reshape(-1, n, n)
 
 
+def _extend(flat: np.ndarray, cand: np.ndarray, n: int, cfg: NumericConfig) -> np.ndarray:
+    """The part of span(cand) outside the span of the orthonormal rows
+    ``flat``, as further orthonormal rows (k, n^2): the candidates' residual
+    against ``flat`` through _orthonormalize, floored at 1, the size of an
+    orthonormal row.  Candidates are orthonormal rows or products of them,
+    so a residual of rounding noise adds nothing, even when every candidate
+    is itself noise (a product of blocks that is exactly 0)."""
+    resid = cand - (cand @ flat.conj().T) @ flat
+    return _orthonormalize(resid, n, cfg, 1.0).reshape(-1, n * n)
+
+
 def span(mats, ambient_dim: int | None = None, cfg: NumericConfig = DEFAULT_CONFIG) -> OperatorSubspace:
     """HS-orthonormal span of a family of n x n matrices."""
     mats = [as_square(m) for m in mats]

@@ -44,8 +44,8 @@ from qwmetric.errors import (
     NotSuperadditive,
     QwmError,
 )
-from qwmetric.numerics import NumericConfig, random_unitary
-from qwmetric.opspace import VNAlgebra, generated_vn_algebra, intersect, scalar_space, tensor
+from qwmetric.numerics import NumericConfig, random_hermitian, random_unitary
+from qwmetric.opspace import VNAlgebra, generated_vn_algebra, intersect, product_span, scalar_space, tensor
 
 from conftest import (
     DIAG,
@@ -295,6 +295,33 @@ class TestGeneratedFiltration:
         assert h.breakpoints == [0.0, 1.0] and h.cuts == [2, 4]
         assert validate(f).is_filtration and validate(g).is_filtration and validate(h).is_filtration
 
+    def test_a_merged_jump_takes_its_products_again(self):
+        """At 16 the spacing of doubles is 2^-48, so 16 + 1e-12 lies within
+        TIME_MERGE of 16: the event (1, j) of the jump j at 16 merges into
+        it, bringing E24, and E12 E24 = E14 enters at 16 as well (not at
+        16 + 2e-12) only if that event is taken again against the whole
+        block."""
+        n = 4
+        units = np.eye(n * n, dtype=complex).reshape(n * n, n, n)
+        path, last = span([units[1], units[6]], n), span([units[11]], n)
+        f = generated_filtration(TimedGenerators(MetricContext.diagonal(n).commutant, [(1e-12, path), (16.0, last)]))
+        assert f.breakpoints == [0.0, 1e-12, 2e-12, 16.0] and f.cuts == [4, 8, 10, 16]
+
+    def test_blocks_with_a_zero_product_add_nothing(self):
+        """Over a diagonal base in a random basis, the two edges' blocks have
+        product exactly 0, which in floating point is rounding noise alone:
+        the event at 1 + 1.25 adds nothing, and the two components stay at
+        infinite distance."""
+        n = 4
+        u = random_unitary(n, np.random.default_rng(0))
+        units = np.eye(n * n, dtype=complex).reshape(n * n, n, n)
+        base = generated_vn_algebra([u @ np.diag([0.0, 1.0, 2.0, 3.0]) @ u.conj().T], n)
+        gens = [(1.0, span([u @ units[1] @ u.conj().T], n)), (1.25, span([u @ units[11] @ u.conj().T], n))]
+        f = generated_filtration(TimedGenerators(base, gens))
+        assert f.breakpoints == [0.0, 1.0, 1.25] and f.cuts == [4, 6, 8]
+        p, q = (AmplifiedProjection.base(u @ units[k] @ u.conj().T) for k in (0, 10))
+        assert rho(f, p, q) == math.inf
+
     def test_all_constructors_validate(self, rng):
         base = VNAlgebra(3, scalar_space(3).basis, verify=False)
         h = np.diag([1.0, -1.0, 0.0]).astype(complex)
@@ -332,6 +359,75 @@ class TestGeneratedFiltration:
                         prod = product_span(product_span(prod, sym[i][1]), base_sp)
                     acc = sum_spaces(acc, prod)
             assert f.value_at(t).equals(acc)
+
+    @pytest.mark.parametrize("seed", range(30))
+    def test_matches_the_fixed_point_of_the_levels(self, seed):
+        """Oracle from span and product_span alone, over a base that is not
+        scalar and generators that it does not preserve: the levels on the
+        grid of half-integers, swept in ascending time until none grows,
+        each taking the level before, the generators due (with adjoints),
+        the products of every pair of levels whose times sum to it, and its
+        sandwich by the base until that is stable.  The engine closes only
+        generators under the base and multiplies only the new blocks, so
+        this pins that the blocks are bimodules over the base."""
+        rng = np.random.default_rng(1000 + seed)
+        n = int(rng.integers(2, 5))
+        u = random_unitary(n, rng) if seed % 3 else np.eye(n)
+        if seed % 3 == 0:
+            base = MetricContext.diagonal(n).commutant
+        elif seed % 3 == 1 or n == 2:
+            # the spectral projections of a Hermitian with two or three eigenvalues
+            values = rng.permutation([0.0, 1.0, *rng.choice([0.0, 1.0, 2.0], size=n - 2)])
+            base = generated_vn_algebra([u @ np.diag(values) @ u.conj().T], n)
+        else:
+            # M_k (+) M_{n-k}
+            k = int(rng.integers(1, n))
+            block = np.zeros((n, n), dtype=complex)
+            block[:k, :k], block[k:, k:] = random_hermitian(k, rng), random_hermitian(n - k, rng)
+            shift = np.diag(np.arange(n, dtype=float))
+            base = generated_vn_algebra([u @ block @ u.conj().T, u @ shift @ u.conj().T], n)
+        b = span(list(base.basis), n)
+        assert 1 < b.dim < n * n
+        gens = []
+        # drawn until some generator is not closed under the base
+        while all(g.contains_space(product_span(b, product_span(g, b))) for _, g in gens):
+            gens = []
+            for _ in range(int(rng.integers(1, 3))):
+                # two random entries in the base's own basis, so the levels grow in several steps
+                x = np.zeros((n, n), dtype=complex)
+                x[rng.integers(0, n, 2), rng.integers(0, n, 2)] = rng.standard_normal(2) + 1j * rng.standard_normal(2)
+                gens.append((float(rng.choice([0.5, 1.0, 1.5])), span([u @ x @ u.conj().T], n)))
+        f = generated_filtration(TimedGenerators(base, gens))
+        assert all(t == round(2 * t) / 2 for t in f.breakpoints)
+        # no level grows past twice the last breakpoint: the top times itself lies in the top
+        top = int(2 * max(2 * f.breakpoints[-1], max(t for t, _ in gens)))
+        levels = [b] * (top + 1)
+        grown = True
+        while grown:
+            grown = False
+            for k in range(1, top + 1):
+                mats = [*levels[k - 1].basis, *levels[k].basis]
+                mats += [m for t, g in gens if 2 * t <= k for x in g.basis for m in (x, x.conj().T)]
+                mats += [m for i in range(1, k) for m in product_span(levels[i], levels[k - i]).basis]
+                level = span(mats, n)
+                while True:
+                    closed = span([*level.basis, *product_span(b, product_span(level, b)).basis], n)
+                    if closed.dim == level.dim:
+                        break
+                    level = closed
+                if level.dim > levels[k].dim:
+                    levels[k], grown = level, True
+        for k, level in enumerate(levels):
+            assert f.value_at(k / 2).equals(level), k / 2
+
+    @pytest.mark.parametrize("n, cycle", [(12, False), (14, False), (12, True)])
+    def test_long_paths_and_a_cycle_are_bfs(self, n, cycle):
+        adj = np.zeros((n, n), dtype=bool)
+        for x in range(n if cycle else n - 1):
+            adj[x, (x + 1) % n] = adj[(x + 1) % n, x] = True
+        ctx = MetricContext.diagonal(n)
+        f = generated_filtration(TimedGenerators(ctx.commutant, [(1.0, graph_relation_span(adj))]))
+        np.testing.assert_array_equal(to_classical(f, ctx), bfs_distances(adj))
 
 
 @pytest.mark.parametrize("bad", [math.nan, math.inf])

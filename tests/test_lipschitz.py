@@ -188,6 +188,26 @@ class TestGaugeAxioms:
         lj = spectral_lipschitz(f, join).value
         assert lj <= max(la, lb) + 1e-8
 
+    def test_spectral_join_decomposes_each_operand_once(self, monkeypatch):
+        """One eigendecomposition per operand, however many thresholds the
+        join has, and each strict upper spectral projection of the join is
+        the join of the operands'."""
+        rng = np.random.default_rng(3)
+        a, b = random_hermitian(4, rng), random_hermitian(4, rng)
+        eigh, calls = np.linalg.eigh, []
+        monkeypatch.setattr(np.linalg, "eigh", lambda m: calls.append(m) or eigh(m))
+        join = spectral_join(a, b)
+        assert len(calls) == 2
+        monkeypatch.undo()
+
+        def upper(m, s):
+            w, v = np.linalg.eigh(m)
+            return v[:, w > s] @ v[:, w > s].conj().T
+
+        for s in np.linspace(-4, 4, 17):
+            expected = range_projection(np.concatenate([upper(a, s), upper(b, s)], axis=1))
+            np.testing.assert_allclose(upper(join, s), expected, atol=1e-9)
+
     @pytest.mark.parametrize("seed", range(4))
     def test_compression_axiom(self, seed):
         rng = np.random.default_rng(seed)
@@ -444,6 +464,22 @@ class TestRhoFromGauge:
         q = AmplifiedProjection.base(np.diag([0.0, 1.0]))
         r = rho_from_gauge(f, p, q)
         assert r == rho(f, p, q) == 2.0  # linked by the real off-diagonal
+
+    @pytest.mark.parametrize("seed", range(12))
+    def test_random_projections_read_off_rho(self, seed):
+        """Q lies in an eigenspace of the profile anchored at P, so the
+        eigenvalue read-off alone recovers rho, also for projections in a
+        random basis, of any rank and at amp_degree 2."""
+        rng = np.random.default_rng(500 + seed)
+        n, m = int(rng.integers(2, 5)), int(rng.integers(1, 3))
+        f = random_step_filtration(n, rng)
+        # orthogonal ranges, so that rho is positive over the scalar zero level
+        w, k = random_unitary(n * m, rng), int(rng.integers(1, n * m))
+        l = int(rng.integers(k + 1, n * m + 1))
+        p, q = (AmplifiedProjection(n, m, c @ c.conj().T) for c in (w[:, :k], w[:, k:l]))
+        direct = rho(f, p, q)
+        assert direct > 0
+        assert rho_from_gauge(f, p, q) == pytest.approx(direct, abs=1e-8)
 
     def test_unlinkable_pair(self):
         d = np.array([[0.0, math.inf], [math.inf, 0.0]])

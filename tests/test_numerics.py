@@ -244,3 +244,20 @@ def test_tolerances_have_one_home():
     assert rank_reads <= {("numerics.py", "NumericConfig"), ("numerics.py", "rank"), ("cli.py", "_cfg_from_args")}
     assert ("numerics.py", "rank") in rank_reads
     assert small <= {("numerics.py", "NumericConfig"), ("constructions.py", "TIME_MERGE"), ("cli.py", "_cfg_from_args")}
+
+
+def test_every_import_is_read():
+    """No module of the package imports a name it never reads.  The
+    package's __init__ imports to re-export, and a __future__ import is a
+    directive to the compiler, so neither is held to the rule."""
+    unread = set()
+    for path in sorted(SRC.glob("*.py")):
+        if path.name == "__init__.py":
+            continue
+        tree = ast.parse(path.read_text())
+        read = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load)}
+        for node in ast.walk(tree):
+            if isinstance(node, (ast.Import, ast.ImportFrom)) and getattr(node, "module", None) != "__future__":
+                names = {(alias.asname or alias.name).split(".")[0] for alias in node.names}
+                unread |= {(path.name, name) for name in names - read}
+    assert not unread
