@@ -24,7 +24,7 @@ from .filtration import MetricContext, StepFiltration, ValidationReport, descrip
 from .geometry import AmplifiedProjection, rho
 from .lipschitz import AscentBudget, commutation_lipschitz_lower, spectral_lipschitz
 from .numerics import DEFAULT_CONFIG, NumericConfig
-from .opspace import OperatorSubspace, span
+from .opspace import OperatorSubspace
 
 SCHEMA = "qwm/1"
 
@@ -110,7 +110,7 @@ def parse_matrix(obj, pointer: str) -> np.ndarray:
     return a.view(complex)[..., 0]
 
 
-def parse_subspace(obj, pointer: str, cfg: NumericConfig) -> OperatorSubspace:
+def parse_subspace(obj, pointer: str) -> OperatorSubspace:
     if not isinstance(obj, dict) or "dim" not in obj or "basis" not in obj:
         raise SchemaError("subspace needs 'dim' and 'basis'", pointer)
     n = obj["dim"]
@@ -124,9 +124,8 @@ def parse_subspace(obj, pointer: str, cfg: NumericConfig) -> OperatorSubspace:
         for i, m in enumerate(mats):
             if m.shape != (n, n):
                 raise SchemaError(f"basis matrix of shape {m.shape}, ambient {n}", f"{pointer}/basis/{i}")
-    if not len(mats):
-        return OperatorSubspace(n, np.zeros((0, n, n)))
-    return span(mats, n, cfg)
+    # handed to StepFiltration as given: its one re-span keeps an orthonormal family
+    return OperatorSubspace(n, mats)
 
 
 def emit_filtration(f: StepFiltration):
@@ -162,7 +161,7 @@ def parse_filtration(obj, cfg: NumericConfig) -> StepFiltration:
         if not isinstance(t, (int, float)) or not _finite(t):
             raise SchemaError("breakpoints must be finite numbers", f"{ptr}/t")
         bps.append(float(t))
-        lvs.append(parse_subspace({"dim": n, "basis": step["basis"]}, ptr, cfg))
+        lvs.append(parse_subspace({"dim": n, "basis": step["basis"]}, ptr))
     try:
         return StepFiltration(n, bps, lvs, cfg=cfg)
     except NotNested:

@@ -16,7 +16,7 @@ import numpy as np
 from .errors import NotACode, SizeLimit
 from .filtration import MetricContext, StepFiltration, default_context
 from .numerics import DEFAULT_CONFIG, NumericConfig, as_square, commutes_each, is_projection, rank
-from .opspace import VNAlgebra, generated_vn_algebra, span
+from .opspace import OperatorSubspace, VNAlgebra, _orthonormalize, generated_vn_algebra, span
 from .constructions import TimedGenerators, _natural_range_basis, generated_filtration
 
 __all__ = [
@@ -270,9 +270,7 @@ def hamming_filtration(
     if n_sites < 1 or local_dim < 2:
         raise SizeLimit("need at least one site of local dimension >= 2")
     factors = SiteFactors([n_sites], local_dim, cap)
-    f = StepFiltration.from_graded(factors.shape[1], range(n_sites + 1), factors, factors.cuts)
-    f.meta["sites"] = (n_sites, local_dim)
-    return f
+    return StepFiltration.from_graded(factors.shape[1], range(n_sites + 1), factors, factors.cuts)
 
 
 def hamming_level_dimension(n_sites: int, local_dim: int, t: int) -> int:
@@ -292,9 +290,7 @@ def block_filtration(blocks, cfg: NumericConfig = DEFAULT_CONFIG, cap: int = SIT
     if not blocks or any(b < 1 for b in blocks):
         raise SizeLimit("need at least one block of at least one qubit")
     factors = SiteFactors(blocks, 2, cap)
-    f = StepFiltration.from_graded(factors.shape[1], range(max(blocks) + 1), factors, factors.cuts)
-    f.meta["blocks"] = tuple(blocks)
-    return f
+    return StepFiltration.from_graded(factors.shape[1], range(max(blocks) + 1), factors, factors.cuts)
 
 
 def block_algebra_context(blocks, cfg: NumericConfig = DEFAULT_CONFIG) -> MetricContext:
@@ -403,7 +399,9 @@ def induced_metric(
 ) -> StepFiltration:
     """Smallest pseudometric on the corner P M P whose levels absorb the
     compressions P V_t P; built with the generated-filtration engine over
-    the compressed commutant."""
+    the algebra of the compressed zero level, with the span of grade i's
+    compressions as generator i.  The graded basis is compressed once,
+    through ``apply``, so a factored basis is not written out."""
     pm = as_square(p)
     if not is_projection(pm, cfg):
         raise NotACode("corner needs an orthogonal projection")
@@ -412,14 +410,9 @@ def induced_metric(
         raise NotACode("projection must belong to the context algebra")
     cols = _natural_range_basis(pm, cfg)
     k = cols.shape[1]
-    base = generated_vn_algebra(
-        [cols.conj().T @ b @ cols for b in f.levels[0].basis], k, cfg
-    )
-    gens = []
-    for t, lv in zip(f.breakpoints, f.levels):
-        if t <= 0:
-            continue
-        compressed = span([cols.conj().T @ b @ cols for b in lv.basis], k, cfg)
-        if compressed.dim:
-            gens.append((t, compressed))
-    return generated_filtration(TimedGenerators(base, gens), horizon=None, cfg=cfg)
+    blocks = np.split(cols.conj().T @ f.apply(0, f.cuts[-1], cols), f.cuts[:-1])
+    base = generated_vn_algebra(blocks[0], k, cfg)
+    # floored at 1: these are compressions of orthonormal elements, so a grade of rounding noise spans nothing
+    grades = [OperatorSubspace(k, _orthonormalize(d.reshape(-1, k * k), k, cfg, 1.0)) for d in blocks[1:]]
+    gens = [(t, g) for t, g in zip(f.breakpoints[1:], grades) if g.dim]
+    return generated_filtration(TimedGenerators(base, gens), cfg)

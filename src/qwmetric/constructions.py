@@ -4,8 +4,11 @@ engine behind graph metrics and subobjects), quotients, Hoelder and
 superadditive reparameterizations, the operator-system three-level metric,
 the M_2 classification, and co-Lipschitz numbers of morphisms.
 
-Truncations, direct sums, both products and the M_2 metric give each basis
-element an entry time and build through StepFiltration.from_times.
+Every construction builds its graded basis directly.  Truncations, direct
+sums, both products, the M_2 metric and reparameterizations give each basis
+element an entry time and build through StepFiltration.from_times; meets,
+quotients and the three-level metric grow one basis block by block
+(filtration._grown), and generated filtrations grow theirs event by event.
 """
 
 from __future__ import annotations
@@ -22,7 +25,7 @@ from .errors import (
     ConstraintViolation,
     DegenerateChain,
     MixedDimensions,
-    NonConvergent,
+    NegativeTime,
     NotCanonicalizable,
     NotCentral,
     NotIsometry,
@@ -30,7 +33,7 @@ from .errors import (
     NotSubalgebra,
     NotSuperadditive,
 )
-from .filtration import MetricContext, StepFiltration, default_context, descriptors
+from .filtration import MetricContext, StepFiltration, _grown, default_context, descriptors
 from .numerics import DEFAULT_CONFIG, NumericConfig, as_square, commutes_each, eye, op_norm
 from .opspace import (
     OperatorSubspace,
@@ -96,7 +99,7 @@ def stabilize(f: StepFiltration, m: int, cfg: NumericConfig = DEFAULT_CONFIG) ->
     if m < 1:
         raise MixedDimensions("amplification degree must be >= 1")
     basis = np.kron(f.basis, np.eye(m)) / math.sqrt(m)
-    return StepFiltration.from_graded(f.n * m, f.breakpoints, basis, f.cuts, f.meta)
+    return StepFiltration.from_graded(f.n * m, f.breakpoints, basis, f.cuts)
 
 
 def truncate(f: StepFiltration, c: float, cfg: NumericConfig = DEFAULT_CONFIG) -> StepFiltration:
@@ -109,7 +112,7 @@ def truncate(f: StepFiltration, c: float, cfg: NumericConfig = DEFAULT_CONFIG) -
     kept = np.searchsorted(times, c)
     below = f.basis[:kept]
     basis = np.concatenate([below, complement(OperatorSubspace(f.n, below), cfg).basis])
-    return StepFiltration.from_times(f.n, basis, np.concatenate([times[:kept], np.full(len(basis) - kept, c)]), f.meta)
+    return StepFiltration.from_times(f.n, basis, np.concatenate([times[:kept], np.full(len(basis) - kept, c)]))
 
 
 def direct_sum(
@@ -151,8 +154,8 @@ def meet(filtrations, cfg: NumericConfig = DEFAULT_CONFIG) -> StepFiltration:
         if f.n != n:
             raise MixedDimensions("meet requires a common ambient dimension")
     grid = sorted({t for f in fs for t in f.breakpoints})
-    lvs = [functools.reduce(lambda a, b: intersect(a, b, cfg), [f.value_at(t) for f in fs]) for t in grid]
-    return StepFiltration(n, grid, lvs, cfg=cfg).normalized(cfg)
+    lvs = [functools.reduce(lambda a, b: intersect(a, b, cfg), [f.value_at(t) for f in fs]).basis for t in grid]
+    return _grown(n, grid, lvs, cfg)
 
 
 def metric_product(f: StepFiltration, g: StepFiltration, cfg: NumericConfig = DEFAULT_CONFIG) -> StepFiltration:
@@ -163,11 +166,7 @@ def metric_product(f: StepFiltration, g: StepFiltration, cfg: NumericConfig = DE
     return StepFiltration.from_times(f.n * g.n, kron_stack(f.basis, g.basis), times)
 
 
-def generated_filtration(
-    tg: TimedGenerators,
-    horizon: float | None = None,
-    cfg: NumericConfig = DEFAULT_CONFIG,
-) -> StepFiltration:
+def generated_filtration(tg: TimedGenerators, cfg: NumericConfig = DEFAULT_CONFIG) -> StepFiltration:
     """Smallest step filtration whose zero level contains the base algebra
     and whose level at each generator time absorbs that generator.
 
@@ -179,12 +178,11 @@ def generated_filtration(
     the zero level B keeps V_i and V_{i-1}, so each D_i is a B-bimodule and
     a product block needs no closure; a generator X is closed once, as
     B span(X B).  Events are processed in ascending time, so every block is
-    final when a product refers to it and one pass suffices.  Only realized
-    jumps spawn product events and a chain in M_n has at most n^2 jumps, so
+    final when a product refers to it and one pass suffices.  Only a pop
+    that adds rows pushes events, at most n^2 pops add rows, and each pushes
+    at most n^2 events, so there are at most g + n^4 pops for g generators:
     the construction terminates with the exact filtration on all of
-    [0, inf); no grid horizon is involved.  An explicit ``horizon`` stops
-    generation beyond it (the result then repeats its top level, recorded in
-    ``meta``).
+    [0, inf), with no grid horizon.
     """
     n = tg.base.n
     # a generator within TIME_MERGE of 0 merges into the zero level, which
@@ -209,14 +207,9 @@ def generated_filtration(
         return np.concatenate([p, np.conj(np.transpose(p, (0, 2, 1)))]).reshape(-1, n * n)
 
     tick = itertools.count()  # ties in time pop in push order
-    heap = [(u, next(tick), ("gen", g)) for u, g in tg.gens if TIME_MERGE <= u and (horizon is None or u <= horizon + TIME_MERGE)]
+    heap = [(u, next(tick), ("gen", g)) for u, g in tg.gens if TIME_MERGE <= u]
     heapq.heapify(heap)
-    max_events = 4 * (n * n + len(tg.gens) + 2) ** 2
-    processed = 0
     while heap:
-        processed += 1
-        if processed > max_events:
-            raise NonConvergent("generated filtration event budget exhausted")
         t, _, payload = heapq.heappop(heap)
         payloads = [payload]
         while heap and abs(heap[0][0] - t) < TIME_MERGE:
@@ -237,11 +230,9 @@ def generated_filtration(
             cuts.append(len(rows))
         j = len(times) - 1
         for i in range(1, j + 1):
-            if horizon is None or times[i] + t <= horizon + TIME_MERGE:
-                heapq.heappush(heap, (times[i] + t, next(tick), ("prod", (i, j))))
+            heapq.heappush(heap, (times[i] + t, next(tick), ("prod", (i, j))))
 
-    meta = {"horizon_exact": True} if horizon is None else {"horizon_exact": False, "horizon": horizon}
-    return StepFiltration.from_graded(n, times, rows.reshape(-1, n, n), cuts, meta)
+    return StepFiltration.from_graded(n, times, rows.reshape(-1, n, n), cuts)
 
 
 def quotient(
@@ -250,7 +241,8 @@ def quotient(
     ctx: MetricContext | None = None,
     cfg: NumericConfig = DEFAULT_CONFIG,
 ) -> StepFiltration:
-    """Corner filtration W_t = R V_t R on the range of a central projection."""
+    """Corner filtration W_t = R V_t R on the range of a central projection:
+    the graded basis compressed once, then grown grade block by grade block."""
     rm = as_square(r)
     ctx = ctx or default_context(f, cfg)
     scale = max(1.0, op_norm(rm))
@@ -262,8 +254,8 @@ def quotient(
     k = cols.shape[1]
     if k == 0:
         raise NotCentral("zero projection gives an empty quotient")
-    lvs = [span([cols.conj().T @ b @ cols for b in lv.basis], k, cfg) for lv in f.levels]
-    return StepFiltration(k, f.breakpoints, lvs, cfg=cfg).normalized(cfg)
+    x = cols.conj().T @ f.apply(0, f.cuts[-1], cols)
+    return _grown(k, f.breakpoints, np.split(x, f.cuts[:-1]), cfg)
 
 
 def _natural_range_basis(p: np.ndarray, cfg: NumericConfig) -> np.ndarray:
@@ -290,15 +282,16 @@ def subobject(
     cfg: NumericConfig = DEFAULT_CONFIG,
 ) -> StepFiltration:
     """Smallest pseudometric on the subalgebra dominating f: generated
-    filtration over the subalgebra's commutant with f's levels as timed
-    generators."""
+    filtration over the subalgebra's commutant and V_0, with f's grade blocks
+    D_i as timed generators (D_j, j < i, is absorbed at t_j already)."""
     ctx = ctx or default_context(f, cfg)
     if sub.n != f.n or not ctx.algebra.contains_space(sub, cfg) or not sub.is_unital(cfg):
         raise NotSubalgebra("need a unital von Neumann subalgebra of the context algebra")
     sub_comm = commutant(sub.basis, f.n, cfg)
-    base = generated_vn_algebra(list(sub_comm.basis) + list(f.levels[0].basis), f.n, cfg)
-    gens = [(t, lv) for t, lv in zip(f.breakpoints, f.levels) if t > 0]
-    return generated_filtration(TimedGenerators(base, gens), horizon=None, cfg=cfg)
+    grades = np.split(f.basis, f.cuts[:-1])
+    base = generated_vn_algebra([*sub_comm.basis, *grades[0]], f.n, cfg)
+    gens = [(t, OperatorSubspace(f.n, d)) for t, d in zip(f.breakpoints[1:], grades[1:])]
+    return generated_filtration(TimedGenerators(base, gens), cfg)
 
 
 def lp_product(f: StepFiltration, g: StepFiltration, p: float, cfg: NumericConfig = DEFAULT_CONFIG) -> StepFiltration:
@@ -334,7 +327,7 @@ def hoelder(f: StepFiltration, alpha: float, cfg: NumericConfig = DEFAULT_CONFIG
     if not 0 < alpha < 1:
         raise MixedDimensions("alpha must lie in (0, 1)")
     bps = [t ** alpha for t in f.breakpoints]
-    return StepFiltration.from_graded(f.n, bps, f.basis, f.cuts, f.meta)
+    return StepFiltration.from_graded(f.n, bps, f.basis, f.cuts)
 
 
 class PiecewiseLinear:
@@ -416,22 +409,17 @@ def _check_superadditive(fn: PiecewiseLinear):
 
 
 def f_transform(f: StepFiltration, fn: PiecewiseLinear, cfg: NumericConfig = DEFAULT_CONFIG) -> StepFiltration:
-    """Reparameterize: V^f_t = V_{f(t)}; new breakpoints are the preimages of
-    the old ones under f.  f must be nondecreasing and superadditive
-    (validated on its node grid)."""
+    """Reparameterize: V^f_t = V_{f(t)}, so an element of old time t enters
+    at the preimage of t under f, the smallest s with f(s) >= t.  f must be
+    nondecreasing and superadditive (validated on its node grid)."""
     _check_superadditive(fn)
-    placed: dict[float, int] = {}
-    for t, cut in zip(f.breakpoints, f.cuts):
-        pre = fn.preimage_of_threshold(t)
-        if pre is None:
-            continue
-        # several old breakpoints may collapse onto one time; keep the largest
-        placed[pre] = max(placed.get(pre, 0), cut)
-    # time 0 gets the level at f(0) unless a breakpoint already maps there
-    placed.setdefault(0.0, f.cuts[f.level_index_at(fn(0.0))])
-    bps = sorted(placed)
-    cuts = [placed[t] for t in bps]
-    return StepFiltration.from_graded(f.n, bps, f.basis[: cuts[-1]], cuts, f.meta).normalized(cfg)
+    if fn(0.0) < 0:
+        raise NegativeTime(f"f(0) = {fn(0.0)} < 0 has no level")
+    pre = [fn.preimage_of_threshold(t) for t in f.breakpoints]
+    # the preimage is nondecreasing, so the grades it reaches are a prefix
+    reached = sum(s is not None for s in pre)
+    times = np.repeat(pre[:reached], np.diff(f.cuts[:reached], prepend=0))
+    return StepFiltration.from_times(f.n, f.basis[: len(times)], times)
 
 
 def operator_system_metric(system: OperatorSubspace, cfg: NumericConfig = DEFAULT_CONFIG) -> StepFiltration:
@@ -441,7 +429,7 @@ def operator_system_metric(system: OperatorSubspace, cfg: NumericConfig = DEFAUL
         raise NotOperatorSystem("input must be a self-adjoint unital subspace")
     if system.dim <= 1 or system.dim >= n * n:
         raise DegenerateChain("need C.I properly inside the system properly inside M_n")
-    return StepFiltration(n, [0.0, 1.0, 2.0], [scalar_space(n), system, full_space(n)], cfg=cfg)
+    return _grown(n, [0.0, 1.0, 2.0], [scalar_space(n).basis, system.basis, full_space(n).basis], cfg)
 
 
 _M2_DIAG = np.diag([1.0, -1.0]).astype(complex)
@@ -592,23 +580,16 @@ def co_lipschitz_number(
     # and |[R, I(x)x]| <= tol max(1, |x|), its norm is below
     # (10 + 11 + 1)(1 + tol) tol max(1, |x|) max(1, |y|)
 
-    def embedded_level(lv):
-        # U* (E_ij (x) B) U over the matrix units E_ij of M_k and the basis of the level
-        return span(um.conj().T @ kron_stack(full_space(amp_dim).basis, lv.basis) @ um, g.n, cfg)
-
-    # the levels of g are nested, so the first level of f absorbing each one
-    # never moves back: each level of f is embedded once, when first reached
-    ratios = []
-    k, embedded = 0, embedded_level(f.levels[0])
-    for s, w in zip(g.breakpoints, g.levels):
-        while not embedded.contains_space(w, cfg):
-            k += 1
-            if k == len(f.levels):
-                return math.inf
-            embedded = embedded_level(f.levels[k])
-        t_min = f.breakpoints[k]
-        if s == 0 and t_min > 0:
-            return math.inf
-        if s > 0:
-            ratios.append(t_min / s)
-    return max((x for x in ratios if x > 0), default=0.0)
+    # U* (E_ab (x) B) U = U_a* B U_b over the row blocks U_a of U and the
+    # graded basis of f: e is the filtration t -> U* (M_k (x) V_t) U, grown
+    # grade by grade, with a breakpoint where the embedded level grows
+    rows = um.reshape(amp_dim, f.n, g.n)
+    bu = f.apply(0, f.cuts[-1], rows.transpose(1, 0, 2).reshape(f.n, -1)).reshape(-1, f.n, amp_dim, g.n)
+    emb = np.einsum("axi,mxbj->mabij", rows.conj(), bu).reshape(-1, g.n, g.n)
+    e = _grown(g.n, f.breakpoints, np.split(emb, np.multiply(f.cuts[:-1], amp_dim ** 2)), cfg)
+    # the first level of e holding each level of g: a prefix maximum over g's graded basis
+    first = e._first_levels(g.basis, cfg)[0]
+    reach = np.maximum.accumulate(np.concatenate([[0], first]))[g.cuts]
+    if reach[0] > 0 or reach[-1] == len(e.cuts):
+        return math.inf
+    return float((np.asarray(e.breakpoints)[reach[1:]] / np.asarray(g.breakpoints[1:])).max(initial=0.0))

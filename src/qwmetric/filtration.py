@@ -10,9 +10,11 @@ is ever stored.
 The chain is stored as one HS-orthonormal basis of the top level, adapted
 to the flag, and one cut per breakpoint: ``levels[i]`` is the prefix view
 basis[:cut_i], not a copy, and the grade of a basis element (the level it
-enters) is its displacement gauge.  Levels handed to the constructor must be
-nested (NotNested, a MixedDimensions, otherwise); a repeated level is kept
-and :func:`validate` reports it as not strictly increasing.
+enters) is its displacement gauge.  Constructions build the graded basis
+directly (``from_graded``, ``from_times``, ``_grown``); the level-list
+constructor serves the JSON reader.  Levels handed to it must be nested
+(NotNested, a MixedDimensions, otherwise); a repeated level is kept and
+:func:`validate` reports it as not strictly increasing.
 
 The basis may also be held in factored form (``codes.SiteFactors``): then
 ``basis`` and ``levels`` are written out once, when first read, and
@@ -47,21 +49,21 @@ __all__ = [
 class StepFiltration:
     """A quantum pseudometric as a step function of operator systems."""
 
-    def __init__(self, ambient_dim: int, breakpoints, levels, meta: dict | None = None, cfg: NumericConfig = DEFAULT_CONFIG):
-        self._set(ambient_dim, breakpoints, *_adapted_basis(int(ambient_dim), list(levels), cfg), meta)
+    def __init__(self, ambient_dim: int, breakpoints, levels, cfg: NumericConfig = DEFAULT_CONFIG):
+        self._set(ambient_dim, breakpoints, *_adapted_basis(int(ambient_dim), list(levels), cfg))
 
     @classmethod
-    def from_graded(cls, ambient_dim: int, breakpoints, basis, cuts, meta: dict | None = None) -> "StepFiltration":
+    def from_graded(cls, ambient_dim: int, breakpoints, basis, cuts) -> "StepFiltration":
         """Filtration whose level i is spanned by basis[:cuts[i]]; ``basis``
         must be HS-orthonormal and is shared, not copied.  It is a (k, n, n)
         stack, or a factored basis: an object with ``shape``, ``dense()``,
         ``apply(lo, hi, x)`` and ``element_norm(i)`` (``codes.SiteFactors``)."""
         f = cls.__new__(cls)
-        f._set(ambient_dim, breakpoints, basis, cuts, meta)
+        f._set(ambient_dim, breakpoints, basis, cuts)
         return f
 
     @classmethod
-    def from_times(cls, ambient_dim: int, basis, times, meta: dict | None = None) -> "StepFiltration":
+    def from_times(cls, ambient_dim: int, basis, times) -> "StepFiltration":
         """Filtration whose element basis[i] enters at times[i]: the (k, n, n)
         HS-orthonormal stack sorted stably by time, one breakpoint per
         distinct time, and 0 always a breakpoint.  No two levels are equal."""
@@ -69,15 +71,16 @@ class StepFiltration:
         order = np.argsort(times, kind="stable")
         bps = sorted({0.0, *times.tolist()})  # not np.unique: its first call adds about 1 MB of RSS
         cuts = np.searchsorted(times[order], bps, side="right")
-        return cls.from_graded(ambient_dim, bps, np.asarray(basis)[order], cuts, meta)
+        return cls.from_graded(ambient_dim, bps, np.asarray(basis)[order], cuts)
 
-    def _set(self, ambient_dim, breakpoints, basis, cuts, meta):
+    def _set(self, ambient_dim, breakpoints, basis, cuts):
         self.n = int(ambient_dim)
         self.breakpoints = [float(t) for t in breakpoints]
         self._factors = basis if hasattr(basis, "dense") else None
         self._basis = np.asarray(basis, dtype=complex) if self._factors is None else None
         self.cuts = [int(c) for c in cuts]
-        self.meta = dict(meta or {})
+        # product reach tables by config, filled by _product_reach
+        self._reach = {}
         if len(self.breakpoints) != len(self.cuts) or not self.cuts:
             raise MixedDimensions("breakpoints and levels must align and be nonempty")
         if not all(map(math.isfinite, self.breakpoints)):
@@ -174,12 +177,6 @@ class StepFiltration:
         i = self._first_levels(m[None], cfg)[0][0]
         return self.breakpoints[i] if i < len(self.breakpoints) else math.inf
 
-    def normalized(self, cfg: NumericConfig = DEFAULT_CONFIG) -> "StepFiltration":
-        """Drop levels equal to their predecessor (restores strict inclusion)."""
-        keep = [i for i, c in enumerate(self.cuts) if i == 0 or c != self.cuts[i - 1]]
-        bps, cuts = [self.breakpoints[i] for i in keep], [self.cuts[i] for i in keep]
-        return StepFiltration.from_graded(self.n, bps, self._graded, cuts, self.meta)
-
     def __repr__(self):
         return f"StepFiltration(n={self.n}, breakpoints={self.breakpoints}, level_dims={self.cuts})"
 
@@ -210,6 +207,22 @@ def _adapted_basis(n: int, levels, cfg: NumericConfig):
         flat = np.concatenate([flat, new])
         cuts.append(len(flat))
     return flat.reshape(-1, n, n), cuts
+
+
+def _grown(n: int, times, blocks, cfg: NumericConfig) -> StepFiltration:
+    """Filtration grown from one block of candidates per time, times
+    nondecreasing from times[0] = 0: each block adds its part outside the
+    basis so far through opspace._extend, so candidates are orthonormal
+    elements or compressions and products of them.  A block after the
+    first that adds nothing makes no breakpoint."""
+    rows, bps, cuts = np.zeros((0, n * n), dtype=complex), [], []
+    for t, block in zip(times, blocks):
+        new = _extend(rows, np.reshape(block, (-1, n * n)), n, cfg)
+        if len(new) or not cuts:
+            rows = np.concatenate([rows, new])
+            bps.append(t)
+            cuts.append(len(rows))
+    return StepFiltration.from_graded(n, bps, rows.reshape(-1, n, n), cuts)
 
 
 @dataclass
@@ -257,10 +270,11 @@ def _diagonal_units(n: int) -> np.ndarray:
 
 
 def default_context(f: StepFiltration, cfg: NumericConfig = DEFAULT_CONFIG) -> MetricContext:
-    """The canonical context M = (V_0)': every filtration is a metric there."""
-    v0 = f.levels[0]
-    comm = commutant(v0.basis, f.n, cfg)
-    alg = VNAlgebra(f.n, v0.basis, cfg)
+    """The canonical context M = (V_0)': every filtration is a metric there.
+    Level 0 is read through ``apply``, so a factored basis is not written out."""
+    v0 = f.apply(0, f.cuts[0], eye(f.n))
+    comm = commutant(v0, f.n, cfg)
+    alg = VNAlgebra(f.n, v0, cfg)
     return MetricContext(algebra=comm, commutant=alg)
 
 
@@ -287,20 +301,22 @@ def _products(f: StepFiltration, ci: int, cj: int, cfg: NumericConfig):
         yield a0, first.reshape(-1, cj), coef
 
 
-@functools.lru_cache(maxsize=1)
 def _product_reach(f: StepFiltration, cfg: NumericConfig) -> np.ndarray:
     """reach[i, j]: the first level containing V_{t_i} V_{t_j}, or
     len(levels) when it leaves the top.  By bilinearity this is the largest
     first level of a product B_a B_b with grades at most (i, j): one pass
-    over basis pairs, then a prefix maximum over grades.  The last table is
-    kept (read-only), so validate followed by descriptors on the same
-    filtration makes the pass once."""
+    over basis pairs, then a prefix maximum over grades.  The table is kept
+    on the filtration (read-only, by config), so validate followed by
+    descriptors makes the pass once and no module state holds f."""
+    if cfg in f._reach:
+        return f._reach[cfg]
     grades = f.grades
     reach = np.full((len(f.cuts), len(f.cuts)), -1)
     for a0, first, _ in _products(f, len(f.basis), len(f.basis), cfg):
         np.maximum.at(reach, (grades[a0 : a0 + len(first), None], grades[None]), first)
     reach = np.maximum.accumulate(np.maximum.accumulate(reach, axis=0), axis=1)
     reach.flags.writeable = False
+    f._reach[cfg] = reach
     return reach
 
 

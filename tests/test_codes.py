@@ -25,8 +25,9 @@ from qwmetric.codes import (
     min_distance,
     volume_bound,
 )
-from qwmetric.constructions import lp_product
+from qwmetric.constructions import lp_product, quotient
 from qwmetric.errors import NotACode, SizeLimit
+from qwmetric.filtration import default_context
 from qwmetric.numerics import range_projection
 
 from conftest import I2, PAULI_X, PAULI_Y, PAULI_Z, basis_state_projection
@@ -465,7 +466,7 @@ class TestStabilizerCodes:
 
 def _dense_copy(f):
     """The same filtration with its basis held dense: the reference path."""
-    return StepFiltration.from_graded(f.n, f.breakpoints, f.basis, f.cuts, f.meta)
+    return StepFiltration.from_graded(f.n, f.breakpoints, f.basis, f.cuts)
 
 
 def _criterion_07_codes():
@@ -575,6 +576,21 @@ class TestInducedMetric:
         offdiag = np.ones((2, 2), dtype=complex) / 2
         with pytest.raises(NotACode):
             induced_metric(f, offdiag, ctx)
+
+    def test_corners_of_a_factored_model_are_not_written_out(self):
+        """induced_metric and quotient compress the graded basis through
+        apply, and the default context reads level 0 the same way: on a
+        model whose dense basis exceeds its cap they give the dense model's
+        results."""
+        f, dense = hamming_filtration(3, 2, cap=4), _dense_copy(hamming_filtration(3, 2))
+        ctx = default_context(f)
+        for got, want in [
+            (induced_metric(f, repetition_code_projector()), induced_metric(dense, repetition_code_projector())),
+            (quotient(f, np.eye(8), ctx), quotient(dense, np.eye(8), ctx)),
+        ]:
+            assert (got.breakpoints, got.cuts) == (want.breakpoints, want.cuts)
+            assert all(a.equals(b) for a, b in zip(got.levels, want.levels))
+        assert induced_metric(f, repetition_code_projector()).breakpoints == [0.0, 1.0, 3.0]
 
 
 class TestQuantumCodeValidation:

@@ -763,15 +763,18 @@ class TestCoLipschitz:
         assert co_lipschitz_number(f, f, 1, np.eye(3), np.eye(3), ctx) == 1.0
 
     def test_each_level_of_f_is_embedded_once(self, rng, monkeypatch):
-        """The levels of g are nested, so the scan over the breakpoints of f
-        only moves forward: one span per level of f on the identity."""
+        """The grade blocks of f are embedded once and grown into one graded
+        basis: one growth step per grade of f and no span of a whole level."""
         import qwmetric.constructions as constructions
+        import qwmetric.filtration as filtration
 
         f, ctx = from_classical(random_metric(4, rng))
-        calls = []
-        monkeypatch.setattr(constructions, "span", lambda *a, **k: calls.append(a) or span(*a, **k))
+        spans, steps = [], []
+        monkeypatch.setattr(constructions, "span", lambda *a, **k: spans.append(a) or span(*a, **k))
+        grow = filtration._extend
+        monkeypatch.setattr(filtration, "_extend", lambda *a: steps.append(a) or grow(*a))
         assert co_lipschitz_number(f, f, 1, np.eye(4), np.eye(4), ctx) == 1.0
-        assert len(f.breakpoints) == 7 and len(calls) == 7
+        assert len(f.breakpoints) == 7 and len(steps) == 7 and not spans
 
     @pytest.mark.parametrize("seed", range(4))
     def test_classical_composition_equals_function_lipschitz(self, seed):

@@ -391,6 +391,26 @@ def to_classical_via_projection_scan(f):
 
 
 class TestDescriptors:
+    def test_the_reach_table_lives_on_the_filtration(self, monkeypatch):
+        """validate followed by descriptors makes one pass over the pairs of
+        basis elements, and the table it keeps dies with the filtration."""
+        import gc
+        import weakref
+
+        import qwmetric.filtration as filtration
+
+        pairs = []
+        products = filtration._products
+        monkeypatch.setattr(filtration, "_products", lambda f, ci, cj, cfg: pairs.append((ci, cj)) or products(f, ci, cj, cfg))
+        f = hamming_filtration(3, 2)
+        validate(f)
+        descriptors(f)
+        assert pairs.count((64, 64)) == 1
+        ref = weakref.ref(f)
+        del f
+        gc.collect()
+        assert ref() is None
+
     def test_operator_system_metric_diameter(self):
         from qwmetric.constructions import operator_system_metric
 

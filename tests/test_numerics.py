@@ -261,3 +261,20 @@ def test_every_import_is_read():
                 names = {(alias.asname or alias.name).split(".")[0] for alias in node.names}
                 unread |= {(path.name, name) for name in names - read}
     assert not unread
+
+
+def test_level_lists_are_the_readers_alone():
+    """Constructions build graded bases: the level-list constructor
+    StepFiltration(n, breakpoints, levels) is called only by the JSON reader,
+    and nothing re-grades a filtration through ``.normalized``."""
+    level_lists, normalized = set(), set()
+    for path in sorted(SRC.glob("*.py")):
+        for node, scope in _scopes(ast.parse(path.read_text())):
+            if isinstance(node, ast.Call):
+                name = getattr(node.func, "id", getattr(node.func, "attr", None))
+                if name == "StepFiltration":
+                    level_lists.add((path.name, scope))
+                elif name == "normalized" and isinstance(node.func, ast.Attribute):
+                    normalized.add((path.name, scope))
+    assert level_lists == {("cli.py", "parse_filtration")}
+    assert not normalized
