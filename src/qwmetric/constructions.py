@@ -9,11 +9,12 @@ sums, both products, the M_2 metric and reparameterizations give each basis
 element an entry time and build through StepFiltration.from_times; meets,
 quotients and the three-level metric grow one basis block by block
 (filtration._grown), and generated filtrations grow theirs event by event.
+A meet takes one HS complement per input and one null space per point of
+its grid.
 """
 
 from __future__ import annotations
 
-import functools
 import heapq
 import itertools
 import math
@@ -44,8 +45,8 @@ from .opspace import (
     complement,
     full_space,
     generated_vn_algebra,
-    intersect,
     kron_stack,
+    null_space_rows,
     scalar_space,
     span,
 )
@@ -154,7 +155,13 @@ def meet(filtrations, cfg: NumericConfig = DEFAULT_CONFIG) -> StepFiltration:
         if f.n != n:
             raise MixedDimensions("meet requires a common ambient dimension")
     grid = sorted({t for f in fs for t in f.breakpoints})
-    lvs = [functools.reduce(lambda a, b: intersect(a, b, cfg), [f.value_at(t) for f in fs]).basis for t in grid]
+    # the complement of a level is the graded basis past its cut plus the
+    # complement of the top, so the meet's level is one null space per point
+    tops = [complement(f.top, cfg)._flat() for f in fs]
+    lvs = []
+    for t in grid:
+        past = [f.basis[f.cuts[f.level_index_at(t)] :].reshape(-1, n * n) for f in fs]
+        lvs.append(null_space_rows(np.concatenate([*past, *tops]).conj(), cfg))
     return _grown(n, grid, lvs, cfg)
 
 

@@ -18,8 +18,8 @@ constructor serves the JSON reader.  Levels handed to it must be nested
 
 The basis may also be held in factored form (``codes.SiteFactors``): then
 ``basis`` and ``levels`` are written out once, when first read, and
-:meth:`StepFiltration.apply` and :meth:`StepFiltration.element_norm` never
-write it out.
+:meth:`StepFiltration.apply` (the projection geometry's one read of the
+basis) and :meth:`StepFiltration.element_norm` never write it out.
 """
 
 from __future__ import annotations
@@ -146,14 +146,6 @@ class StepFiltration:
         """V_t: the level at the largest breakpoint <= t."""
         return self.levels[self.level_index_at(t)]
 
-    def v_less_than(self, t: float) -> OperatorSubspace:
-        """V_{<t}: union of levels strictly below t; accepts t = +inf."""
-        if t == math.inf:
-            return self.levels[-1]
-        if t <= 0:
-            raise NegativeTime("v_less_than needs t > 0")
-        return self.levels[bisect.bisect_left(self.breakpoints, t) - 1]
-
     def _first_levels(self, mats: np.ndarray, cfg: NumericConfig):
         """Index of the first level containing each matrix of a stack
         (len(levels) outside the top), under the tolerance rule of
@@ -164,7 +156,8 @@ class StepFiltration:
         top = self.basis.reshape(len(self.basis), -1)
         coef = flat @ top.conj().T
         outside = np.linalg.norm(flat - coef @ top, axis=1) ** 2
-        tail = np.cumsum(np.abs(np.pad(coef, ((0, 0), (0, 1)))[:, ::-1]) ** 2, axis=1)[:, ::-1]
+        tail = np.zeros((len(coef), coef.shape[1] + 1))
+        tail[:, :-1] = np.cumsum(np.abs(coef[:, ::-1]) ** 2, axis=1)[:, ::-1]
         scale = cfg.membership_tol * np.maximum(1.0, np.linalg.norm(flat, axis=1))
         inside = outside[:, None] + tail[:, self.cuts] <= (scale ** 2)[:, None]
         return np.where(inside.any(axis=1), inside.argmax(axis=1), len(self.cuts)), coef

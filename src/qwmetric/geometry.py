@@ -3,7 +3,8 @@ amplified projections, neighborhoods, closures, Hausdorff distance,
 linkability, separation witnesses, and level recovery from probes.
 
 Amplification means working in M_n (x) M_m; the Kronecker convention puts the
-base space first, so an operator A acting on the base is A (x) I_m.
+base space first, so an operator A acting on the base is A (x) I_m.  Levels
+are named by their cuts and multiplied only through StepFiltration.apply.
 """
 
 from __future__ import annotations
@@ -24,7 +25,6 @@ from .numerics import (
     is_projection,
     op_norm,
     range_basis,
-    range_projection,
     rank,
 )
 from .opspace import OperatorSubspace, complement, full_space, null_space_rows
@@ -74,7 +74,11 @@ class AmplifiedProjection:
             return self
         out = np.zeros((self.n, m, self.n, m), dtype=complex)
         out[:, : self.m, :, : self.m] = self.matrix.reshape(self.n, self.m, self.n, self.m)
-        return AmplifiedProjection(self.n, m, out.reshape(self.n * m, -1))
+        # zero padding keeps |P - P*| and |P^2 - P|, so the check this
+        # projection passed under its own config is not run again
+        padded = object.__new__(type(self))
+        padded.n, padded.m, padded.matrix = self.n, m, out.reshape(self.n * m, -1)
+        return padded
 
     @property
     def rank(self) -> int:
@@ -92,16 +96,16 @@ def _align(p: AmplifiedProjection, q: AmplifiedProjection):
 
 
 def _stacked(basis: np.ndarray, x: np.ndarray) -> np.ndarray:
-    """The products B X' for every B of a (k, n, n) stack, X' the nm x c
-    operand X read as an n x (m*c) matrix (see _amplify)."""
+    """Matrix-unit products B X' for linkable and rebuild_level, which read no
+    filtration; X' is the nm x c operand X read as n x (m*c) (see _amplify)."""
     n = basis.shape[1]
     return basis @ x.reshape(n, x.size // n)
 
 
 def _amplify(bx: np.ndarray, nm: int) -> np.ndarray:
     """The columns (B (x) I_m) X for every B, as one (nm, k*c) matrix in
-    stack order, from the products B X' of _stacked or
-    StepFiltration.apply.  Rows are indexed base-first, so B (x) I_m acts
+    stack order, from the products B X' of StepFiltration.apply or
+    _stacked.  Rows are indexed base-first, so B (x) I_m acts
     on X read as an n x (m*c) matrix: one batched product, and the
     Kronecker product is never formed."""
     k, n, mc = bx.shape
@@ -199,22 +203,31 @@ def linkable(p: AmplifiedProjection, q: AmplifiedProjection, cfg: NumericConfig 
     return bool(norms.size and norms.max() > cfg.membership_tol)
 
 
-def _apply_level(lv: OperatorSubspace, p: AmplifiedProjection, cfg: NumericConfig) -> np.ndarray:
-    """Range projection of (S (x) I_m) applied to ran(P)."""
-    return range_projection(_amplify(_stacked(lv.basis, p.matrix), len(p.matrix)), cfg)
+def _spread(f: StepFiltration, cut: int, x: np.ndarray, cfg: NumericConfig) -> np.ndarray:
+    """Orthonormal columns spanning (V (x) I_m) ran X, V = span basis[:cut],
+    for an nm x c matrix X (see _amplify)."""
+    return range_basis(_amplify(f.apply(0, cut, x.reshape(f.n, -1)), len(x)), cfg)
+
+
+def _spread_projection(f: StepFiltration, cut: int, p: AmplifiedProjection, cfg: NumericConfig) -> np.ndarray:
+    """Projection onto (V (x) I_m) ran P, V = span basis[:cut]."""
+    if p.n != f.n:
+        raise DimensionMismatch("projection base dimension does not match filtration")
+    cols = _spread(f, cut, p.matrix, cfg)
+    return cols @ cols.conj().T
 
 
 def neighborhood(f: StepFiltration, p: AmplifiedProjection, eps: float, cfg: NumericConfig = DEFAULT_CONFIG) -> AmplifiedProjection:
     """Open eps-neighborhood: projection onto (V_{<eps} (x) I) ran(P)."""
     if eps <= 0:
         raise NegativeTime("neighborhood radius must be positive")
-    lv = f.v_less_than(eps)
-    return AmplifiedProjection(p.n, p.m, _apply_level(lv, p, cfg), cfg)
+    cut = f.cuts[bisect.bisect_left(f.breakpoints, eps) - 1]
+    return AmplifiedProjection(p.n, p.m, _spread_projection(f, cut, p, cfg), cfg)
 
 
 def closure(f: StepFiltration, p: AmplifiedProjection, cfg: NumericConfig = DEFAULT_CONFIG) -> AmplifiedProjection:
     """Projection onto (V_0 (x) I) ran(P), the meet of all step neighborhoods."""
-    return AmplifiedProjection(p.n, p.m, _apply_level(f.levels[0], p, cfg), cfg)
+    return AmplifiedProjection(p.n, p.m, _spread_projection(f, f.cuts[0], p, cfg), cfg)
 
 
 def is_closed(f: StepFiltration, p: AmplifiedProjection, cfg: NumericConfig = DEFAULT_CONFIG) -> bool:
@@ -232,9 +245,9 @@ def hausdorff_distance(f: StepFiltration, p: AmplifiedProjection, q: AmplifiedPr
     grid for step data (the neighborhood only changes when eps crosses a
     breakpoint)."""
     pp, qq = _align(p, q)
-    for t, lv in zip(f.breakpoints, f.levels):
-        np_ = _apply_level(lv, pp, cfg)
-        nq = _apply_level(lv, qq, cfg)
+    for t, cut in zip(f.breakpoints, f.cuts):
+        np_ = _spread_projection(f, cut, pp, cfg)
+        nq = _spread_projection(f, cut, qq, cfg)
         if _leq(pp.matrix, nq, cfg) and _leq(qq.matrix, np_, cfg):
             return t
     return math.inf
@@ -254,7 +267,8 @@ def separating_projections(f: StepFiltration, t: float, a, cfg: NumericConfig = 
     m0 = as_square(a)
     if m0.shape[0] != f.n:
         raise DimensionMismatch("matrix size does not match filtration")
-    base = f.value_at(t)
+    level = f.level_index_at(t)
+    base = f.levels[level]
     c = m0 - base.project(m0)
     if hs_norm(c) <= cfg.membership_tol * max(1.0, hs_norm(m0)):
         raise AlreadyInside(f"matrix already belongs to the level at t = {t}")
@@ -262,14 +276,15 @@ def separating_projections(f: StepFiltration, t: float, a, cfg: NumericConfig = 
     m = rank(s, cfg)
     # the rows of vh are the v_i^*; eta = sum v_i (x) e_i, base index first
     eta = vh[:m].conj().T.reshape(-1, 1)
-    qcols = range_basis(_amplify(_stacked(f.levels[0].basis, eta), len(eta)), cfg)
+    qcols = _spread(f, f.cuts[0], eta, cfg)
     q = AmplifiedProjection(f.n, m, qcols @ qcols.conj().T, cfg)
-    l_proj = range_projection(_amplify(_stacked(base.basis, qcols), len(qcols)), cfg)
-    p = AmplifiedProjection(f.n, m, eye(f.n * m) - l_proj, cfg)
+    lcols = _spread(f, f.cuts[level], qcols, cfg)
+    p = AmplifiedProjection(f.n, m, eye(f.n * m) - lcols @ lcols.conj().T, cfg)
     # numerical verification of the separation postcondition
-    if _batch_compression_norms(p.matrix, _stacked(m0[None], q.matrix)).max() <= cfg.membership_tol:
+    qm = q.matrix.reshape(f.n, -1)
+    if _batch_compression_norms(p.matrix, (m0 @ qm)[None]).max() <= cfg.membership_tol:
         raise AlreadyInside("separation failed: witness compression vanished")
-    level_norms = _batch_compression_norms(p.matrix, _stacked(base.basis, q.matrix))
+    level_norms = _batch_compression_norms(p.matrix, f.apply(0, f.cuts[level], qm))
     if level_norms.size and level_norms.max() > cfg.membership_tol:
         raise AlreadyInside("separation failed: level not annihilated")
     return p, q

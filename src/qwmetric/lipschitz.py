@@ -17,7 +17,7 @@ import numpy as np
 
 from .errors import CommutantMember, DimensionMismatch, PostconditionFailed, ZeroProjection
 from .filtration import StepFiltration
-from .geometry import AmplifiedProjection, _align, _apply_level, _rho_table, rho, separating_projections
+from .geometry import AmplifiedProjection, _align, _rho_table, _spread_projection, rho, separating_projections
 from .numerics import (
     DEFAULT_CONFIG,
     NumericConfig,
@@ -187,16 +187,11 @@ def distance_operator(f: StepFiltration, r: AmplifiedProjection, c: float, cfg: 
         raise ZeroProjection("need a positive ceiling c")
     if r.rank == 0:
         raise ZeroProjection("distance operator needs a nonzero projection")
-    if r.n != f.n:
-        raise DimensionMismatch("projection does not match filtration")
     nm = r.n * r.m
     a = np.zeros((nm, nm), dtype=complex)
     bps = [t for t in f.breakpoints if t < c]
-    for idx, t in enumerate(bps):
-        nxt = bps[idx + 1] if idx + 1 < len(bps) else c
-        delta = min(nxt, c) - t
-        n_t = _apply_level(f.value_at(t), r, cfg)
-        a += delta * (np.eye(nm) - n_t)
+    for t, nxt, cut in zip(bps, bps[1:] + [c], f.cuts):  # bps is a prefix of the breakpoints
+        a += (nxt - t) * (np.eye(nm) - _spread_projection(f, cut, r, cfg))
     # slack: A sums up to one rounded projection per breakpoint below c
     if op_norm(a @ r.matrix) > 10 * cfg.membership_tol * max(1.0, c):
         raise PostconditionFailed("distance operator failed to annihilate its anchor")

@@ -21,7 +21,7 @@ from qwmetric.cli import (
 from qwmetric.codes import hamming_filtration
 from qwmetric.constructions import m2_metric, operator_system_metric
 from qwmetric.errors import SchemaError
-from qwmetric.numerics import DEFAULT_CONFIG
+from qwmetric.numerics import DEFAULT_CONFIG, NumericConfig
 from qwmetric.opspace import span
 
 from conftest import I2, IMAG_OFF, REAL_OFF
@@ -109,6 +109,21 @@ class TestCommands:
         )
         assert code == 0
         assert json.loads(out)["rho"] == rho(f, p, q) == 1.0
+
+    def test_distance_pads_under_the_given_tolerance(self, tmp_path, capsys):
+        """A projection accepted under --tol 1e-6 keeps that check when padded
+        to the amplification of the other."""
+        cfg = NumericConfig(rank_tol=1e-6, membership_tol=1e-6, eig_cluster_tol=1e-6)
+        f, _ = from_classical(np.array([[0.0, 1, 2], [1, 0, 1], [2, 1, 0]]))
+        fpath = write_json(tmp_path, "f.json", emit_filtration(f))
+        p = AmplifiedProjection(3, 1, np.diag([1.0, 3e-7, 0.0]), cfg)
+        ppath = write_json(tmp_path, "p.json", emit_projection(p))
+        slot = np.diag([1.0, 0.0])
+        for q in (AmplifiedProjection(3, 1, np.diag([0.0, 0.0, 1.0])), AmplifiedProjection(3, 2, np.kron(np.diag([0.0, 0.0, 1.0]), slot))):
+            qpath = write_json(tmp_path, "q.json", emit_projection(q))
+            code, out, _ = run_cli(["--tol", "1e-6", "distance", "--filtration", fpath, "--p", ppath, "--q", qpath], capsys)
+            assert code == 0
+            assert json.loads(out)["rho"] == rho(f, p, q, cfg) == 2.0
 
     def test_gauge_inf_token(self, tmp_path, capsys):
         d = np.array([[0.0, math.inf], [math.inf, 0.0]])

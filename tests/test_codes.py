@@ -9,7 +9,10 @@ from qwmetric import (
     AmplifiedProjection,
     MetricContext,
     StepFiltration,
+    closure,
     from_classical,
+    hausdorff_distance,
+    neighborhood,
     rho,
     validate,
 )
@@ -28,6 +31,7 @@ from qwmetric.codes import (
 from qwmetric.constructions import lp_product, quotient
 from qwmetric.errors import NotACode, SizeLimit
 from qwmetric.filtration import default_context
+from qwmetric.lipschitz import distance_operator, rho_from_gauge
 from qwmetric.numerics import range_projection
 
 from conftest import I2, PAULI_X, PAULI_Y, PAULI_Z, basis_state_projection
@@ -591,6 +595,26 @@ class TestInducedMetric:
             assert (got.breakpoints, got.cuts) == (want.breakpoints, want.cuts)
             assert all(a.equals(b) for a, b in zip(got.levels, want.levels))
         assert induced_metric(f, repetition_code_projector()).breakpoints == [0.0, 1.0, 3.0]
+
+
+    def test_geometry_of_a_factored_model_is_not_written_out(self):
+        """Neighborhoods, closures, the Hausdorff distance and the distance
+        operator spread projections through apply: on a model whose dense
+        basis exceeds its cap they give the dense model's results."""
+        f, dense = hamming_filtration(3, 2, cap=4), _dense_copy(hamming_filtration(3, 2))
+        rng = np.random.default_rng(3)
+        p = AmplifiedProjection(8, 2, np.kron(basis_state_projection(8, 0), np.diag([1.0, 0.0])))
+        q = AmplifiedProjection(8, 1, range_projection(rng.standard_normal((8, 1)) + 1j * rng.standard_normal((8, 1))))
+        r = AmplifiedProjection(8, 1, basis_state_projection(8, 7))
+        for call in (
+            lambda g: closure(g, q).matrix,
+            lambda g: neighborhood(g, p, 1.5).matrix,
+            lambda g: hausdorff_distance(g, p, q),
+            lambda g: distance_operator(g, p, 3.0),
+            lambda g: rho_from_gauge(g, p, r),
+        ):
+            np.testing.assert_allclose(call(f), call(dense), rtol=0, atol=1e-12)
+        assert rho_from_gauge(f, p, r) == 3.0
 
 
 class TestQuantumCodeValidation:

@@ -206,6 +206,25 @@ class TestMeet:
         m = meet([f1, f2])
         np.testing.assert_array_equal(to_classical(m, ctx), np.maximum(d1, d2))
 
+    def test_one_complement_per_input_and_one_null_space_per_point(self, monkeypatch):
+        """The complement of a level is the graded basis past its cut plus
+        the complement of the top: one complement per input, then one null
+        space per point of the union grid."""
+        from qwmetric import constructions, opspace
+
+        calls = []
+        counted = lambda *a, **k: calls.append(1) or null_space_rows(*a, **k)
+        null_space_rows = opspace.null_space_rows
+        monkeypatch.setattr(opspace, "null_space_rows", counted)
+        monkeypatch.setattr(constructions, "null_space_rows", counted, raising=False)
+        rng = np.random.default_rng(1)
+        (f1, ctx), (f2, _) = from_classical(random_metric(5, rng)), from_classical(random_metric(5, rng))
+        m = meet([f1, f2])
+        grid = set(f1.breakpoints) | set(f2.breakpoints)
+        assert len(grid) == 21 and len(calls) <= 2 + len(grid)
+        monkeypatch.undo()
+        np.testing.assert_array_equal(to_classical(m, ctx), np.maximum(to_classical(f1, ctx), to_classical(f2, ctx)))
+
 
 class TestMetricProduct:
     def test_classical_product_is_max_metric(self, rng):

@@ -164,9 +164,7 @@ class TestLookup:
         f = m2_chain(1, 2, 3)
         assert f.value_at(0.5).dim == 1
         assert f.value_at(1.0).dim == 2
-        assert f.v_less_than(1.0).dim == 1
         assert f.value_at(100).dim == 4
-        assert f.v_less_than(math.inf).dim == 4
 
     def test_negative_time_rejected(self):
         f = m2_chain(1, 2, 3)

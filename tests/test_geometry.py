@@ -20,7 +20,7 @@ from qwmetric import (
 )
 from qwmetric.constructions import operator_system_metric
 from qwmetric.errors import AlreadyInside, DimensionMismatch
-from qwmetric.numerics import op_norm, random_hermitian, range_projection
+from qwmetric.numerics import NumericConfig, op_norm, random_hermitian, range_projection
 
 from conftest import (
     I2,
@@ -135,8 +135,17 @@ class TestNeighborhoodsAndClosure:
     def test_neighborhood_beyond_diameter_is_identity(self, rng):
         d = random_metric(4, rng)
         f, _ = from_classical(d)
-        got = neighborhood(f, base_proj(basis_state_projection(4, 0)), d.max() + 1.0)
-        np.testing.assert_allclose(got.matrix, np.eye(4), atol=1e-9)
+        for eps in (d.max() + 1.0, math.inf):
+            got = neighborhood(f, base_proj(basis_state_projection(4, 0)), eps)
+            np.testing.assert_allclose(got.matrix, np.eye(4), atol=1e-9)
+
+    def test_base_dim_mismatch_rejected(self, rng):
+        # n = 2, m = 2 has the size of an n = 4 projection; n = 3 has no such size
+        f, _ = from_classical(random_metric(4, rng))
+        for p in (AmplifiedProjection(2, 2, np.kron(basis_state_projection(2, 0), np.eye(2))), base_proj(basis_state_projection(3, 0))):
+            for call in (lambda f, p: neighborhood(f, p, 1.0), lambda f, p: neighborhood(f, p, math.inf), closure, is_closed, lambda f, p: hausdorff_distance(f, p, p)):
+                with pytest.raises(DimensionMismatch):
+                    call(f, p)
 
     def test_neighborhood_commutes_with_commutant(self, rng):
         # (P)_eps lies in the context algebra: it commutes with M'
@@ -438,6 +447,20 @@ def test_padding_and_unequal_degrees_match_explicit_embedding(m_p, m_q):
         )
         assert explicit == want
         assert rho(f, p, q) == rho(f, q, p) == explicit
+
+
+def test_padding_keeps_the_config_the_projection_was_checked_under():
+    """Zero padding keeps |P - P*| and |P^2 - P|, so a projection accepted
+    under a loose config pads, for rho, hausdorff_distance and linkable,
+    without the default check."""
+    cfg = NumericConfig(rank_tol=1e-6, membership_tol=1e-6, eig_cluster_tol=1e-6)
+    f, _ = from_classical(np.array([[0.0, 1, 2], [1, 0, 1], [2, 1, 0]]))
+    p = AmplifiedProjection(3, 1, np.diag([1.0, 3e-7, 0.0]), cfg)
+    q = AmplifiedProjection(3, 2, np.kron(basis_state_projection(3, 2), np.diag([1.0, 0.0])), cfg)
+    np.testing.assert_array_equal(p.padded(2).matrix, np.kron(p.matrix, np.diag([1.0, 0.0])))
+    assert rho(f, p, q, cfg) == rho(f, q, p, cfg) == 2.0
+    assert hausdorff_distance(f, p, q, cfg) == 2.0
+    assert linkable(p, q, cfg)
 
 
 class TestRepresentationIndependence:
