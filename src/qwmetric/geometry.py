@@ -21,10 +21,8 @@ from .numerics import (
     NumericConfig,
     as_square,
     eye,
-    hs_norm,
     is_projection,
     op_norm,
-    range_basis,
     rank,
 )
 from .opspace import OperatorSubspace, complement, full_space, null_space_rows
@@ -76,9 +74,14 @@ class AmplifiedProjection:
         out[:, : self.m, :, : self.m] = self.matrix.reshape(self.n, self.m, self.n, self.m)
         # zero padding keeps |P - P*| and |P^2 - P|, so the check this
         # projection passed under its own config is not run again
-        padded = object.__new__(type(self))
-        padded.n, padded.m, padded.matrix = self.n, m, out.reshape(self.n * m, -1)
-        return padded
+        return type(self)._checked(self.n, m, out.reshape(self.n * m, -1))
+
+    @classmethod
+    def _checked(cls, base_dim: int, amp_degree: int, matrix: np.ndarray) -> "AmplifiedProjection":
+        """Wrap a matrix that has passed the projection check already."""
+        p = object.__new__(cls)
+        p.n, p.m, p.matrix = base_dim, amp_degree, matrix
+        return p
 
     @property
     def rank(self) -> int:
@@ -125,12 +128,16 @@ def _batch_compression_norms(p: np.ndarray, bq: np.ndarray) -> np.ndarray:
     return np.linalg.norm(_compressions(p, bq), axis=(0, 2))
 
 
+# complex entries a batch of products may hold, about 16 MB
+_BUDGET = 1 << 20
+
+
 def _chunks(f: StepFiltration, entries: int):
     """The element ranges [lo, hi) of a scan of the graded basis: each ends
     at the first cut at or past twice its start and at least 64 elements
     on, or sooner, once its products (``entries`` per element) would pass
-    2^20 complex entries, about 16 MB."""
-    budget = max(1, (1 << 20) // max(1, entries))
+    _BUDGET complex entries."""
+    budget = max(1, _BUDGET // max(1, entries))
     lo = 0
     while lo < f.cuts[-1]:
         level = min(bisect.bisect_left(f.cuts, max(2 * lo, lo + 64)), len(f.cuts) - 1)
@@ -203,17 +210,61 @@ def linkable(p: AmplifiedProjection, q: AmplifiedProjection, cfg: NumericConfig 
     return bool(norms.size and norms.max() > cfg.membership_tol)
 
 
-def _spread(f: StepFiltration, cut: int, x: np.ndarray, cfg: NumericConfig) -> np.ndarray:
-    """Orthonormal columns spanning (V (x) I_m) ran X, V = span basis[:cut],
-    for an nm x c matrix X (see _amplify)."""
-    return range_basis(_amplify(f.apply(0, cut, x.reshape(f.n, -1)), len(x)), cfg)
+def _amplified_each(f: StepFiltration, cut: int, x: np.ndarray) -> np.ndarray:
+    """The columns (B (x) I_m) X_j for every B in basis[:cut] and every
+    nm x c matrix X_j of a (g, nm, c) stack, with one apply: a
+    (g, nm, cut*c) stack, each member's columns in _amplify's order."""
+    g, nm, c = x.shape
+    n, m = f.n, nm // f.n
+    # the members side by side, each read as n x (m*c) (see _amplify)
+    bx = f.apply(0, cut, x.reshape(g, n, m * c).transpose(1, 0, 2).reshape(n, g * m * c))
+    # member j's rows (i, a) and columns (B, col)
+    return bx.reshape(cut, n, g, m, c).transpose(2, 1, 3, 0, 4).reshape(g, nm, cut * c)
+
+
+def _range_each(cols: np.ndarray, cfg: NumericConfig) -> np.ndarray:
+    """Orthonormal columns spanning the range of each matrix of a stack,
+    with one batched SVD: a (g, d, r) stack, r the largest rank, each
+    member's columns past its own rank zeroed (they add nothing to its
+    range, or to the rank rule of a later range)."""
+    u, s, _ = np.linalg.svd(cols, full_matrices=False)
+    ranks = rank(s, cfg)
+    r = ranks.max(initial=0)
+    return u[:, :, :r] * (np.arange(r) < ranks[:, None])[:, None, :]
+
+
+def _outside(f: StepFiltration, cut: int, mats: np.ndarray, cfg: NumericConfig):
+    """Each matrix A of a (k, n, n) stack less its HS projection onto
+    V = span basis[:cut], as (k, n^2) rows, and whether A lies outside V
+    under the rule of OperatorSubspace.contains.  The elements are read
+    through apply(lo, hi, I), chunk by chunk (_chunks), and the coordinate
+    of A against B is conj tr(B A*), so a factored basis is never written
+    out."""
+    flat = mats.reshape(len(mats), f.n * f.n)
+    resid = flat.copy()
+    for lo, hi in _chunks(f, f.n * f.n):
+        if lo >= cut:
+            break
+        rows = f.apply(lo, min(hi, cut), eye(f.n)).reshape(-1, f.n * f.n)
+        resid -= (flat @ rows.conj().T) @ rows
+    scale = np.maximum(1.0, np.linalg.norm(flat, axis=1))
+    return resid, np.linalg.norm(resid, axis=1) > cfg.membership_tol * scale
+
+
+def _check_projections(mats: np.ndarray, cfg: NumericConfig) -> None:
+    """The rule of is_projection on a (k, d, d) stack: the HS shortcut for
+    every member, and is_projection itself for any that misses it."""
+    residuals = np.stack([mats - mats.conj().transpose(0, 2, 1), mats @ mats - mats])
+    for i in np.flatnonzero(np.linalg.norm(residuals, axis=(2, 3)).max(axis=0) > cfg.membership_tol):
+        if not is_projection(mats[i], cfg):
+            raise DimensionMismatch("matrix is not an orthogonal projection within tolerance")
 
 
 def _spread_projection(f: StepFiltration, cut: int, p: AmplifiedProjection, cfg: NumericConfig) -> np.ndarray:
     """Projection onto (V (x) I_m) ran P, V = span basis[:cut]."""
     if p.n != f.n:
         raise DimensionMismatch("projection base dimension does not match filtration")
-    cols = _spread(f, cut, p.matrix, cfg)
+    cols = _range_each(_amplified_each(f, cut, p.matrix[None]), cfg)[0]
     return cols @ cols.conj().T
 
 
@@ -253,48 +304,72 @@ def hausdorff_distance(f: StepFiltration, p: AmplifiedProjection, q: AmplifiedPr
     return math.inf
 
 
-def separating_projections(f: StepFiltration, t: float, a, cfg: NumericConfig = DEFAULT_CONFIG):
-    """Witness pair for A outside the level at t.
+def _separate(f: StepFiltration, level: int, mats: np.ndarray, cfg: NumericConfig) -> list:
+    """Witness pairs (P, Q) for every matrix A of a (k, n, n) stack outside
+    the level, in stack order.
 
     Construction: split A = (component in V_t) + C, take the singular vectors
-    of C, and set Q to the orbit of eta = sum v_i (x) e_i under V_0 (x) I and
-    P to the complement of (V_t (x) I) ran(Q).  Then P (A (x) I) Q != 0 while
-    P (B (x) I) Q = 0 for every B in V_t, so rho(P, Q) exceeds t.  Both
-    projections commute with M' (x) I for every compatible context since
-    their ranges are invariant under V_0 (x) I.  The postcondition is checked
-    numerically before returning.
-    """
+    v_i of C (m of them, by the rank rule), and set Q to the orbit of
+    eta = sum v_i (x) e_i under V_0 (x) I_m and P to the complement of
+    (V_t (x) I_m) ran(Q).  Then P (A (x) I) Q != 0 while P (B (x) I) Q = 0
+    for every B in V_t, so rho(P, Q) exceeds t.  Both projections commute
+    with M' (x) I for every compatible context since their ranges are
+    invariant under V_0 (x) I.
+
+    The stack takes one batched SVD of the residuals; then each rank m takes
+    one spread of the orbits and one of the levels (_amplified_each and
+    _range_each), the projection rule of is_projection on every P and Q,
+    and both separation postconditions as one batched compression, in
+    slices whose spreads hold at most _BUDGET entries."""
+    n, cut = f.n, f.cuts[level]
+    resid, outside = _outside(f, cut, mats, cfg)
+    if not outside.all():
+        raise AlreadyInside(f"matrix already belongs to the level at t = {f.breakpoints[level]}")
+    _, s, vh = np.linalg.svd(resid.reshape(-1, n, n))
+    ranks = rank(s, cfg)
+    pairs = [None] * len(mats)
+    for m in sorted(set(ranks.tolist())):
+        group = np.flatnonzero(ranks == m)
+        nm = n * m
+        per = max(1, _BUDGET // max(1, cut * nm * nm))  # spread holds cut * nm * r entries, r <= nm
+        for idx in (group[lo : lo + per] for lo in range(0, len(group), per)):
+            # the rows of vh are the v_i^*; eta = sum v_i (x) e_i, base index first
+            eta = vh[idx, :m].conj().transpose(0, 2, 1).reshape(len(idx), nm, 1)
+            qcols = _range_each(_amplified_each(f, f.cuts[0], eta), cfg)
+            # (B (x) I) Q for every B in the level, the columns P must annihilate
+            spread = _amplified_each(f, cut, qcols)
+            lcols = _range_each(spread, cfg)
+            q = qcols @ qcols.conj().transpose(0, 2, 1)
+            p = eye(nm) - lcols @ lcols.conj().transpose(0, 2, 1)
+            _check_projections(np.concatenate([q, p]), cfg)
+            # numerical verification of the separation postconditions, on the
+            # columns of Q (|X Q|_HS = |X qcols|_HS, as qcols is orthonormal)
+            g, _, r = qcols.shape
+            aq = (mats[idx] @ qcols.reshape(g, n, m * r)).reshape(g, nm, r)
+            if np.linalg.norm(p @ aq, axis=(1, 2)).min() <= cfg.membership_tol:
+                raise AlreadyInside("separation failed: witness compression vanished")
+            pb = (p @ spread).reshape(g, nm, cut, r)
+            if np.linalg.norm(pb, axis=(1, 3)).max(initial=0.0) > cfg.membership_tol:
+                raise AlreadyInside("separation failed: level not annihilated")
+            for j, pj, qj in zip(idx, p, q):
+                pairs[j] = (AmplifiedProjection._checked(n, m, pj), AmplifiedProjection._checked(n, m, qj))
+    return pairs
+
+
+def separating_projections(f: StepFiltration, t: float, a, cfg: NumericConfig = DEFAULT_CONFIG):
+    """Witness pair (P, Q) for A outside the level at t: P (A (x) I) Q != 0
+    and P (B (x) I) Q = 0 for every B in V_t (see _separate)."""
     m0 = as_square(a)
     if m0.shape[0] != f.n:
         raise DimensionMismatch("matrix size does not match filtration")
-    level = f.level_index_at(t)
-    base = f.levels[level]
-    c = m0 - base.project(m0)
-    if hs_norm(c) <= cfg.membership_tol * max(1.0, hs_norm(m0)):
-        raise AlreadyInside(f"matrix already belongs to the level at t = {t}")
-    _, s, vh = np.linalg.svd(c)
-    m = rank(s, cfg)
-    # the rows of vh are the v_i^*; eta = sum v_i (x) e_i, base index first
-    eta = vh[:m].conj().T.reshape(-1, 1)
-    qcols = _spread(f, f.cuts[0], eta, cfg)
-    q = AmplifiedProjection(f.n, m, qcols @ qcols.conj().T, cfg)
-    lcols = _spread(f, f.cuts[level], qcols, cfg)
-    p = AmplifiedProjection(f.n, m, eye(f.n * m) - lcols @ lcols.conj().T, cfg)
-    # numerical verification of the separation postcondition
-    qm = q.matrix.reshape(f.n, -1)
-    if _batch_compression_norms(p.matrix, (m0 @ qm)[None]).max() <= cfg.membership_tol:
-        raise AlreadyInside("separation failed: witness compression vanished")
-    level_norms = _batch_compression_norms(p.matrix, f.apply(0, f.cuts[level], qm))
-    if level_norms.size and level_norms.max() > cfg.membership_tol:
-        raise AlreadyInside("separation failed: level not annihilated")
-    return p, q
+    return _separate(f, f.level_index_at(t), m0[None], cfg)[0]
 
 
 def probes_for_level(f: StepFiltration, t: float, cfg: NumericConfig = DEFAULT_CONFIG):
-    """One separation witness per HS direction missing from the level at t."""
-    base = f.value_at(t)
-    comp = complement(base, cfg)
-    return [separating_projections(f, t, d, cfg) for d in comp.basis]
+    """One separation witness per HS direction missing from the level at t,
+    all built in one pass (see _separate)."""
+    level = f.level_index_at(t)
+    return _separate(f, level, complement(f.levels[level], cfg).basis, cfg)
 
 
 def rebuild_level(f: StepFiltration, t: float, probes, cfg: NumericConfig = DEFAULT_CONFIG) -> OperatorSubspace:

@@ -17,7 +17,7 @@ import numpy as np
 
 from .errors import CommutantMember, DimensionMismatch, PostconditionFailed, ZeroProjection
 from .filtration import StepFiltration
-from .geometry import AmplifiedProjection, _align, _rho_table, _spread_projection, rho, separating_projections
+from .geometry import AmplifiedProjection, _align, _outside, _rho_table, _spread_projection, rho, separating_projections
 from .numerics import (
     DEFAULT_CONFIG,
     NumericConfig,
@@ -234,7 +234,7 @@ def lipschitz_witness(f: StepFiltration, c, seed: int = 0, cfg: NumericConfig = 
     cm = as_square(c)
     if cm.shape[0] != f.n:
         raise DimensionMismatch("matrix size does not match filtration")
-    if f.levels[0].contains(cm, cfg):
+    if not _outside(f, f.cuts[0], cm[None], cfg)[1][0]:
         raise CommutantMember("operator already lies in the zero level")
     p, q = separating_projections(f, 0.0, cm, cfg)
     r = rho(f, p, q, cfg)

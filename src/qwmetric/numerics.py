@@ -128,13 +128,15 @@ def spectral_projection(a, kind: str, threshold: float, cfg: NumericConfig = DEF
     return out
 
 
-def rank(s, cfg: NumericConfig = DEFAULT_CONFIG, scale: float = 0.0) -> int:
+def rank(s, cfg: NumericConfig = DEFAULT_CONFIG, scale: float = 0.0):
     """The rank rule, the one place rank_tol is read: the number of values of
     ``s`` (singular values, or eigenvalues of a Gram matrix) above
     rank_tol * max(max(s), scale).  A positive ``scale`` floors the cutoff
-    where an all-noise ``s`` must count as rank 0."""
+    where an all-noise ``s`` must count as rank 0.  A stack of rows (the
+    singular values of a batched SVD) gives one rank per row, as an array."""
     s = np.asarray(s)
-    return int(np.count_nonzero(s > cfg.rank_tol * max(s.max(initial=0.0), scale)))
+    above = s > cfg.rank_tol * np.maximum(s.max(axis=-1, initial=0.0, keepdims=True), scale)
+    return int(np.count_nonzero(above)) if s.ndim == 1 else above.sum(axis=-1)
 
 
 def range_basis(a, cfg: NumericConfig = DEFAULT_CONFIG) -> np.ndarray:

@@ -268,12 +268,19 @@ def null_space_rows(k: np.ndarray, cfg: NumericConfig, scale: float = 1.0) -> np
 
 def generated_vn_algebra(gens, n: int, cfg: NumericConfig = DEFAULT_CONFIG) -> VNAlgebra:
     """Smallest algebra containing I and the generators, closed under * and
-    products; iterates span closure until the dimension stabilizes."""
+    products; iterates span closure until the dimension stabilizes.  The
+    algebra does not depend on the generators' scale, so each is divided by
+    the modulus of its largest entry, then by its HS norm (which then cannot
+    overflow): the rank rule sees I beside unit generators."""
     mats = [eye(n)]
     for g in gens:
         g = as_square(g)
         if g.shape[0] != n:
             raise MixedDimensions("generator size does not match ambient dimension")
+        peak = np.abs(g).max(initial=0.0)
+        if peak > 0:
+            g = g / peak
+            g = g / hs_norm(g)
         mats.append(g)
         mats.append(g.conj().T)
     current = span(mats, n, cfg)

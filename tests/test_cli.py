@@ -5,6 +5,7 @@ import json
 import math
 import subprocess
 import sys
+import warnings
 
 import numpy as np
 import pytest
@@ -189,6 +190,23 @@ class TestCommands:
         blob = json.loads(out)
         assert (blob["a"], blob["b"], blob["c"]) == pytest.approx((1.0, 2.0, 3.0), abs=1e-8)
         assert not blob["reflexive"]
+
+    @pytest.mark.parametrize("scale", [1e200, 1e300, 1.7e308])
+    def test_validate_report_does_not_depend_on_the_algebra_scale(self, tmp_path, capsys, scale):
+        """A generator's scale does not change the algebra it generates:
+        diag(scale, -1) gives the report of diag(1, -1), with no overflow."""
+        fpath = write_json(tmp_path, "f.json", emit_filtration(m2_metric(1, 2, 3)))
+
+        def report(s):
+            apath = write_json(tmp_path, "alg.json", [emit_matrix(np.diag([s, -1.0]).astype(complex))])
+            return run_cli(["validate", "--filtration", fpath, "--algebra", apath], capsys)
+
+        want = report(1.0)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            got = report(scale)
+        assert want[0] == 0
+        assert got == want
 
     def test_validate_with_context_algebra(self, tmp_path, capsys):
         # the M_2 pseudometric with a = 0 is not a metric over M = M_2

@@ -14,6 +14,7 @@ from qwmetric import (
     hausdorff_distance,
     neighborhood,
     rho,
+    separating_projections,
     validate,
 )
 from qwmetric.codes import (
@@ -29,9 +30,9 @@ from qwmetric.codes import (
     volume_bound,
 )
 from qwmetric.constructions import lp_product, quotient
-from qwmetric.errors import NotACode, SizeLimit
+from qwmetric.errors import CommutantMember, NotACode, SizeLimit
 from qwmetric.filtration import default_context
-from qwmetric.lipschitz import distance_operator, rho_from_gauge
+from qwmetric.lipschitz import distance_operator, lipschitz_witness, rho_from_gauge
 from qwmetric.numerics import range_projection
 
 from conftest import I2, PAULI_X, PAULI_Y, PAULI_Z, basis_state_projection
@@ -615,6 +616,25 @@ class TestInducedMetric:
         ):
             np.testing.assert_allclose(call(f), call(dense), rtol=0, atol=1e-12)
         assert rho_from_gauge(f, p, r) == 3.0
+
+    def test_witnesses_of_a_factored_model_are_not_written_out(self):
+        """Separation witnesses and the Lipschitz witness read a level's HS
+        coordinates through apply: on a model whose dense basis exceeds its
+        cap they give the dense model's results."""
+        f, dense = hamming_filtration(3, 2, cap=4), _dense_copy(hamming_filtration(3, 2))
+        c = np.zeros((8, 8), dtype=complex)
+        c[0, 1] = 1.0
+        for t in (0.0, 1.0):
+            (p, q), (p_want, q_want) = separating_projections(f, t, c), separating_projections(dense, t, c)
+            assert (p.m, q.m) == (p_want.m, q_want.m)
+            np.testing.assert_allclose(p.matrix, p_want.matrix, rtol=0, atol=1e-12)
+            np.testing.assert_allclose(q.matrix, q_want.matrix, rtol=0, atol=1e-12)
+        got, want = lipschitz_witness(f, c), lipschitz_witness(dense, c)
+        assert got.value == want.value and got.witness["rho"] == want.witness["rho"]
+        for key in ("matrix", "commutator_norm", "amplified_ls"):
+            np.testing.assert_allclose(got.witness[key], want.witness[key], rtol=0, atol=1e-12)
+        with pytest.raises(CommutantMember):
+            lipschitz_witness(f, np.eye(8))
 
 
 class TestQuantumCodeValidation:

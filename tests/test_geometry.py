@@ -5,6 +5,7 @@ import pytest
 
 from qwmetric import (
     AmplifiedProjection,
+    StepFiltration,
     closure,
     from_classical,
     full_space,
@@ -18,9 +19,20 @@ from qwmetric import (
     separating_projections,
     span,
 )
+from qwmetric import geometry
 from qwmetric.constructions import operator_system_metric
 from qwmetric.errors import AlreadyInside, DimensionMismatch
-from qwmetric.numerics import NumericConfig, op_norm, random_hermitian, range_projection
+from qwmetric.numerics import (
+    DEFAULT_CONFIG,
+    NumericConfig,
+    hs_norm,
+    op_norm,
+    random_hermitian,
+    range_basis,
+    range_projection,
+    rank,
+)
+from qwmetric.opspace import complement
 
 from conftest import (
     I2,
@@ -273,6 +285,126 @@ class TestSeparation:
         f = random_step_filtration(3, rng)
         with pytest.raises(AlreadyInside):
             separating_projections(f, f.breakpoints[-1], np.eye(3, dtype=complex))
+
+
+def per_direction_witness(f, t, a, cfg=DEFAULT_CONFIG):
+    """The per-matrix witness construction that _separate batches, written
+    with the dense level and explicit Kronecker products: the residual C of
+    A against the level, its m right singular vectors by the rank rule, Q
+    onto the V_0 (x) I_m orbit of eta = sum v_i (x) e_i, and P onto the
+    complement of (V_t (x) I_m) ran(Q).  Returns (m, P, Q)."""
+    level = f.value_at(t)
+    c = a - level.project(a)
+    if hs_norm(c) <= cfg.membership_tol * max(1.0, hs_norm(a)):
+        raise AlreadyInside("inside")
+    _, s, vh = np.linalg.svd(c)
+    m = rank(s, cfg)
+
+    def spread(space, x):
+        return range_basis(np.concatenate([np.zeros((len(x), 0))] + [np.kron(b, np.eye(m)) @ x for b in space.basis], axis=1), cfg)
+
+    qcols = spread(f.levels[0], vh[:m].conj().T.reshape(-1, 1))
+    lcols = spread(level, qcols)
+    return m, np.eye(f.n * m) - lcols @ lcols.conj().T, qcols @ qcols.conj().T
+
+
+def assert_separates(f, t, a, p, q):
+    """Both postconditions, with explicit Kronecker products."""
+    amp = np.eye(p.m)
+    assert np.linalg.norm(p.matrix @ np.kron(a, amp) @ q.matrix) > 1e-8
+    for b in f.value_at(t).basis:
+        assert np.linalg.norm(p.matrix @ np.kron(b, amp) @ q.matrix) <= 1e-8
+
+
+def witness_cases():
+    """(name, filtration): classical metrics on 2-5 points, generated and
+    truncated filtrations, dense Hamming 2, a block model and M_2."""
+    from qwmetric.codes import block_filtration, hamming_filtration
+    from qwmetric.constructions import m2_metric, truncate
+
+    rng = np.random.default_rng(15)
+    cases = [(f"classical-{n}", from_classical(random_metric(n, rng))[0]) for n in range(2, 6)]
+    cases += [(f"generated-{n}", random_step_filtration(n, rng, levels=2)) for n in (2, 3, 4)]
+    cases.append(("truncated-3", truncate(random_step_filtration(3, rng, levels=2), 1.5)))
+    ham = hamming_filtration(2, 2)
+    cases.append(("hamming-2-dense", StepFiltration.from_graded(ham.n, ham.breakpoints, ham.basis, ham.cuts)))
+    cases.append(("blocks-1-2", block_filtration([1, 2])))
+    cases.append(("m2", m2_metric(1, 2, 3)))
+    return cases
+
+
+class TestBatchedWitnesses:
+    """_separate builds a whole level's witnesses in one pass; each pair is
+    the per-direction construction's."""
+
+    @pytest.mark.parametrize("f", [pytest.param(f, id=name) for name, f in witness_cases()])
+    def test_probes_match_the_per_direction_construction(self, f):
+        for t in f.breakpoints:
+            directions = complement(f.value_at(t)).basis
+            probes = probes_for_level(f, t)
+            assert len(probes) == len(directions)
+            for d, (p, q) in zip(directions, probes):
+                m, p_want, q_want = per_direction_witness(f, t, d)
+                assert p.m == q.m == m
+                np.testing.assert_allclose(p.matrix, p_want, rtol=0, atol=1e-12)
+                np.testing.assert_allclose(q.matrix, q_want, rtol=0, atol=1e-12)
+                assert_separates(f, t, d, p, q)
+
+    @pytest.mark.parametrize("f", [pytest.param(f, id=name) for name, f in witness_cases()])
+    def test_single_witnesses_match_the_per_direction_construction(self, f):
+        rng = np.random.default_rng(f.n + len(f.breakpoints))
+        for t in f.breakpoints[:-1]:
+            for a in (random_hermitian(f.n, rng), rng.standard_normal((f.n, f.n)) + 1j * rng.standard_normal((f.n, f.n))):
+                m, p_want, q_want = per_direction_witness(f, t, a)
+                p, q = separating_projections(f, t, a)
+                assert p.m == q.m == m
+                np.testing.assert_allclose(p.matrix, p_want, rtol=0, atol=1e-12)
+                np.testing.assert_allclose(q.matrix, q_want, rtol=0, atol=1e-12)
+                assert_separates(f, t, a, p, q)
+
+    def test_a_level_takes_several_rank_groups_in_one_call(self):
+        """The corpus holds levels whose missing directions have mixed ranks."""
+        mixed = [
+            name
+            for name, f in witness_cases()
+            if any(len({p.m for p, _ in probes_for_level(f, t)}) > 1 for t in f.breakpoints)
+        ]
+        assert {"hamming-2-dense", "blocks-1-2", "m2"} <= set(mixed)
+
+    def test_a_stack_with_one_member_inside_raises(self):
+        f, _ = from_classical(np.array([[0.0, 1, 2], [1, 0, 1], [2, 1, 0]]))
+        outside = np.zeros((3, 3), dtype=complex)
+        outside[0, 2] = 1.0
+        stack = np.stack([outside, np.eye(3, dtype=complex), outside.T])
+        level = f.level_index_at(1.0)
+        assert len(geometry._separate(f, level, stack[[0, 2]], DEFAULT_CONFIG)) == 2
+        with pytest.raises(AlreadyInside):
+            geometry._separate(f, level, stack, DEFAULT_CONFIG)
+
+    def test_probes_take_one_svd_and_two_per_rank(self, monkeypatch):
+        """Probes of the first level of a 4-point metric (10 missing
+        directions): one SVD of the residual stack, then one per spread and
+        rank, not three per direction."""
+        x = np.array([0.0, 1.0, 3.0, 7.0])
+        f, _ = from_classical(np.abs(x[:, None] - x[None]))
+        svd, separate, calls, inside = np.linalg.svd, geometry._separate, [], []
+
+        def counting_svd(*args, **kwargs):
+            calls.extend(inside)
+            return svd(*args, **kwargs)
+
+        def counting_separate(*args):
+            inside.append(1)
+            try:
+                return separate(*args)
+            finally:
+                inside.pop()
+
+        monkeypatch.setattr(np.linalg, "svd", counting_svd)
+        monkeypatch.setattr(geometry, "_separate", counting_separate)
+        probes = probes_for_level(f, f.breakpoints[1])
+        assert len(probes) == 10
+        assert 0 < len(calls) <= 1 + 2 * len({p.m for p, _ in probes})
 
 
 class TestRecovery:

@@ -195,6 +195,17 @@ def test_rank_rule_is_relative_with_an_optional_floor():
     assert rank(s, cfg, scale=1e3) == 1
 
 
+def test_rank_of_a_stack_is_the_rank_of_each_row():
+    cfg = NumericConfig(rank_tol=1e-3)
+    rows = np.array([[10.0, 1e-2 + 1e-6, 1e-2, 1e-5], [1.0, 0.5, 1e-4, 0.0], [0.0, 0.0, 0.0, 0.0], [1e-12, 1e-13, 0.0, 0.0]])
+    for scale in (0.0, 1.0, 1e3):
+        got = rank(rows, cfg, scale)
+        assert got.tolist() == [rank(r, cfg, scale) for r in rows]
+    assert rank(rows, cfg).tolist() == [2, 2, 0, 2]
+    assert rank(np.zeros((3, 0)), cfg).tolist() == [0, 0, 0]
+    assert rank(np.zeros((0, 4)), cfg).shape == (0,)
+
+
 def test_commutes_each_decides_per_element_with_the_norm_floor():
     cfg = NumericConfig(membership_tol=1e-6)
     r = np.diag([1.0, 0.0]).astype(complex)
