@@ -110,22 +110,17 @@ def parse_matrix(obj, pointer: str) -> np.ndarray:
     return a.view(complex)[..., 0]
 
 
-def parse_subspace(obj, pointer: str) -> OperatorSubspace:
-    if not isinstance(obj, dict) or "dim" not in obj or "basis" not in obj:
-        raise SchemaError("subspace needs 'dim' and 'basis'", pointer)
-    n = obj["dim"]
-    if not isinstance(obj["basis"], list):
-        raise SchemaError("'basis' must be a list of matrices", f"{pointer}/basis")
-    a = _numbers(obj["basis"])
+def _parse_basis(obj: list, n: int, pointer: str, first: int = 0) -> np.ndarray:
+    """A list of n x n matrices as one (k, n, n) array; an error names a
+    matrix by its index counted from ``first``."""
+    a = _numbers(obj)
     if a is not None and a.shape[1:] == (n, n, 2) and np.isfinite(a).all():
-        mats = a.view(complex)[..., 0]
-    else:
-        mats = [parse_matrix(b, f"{pointer}/basis/{i}") for i, b in enumerate(obj["basis"])]
-        for i, m in enumerate(mats):
-            if m.shape != (n, n):
-                raise SchemaError(f"basis matrix of shape {m.shape}, ambient {n}", f"{pointer}/basis/{i}")
-    # handed to StepFiltration as given: its one re-span keeps an orthonormal family
-    return OperatorSubspace(n, mats)
+        return a.view(complex)[..., 0]
+    mats = [parse_matrix(b, f"{pointer}/basis/{first + i}") for i, b in enumerate(obj)]
+    for i, m in enumerate(mats):
+        if m.shape != (n, n):
+            raise SchemaError(f"basis matrix of shape {m.shape}, ambient {n}", f"{pointer}/basis/{first + i}")
+    return np.asarray(mats, dtype=complex).reshape(len(mats), n, n)
 
 
 def emit_filtration(f: StepFiltration):
@@ -153,6 +148,7 @@ def parse_filtration(obj, cfg: NumericConfig) -> StepFiltration:
         raise SchemaError("'steps' must be a list", "/steps")
     bps = []
     lvs = []
+    prev, mats = [], None
     for i, step in enumerate(obj["steps"]):
         ptr = f"/steps/{i}"
         if not isinstance(step, dict) or "t" not in step or "basis" not in step:
@@ -161,7 +157,17 @@ def parse_filtration(obj, cfg: NumericConfig) -> StepFiltration:
         if not isinstance(t, (int, float)) or not _finite(t):
             raise SchemaError("breakpoints must be finite numbers", f"{ptr}/t")
         bps.append(float(t))
-        lvs.append(parse_subspace({"dim": n, "basis": step["basis"]}, ptr))
+        basis = step["basis"]
+        if not isinstance(basis, list):
+            raise SchemaError("'basis' must be a list of matrices", f"{ptr}/basis")
+        # a basis that begins with the previous step's (as JSON values) parses only its new matrices
+        if prev and basis[: len(prev)] == prev:
+            mats = np.concatenate([mats, _parse_basis(basis[len(prev) :], n, ptr, len(prev))])
+        else:
+            mats = _parse_basis(basis, n, ptr)
+        prev = basis
+        # handed to StepFiltration as given: its one re-span keeps an orthonormal family
+        lvs.append(OperatorSubspace(n, mats))
     try:
         return StepFiltration(n, bps, lvs, cfg=cfg)
     except NotNested:
@@ -211,10 +217,14 @@ def _read_json(path: str):
 
 
 def _dump(obj) -> str:
-    """json.dumps(obj, sort_keys=True, indent=2), byte for byte; a rectangular
-    nest of lists of floats is rendered in one pass over one array."""
+    """json.dumps(obj, sort_keys=True, indent=2), byte for byte.  A
+    rectangular nest of lists of floats is rendered in one pass over one
+    array; a nest whose leading items are the items (the same objects) of
+    the nest rendered last at its depth keeps their text and renders only
+    the rest.  So a filtration's steps, each basis a prefix of the next,
+    render each matrix once."""
     chunks = []
-    _encode(obj, 0, chunks)
+    _encode(obj, 0, chunks, {})
     return "".join(chunks)
 
 
@@ -222,18 +232,20 @@ def _indent(depth: int) -> str:
     return "\n" + "  " * depth
 
 
-def _encode(o, depth: int, chunks: list) -> None:
-    """Append the text of o, which starts at indent depth ``depth``."""
+def _encode(o, depth: int, chunks: list, last: dict) -> None:
+    """Append the text of o, which starts at indent depth ``depth``; ``last``
+    holds, by depth, the float nest rendered last there and its item texts."""
     if isinstance(o, (list, tuple)):
-        a = _float_leaves(o)
-        if a is not None:
-            chunks.append(_float_array_text(a, depth))
+        items = _float_items(o, depth, last)
+        if items is not None:
+            sep = "," + _indent(depth + 1)
+            chunks.append("[" + _indent(depth + 1) + sep.join(items) + _indent(depth) + "]")
         elif not o:
             chunks.append("[]")
         else:
             for i, v in enumerate(o):
                 chunks.append(("," if i else "[") + _indent(depth + 1))
-                _encode(v, depth + 1, chunks)
+                _encode(v, depth + 1, chunks, last)
             chunks.append(_indent(depth) + "]")
     elif isinstance(o, dict):
         if not o:
@@ -241,7 +253,7 @@ def _encode(o, depth: int, chunks: list) -> None:
             return
         for i, (k, v) in enumerate(sorted(o.items())):
             chunks.append(("," if i else "{") + _indent(depth + 1) + json.dumps(_key(k)) + ": ")
-            _encode(v, depth + 1, chunks)
+            _encode(v, depth + 1, chunks, last)
         chunks.append(_indent(depth) + "}")
     else:
         chunks.append(json.dumps(o))
@@ -254,6 +266,26 @@ def _key(k) -> str:
     if isinstance(k, (int, float)) or k is None:
         return json.dumps(k)
     raise TypeError(f"keys must be str, int, float, bool or None, not {k.__class__.__name__}")
+
+
+def _float_items(o, depth: int, last: dict) -> list | None:
+    """The texts of the items of o, each at indent depth + 1, when o is a
+    nonempty nest of lists whose leaves are all Python floats, else None.
+    Items that are the leading items of last[depth] keep their text; the
+    others, a rectangular nest, are rendered in one pass."""
+    if not o:
+        return None
+    prev, texts = last.get(depth, ((), []))
+    if not (len(prev) <= len(o) and all(x is y for x, y in zip(prev, o))):
+        prev, texts = (), []
+    rest = o[len(prev) :]
+    if rest:
+        a = _float_leaves(rest)
+        if a is None:
+            return None
+        texts = texts + _float_item_texts(a, depth)
+    last[depth] = (o, texts)
+    return texts
 
 
 def _float_leaves(o) -> np.ndarray | None:
@@ -269,10 +301,11 @@ def _float_leaves(o) -> np.ndarray | None:
 _JSON_FLOATS = {"nan": "NaN", "inf": "Infinity", "-inf": "-Infinity"}
 
 
-def _float_array_text(a: np.ndarray, depth: int) -> str:
-    """json's indented text of a.tolist(), for a nonempty float array whose
-    outer bracket starts at indent depth ``depth``."""
-    k = a.ndim
+def _float_item_texts(a: np.ndarray, depth: int) -> list:
+    """json's indented text of each a[g].tolist(), g along the first axis,
+    for a nonempty float array whose items start at indent depth
+    ``depth + 1``."""
+    k, per = a.ndim, a[0].size
     bits, inv = np.unique(a.reshape(-1).view(np.uint64), return_inverse=True)
     words = np.array([_JSON_FLOATS.get(w, w) for w in map(repr, bits.view(float).tolist())], dtype=object)
 
@@ -282,18 +315,18 @@ def _float_array_text(a: np.ndarray, depth: int) -> str:
     def closed(r):  # close the r innermost lists
         return "".join(_indent(depth + p) + "]" for p in reversed(range(k - r, k)))
 
-    # between leaves g and g + 1 the r innermost lists close and reopen, r the
-    # number of trailing axes whose index wraps to 0
-    seps = np.array([closed(r) + "," + _indent(depth + k - r) + opened(r) for r in range(k)], dtype=object)
-    g = np.arange(1, a.size)
-    r = np.zeros(a.size - 1, dtype=np.intp)
-    for j in range(1, k):
+    # between leaves g and g + 1 of an item the r innermost lists close and
+    # reopen, r the number of trailing axes whose index wraps to 0
+    seps = np.array([closed(r) + "," + _indent(depth + k - r) + opened(r) for r in range(k - 1)], dtype=object)
+    g = np.arange(1, per)
+    r = np.zeros(per - 1, dtype=np.intp)
+    for j in range(2, k):
         r += g % math.prod(a.shape[j:]) == 0
-    out = np.empty(2 * a.size + 1, dtype=object)
-    out[0], out[-1] = opened(k), closed(k)
-    out[1::2] = words[inv]
-    out[2:-1:2] = seps[r]
-    return "".join(out.tolist())
+    out = np.empty((len(a), 2 * per + 1), dtype=object)
+    out[:, 0], out[:, -1] = opened(k - 1), closed(k - 1)
+    out[:, 1::2] = words[inv].reshape(len(a), per)
+    out[:, 2:-1:2] = seps[r]
+    return ["".join(row) for row in out.tolist()]
 
 
 def _cfg_from_args(args) -> NumericConfig:

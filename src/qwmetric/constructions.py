@@ -595,7 +595,7 @@ def co_lipschitz_number(
     emb = np.einsum("axi,mxbj->mabij", rows.conj(), bu).reshape(-1, g.n, g.n)
     e = _grown(g.n, f.breakpoints, np.split(emb, np.multiply(f.cuts[:-1], amp_dim ** 2)), cfg)
     # the first level of e holding each level of g: a prefix maximum over g's graded basis
-    first = e._first_levels(g.basis, cfg)[0]
+    first = e._first_levels(g.apply(0, g.cuts[-1], eye(g.n)), cfg)
     reach = np.maximum.accumulate(np.concatenate([[0], first]))[g.cuts]
     if reach[0] > 0 or reach[-1] == len(e.cuts):
         return math.inf

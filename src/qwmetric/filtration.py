@@ -146,28 +146,36 @@ class StepFiltration:
         """V_t: the level at the largest breakpoint <= t."""
         return self.levels[self.level_index_at(t)]
 
-    def _first_levels(self, mats: np.ndarray, cfg: NumericConfig):
+    @functools.cached_property
+    def _conj_rows(self) -> np.ndarray:
+        """The conjugated basis as (k, n^2) rows: flat @ _conj_rows.T holds the
+        coefficients of flattened matrices against the basis."""
+        return self.basis.reshape(-1, self.n * self.n).conj()
+
+    def _first_levels(self, mats: np.ndarray, cfg: NumericConfig) -> np.ndarray:
         """Index of the first level containing each matrix of a stack
         (len(levels) outside the top), under the tolerance rule of
-        OperatorSubspace.contains, and the coefficients against the basis.
-        The squared residual at cut c is |part outside the top|^2 +
-        sum_{a >= c} |coef_a|^2: no nearly equal norms are subtracted."""
+        OperatorSubspace.contains.  The squared residual at cut c is
+        |part outside the top|^2 + sum_{a >= c} |coef_a|^2: no nearly equal
+        norms are subtracted, and a top that spans M_n leaves no part
+        outside, so none is formed."""
         flat = mats.reshape(len(mats), -1)
-        top = self.basis.reshape(len(self.basis), -1)
-        coef = flat @ top.conj().T
-        outside = np.linalg.norm(flat - coef @ top, axis=1) ** 2
+        coef = flat @ self._conj_rows.T
         tail = np.zeros((len(coef), coef.shape[1] + 1))
         tail[:, :-1] = np.cumsum(np.abs(coef[:, ::-1]) ** 2, axis=1)[:, ::-1]
+        resid = tail[:, self.cuts]
+        if self.cuts[-1] < self.n * self.n:
+            resid += (np.linalg.norm(flat - coef @ self.basis.reshape(-1, self.n * self.n), axis=1) ** 2)[:, None]
         scale = cfg.membership_tol * np.maximum(1.0, np.linalg.norm(flat, axis=1))
-        inside = outside[:, None] + tail[:, self.cuts] <= (scale ** 2)[:, None]
-        return np.where(inside.any(axis=1), inside.argmax(axis=1), len(self.cuts)), coef
+        inside = resid <= (scale ** 2)[:, None]
+        return np.where(inside.any(axis=1), inside.argmax(axis=1), len(self.cuts))
 
     def displacement_gauge(self, a, cfg: NumericConfig = DEFAULT_CONFIG) -> float:
         """D(A) = inf{t : A in V_t}; +inf when A is outside the top level."""
         m = as_square(a)
         if m.shape[0] != self.n:
             raise MixedDimensions("matrix size does not match filtration")
-        i = self._first_levels(m[None], cfg)[0][0]
+        i = self._first_levels(m[None], cfg)[0]
         return self.breakpoints[i] if i < len(self.breakpoints) else math.inf
 
     def __repr__(self):
@@ -188,7 +196,7 @@ def _adapted_basis(n: int, levels, cfg: NumericConfig):
     for i, lv in enumerate(levels):
         if lv.n != n:
             raise MixedDimensions("level ambient dimension mismatch")
-        rows = _orthonormalize(lv._flat(), n, cfg).reshape(-1, n * n)
+        rows = _orthonormalize(lv._flat(), n, cfg, unit_rows=True).reshape(-1, n * n)
         cut = len(flat)
         if len(rows) < cut or (cut and np.linalg.norm(flat - (flat @ rows.conj().T) @ rows, axis=1).max() > cfg.membership_tol):
             raise NotNested(f"level {i} does not contain level {i - 1}", i)
@@ -282,16 +290,13 @@ class ValidationReport:
         return self.is_filtration
 
 
-def _products(f: StepFiltration, ci: int, cj: int, cfg: NumericConfig):
+def _products(f: StepFiltration, ci: int, cj: int):
     """The products B_a B_b for a < ci, b < cj, in blocks of rows a: yields
-    each block's first a, the first level containing each product (shape
-    (rows, cj)) and the products' coefficients against the basis."""
+    each block's first a and its products, a (rows * cj, n, n) stack."""
     rows = max(1, (1 << 20) // max(1, cj * f.n * f.n))  # about 16 MB of products per block
     left, right = f.basis[:ci, None], f.basis[None, :cj]
     for a0 in range(0, ci, rows):
-        prods = np.matmul(left[a0 : a0 + rows], right).reshape(-1, f.n, f.n)
-        first, coef = f._first_levels(prods, cfg)
-        yield a0, first.reshape(-1, cj), coef
+        yield a0, np.matmul(left[a0 : a0 + rows], right).reshape(-1, f.n, f.n)
 
 
 def _product_reach(f: StepFiltration, cfg: NumericConfig) -> np.ndarray:
@@ -305,7 +310,9 @@ def _product_reach(f: StepFiltration, cfg: NumericConfig) -> np.ndarray:
         return f._reach[cfg]
     grades = f.grades
     reach = np.full((len(f.cuts), len(f.cuts)), -1)
-    for a0, first, _ in _products(f, len(f.basis), len(f.basis), cfg):
+    k = len(f.basis)
+    for a0, prods in _products(f, k, k):
+        first = f._first_levels(prods, cfg).reshape(-1, k)
         np.maximum.at(reach, (grades[a0 : a0 + len(first), None], grades[None]), first)
     reach = np.maximum.accumulate(np.maximum.accumulate(reach, axis=0), axis=1)
     reach.flags.writeable = False
@@ -323,7 +330,7 @@ def validate(f: StepFiltration, ctx: MetricContext | None = None, cfg: NumericCo
     """
     # level i is an operator system when I and the adjoints of its basis lie in it
     mats = np.concatenate([eye(f.n)[None], np.conj(np.transpose(f.basis, (0, 2, 1)))])
-    system_from = np.maximum.accumulate(f._first_levels(mats, cfg)[0])
+    system_from = np.maximum.accumulate(f._first_levels(mats, cfg))
     violations = [("not_operator_system", i) for i, c in enumerate(f.cuts) if system_from[c] > i]
     violations += [("not_strictly_increasing", i) for i, c in enumerate(f.cuts[1:]) if c == f.cuts[i]]
     target = np.searchsorted(f.breakpoints, np.add.outer(f.breakpoints, f.breakpoints), side="right") - 1
@@ -404,29 +411,41 @@ def _spans(f: StepFiltration, i: int, j: int, k: int, cfg: NumericConfig) -> boo
     if not (ci and cj):
         return ck == 0
     r = np.zeros((0, ck), dtype=complex)
-    for _, _, coef in _products(f, ci, cj, cfg):
-        r = np.linalg.qr(np.concatenate([r, coef[:, :ck]]), mode="r")
+    for _, prods in _products(f, ci, cj):
+        coef = prods.reshape(len(prods), -1) @ f._conj_rows[:ck].T
+        r = np.linalg.qr(np.concatenate([r, coef]), mode="r")
     return rank(np.linalg.svd(r, compute_uv=False), cfg) == ck
+
+
+def _path_triples(f: StepFiltration) -> list:
+    """The distinct triples (i, j, k) of levels at (s, t, s + t) over the
+    breakpoint sum grid, read off in one pass, in the order of
+    (cut_i * cut_j, triple)."""
+    bps, m = np.asarray(f.breakpoints), len(f.breakpoints)
+    grid = np.unique(np.add.outer(bps, bps))  # breakpoints and their sums, as bps[0] = 0
+    level = np.searchsorted(bps, grid, side="right") - 1
+    # the code (i * m + j) * m + k of each grid pair (s, t): sorted codes are sorted triples
+    codes = np.unique(np.add.outer(level * m, level) * m + np.searchsorted(bps, np.add.outer(grid, grid), side="right") - 1)
+    triples = np.stack([codes // (m * m), codes // m % m, codes % m], axis=1)
+    cuts = np.asarray(f.cuts)
+    cost = cuts[triples[:, 0]] * cuts[triples[:, 1]]
+    return triples[np.argsort(cost, kind="stable")].tolist()
 
 
 def descriptors(f: StepFiltration, cfg: NumericConfig = DEFAULT_CONFIG) -> dict:
     """Scalar shape descriptors: diameter, uniform-discreteness gap, and the
     path property certified on the breakpoint sum grid.
 
-    The path check runs once per distinct triple (i, j, k) of levels at
-    (s, t, s + t): V_i V_j = V_k when the products lie in V_k and span it.
-    Cheapest triples come first; one containing a spanning triple with the
-    same target spans too, so only its containment is checked."""
+    The path check runs once per triple of _path_triples, cheapest first:
+    V_i V_j = V_k when the products lie in V_k and span it.  A triple
+    containing a spanning triple with the same target spans too, so only
+    its containment is checked."""
     diameter = next((t for t, c in zip(f.breakpoints, f.cuts) if c == f.n * f.n), math.inf)
     gap = f.breakpoints[1] if len(f.breakpoints) > 1 else math.inf
-    bps, m = np.asarray(f.breakpoints), len(f.breakpoints)
-    grid = np.unique(np.add.outer(bps, bps))  # breakpoints and their sums, as bps[0] = 0
-    at = lambda x: np.searchsorted(bps, x, side="right") - 1
-    triples = {(i, c // m, c % m) for i, s in zip(at(grid), grid) for c in np.unique(at(grid) * m + at(s + grid))}
     reach = _product_reach(f, cfg)
     spanning = {}
     path = True
-    for i, j, k in sorted(triples, key=lambda x: f.cuts[x[0]] * f.cuts[x[1]]):
+    for i, j, k in _path_triples(f):
         dominated = any(i >= i0 and j >= j0 for i0, j0 in spanning.get(k, ()))
         if reach[i, j] > k or not (dominated or _spans(f, i, j, k, cfg)):
             path = False

@@ -367,9 +367,11 @@ def separating_projections(f: StepFiltration, t: float, a, cfg: NumericConfig = 
 
 def probes_for_level(f: StepFiltration, t: float, cfg: NumericConfig = DEFAULT_CONFIG):
     """One separation witness per HS direction missing from the level at t,
-    all built in one pass (see _separate)."""
+    all built in one pass (see _separate).  The level is read through
+    ``apply``, so a factored basis is not written out."""
     level = f.level_index_at(t)
-    return _separate(f, level, complement(f.levels[level], cfg).basis, cfg)
+    inside = OperatorSubspace(f.n, f.apply(0, f.cuts[level], eye(f.n)))
+    return _separate(f, level, complement(inside, cfg).basis, cfg)
 
 
 def rebuild_level(f: StepFiltration, t: float, probes, cfg: NumericConfig = DEFAULT_CONFIG) -> OperatorSubspace:

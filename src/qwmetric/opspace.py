@@ -112,25 +112,40 @@ class VNAlgebra(OperatorSubspace):
                 raise MixedDimensions("algebra must contain the identity")
             if not self.is_self_adjoint(cfg):
                 raise MixedDimensions("algebra must be closed under adjoints")
-            # one basis row against the whole basis at a time: dim products held
-            for b in self.basis:
-                if not self.contains_each(b @ self.basis, cfg).all():
+            # a block of basis rows against the whole basis, about 16 MB of products at a time
+            rows = max(1, (1 << 20) // max(1, self.dim * self.n * self.n))
+            for a0 in range(0, self.dim, rows):
+                prods = (self.basis[a0 : a0 + rows, None] @ self.basis[None]).reshape(-1, self.n, self.n)
+                if not self.contains_each(prods, cfg).all():
                     raise MixedDimensions("algebra must be closed under products")
 
 
-def _orthonormalize(rows: np.ndarray, n: int, cfg: NumericConfig, scale: float = 0.0) -> np.ndarray:
+def _orthonormalize(rows: np.ndarray, n: int, cfg: NumericConfig, scale: float = 0.0, unit_rows: bool = False) -> np.ndarray:
     """HS-orthonormal basis of the span of stacked vectorizations, the one
     re-span path; returns (k, n, n).  A family whose Gram matrix is the
     identity within membership_tol, entrywise, is kept as given (stable
     matrix-unit bases, bitwise JSON round trips); any other is replaced by
     its right singular vectors counted by the rank rule, with ``scale`` as
-    its floor (the size of the rows before a projection left them)."""
-    rows = rows[np.linalg.norm(rows, axis=1) > 0]
+    its floor (the size of the rows before a projection left them).
+
+    With ``unit_rows`` the rows may be of any size.  A family with an entry
+    of modulus past 1 + membership_tol is not orthonormal, so its Gram,
+    which could overflow, is not formed; a family that is re-spanned has
+    each row divided by its largest modulus, then by its HS norm, so the
+    rank rule weighs every row alike and a tiny row counts in full."""
+    if unit_rows:
+        peak = np.abs(rows).max(axis=1, initial=0.0)
+        rows, peak = rows[peak > 0], peak[peak > 0]
+    else:
+        rows = rows[np.linalg.norm(rows, axis=1) > 0]
     # more than n^2 rows cannot be orthonormal, so their Gram is not formed
-    if rows.shape[0] <= n * n:
+    if rows.shape[0] <= n * n and not (unit_rows and peak.max(initial=0.0) > 1 + cfg.membership_tol):
         gram = rows.conj() @ rows.T
         if np.abs(gram - np.eye(len(rows))).max(initial=0.0) <= cfg.membership_tol:
             return rows.reshape(-1, n, n)
+    if unit_rows:
+        rows = rows / peak[:, None]
+        rows = rows / np.linalg.norm(rows, axis=1)[:, None]
     _, s, vh = np.linalg.svd(rows, full_matrices=False)
     return vh[: rank(s, cfg, scale)].reshape(-1, n, n)
 
@@ -248,9 +263,11 @@ def commutant(gens, n: int, cfg: NumericConfig = DEFAULT_CONFIG) -> VNAlgebra:
             raise MixedDimensions("generator size does not match ambient dimension")
     if not gens:
         return VNAlgebra(n, full_space(n).basis, cfg, verify=False)
-    ident = np.eye(n)
-    blocks = [np.kron(ident, g.T) - np.kron(g, ident) for g in gens]
-    k = np.concatenate(blocks, axis=0)
+    a = np.stack(gens)
+    ident = np.broadcast_to(np.eye(n), a.shape)
+    # both Kronecker blocks of every generator in one einsum: row (m, i, j),
+    # column (k, l) holds delta_ik A_m[l, j] - A_m[i, k] delta_jl
+    k = np.einsum("pmik,pmjl->mijkl", np.stack([ident, -a]), np.stack([a.transpose(0, 2, 1), ident])).reshape(-1, n * n)
     # the cutoff needs an absolute floor at the generator scale: a zero
     # constraint matrix carries pure rounding noise in its singular values
     scale = max(1.0, max(hs_norm(g) for g in gens))

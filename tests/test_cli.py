@@ -10,7 +10,7 @@ import warnings
 import numpy as np
 import pytest
 
-from qwmetric import AmplifiedProjection, from_classical, rho
+from qwmetric import AmplifiedProjection, StepFiltration, from_classical, rho
 from qwmetric.cli import (
     emit_filtration,
     emit_matrix,
@@ -22,8 +22,8 @@ from qwmetric.cli import (
 from qwmetric.codes import hamming_filtration
 from qwmetric.constructions import m2_metric, operator_system_metric
 from qwmetric.errors import SchemaError
-from qwmetric.numerics import DEFAULT_CONFIG, NumericConfig
-from qwmetric.opspace import span
+from qwmetric.numerics import DEFAULT_CONFIG, NumericConfig, random_unitary
+from qwmetric.opspace import OperatorSubspace, span
 
 from conftest import I2, IMAG_OFF, REAL_OFF
 
@@ -38,6 +38,13 @@ def write_json(tmp_path, name, payload):
     path = tmp_path / name
     path.write_text(json.dumps(payload))
     return str(path)
+
+
+def each_step_parsed(blob):
+    """The level-list constructor fed every step parsed on its own."""
+    n = blob["dim"]
+    levels = [OperatorSubspace(n, np.array(s["basis"], dtype=float).reshape(-1, n, n, 2).view(complex)[..., 0]) for s in blob["steps"]]
+    return StepFiltration(n, [s["t"] for s in blob["steps"]], levels)
 
 
 class TestSerialization:
@@ -55,6 +62,56 @@ class TestSerialization:
         assert all(a.equals(b) for a, b in zip(back.levels, f.levels))
         # stable under re-serialization
         assert json.dumps(emit_filtration(back), sort_keys=True) == json.dumps(blob, sort_keys=True)
+
+    def test_each_distinct_matrix_is_parsed_once(self, monkeypatch):
+        """A step whose basis begins with the previous step's (as JSON
+        values) parses only its new matrices, and the filtration is the one
+        the steps give when each is parsed on its own."""
+        from qwmetric import cli
+
+        blob = json.loads(json.dumps(emit_filtration(hamming_filtration(2, 2))))
+        parsed = []
+        parse_basis = cli._parse_basis
+        monkeypatch.setattr(cli, "_parse_basis", lambda obj, *a: parsed.append(len(obj)) or parse_basis(obj, *a))
+        got, want = parse_filtration(blob, DEFAULT_CONFIG), each_step_parsed(blob)
+        assert parsed == [1, 6, 9]
+        assert got.cuts == want.cuts == [1, 7, 16] and np.array_equal(got.basis, want.basis)
+
+    def test_steps_in_rotated_bases_build_the_same_filtration(self):
+        """Steps that are not prefixes of each other (every level handed in
+        a rotated basis) are each parsed in full."""
+        f = hamming_filtration(2, 2)
+        rng = np.random.default_rng(5)
+        steps = [
+            {"t": t, "basis": emit_matrix(np.einsum("ij,jkl->ikl", random_unitary(lv.dim, rng), lv.basis))}
+            for t, lv in zip(f.breakpoints, f.levels)
+        ]
+        blob = {"dim": 4, "steps": steps}
+        got, want = parse_filtration(blob, DEFAULT_CONFIG), each_step_parsed(blob)
+        assert got.cuts == want.cuts == f.cuts and np.array_equal(got.basis, want.basis)
+
+    @pytest.mark.parametrize(
+        "bad, pointer",
+        [
+            ([(1, 2), (2, 10)], "/steps/1/basis/2/0/0"),  # the first of two steps
+            ([(2, 10), (2, 12)], "/steps/2/basis/10/0/0"),  # a new matrix of a step that shares a prefix
+            ([(2, 3)], "/steps/2/basis/3/0/0"),  # a step whose prefix no longer matches
+        ],
+    )
+    def test_schema_errors_name_the_first_bad_matrix(self, bad, pointer):
+        blob = json.loads(json.dumps(emit_filtration(hamming_filtration(2, 2))))
+        for step, i in bad:
+            blob["steps"][step]["basis"][i][0][0] = ["x", 0.0]
+        with pytest.raises(SchemaError) as exc:
+            parse_filtration(blob, DEFAULT_CONFIG)
+        assert exc.value.pointer == pointer
+
+    def test_a_wrong_shape_in_a_shared_step_is_named_in_full(self):
+        blob = json.loads(json.dumps(emit_filtration(hamming_filtration(2, 2))))
+        blob["steps"][2]["basis"][10] = [[[0.0, 0.0]]]
+        with pytest.raises(SchemaError) as exc:
+            parse_filtration(blob, DEFAULT_CONFIG)
+        assert exc.value.pointer == "/steps/2/basis/10"
 
     def test_m2_fixture_parses_to_four_levels(self):
         blob = emit_filtration(m2_metric(1, 2, 3))
@@ -208,6 +265,29 @@ class TestCommands:
         assert want[0] == 0
         assert got == want
 
+    @pytest.mark.parametrize("scale", [1e200, 1.7e308])
+    def test_distance_does_not_depend_on_a_level_entry_scale(self, tmp_path, capsys, scale):
+        """A level spans what its basis spans at any scale: m2_metric(1, 2, 3)
+        written out with one basis entry set to ``scale`` (in every step that
+        holds that matrix) gives the unscaled file's report, with no
+        overflow."""
+        ppath = write_json(tmp_path, "p.json", emit_projection(AmplifiedProjection.base(np.diag([1.0, 0.0]))))
+        qpath = write_json(tmp_path, "q.json", emit_projection(AmplifiedProjection.base(np.diag([0.0, 1.0]))))
+
+        def report(s):
+            blob = emit_filtration(m2_metric(1, 2, 3))
+            if s is not None:
+                blob["steps"][1]["basis"][1][0][0][0] = s
+            fpath = write_json(tmp_path, "f.json", blob)
+            return run_cli(["distance", "--filtration", fpath, "--p", ppath, "--q", qpath], capsys)
+
+        want = report(None)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            got = report(scale)
+        assert want[0] == 0 and json.loads(want[1])["rho"] == 2.0
+        assert got == want
+
     def test_validate_with_context_algebra(self, tmp_path, capsys):
         # the M_2 pseudometric with a = 0 is not a metric over M = M_2
         fpath = write_json(tmp_path, "f.json", emit_filtration(m2_metric(0, 1, 1)))
@@ -353,9 +433,9 @@ class TestCommands:
         products = filtration._products
         full = []
 
-        def counting(f, ci, cj, cfg):
+        def counting(f, ci, cj):
             full.append(ci == cj == len(f.basis))
-            return products(f, ci, cj, cfg)
+            return products(f, ci, cj)
 
         monkeypatch.setattr(filtration, "_products", counting)
         fpath = write_json(tmp_path, "h2.json", emit_filtration(hamming_filtration(2, 2)))

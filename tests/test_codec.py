@@ -10,9 +10,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
-from qwmetric import AmplifiedProjection, cli, from_classical
+from qwmetric import AmplifiedProjection, StepFiltration, cli, from_classical
 from qwmetric.cli import _dump, emit_filtration, emit_matrix, emit_projection, main, parse_matrix, parse_real_matrix
-from qwmetric.codes import hamming_filtration
+from qwmetric.codes import block_filtration, hamming_filtration
 from qwmetric.constructions import m2_metric
 from qwmetric.errors import SchemaError
 
@@ -97,6 +97,71 @@ def test_dump_matches_json_on_float_arrays(a, depth):
     for _ in range(depth):
         obj = {"k": [obj, 1]}
     assert _dump(obj) == reference(obj)
+
+
+@st.composite
+def graded_filtrations(draw):
+    """A dense graded filtration with a random orthonormal basis and random
+    cuts (a repeated level among them), or a factored Hamming or block
+    model."""
+    if draw(st.booleans()):
+        return draw(st.sampled_from([hamming_filtration(2, 2), hamming_filtration(1, 3), block_filtration([1, 2])]))
+    n = draw(st.integers(1, 3))
+    k = draw(st.integers(1, n * n))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    q, _ = np.linalg.qr(rng.standard_normal((n * n, k)) + 1j * rng.standard_normal((n * n, k)))
+    inner = draw(st.lists(st.integers(0, k), max_size=4))
+    cuts = sorted(inner) + [k]
+    bps = np.cumsum([0.0] + draw(st.lists(st.floats(0.125, 4.0), min_size=len(inner), max_size=len(inner)))).tolist()
+    return StepFiltration.from_graded(n, bps, q.T.reshape(k, n, n), cuts)
+
+
+@settings(database=None, max_examples=60, deadline=None)
+@given(graded_filtrations())
+def test_dump_of_a_filtration_matches_json(f):
+    """Each step's basis is a prefix of the next, cut from one graded text:
+    the output is still json's, byte for byte."""
+    blob = emit_filtration(f)
+    assert _dump(blob) == reference(blob)
+
+
+def test_dump_renders_each_basis_matrix_once(monkeypatch):
+    """Hamming 2 has 16 basis matrices in levels of 1, 7 and 16: 16 are
+    rendered, not 24."""
+    rendered = []
+    item_texts = cli._float_item_texts
+    monkeypatch.setattr(cli, "_float_item_texts", lambda a, depth: rendered.append(len(a)) or item_texts(a, depth))
+    blob = emit_filtration(hamming_filtration(2, 2))
+    assert _dump(blob) == reference(blob)
+    assert rendered == [1, 6, 9]
+
+
+@settings(database=None, max_examples=100, deadline=None)
+@given(st.lists(float_arrays, min_size=1, max_size=4), st.lists(st.tuples(st.integers(0, 4), json_leaves), max_size=4))
+def test_dump_with_shared_leading_items_matches_json(items, cuts):
+    """Lists whose leading items are those of the list before, by identity,
+    possibly followed by items of another kind, render as json does."""
+    items = [a.tolist() for a in items]
+    obj = [items[:c] + ([leaf] if leaf is not None else []) for c, leaf in cuts] + [items, {"k": items[:1]}]
+    assert _dump(obj) == reference(obj)
+
+
+def test_emit_filtration_is_plain_json():
+    """The graded text is cut at render time, not in the emitted object:
+    emit_filtration returns plain dicts, lists, strings and numbers, which
+    json.dump writes as it is."""
+
+    def plain(o):
+        if isinstance(o, dict):
+            return type(o) is dict and all(type(k) is str and plain(v) for k, v in o.items())
+        if isinstance(o, list):
+            return type(o) is list and all(plain(v) for v in o)
+        return type(o) in (str, int, float)
+
+    for f in (hamming_filtration(2, 2), m2_metric(1, 2, 3)):
+        blob = emit_filtration(f)
+        assert plain(blob)
+        assert json.loads(json.dumps(blob)) == blob
 
 
 @pytest.fixture

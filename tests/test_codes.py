@@ -13,6 +13,7 @@ from qwmetric import (
     from_classical,
     hausdorff_distance,
     neighborhood,
+    probes_for_level,
     rho,
     separating_projections,
     validate,
@@ -29,7 +30,7 @@ from qwmetric.codes import (
     min_distance,
     volume_bound,
 )
-from qwmetric.constructions import lp_product, quotient
+from qwmetric.constructions import co_lipschitz_number, lp_product, quotient
 from qwmetric.errors import CommutantMember, NotACode, SizeLimit
 from qwmetric.filtration import default_context
 from qwmetric.lipschitz import distance_operator, lipschitz_witness, rho_from_gauge
@@ -635,6 +636,23 @@ class TestInducedMetric:
             np.testing.assert_allclose(got.witness[key], want.witness[key], rtol=0, atol=1e-12)
         with pytest.raises(CommutantMember):
             lipschitz_witness(f, np.eye(8))
+
+    def test_probes_of_a_factored_model_are_not_written_out(self):
+        """probes_for_level reads the level through apply: on a model whose
+        dense basis exceeds its cap it gives the dense model's probes."""
+        f, dense = hamming_filtration(3, 2, cap=4), _dense_copy(hamming_filtration(3, 2))
+        for t in (0.0, 1.0, 2.0):
+            got, want = probes_for_level(f, t), probes_for_level(dense, t)
+            assert len(got) == len(want) == 64 - hamming_level_dimension(3, 2, int(t))
+            for (p, q), (p_want, q_want) in zip(got, want):
+                assert (p.m, q.m) == (p_want.m, q_want.m)
+                assert np.array_equal(p.matrix, p_want.matrix) and np.array_equal(q.matrix, q_want.matrix)
+
+    def test_co_lipschitz_number_of_a_factored_model_is_not_written_out(self):
+        """co_lipschitz_number reads the target's graded basis through apply:
+        the identity morphism of a model past its cap expands by 1."""
+        f, dense = hamming_filtration(3, 2, cap=4), _dense_copy(hamming_filtration(3, 2))
+        assert co_lipschitz_number(f, f, 1, np.eye(8), np.eye(8)) == co_lipschitz_number(dense, dense, 1, np.eye(8), np.eye(8)) == 1.0
 
 
 class TestQuantumCodeValidation:

@@ -1,5 +1,6 @@
 import json
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -15,6 +16,7 @@ from qwmetric import (
     validate,
 )
 from qwmetric.codes import hamming_filtration
+from qwmetric.constructions import m2_metric
 from qwmetric.errors import MixedDimensions, NegativeTime, NotAPseudometric, NotDiagonalContext, NotNested
 from qwmetric.numerics import random_hermitian, random_unitary
 from qwmetric.opspace import OperatorSubspace, VNAlgebra, commutant
@@ -139,6 +141,27 @@ class TestGradedBasis:
         off = OperatorSubspace(2, np.stack([DIAG / math.sqrt(2), (DIAG + REAL_OFF) / 2]))
         with pytest.raises(NotNested):
             StepFiltration(2, [0, 1, 2], [span([I2]), off, full_space(2)])
+
+    def test_a_tiny_declared_row_counts(self):
+        """A level that is re-spanned has each row scaled to unit size first
+        (largest modulus, then HS norm), so a row declared far below the
+        others counts in full: span{I, 1e-12 Z} is the diagonal algebra, not
+        span{I}."""
+        lv = OperatorSubspace(2, np.stack([I2 / math.sqrt(2), 1e-12 * DIAG]))
+        f = StepFiltration(2, [0, 1, 2], [span([I2]), lv, full_space(2)])
+        assert f.cuts == [1, 2, 4]
+        assert f.levels[1].equals(span([I2, DIAG]))
+
+    @pytest.mark.parametrize("scale", [1e200, 1.7e308])
+    def test_a_huge_entry_does_not_overflow_the_re_span(self, scale):
+        """span{I, diag(scale, -1)} is the diagonal algebra at any scale: no
+        Gram of the unscaled rows is formed, so nothing overflows."""
+        lv = OperatorSubspace(2, np.stack([I2 / math.sqrt(2), np.diag([scale, -1.0]).astype(complex)]))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            f = StepFiltration(2, [0, 1, 2], [span([I2]), lv, full_space(2)])
+        assert f.cuts == [1, 2, 4]
+        assert f.levels[1].equals(span([I2, DIAG]))
 
     def test_hamming_four_qubits_validates(self):
         rep = validate(hamming_filtration(4, 2))
@@ -399,7 +422,7 @@ class TestDescriptors:
 
         pairs = []
         products = filtration._products
-        monkeypatch.setattr(filtration, "_products", lambda f, ci, cj, cfg: pairs.append((ci, cj)) or products(f, ci, cj, cfg))
+        monkeypatch.setattr(filtration, "_products", lambda f, ci, cj: pairs.append((ci, cj)) or products(f, ci, cj))
         f = hamming_filtration(3, 2)
         validate(f)
         descriptors(f)
@@ -408,6 +431,48 @@ class TestDescriptors:
         del f
         gc.collect()
         assert ref() is None
+
+    def test_the_path_check_forms_coefficients_only(self, monkeypatch):
+        """After validate has filled the reach table, descriptors never asks
+        for first levels: _spans reads the products' coefficients against
+        V_k and nothing else."""
+        import qwmetric.filtration as filtration
+
+        f = hamming_filtration(3, 2)
+        validate(f)
+        firsts, spans = [], []
+        first_levels, spans_of = StepFiltration._first_levels, filtration._spans
+        monkeypatch.setattr(StepFiltration, "_first_levels", lambda g, *a: firsts.append(1) or first_levels(g, *a))
+        monkeypatch.setattr(filtration, "_spans", lambda *a: spans.append(a[1:4]) or spans_of(*a))
+        assert descriptors(f)["path_flag"]
+        assert spans and not firsts
+
+    @pytest.mark.parametrize("full", [True, False])
+    def test_a_top_spanning_m_n_forms_no_residual(self, monkeypatch, full):
+        """First levels read the basis only for the part outside the top,
+        and a top that spans M_n has none: after the conjugated rows are
+        cached, its first levels read no basis at all."""
+        d = np.array([[0.0, 1.0], [1.0, 0.0]]) if full else np.array([[0.0, math.inf], [math.inf, 0.0]])
+        f, _ = from_classical(d)
+        f._conj_rows
+        reads = []
+        basis = StepFiltration.basis
+        monkeypatch.setattr(StepFiltration, "basis", property(lambda g: reads.append(1) or basis.fget(g)))
+        assert f.displacement_gauge(REAL_OFF) == (1.0 if full else math.inf)
+        assert bool(reads) != full
+
+    def test_path_triples_are_the_sum_grid_in_cost_order(self):
+        """The vectorized enumeration gives every distinct triple of levels
+        at (s, t, s + t), s and t on the sum grid, once, in the order of
+        (cut_i * cut_j, triple)."""
+        from qwmetric.filtration import _path_triples
+
+        for f in (from_classical(random_metric(5, np.random.default_rng(4)))[0], hamming_filtration(2, 2), m2_metric(1, 2, 3)):
+            bps = f.breakpoints
+            grid = sorted({s + t for s in bps for t in bps})
+            at = lambda x: max(i for i, b in enumerate(bps) if b <= x)
+            want = {(at(s), at(t), at(s + t)) for s in grid for t in grid}
+            assert _path_triples(f) == sorted(map(list, want), key=lambda x: (f.cuts[x[0]] * f.cuts[x[1]], x))
 
     def test_operator_system_metric_diameter(self):
         from qwmetric.constructions import operator_system_metric
