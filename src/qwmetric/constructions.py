@@ -157,7 +157,7 @@ def meet(filtrations, cfg: NumericConfig = DEFAULT_CONFIG) -> StepFiltration:
     grid = sorted({t for f in fs for t in f.breakpoints})
     # the complement of a level is the graded basis past its cut plus the
     # complement of the top, so the meet's level is one null space per point
-    tops = [complement(f.top, cfg)._flat() for f in fs]
+    tops = [complement(f.levels[-1], cfg)._flat() for f in fs]
     lvs = []
     for t in grid:
         past = [f.basis[f.cuts[f.level_index_at(t)] :].reshape(-1, n * n) for f in fs]
@@ -330,11 +330,11 @@ def lp_product(f: StepFiltration, g: StepFiltration, p: float, cfg: NumericConfi
 
 def hoelder(f: StepFiltration, alpha: float, cfg: NumericConfig = DEFAULT_CONFIG) -> StepFiltration:
     """Snowflake: V^alpha_t = V_{t^{1/alpha}}, i.e. breakpoints map to their
-    alpha-th powers."""
+    alpha-th powers; a factored basis stays factored."""
     if not 0 < alpha < 1:
         raise MixedDimensions("alpha must lie in (0, 1)")
     bps = [t ** alpha for t in f.breakpoints]
-    return StepFiltration.from_graded(f.n, bps, f.basis, f.cuts)
+    return StepFiltration.from_graded(f.n, bps, f._graded, f.cuts)
 
 
 class PiecewiseLinear:
@@ -594,8 +594,8 @@ def co_lipschitz_number(
     bu = f.apply(0, f.cuts[-1], rows.transpose(1, 0, 2).reshape(f.n, -1)).reshape(-1, f.n, amp_dim, g.n)
     emb = np.einsum("axi,mxbj->mabij", rows.conj(), bu).reshape(-1, g.n, g.n)
     e = _grown(g.n, f.breakpoints, np.split(emb, np.multiply(f.cuts[:-1], amp_dim ** 2)), cfg)
-    # the first level of e holding each level of g: a prefix maximum over g's graded basis
-    first = e._first_levels(g.apply(0, g.cuts[-1], eye(g.n)), cfg)
+    # the first level of e holding each level of g: a prefix maximum over g's graded basis, read by its reader
+    first = np.concatenate([e._first_levels(rows.conj().reshape(-1, g.n, g.n), cfg) for rows in g._rows(g.cuts[-1])])
     reach = np.maximum.accumulate(np.concatenate([[0], first]))[g.cuts]
     if reach[0] > 0 or reach[-1] == len(e.cuts):
         return math.inf

@@ -17,9 +17,9 @@ constructor serves the JSON reader.  Levels handed to it must be nested
 :func:`validate` reports it as not strictly increasing.
 
 The basis may also be held in factored form (``codes.SiteFactors``): then
-``basis`` and ``levels`` are written out once, when first read, and
-:meth:`StepFiltration.apply` (the projection geometry's one read of the
-basis) and :meth:`StepFiltration.element_norm` never write it out.
+``basis`` and ``levels`` are written out once, when first read.  Only this
+class knows the storage: queries read it through ``apply``, ``element_norm``
+and ``_rows``, and membership is one scale-free kernel, ``_first_levels``.
 """
 
 from __future__ import annotations
@@ -33,7 +33,7 @@ import numpy as np
 
 from .errors import MixedDimensions, NegativeTime, NotAPseudometric, NotDiagonalContext, NotNested
 from .numerics import DEFAULT_CONFIG, NumericConfig, as_square, eye, op_norm, rank
-from .opspace import OperatorSubspace, VNAlgebra, _extend, _orthonormalize, commutant, full_space, generated_vn_algebra
+from .opspace import _BUDGET, OperatorSubspace, VNAlgebra, _extend, _orthonormalize, commutant, full_space, generated_vn_algebra
 
 __all__ = [
     "StepFiltration",
@@ -113,19 +113,11 @@ class StepFiltration:
         """basis[lo:hi] applied to the columns of the n x c matrix x: the
         (hi - lo, n, c) stack of the B x.  A dense basis takes one batched
         product; a factored one is never written out."""
-        if self._factors is None:
-            return self.basis[lo:hi] @ x
-        return self._factors.apply(lo, hi, x)
+        return self.basis[lo:hi] @ x if self._factors is None else self._factors.apply(lo, hi, x)
 
     def element_norm(self, i: int) -> float:
         """Operator norm of basis element i."""
-        if self._factors is None:
-            return op_norm(self.basis[i])
-        return self._factors.element_norm(i)
-
-    @property
-    def top(self) -> OperatorSubspace:
-        return self.levels[-1]
+        return op_norm(self.basis[i]) if self._factors is None else self._factors.element_norm(i)
 
     @property
     def grades(self) -> np.ndarray:
@@ -152,23 +144,59 @@ class StepFiltration:
         coefficients of flattened matrices against the basis."""
         return self.basis.reshape(-1, self.n * self.n).conj()
 
+    def _chunks(self, entries: int):
+        """The element ranges [lo, hi) of a scan of the graded basis, each to the
+        first cut at or past twice its start and 64 elements on, or sooner
+        once its products (``entries`` per element) would pass _BUDGET."""
+        budget = max(1, _BUDGET // max(1, entries))
+        lo = 0
+        while lo < self.cuts[-1]:
+            level = min(bisect.bisect_left(self.cuts, max(2 * lo, lo + 64)), len(self.cuts) - 1)
+            hi = min(self.cuts[level], lo + budget)
+            yield lo, hi
+            lo = hi
+
+    def _rows(self, cut: int):
+        """The reader: the conjugated rows of basis[:cut], in order; cached in
+        one piece for a dense basis, apply(lo, hi, I) per chunk for factors."""
+        if self._factors is None:
+            yield self._conj_rows[:cut]
+            return
+        for lo, hi in self._chunks(self.n * self.n):
+            yield self.apply(lo, min(hi, cut), eye(self.n)).reshape(-1, self.n * self.n).conj()
+            if hi >= cut:
+                return
+
+    def _coordinates(self, flat: np.ndarray, cut: int, residual: bool = False):
+        """HS coordinates of the rows of ``flat`` against basis[:cut], one GEMM per
+        piece of _rows, and with ``residual`` each row less its projection."""
+        coefs, proj = [], None
+        for rows in self._rows(cut):
+            coefs.append(flat @ rows.T)
+            if residual:  # the conjugated projection: conj(coef) @ rows, summed
+                proj = coefs[-1].conj() @ rows if proj is None else proj + coefs[-1].conj() @ rows
+        coef = coefs[0] if len(coefs) == 1 else np.concatenate(coefs, axis=1)
+        return coef, np.subtract(flat, np.conjugate(proj, out=proj), out=proj) if residual else None
+
     def _first_levels(self, mats: np.ndarray, cfg: NumericConfig) -> np.ndarray:
-        """Index of the first level containing each matrix of a stack
-        (len(levels) outside the top), under the tolerance rule of
-        OperatorSubspace.contains.  The squared residual at cut c is
-        |part outside the top|^2 + sum_{a >= c} |coef_a|^2: no nearly equal
-        norms are subtracted, and a top that spans M_n leaves no part
-        outside, so none is formed."""
-        flat = mats.reshape(len(mats), -1)
-        coef = flat @ self._conj_rows.T
-        tail = np.zeros((len(coef), coef.shape[1] + 1))
-        tail[:, :-1] = np.cumsum(np.abs(coef[:, ::-1]) ** 2, axis=1)[:, ::-1]
-        resid = tail[:, self.cuts]
-        if self.cuts[-1] < self.n * self.n:
-            resid += (np.linalg.norm(flat - coef @ self.basis.reshape(-1, self.n * self.n), axis=1) ** 2)[:, None]
-        scale = cfg.membership_tol * np.maximum(1.0, np.linalg.norm(flat, axis=1))
-        inside = resid <= (scale ** 2)[:, None]
-        return np.where(inside.any(axis=1), inside.argmax(axis=1), len(self.cuts))
+        """The membership kernel: the first level containing each matrix A of
+        a stack (len(levels) outside the top).  The squared residual at cut
+        c is |part outside the top|^2 + sum_{a >= c} |coef_a|^2, at most
+        membership_tol^2 max(1, |A|^2) inside (|A|^2: the sum at cut 0); no
+        nearly equal norms are subtracted, and a top spanning M_n forms none."""
+        flat = mats.reshape(len(mats), self.n * self.n)
+        with np.errstate(over="ignore", invalid="ignore"):
+            coef, outside = self._coordinates(flat, self.cuts[-1], self.cuts[-1] < self.n * self.n)
+            tail = np.zeros((len(coef), coef.shape[1] + 1))
+            tail[:, :-1] = np.cumsum(np.abs(coef[:, ::-1]) ** 2, axis=1)[:, ::-1]
+            if outside is not None:
+                tail += (np.linalg.norm(outside, axis=1) ** 2)[:, None]
+            inside = tail[:, self.cuts] <= cfg.membership_tol ** 2 * np.maximum(1.0, tail[:, :1])
+        first = len(self.cuts) - inside.sum(axis=1)  # nested levels: each row is False up to its first
+        if not np.isfinite(tail[:, 0].sum()):  # squares that overflow: decided again at unit size
+            redo = ~np.isfinite(tail[:, 0]) & np.isfinite(flat).all(axis=1)
+            first[redo] = self._first_levels(flat[redo] / np.abs(flat[redo]).max(axis=1, keepdims=True), cfg)
+        return first
 
     def displacement_gauge(self, a, cfg: NumericConfig = DEFAULT_CONFIG) -> float:
         """D(A) = inf{t : A in V_t}; +inf when A is outside the top level."""
@@ -293,7 +321,7 @@ class ValidationReport:
 def _products(f: StepFiltration, ci: int, cj: int):
     """The products B_a B_b for a < ci, b < cj, in blocks of rows a: yields
     each block's first a and its products, a (rows * cj, n, n) stack."""
-    rows = max(1, (1 << 20) // max(1, cj * f.n * f.n))  # about 16 MB of products per block
+    rows = max(1, _BUDGET // max(1, cj * f.n * f.n))  # _BUDGET entries of products per block
     left, right = f.basis[:ci, None], f.basis[None, :cj]
     for a0 in range(0, ci, rows):
         yield a0, np.matmul(left[a0 : a0 + rows], right).reshape(-1, f.n, f.n)
@@ -310,7 +338,7 @@ def _product_reach(f: StepFiltration, cfg: NumericConfig) -> np.ndarray:
         return f._reach[cfg]
     grades = f.grades
     reach = np.full((len(f.cuts), len(f.cuts)), -1)
-    k = len(f.basis)
+    k = f.cuts[-1]
     for a0, prods in _products(f, k, k):
         first = f._first_levels(prods, cfg).reshape(-1, k)
         np.maximum.at(reach, (grades[a0 : a0 + len(first), None], grades[None]), first)
@@ -337,11 +365,11 @@ def validate(f: StepFiltration, ctx: MetricContext | None = None, cfg: NumericCo
     violations += [("product_law", (int(i), int(j))) for i, j in zip(*np.nonzero(_product_reach(f, cfg) > target))]
     is_filtration = not violations
     # with no context the filtration is a metric on (V_0)' by construction
-    holds = ctx is None or f.levels[0].contains_space(ctx.commutant, cfg)
+    holds = ctx is None or bool((f._first_levels(ctx.commutant.basis, cfg) == 0).all())
     if not holds:
         violations.append(("commutant_not_contained", 0))
     is_pseudometric = is_filtration and holds
-    is_metric = is_pseudometric and (ctx is None or f.levels[0].dim == ctx.commutant.dim)
+    is_metric = is_pseudometric and (ctx is None or f.cuts[0] == ctx.commutant.dim)
     return ValidationReport(is_filtration, is_pseudometric, is_metric, violations)
 
 
@@ -412,7 +440,7 @@ def _spans(f: StepFiltration, i: int, j: int, k: int, cfg: NumericConfig) -> boo
         return ck == 0
     r = np.zeros((0, ck), dtype=complex)
     for _, prods in _products(f, ci, cj):
-        coef = prods.reshape(len(prods), -1) @ f._conj_rows[:ck].T
+        coef = f._coordinates(prods.reshape(len(prods), -1), ck)[0]
         r = np.linalg.qr(np.concatenate([r, coef]), mode="r")
     return rank(np.linalg.svd(r, compute_uv=False), cfg) == ck
 

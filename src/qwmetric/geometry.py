@@ -4,7 +4,7 @@ linkability, separation witnesses, and level recovery from probes.
 
 Amplification means working in M_n (x) M_m; the Kronecker convention puts the
 base space first, so an operator A acting on the base is A (x) I_m.  Levels
-are named by their cuts and multiplied only through StepFiltration.apply.
+are named by their cuts, and read only through the filtration's methods.
 """
 
 from __future__ import annotations
@@ -25,7 +25,7 @@ from .numerics import (
     op_norm,
     rank,
 )
-from .opspace import OperatorSubspace, complement, full_space, null_space_rows
+from .opspace import _BUDGET, OperatorSubspace, complement, full_space, null_space_rows
 
 __all__ = [
     "AmplifiedProjection",
@@ -128,39 +128,21 @@ def _batch_compression_norms(p: np.ndarray, bq: np.ndarray) -> np.ndarray:
     return np.linalg.norm(_compressions(p, bq), axis=(0, 2))
 
 
-# complex entries a batch of products may hold, about 16 MB
-_BUDGET = 1 << 20
-
-
-def _chunks(f: StepFiltration, entries: int):
-    """The element ranges [lo, hi) of a scan of the graded basis: each ends
-    at the first cut at or past twice its start and at least 64 elements
-    on, or sooner, once its products (``entries`` per element) would pass
-    _BUDGET complex entries."""
-    budget = max(1, _BUDGET // max(1, entries))
-    lo = 0
-    while lo < f.cuts[-1]:
-        level = min(bisect.bisect_left(f.cuts, max(2 * lo, lo + 64)), len(f.cuts) - 1)
-        hi = min(f.cuts[level], lo + budget)
-        yield lo, hi
-        lo = hi
-
-
 def rho(f: StepFiltration, p: AmplifiedProjection, q: AmplifiedProjection, cfg: NumericConfig = DEFAULT_CONFIG) -> float:
     """rho(P, Q) = inf{t : P (A (x) I) Q != 0 for some A in V_t}.
 
     Scanning an HS basis is exact by linearity (the zero test uses the HS
     norm of the compression), so rho is the breakpoint of the grade of the
     first graded element with a nonzero compression.  The scan takes the
-    chunks of _chunks and stops at the first holding such an element (+inf
-    if none does).
+    chunks of StepFiltration._chunks and stops at the first holding such an
+    element (+inf if none does).
     """
     if p.n != f.n:
         raise DimensionMismatch("projection base dimension does not match filtration")
     pp, qq = _align(p, q)
     # zero rows of P and zero columns of Q add nothing to the HS norms
     pm, qm = pp.matrix[pp.matrix.any(axis=1)], qq.matrix[:, qq.matrix.any(axis=0)]
-    for lo, hi in _chunks(f, qm.size):
+    for lo, hi in f._chunks(qm.size):
         norms = _batch_compression_norms(pm, f.apply(lo, hi, qm.reshape(f.n, qm.size // f.n)))
         linked = np.flatnonzero(norms > cfg.membership_tol)
         if linked.size:
@@ -186,7 +168,7 @@ def _rho_table(f: StepFiltration, blocks, cfg: NumericConfig) -> np.ndarray:
     upper = np.triu(np.ones((p, p), dtype=bool), 1)
     pending, first = upper.copy(), np.full((p, p), -1)
     vh = v.conj().T
-    for lo, hi in _chunks(f, v.size):
+    for lo, hi in f._chunks(v.size):
         if not pending.any():
             break
         c = _compressions(vh, f.apply(lo, hi, v.reshape(f.n, v.size // f.n)))
@@ -231,24 +213,6 @@ def _range_each(cols: np.ndarray, cfg: NumericConfig) -> np.ndarray:
     ranks = rank(s, cfg)
     r = ranks.max(initial=0)
     return u[:, :, :r] * (np.arange(r) < ranks[:, None])[:, None, :]
-
-
-def _outside(f: StepFiltration, cut: int, mats: np.ndarray, cfg: NumericConfig):
-    """Each matrix A of a (k, n, n) stack less its HS projection onto
-    V = span basis[:cut], as (k, n^2) rows, and whether A lies outside V
-    under the rule of OperatorSubspace.contains.  The elements are read
-    through apply(lo, hi, I), chunk by chunk (_chunks), and the coordinate
-    of A against B is conj tr(B A*), so a factored basis is never written
-    out."""
-    flat = mats.reshape(len(mats), f.n * f.n)
-    resid = flat.copy()
-    for lo, hi in _chunks(f, f.n * f.n):
-        if lo >= cut:
-            break
-        rows = f.apply(lo, min(hi, cut), eye(f.n)).reshape(-1, f.n * f.n)
-        resid -= (flat @ rows.conj().T) @ rows
-    scale = np.maximum(1.0, np.linalg.norm(flat, axis=1))
-    return resid, np.linalg.norm(resid, axis=1) > cfg.membership_tol * scale
 
 
 def _check_projections(mats: np.ndarray, cfg: NumericConfig) -> None:
@@ -322,9 +286,9 @@ def _separate(f: StepFiltration, level: int, mats: np.ndarray, cfg: NumericConfi
     and both separation postconditions as one batched compression, in
     slices whose spreads hold at most _BUDGET entries."""
     n, cut = f.n, f.cuts[level]
-    resid, outside = _outside(f, cut, mats, cfg)
-    if not outside.all():
+    if (f._first_levels(mats, cfg) <= level).any():
         raise AlreadyInside(f"matrix already belongs to the level at t = {f.breakpoints[level]}")
+    _, resid = f._coordinates(mats.reshape(len(mats), n * n), cut, residual=True)
     _, s, vh = np.linalg.svd(resid.reshape(-1, n, n))
     ranks = rank(s, cfg)
     pairs = [None] * len(mats)
@@ -346,8 +310,9 @@ def _separate(f: StepFiltration, level: int, mats: np.ndarray, cfg: NumericConfi
             # columns of Q (|X Q|_HS = |X qcols|_HS, as qcols is orthonormal)
             g, _, r = qcols.shape
             aq = (mats[idx] @ qcols.reshape(g, n, m * r)).reshape(g, nm, r)
-            if np.linalg.norm(p @ aq, axis=(1, 2)).min() <= cfg.membership_tol:
-                raise AlreadyInside("separation failed: witness compression vanished")
+            with np.errstate(over="ignore", invalid="ignore"):  # the norm of a huge A may overflow, and passes
+                if np.linalg.norm(p @ aq, axis=(1, 2)).min() <= cfg.membership_tol:
+                    raise AlreadyInside("separation failed: witness compression vanished")
             pb = (p @ spread).reshape(g, nm, cut, r)
             if np.linalg.norm(pb, axis=(1, 3)).max(initial=0.0) > cfg.membership_tol:
                 raise AlreadyInside("separation failed: level not annihilated")

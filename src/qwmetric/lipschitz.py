@@ -17,7 +17,7 @@ import numpy as np
 
 from .errors import CommutantMember, DimensionMismatch, PostconditionFailed, ZeroProjection
 from .filtration import StepFiltration
-from .geometry import AmplifiedProjection, _align, _outside, _rho_table, _spread_projection, rho, separating_projections
+from .geometry import AmplifiedProjection, _align, _rho_table, _spread_projection, rho, separating_projections
 from .numerics import (
     DEFAULT_CONFIG,
     NumericConfig,
@@ -115,50 +115,49 @@ def commutation_lipschitz_lower(
     over the unit ball of the level, combining deterministic candidates
     (normalized basis elements) with multi-start projected subgradient
     ascent in the HS coordinates of the level.  Every evaluated ratio is a
-    true lower bound, so the report never overshoots.
+    true lower bound, so the report never overshoots.  The basis is read
+    through the filtration's reader of basis rows, one chunk at a time.
     """
     m = as_square(a)
     if m.shape[0] != f.n:
         raise DimensionMismatch("matrix size does not match filtration")
     rng = np.random.default_rng(seed)
-    best = 0.0
-    witness = {"t": None, "contraction": None}
+    best, witness = 0.0, {"t": None, "contraction": None}
 
-    def consider(t, vals, cs):
-        """Keep the best of a stack of scored candidates; ties keep the first."""
+    def consider(t, vals, pick):
+        """Keep the best of scored candidates, the i-th pick(i); ties keep the first."""
         nonlocal best, witness
         i = int(np.argmax(vals))
         if vals[i] > best:
-            best = float(vals[i])
-            witness = {"t": t, "contraction": cs[i]}
+            best, witness = float(vals[i]), {"t": t, "contraction": pick(i)}
 
-    def normalized(cs):
-        norms = np.linalg.norm(cs, 2, axis=(1, 2))
-        return cs / np.where(norms == 0, 1.0, norms)[:, None, None]
-
-    # every basis element normalized and its commutator norm taken, in one batched call each
-    units = normalized(f.basis)
-    scores = np.linalg.norm(m @ units - units @ m, 2, axis=(1, 2))
-    # only the ascent reads the commutators of the raw basis
-    comms = m @ f.basis - f.basis @ m if budget.restarts > 0 else None
-    scored = 0
-    for t, lv in zip(f.breakpoints, f.levels):
-        if t <= 0 or lv.dim == 0:
+    # each basis element's operator norm (1 for 0) and normalized commutator norm, per piece of
+    # the filtration's reader: its rows are conjugated, and conjugating A and B keeps both norms
+    mc, norms, scored = m.conj(), [], []
+    for rows in f._rows(f.cuts[-1]):
+        norms.append(np.linalg.norm(rows.reshape(-1, f.n, f.n), 2, axis=(1, 2)))
+        norms[-1][norms[-1] == 0] = 1.0
+        cs = rows.reshape(-1, f.n, f.n) / norms[-1][:, None, None]
+        scored.append(np.linalg.norm(mc @ cs - cs @ mc, 2, axis=(1, 2)))
+    norms, scored = np.concatenate(norms), np.concatenate(scored)
+    if budget.restarts > 0:
+        # only the ascent reads the whole basis, and its commutators [A, B]
+        basis = np.concatenate(list(f._rows(f.cuts[-1]))).conj().reshape(-1, f.n, f.n)
+        comms = m @ basis - basis @ m
+    lo = 0
+    for t, k in zip(f.breakpoints, f.cuts):
+        if t <= 0 or k == 0:
             continue
         # an element scored at an earlier t' < t had the larger ratio
         # ||[A, C]|| / t' there, so only the elements entering at t compete
-        if lv.dim > scored:
-            consider(t, scores[scored : lv.dim] / t, units[scored : lv.dim])
-        scored = lv.dim
-        if comms is None:
-            continue
-        k = lv.dim
-        commutators = comms[:k]
-        if np.max(np.abs(commutators)) <= cfg.membership_tol:
+        if k > lo:
+            consider(t, scored[lo:k] / t, lambda i, lo=lo: f.apply(lo + i, lo + i + 1, np.eye(f.n))[0] / norms[lo + i])
+        lo = k
+        if budget.restarts <= 0 or np.max(np.abs(comms[:k])) <= cfg.membership_tol:
             continue
         for _ in range(budget.restarts):
             z = rng.standard_normal(k) + 1j * rng.standard_normal(k)
-            c = _norm_one(np.tensordot(z, lv.basis, axes=(0, 0)))
+            c = _norm_one(np.tensordot(z, basis[:k], axes=(0, 0)))
             step = 0.5
             for it in range(budget.steps):
                 phi = m @ c - c @ m
@@ -166,12 +165,12 @@ def commutation_lipschitz_lower(
                 if s[0] <= cfg.membership_tol:
                     break
                 # d sigma_max = Re(u^H [A, B_k] v dz_k); ascend along conj gradient
-                grad = (commutators @ vh[0].conj()) @ u[:, 0].conj()
-                z = lv.coefficients(c) + step * grad.conj()
-                c = _norm_one(np.tensordot(z, lv.basis, axes=(0, 0)))
+                grad = (comms[:k] @ vh[0].conj()) @ u[:, 0].conj()
+                z = basis[:k].reshape(k, -1).conj() @ c.reshape(-1) + step * grad.conj()
+                c = _norm_one(np.tensordot(z, basis[:k], axes=(0, 0)))
                 step *= 0.97
-            c = normalized(c[None])
-            consider(t, np.linalg.norm(m @ c - c @ m, 2, axis=(1, 2)) / t, c)
+            c = _norm_one(c)[None]
+            consider(t, np.linalg.norm(m @ c - c @ m, 2, axis=(1, 2)) / t, lambda i, c=c: c[i])
     return LipschitzReport(best, witness)
 
 
@@ -234,7 +233,7 @@ def lipschitz_witness(f: StepFiltration, c, seed: int = 0, cfg: NumericConfig = 
     cm = as_square(c)
     if cm.shape[0] != f.n:
         raise DimensionMismatch("matrix size does not match filtration")
-    if not _outside(f, f.cuts[0], cm[None], cfg)[1][0]:
+    if f._first_levels(cm[None], cfg)[0] == 0:
         raise CommutantMember("operator already lies in the zero level")
     p, q = separating_projections(f, 0.0, cm, cfg)
     r = rho(f, p, q, cfg)

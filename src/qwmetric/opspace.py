@@ -13,6 +13,8 @@ import numpy as np
 from .errors import MixedDimensions, NonConvergent
 from .numerics import DEFAULT_CONFIG, NumericConfig, as_square, eye, hs_norm, rank
 
+_BUDGET = 1 << 20  # complex entries a batch of products may hold, about 16 MB
+
 __all__ = [
     "OperatorSubspace",
     "VNAlgebra",
@@ -63,14 +65,20 @@ class OperatorSubspace:
     def contains_each(self, mats, cfg: NumericConfig = DEFAULT_CONFIG) -> np.ndarray:
         """Membership of every matrix of a (k, n, n) stack, one boolean
         each: the HS residual after projection is at most
-        membership_tol * max(1, |A|_HS)."""
+        membership_tol * max(1, |A|_HS), at any size of A."""
         mats = np.asarray(mats, dtype=complex)
         if mats.ndim != 3 or mats.shape[1:] != (self.n, self.n):
             raise MixedDimensions(f"stack of shape {mats.shape} vs ambient {self.n}")
-        flat = mats.reshape(len(mats), -1)
+        flat = mats.reshape(len(mats), self.n * self.n)
         rows = self._flat()
-        residual = np.linalg.norm(flat - (flat @ rows.conj().T) @ rows, axis=1)
-        return residual <= cfg.membership_tol * np.maximum(1.0, np.linalg.norm(flat, axis=1))
+        with np.errstate(over="ignore", invalid="ignore"):
+            norms = np.linalg.norm(flat, axis=1)
+            residual = np.linalg.norm(flat - (flat @ rows.conj().T) @ rows, axis=1)
+        inside = residual <= cfg.membership_tol * np.maximum(1.0, norms)
+        if not np.isfinite(norms.sum()):  # squares that overflow: decided again at unit size
+            redo = ~np.isfinite(norms) & np.isfinite(flat).all(axis=1)
+            inside[redo] = self.contains_each(mats[redo] / np.abs(mats[redo]).max(axis=(1, 2))[:, None, None], cfg)
+        return inside
 
     def contains(self, a, cfg: NumericConfig = DEFAULT_CONFIG) -> bool:
         return bool(self.contains_each(as_square(a)[None], cfg)[0])
@@ -112,8 +120,8 @@ class VNAlgebra(OperatorSubspace):
                 raise MixedDimensions("algebra must contain the identity")
             if not self.is_self_adjoint(cfg):
                 raise MixedDimensions("algebra must be closed under adjoints")
-            # a block of basis rows against the whole basis, about 16 MB of products at a time
-            rows = max(1, (1 << 20) // max(1, self.dim * self.n * self.n))
+            # a block of basis rows against the whole basis, _BUDGET entries of products at a time
+            rows = max(1, _BUDGET // max(1, self.dim * self.n * self.n))
             for a0 in range(0, self.dim, rows):
                 prods = (self.basis[a0 : a0 + rows, None] @ self.basis[None]).reshape(-1, self.n, self.n)
                 if not self.contains_each(prods, cfg).all():

@@ -192,6 +192,18 @@ class TestCommands:
         assert code == 0
         assert json.loads(out)["displacement"] == "inf"
 
+    def test_gauge_of_a_huge_matrix(self, tmp_path, capsys):
+        """Membership is scale-free: diag(1e308, 0) is not in V_0 = C.I of
+        the canonical M_2 chain, and enters with the diagonal at 1, with
+        no overflow on the way."""
+        fpath = write_json(tmp_path, "f.json", emit_filtration(m2_metric(1, 2, 3)))
+        mpath = write_json(tmp_path, "m.json", emit_matrix(np.diag([1e308, 0.0]).astype(complex)))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            code, out, _ = run_cli(["gauge", "--filtration", fpath, "--matrix", mpath], capsys)
+        assert code == 0
+        assert json.loads(out)["displacement"] == 1.0
+
     def test_lipschitz_matches_library(self, tmp_path, capsys):
         d = np.array([[0.0, 1, 2], [1, 0, 1], [2, 1, 0]])
         f, _ = from_classical(d)

@@ -30,10 +30,10 @@ from qwmetric.codes import (
     min_distance,
     volume_bound,
 )
-from qwmetric.constructions import co_lipschitz_number, lp_product, quotient
+from qwmetric.constructions import co_lipschitz_number, hoelder, lp_product, quotient
 from qwmetric.errors import CommutantMember, NotACode, SizeLimit
 from qwmetric.filtration import default_context
-from qwmetric.lipschitz import distance_operator, lipschitz_witness, rho_from_gauge
+from qwmetric.lipschitz import AscentBudget, commutation_lipschitz_lower, distance_operator, lipschitz_witness, rho_from_gauge
 from qwmetric.numerics import range_projection
 
 from conftest import I2, PAULI_X, PAULI_Y, PAULI_Z, basis_state_projection
@@ -653,6 +653,26 @@ class TestInducedMetric:
         the identity morphism of a model past its cap expands by 1."""
         f, dense = hamming_filtration(3, 2, cap=4), _dense_copy(hamming_filtration(3, 2))
         assert co_lipschitz_number(f, f, 1, np.eye(8), np.eye(8)) == co_lipschitz_number(dense, dense, 1, np.eye(8), np.eye(8)) == 1.0
+
+
+    @pytest.mark.parametrize("sites, cap", [(3, 4), (4, 8)])
+    def test_queries_of_a_factored_model_are_not_written_out(self, sites, cap):
+        """The commutation bound, the gauge and the snowflake read the basis
+        only through the filtration's reader: on a model whose dense basis
+        exceeds its cap they give the dense model's results."""
+        f, dense = hamming_filtration(sites, 2, cap=cap), _dense_copy(hamming_filtration(sites, 2))
+        rng = np.random.default_rng(sites)
+        n = f.n
+        a = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
+        for budget in (AscentBudget.deterministic(), AscentBudget(3, 10)):
+            got, want = commutation_lipschitz_lower(f, a, budget), commutation_lipschitz_lower(dense, a, budget)
+            assert (got.value, got.witness["t"]) == (want.value, want.witness["t"])
+            np.testing.assert_allclose(got.witness["contraction"], want.witness["contraction"], rtol=0, atol=1e-12)
+        x = np.kron(PAULI_X, np.eye(n // 2))
+        for g, h in ((f, dense), (hoelder(f, 0.5), hoelder(dense, 0.5))):
+            assert [g.displacement_gauge(m) for m in (a, x, np.eye(n))] == [h.displacement_gauge(m) for m in (a, x, np.eye(n))]
+        assert hoelder(f, 0.5).displacement_gauge(x) == 1.0
+        assert f._basis is None
 
 
 class TestQuantumCodeValidation:

@@ -104,7 +104,7 @@ class TestTruncate:
     def test_to_zero_is_the_trivial_metric(self, rng):
         f = random_step_filtration(3, rng)
         t = truncate(f, 0.0)
-        assert len(t.levels) == 1 and t.top.dim == 9
+        assert len(t.levels) == 1 and t.levels[-1].dim == 9
         assert descriptors(t)["diameter"] == 0.0
 
     def test_beyond_diameter_is_identity(self, rng):

@@ -18,8 +18,8 @@ from qwmetric import (
 from qwmetric.codes import hamming_filtration
 from qwmetric.constructions import m2_metric
 from qwmetric.errors import MixedDimensions, NegativeTime, NotAPseudometric, NotDiagonalContext, NotNested
-from qwmetric.numerics import random_hermitian, random_unitary
-from qwmetric.opspace import OperatorSubspace, VNAlgebra, commutant
+from qwmetric.numerics import DEFAULT_CONFIG, random_hermitian, random_unitary
+from qwmetric.opspace import OperatorSubspace, VNAlgebra, commutant, complement
 
 from conftest import DIAG, I2, IMAG_OFF, REAL_OFF, random_metric, random_step_filtration
 
@@ -241,6 +241,88 @@ class TestGauge:
             assert span(kept, f.n).equals(lv)
 
 
+def first_level_oracle(f, a):
+    """The first level containing A, by OperatorSubspace.contains."""
+    return next((i for i, lv in enumerate(f.levels) if lv.contains(a)), len(f.levels))
+
+
+def rotated(f, u):
+    """f conjugated by the unitary u: the graded basis U B U*."""
+    return StepFiltration.from_graded(f.n, f.breakpoints, u @ f.basis @ u.conj().T, f.cuts)
+
+
+def member_stack(f, rng):
+    """Members of every level, and non-members: a member of a level plus a
+    part orthogonal to it; none of HS norm above 1."""
+    # the graded basis, then an orthonormal basis of the top's complement
+    full = np.concatenate([f.basis, complement(f.levels[-1]).basis])
+    mats = []
+    for c in f.cuts:
+        w = rng.standard_normal(len(full)) + 1j * rng.standard_normal(len(full))
+        inside = np.tensordot(w[:c], full[:c], axes=1)
+        mats.append(inside / max(1.0, np.linalg.norm(inside)))
+        if c < len(full):
+            a = inside + np.tensordot(w[c:], full[c:], axes=1)
+            mats.append(a / np.linalg.norm(a))
+    return np.stack(mats)
+
+
+class TestMembershipKernel:
+    SCALES = (1e-6, 1.0, 1e6, 1e100, 1e200)
+
+    @pytest.mark.parametrize("seed", range(6))
+    def test_first_levels_match_the_levels(self, seed):
+        """The kernel gives the first level whose OperatorSubspace contains
+        each matrix, on rotated random filtrations (tops spanning M_n or
+        not), at every scale of the stack."""
+        rng = np.random.default_rng(seed)
+        n = 2 + seed % 3
+        # point 0 at infinite distance from the rest: a top short of M_n
+        parted = np.full((n, n), math.inf)
+        parted[1:, 1:] = 1.5
+        np.fill_diagonal(parted, 0.0)
+        for f in (random_step_filtration(n, rng), from_classical(random_metric(n, rng))[0], from_classical(parted)[0]):
+            g = rotated(f, random_unitary(n, rng))
+            mats = member_stack(g, rng)
+            want = [first_level_oracle(g, a) for a in mats]
+            for scale in self.SCALES:
+                assert g._first_levels(scale * mats, DEFAULT_CONFIG).tolist() == want
+
+    @pytest.mark.parametrize("blocks", [None, [1, 2]], ids=["hamming-3", "blocks-1-2"])
+    def test_a_factored_basis_is_read_in_chunks(self, monkeypatch, blocks):
+        """A factored basis past its cap is read chunk by chunk through
+        apply, never written out, and gives its dense copy's first levels,
+        also when every chunk holds a few elements."""
+        from qwmetric import filtration
+        from qwmetric.codes import block_filtration
+
+        f = hamming_filtration(3, 2, cap=4) if blocks is None else block_filtration(blocks, cap=2)
+        want = hamming_filtration(3, 2) if blocks is None else block_filtration(blocks)
+        dense = StepFiltration.from_graded(want.n, want.breakpoints, want.basis, want.cuts)
+        rng = np.random.default_rng(5)
+        mats = member_stack(dense, rng)
+        expected = [first_level_oracle(dense, a) for a in mats]
+        for budget in (filtration._BUDGET, 5 * f.n * f.n):
+            monkeypatch.setattr(filtration, "_BUDGET", budget)
+            for scale in self.SCALES:
+                assert f._first_levels(scale * mats, DEFAULT_CONFIG).tolist() == expected
+                assert dense._first_levels(scale * mats, DEFAULT_CONFIG).tolist() == expected
+        assert f._basis is None
+
+    @pytest.mark.parametrize("scale", [1.0, 1e150, 1e200, 1e308])
+    def test_the_gauge_is_scale_free(self, scale):
+        """diag(s, 0) enters the canonical chain with the diagonal, and
+        s E_01 with the off-diagonals, at every s up to 1e308, with no
+        overflow on the way."""
+        f = m2_chain(1, 2, 3)
+        e01 = np.array([[0, 1], [0, 0]], dtype=complex)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            assert f.displacement_gauge(np.diag([scale, 0.0])) == 1.0
+            assert f.displacement_gauge(scale * e01) == 3.0
+            assert f.displacement_gauge(scale * I2) == 0.0
+
+
 class TestClassicalRoundTrip:
     def test_all_zero_distances(self):
         f, ctx = from_classical(np.zeros((3, 3)))
@@ -282,7 +364,7 @@ class TestClassicalRoundTrip:
     def test_infinite_distances_give_proper_top(self):
         d = np.array([[0.0, math.inf], [math.inf, 0.0]])
         f, ctx = from_classical(d)
-        assert f.top.dim == 2  # block diagonal only
+        assert f.levels[-1].dim == 2  # block diagonal only
         assert to_classical(f, ctx)[0, 1] == math.inf
 
     def test_to_classical_needs_diagonal_context(self):
@@ -449,17 +531,18 @@ class TestDescriptors:
 
     @pytest.mark.parametrize("full", [True, False])
     def test_a_top_spanning_m_n_forms_no_residual(self, monkeypatch, full):
-        """First levels read the basis only for the part outside the top,
-        and a top that spans M_n has none: after the conjugated rows are
-        cached, its first levels read no basis at all."""
+        """First levels read the basis only through the filtration's reader
+        of conjugated rows, never through ``basis``, and form the residual
+        outside the top only when the top falls short of M_n."""
         d = np.array([[0.0, 1.0], [1.0, 0.0]]) if full else np.array([[0.0, math.inf], [math.inf, 0.0]])
         f, _ = from_classical(d)
         f._conj_rows
-        reads = []
-        basis = StepFiltration.basis
-        monkeypatch.setattr(StepFiltration, "basis", property(lambda g: reads.append(1) or basis.fget(g)))
+        reads, residuals = [], []
+        coordinates = StepFiltration._coordinates
+        monkeypatch.setattr(StepFiltration, "basis", property(lambda g: reads.append(1)))
+        monkeypatch.setattr(StepFiltration, "_coordinates", lambda g, flat, cut, residual=False: residuals.append(residual) or coordinates(g, flat, cut, residual))
         assert f.displacement_gauge(REAL_OFF) == (1.0 if full else math.inf)
-        assert bool(reads) != full
+        assert not reads and residuals == [not full]
 
     def test_path_triples_are_the_sum_grid_in_cost_order(self):
         """The vectorized enumeration gives every distinct triple of levels

@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -280,6 +281,21 @@ class TestSeparation:
         p, q = separating_projections(f, 1.0, e02)
         m = p.m
         assert op_norm(p.matrix @ np.kron(e02, np.eye(m)) @ q.matrix) > 1e-8
+
+    @pytest.mark.parametrize("scale", [1e150, 1e200, 1e308])
+    def test_a_huge_matrix_is_separated_as_a_unit_one(self, scale):
+        """Membership is scale-free: s E_01 lies outside V_0 of the
+        canonical M_2 chain at every s, and takes E_01's witness pair."""
+        from qwmetric.constructions import m2_metric
+
+        f = m2_metric(1, 2, 3)
+        e01 = np.array([[0, 1], [0, 0]], dtype=complex)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            (p, q), (p1, q1) = separating_projections(f, 0.0, scale * e01), separating_projections(f, 0.0, e01)
+        assert (p.m, q.m) == (p1.m, q1.m)
+        np.testing.assert_allclose(p.matrix, p1.matrix, rtol=0, atol=1e-12)
+        np.testing.assert_allclose(q.matrix, q1.matrix, rtol=0, atol=1e-12)
 
     def test_already_inside_raises(self, rng):
         f = random_step_filtration(3, rng)

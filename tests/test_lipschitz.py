@@ -506,6 +506,20 @@ class TestWitness:
         with pytest.raises(CommutantMember):
             lipschitz_witness(f, np.eye(3))
 
+    @pytest.mark.parametrize("scale", [1e150, 1e200])
+    def test_a_huge_operator_takes_the_unit_ones_witness(self, scale):
+        """s E_01 lies outside V_0 at every s (membership is scale-free), so
+        it takes E_01's witness, and its commutator norm scales with s.  At
+        s = 1e308 that norm itself overflows, so the sizes stop at 1e200."""
+        from qwmetric.constructions import m2_metric
+
+        f = m2_metric(1, 2, 3)
+        e01 = np.array([[0, 1], [0, 0]], dtype=complex)
+        got, want = lipschitz_witness(f, scale * e01), lipschitz_witness(f, e01)
+        assert (got.value, got.witness["rho"]) == (want.value, want.witness["rho"])
+        np.testing.assert_allclose(got.witness["matrix"], want.witness["matrix"], rtol=0, atol=1e-12)
+        assert got.witness["commutator_norm"] / scale == pytest.approx(want.witness["commutator_norm"], rel=1e-12)
+
     @pytest.mark.parametrize("seed", range(4))
     def test_random_non_commutant_operators(self, seed):
         rng = np.random.default_rng(seed)

@@ -289,3 +289,70 @@ def test_level_lists_are_the_readers_alone():
                     normalized.add((path.name, scope))
     assert level_lists == {("cli.py", "parse_filtration")}
     assert not normalized
+
+
+# (module, top-level def) of library code that may read how a filtration's
+# graded basis is stored: the filtration itself, the JSON writer, the dense
+# product kernel of validate and descriptors (until they read labels), and
+# the constructions that build a new dense basis from the old one
+STORAGE_READERS = {
+    ("filtration.py", "StepFiltration"),
+    ("cli.py", "emit_filtration"),
+    ("filtration.py", "to_classical"),
+    ("filtration.py", "_products"),
+    ("filtration.py", "validate"),
+    ("constructions.py", "stabilize"),
+    ("constructions.py", "truncate"),
+    ("constructions.py", "direct_sum"),
+    ("constructions.py", "meet"),
+    ("constructions.py", "subobject"),
+    ("constructions.py", "metric_product"),
+    ("constructions.py", "lp_product"),
+    ("constructions.py", "f_transform"),
+    ("constructions.py", "canonicalize_m2"),
+}
+
+
+def _filtration_makers(trees):
+    """StepFiltration and every library function annotated to return one."""
+    return {"StepFiltration"} | {
+        node.name
+        for tree in trees
+        for node in ast.walk(tree)
+        if isinstance(node, ast.FunctionDef) and node.returns is not None and "StepFiltration" in ast.unparse(node.returns)
+    }
+
+
+def _filtration_names(tree, makers):
+    """Per top-level def, the names annotated as a StepFiltration or
+    assigned from a call of one of ``makers``."""
+    names = {}
+    for top in tree.body:
+        found = names.setdefault(getattr(top, "name", None), set())
+        for node in ast.walk(top):
+            if isinstance(node, (ast.arg, ast.AnnAssign)) and node.annotation is not None and "StepFiltration" in ast.unparse(node.annotation):
+                found.add(node.arg if isinstance(node, ast.arg) else ast.unparse(node.target))
+            elif isinstance(node, ast.Assign) and isinstance(node.value, ast.Call):
+                func = node.value.func
+                if getattr(func, "id", getattr(func, "attr", None)) in makers:
+                    found |= {t.id for t in node.targets if isinstance(t, ast.Name)}
+    return names
+
+
+def test_graded_storage_is_read_through_the_filtration():
+    """Queries reach the graded basis only through StepFiltration (apply,
+    element_norm and its reader of basis rows): ``.levels``, ``.value_at``,
+    ``.top`` and the cached ``._conj_rows`` anywhere, and ``.basis`` on a
+    name known to hold a filtration, are read only by the allow-list."""
+    trees = {path.name: ast.parse(path.read_text()) for path in sorted(SRC.glob("*.py"))}
+    makers = _filtration_makers(trees.values())
+    readers = set()
+    for module, tree in trees.items():
+        names = _filtration_names(tree, makers)
+        for node, scope in _scopes(tree):
+            if not isinstance(node, ast.Attribute):
+                continue
+            on_filtration = isinstance(node.value, ast.Name) and node.value.id in names.get(scope, ())
+            if node.attr in ("levels", "value_at", "top", "_conj_rows") or (node.attr == "basis" and on_filtration):
+                readers.add((module, scope))
+    assert readers == STORAGE_READERS

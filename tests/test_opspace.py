@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -258,6 +260,17 @@ def test_stacked_membership_matches_single_rule_at_the_cutoff(seed):
     mats = np.stack(mats)
     assert s.contains_each(mats).tolist() == [single_rule(s, m) for m in mats] == expected
     assert [s.contains(m) for m in mats] == expected
+
+
+@pytest.mark.parametrize("scale", [1.0, 1e150, 1e200, 1e308])
+def test_membership_is_scale_free(scale):
+    """Residuals are divided by max(1, |A|) before they are squared: s E_01
+    stays outside the scalars and s I inside at every s up to 1e308."""
+    e01 = np.array([[0, 1], [0, 0]], dtype=complex)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        assert scalar_space(2).contains_each(scale * np.stack([e01, I2, I2 + e01])).tolist() == [False, True, False]
+        assert span([I2, PAULI_Z]).contains(np.diag([scale, 0.0]))
 
 
 @pytest.mark.parametrize("seed", range(6))
