@@ -25,7 +25,7 @@ from .numerics import (
     op_norm,
     rank,
 )
-from .opspace import _BUDGET, OperatorSubspace, complement, full_space, null_space_rows
+from .opspace import _BUDGET, OperatorSubspace, complement, null_space_rows
 
 __all__ = [
     "AmplifiedProjection",
@@ -98,19 +98,11 @@ def _align(p: AmplifiedProjection, q: AmplifiedProjection):
     return p.padded(m), q.padded(m)
 
 
-def _stacked(basis: np.ndarray, x: np.ndarray) -> np.ndarray:
-    """Matrix-unit products B X' for linkable and rebuild_level, which read no
-    filtration; X' is the nm x c operand X read as n x (m*c) (see _amplify)."""
-    n = basis.shape[1]
-    return basis @ x.reshape(n, x.size // n)
-
-
 def _amplify(bx: np.ndarray, nm: int) -> np.ndarray:
     """The columns (B (x) I_m) X for every B, as one (nm, k*c) matrix in
-    stack order, from the products B X' of StepFiltration.apply or
-    _stacked.  Rows are indexed base-first, so B (x) I_m acts
-    on X read as an n x (m*c) matrix: one batched product, and the
-    Kronecker product is never formed."""
+    stack order, from the products B X' of StepFiltration.apply, X' the nm x c
+    X read as n x (m*c): rows are indexed base-first, so B (x) I_m acts on X
+    read that way, and the Kronecker product is never formed."""
     k, n, mc = bx.shape
     c = n * mc // nm
     return bx.reshape(k, nm, c).transpose(1, 0, 2).reshape(nm, k * c)
@@ -123,9 +115,14 @@ def _compressions(p: np.ndarray, bq: np.ndarray) -> np.ndarray:
     return (p @ _amplify(bq, p.shape[1])).reshape(len(p), k, n * mc // p.shape[1])
 
 
-def _batch_compression_norms(p: np.ndarray, bq: np.ndarray) -> np.ndarray:
-    """HS norms of P (B (x) I_m) Q over a stack of products B Q'."""
-    return np.linalg.norm(_compressions(p, bq), axis=(0, 2))
+def _unit_compressions(n: int, p: np.ndarray, q: np.ndarray) -> np.ndarray:
+    """P (E_ij (x) I_m) Q for every matrix unit E_ij and pair of (g, nm, nm)
+    stacks P and Q, indexed (pair, a, b, i, j): entry (a, b) is
+    sum_s P[a, (i, s)] Q[(j, s), b], one batched (g, nm*n, m) @ (g, m, n*nm)
+    product, and no matrix unit is formed."""
+    (g, nm, _), m = p.shape, p.shape[1] // n
+    right = q.reshape(g, n, m, nm).transpose(0, 2, 1, 3).reshape(g, m, n * nm)
+    return (p.reshape(g, nm * n, m) @ right).reshape(g, nm, n, n, nm).transpose(0, 1, 4, 2, 3)
 
 
 def rho(f: StepFiltration, p: AmplifiedProjection, q: AmplifiedProjection, cfg: NumericConfig = DEFAULT_CONFIG) -> float:
@@ -143,7 +140,7 @@ def rho(f: StepFiltration, p: AmplifiedProjection, q: AmplifiedProjection, cfg: 
     # zero rows of P and zero columns of Q add nothing to the HS norms
     pm, qm = pp.matrix[pp.matrix.any(axis=1)], qq.matrix[:, qq.matrix.any(axis=0)]
     for lo, hi in f._chunks(qm.size):
-        norms = _batch_compression_norms(pm, f.apply(lo, hi, qm.reshape(f.n, qm.size // f.n)))
+        norms = np.linalg.norm(_compressions(pm, f.apply(lo, hi, qm.reshape(f.n, qm.size // f.n))), axis=(0, 2))
         linked = np.flatnonzero(norms > cfg.membership_tol)
         if linked.size:
             return f.breakpoints[bisect.bisect_right(f.cuts, lo + linked[0])]
@@ -186,10 +183,9 @@ def _rho_table(f: StepFiltration, blocks, cfg: NumericConfig) -> np.ndarray:
 
 
 def linkable(p: AmplifiedProjection, q: AmplifiedProjection, cfg: NumericConfig = DEFAULT_CONFIG) -> bool:
-    """True iff P (A (x) I) Q != 0 for some A in M_n; scans matrix units."""
+    """True iff P (A (x) I) Q != 0 for some A in M_n (_unit_compressions)."""
     pp, qq = _align(p, q)
-    norms = _batch_compression_norms(pp.matrix, _stacked(full_space(p.n).basis, qq.matrix))
-    return bool(norms.size and norms.max() > cfg.membership_tol)
+    return bool(np.linalg.norm(_unit_compressions(p.n, pp.matrix[None], qq.matrix[None]), axis=(1, 2)).max() > cfg.membership_tol)
 
 
 def _amplified_each(f: StepFiltration, cut: int, x: np.ndarray) -> np.ndarray:
@@ -280,15 +276,15 @@ def _separate(f: StepFiltration, level: int, mats: np.ndarray, cfg: NumericConfi
     with M' (x) I for every compatible context since their ranges are
     invariant under V_0 (x) I.
 
-    The stack takes one batched SVD of the residuals; then each rank m takes
-    one spread of the orbits and one of the levels (_amplified_each and
-    _range_each), the projection rule of is_projection on every P and Q,
-    and both separation postconditions as one batched compression, in
-    slices whose spreads hold at most _BUDGET entries."""
-    n, cut = f.n, f.cuts[level]
-    if (f._first_levels(mats, cfg) <= level).any():
+    One membership pass gives the residuals as one projection of its
+    coordinates, and one batched SVD splits them; then each rank m takes one
+    spread of the orbits and one of the levels (_amplified_each, _range_each),
+    the projection rule of is_projection on every P and Q, and both separation
+    postconditions as one batched compression, in slices of _BUDGET entries."""
+    (n, cut), (first, coef) = (f.n, f.cuts[level]), f._first_levels(mats, cfg, coordinates=True)
+    if (first <= level).any():
         raise AlreadyInside(f"matrix already belongs to the level at t = {f.breakpoints[level]}")
-    _, resid = f._coordinates(mats.reshape(len(mats), n * n), cut, residual=True)
+    resid = f._residual(mats.reshape(len(mats), n * n), coef[:, :cut], cut)
     _, s, vh = np.linalg.svd(resid.reshape(-1, n, n))
     ranks = rank(s, cfg)
     pairs = [None] * len(mats)
@@ -332,26 +328,24 @@ def separating_projections(f: StepFiltration, t: float, a, cfg: NumericConfig = 
 
 def probes_for_level(f: StepFiltration, t: float, cfg: NumericConfig = DEFAULT_CONFIG):
     """One separation witness per HS direction missing from the level at t,
-    all built in one pass (see _separate).  The level is read through
-    ``apply``, so a factored basis is not written out."""
-    level = f.level_index_at(t)
-    inside = OperatorSubspace(f.n, f.apply(0, f.cuts[level], eye(f.n)))
-    return _separate(f, level, complement(inside, cfg).basis, cfg)
+    all built in one pass (see _separate): the graded basis past its cut,
+    read through ``apply`` (a factored basis is not written out), and the
+    complement of the top when the top falls short of M_n."""
+    n, level, top = f.n, f.level_index_at(t), f.cuts[-1]
+    missing = f.apply(f.cuts[level], top, eye(n))
+    if top < n * n:
+        missing = np.concatenate([missing, complement(OperatorSubspace(n, f.apply(0, top, eye(n))), cfg).basis])
+    return _separate(f, level, missing, cfg)
 
 
 def rebuild_level(f: StepFiltration, t: float, probes, cfg: NumericConfig = DEFAULT_CONFIG) -> OperatorSubspace:
-    """Intersection of the constraint spaces {A : P (A (x) I) Q = 0} over the
-    probe pairs; with probes from :func:`probes_for_level` this recovers the
-    level at t exactly."""
-    n = f.n
-    units = full_space(n).basis
-    blocks = []
+    """Intersection of the constraint spaces {A : P (A (x) I) Q = 0} over the probe
+    pairs (all of M_n for none): one null space of their constraints, stacked in one
+    batched product per amplification degree (_unit_compressions); with probes
+    from :func:`probes_for_level` this recovers the level at t exactly."""
+    n, groups = f.n, {}
     for p, q in probes:
         pp, qq = _align(p, q)
-        # one row per entry of P (E_ij (x) I) Q, one column per matrix unit
-        blocks.append(_compressions(pp.matrix, _stacked(units, qq.matrix)).transpose(0, 2, 1).reshape(-1, n * n))
-    if not blocks:
-        return full_space(n)
-    k = np.concatenate(blocks, axis=0)
-    basis = null_space_rows(k, cfg).reshape(-1, n, n)
-    return OperatorSubspace(n, basis)
+        groups.setdefault(pp.m, []).append((pp.matrix, qq.matrix))
+    k = np.concatenate([np.zeros((0, n * n)), *(_unit_compressions(n, *map(np.stack, zip(*g))).reshape(-1, n * n) for g in groups.values())])
+    return OperatorSubspace(n, null_space_rows(k, cfg).reshape(-1, n, n))

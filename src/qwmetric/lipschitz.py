@@ -239,8 +239,9 @@ def lipschitz_witness(f: StepFiltration, c, seed: int = 0, cfg: NumericConfig = 
     r = rho(f, p, q, cfg)
     ceiling = r if math.isfinite(r) else f.breakpoints[-1] + 1.0
     a = distance_operator(f, p, ceiling, cfg)
-    m = p.m
-    b0 = None
+    m, b0, peak = p.m, None, float(np.abs(cm).max())
+    cu = cm / peak  # the candidate test is scale-free: C over its largest modulus (not 0, as C is outside V_0)
+    floor = 10 * cfg.membership_tol * max(1.0, op_norm(cu))
     # coordinate slots first, then random rank-one slots
     rng = np.random.default_rng(seed)
     candidates = [np.eye(m)[:, k] for k in range(m)]
@@ -252,7 +253,7 @@ def lipschitz_witness(f: StepFiltration, c, seed: int = 0, cfg: NumericConfig = 
         blocks = a.reshape(f.n, m, f.n, m)
         b_cand = np.einsum("p,ipjq,q->ij", w.conj(), blocks, w)
         # slack: a compression of A, which is exact only within the slack of distance_operator
-        if op_norm(b_cand @ cm - cm @ b_cand) > 10 * cfg.membership_tol:
+        if op_norm(b_cand @ cu - cu @ b_cand) > floor:
             b0 = b_cand
             break
     if b0 is None:
@@ -262,7 +263,7 @@ def lipschitz_witness(f: StepFiltration, c, seed: int = 0, cfg: NumericConfig = 
         value=1.0,
         witness={
             "matrix": (b0 + b0.conj().T) / 2,
-            "commutator_norm": op_norm(b0 @ cm - cm @ b0),
+            "commutator_norm": op_norm(b0 @ cu - cu @ b0) * peak,
             "amplified_ls": ls_cert,
             "rho": r,
         },

@@ -187,11 +187,7 @@ def span(mats, ambient_dim: int | None = None, cfg: NumericConfig = DEFAULT_CONF
 
 def full_space(n: int) -> OperatorSubspace:
     """All of M_n, with the matrix-unit basis."""
-    basis = np.zeros((n * n, n, n), dtype=complex)
-    for i in range(n):
-        for j in range(n):
-            basis[i * n + j, i, j] = 1.0
-    return OperatorSubspace(n, basis)
+    return OperatorSubspace(n, np.eye(n * n, dtype=complex).reshape(n * n, n, n))
 
 
 def scalar_space(n: int) -> OperatorSubspace:
@@ -285,8 +281,9 @@ def commutant(gens, n: int, cfg: NumericConfig = DEFAULT_CONFIG) -> VNAlgebra:
 
 def null_space_rows(k: np.ndarray, cfg: NumericConfig, scale: float = 1.0) -> np.ndarray:
     """Orthonormal rows spanning the null space of k; the rank rule takes
-    ``scale`` as its floor, so noise-level matrices count as zero."""
-    # a tall k's reduced SVD already holds all of V; its rows x rows U is never read
+    ``scale`` as its floor, so noise-level matrices count as zero.  A tall k gives way
+    to its QR factor R, with k's singular values and V and no U (R-SVD, Chan 1982)."""
+    k = np.linalg.qr(k, mode="r") if k.shape[0] > k.shape[1] else k
     _, sv, vh = np.linalg.svd(k, full_matrices=k.shape[0] < k.shape[1])
     return vh[rank(sv, cfg, scale) :].conj()
 

@@ -20,7 +20,7 @@ from qwmetric import (
     separating_projections,
     span,
 )
-from qwmetric import geometry
+from qwmetric import geometry, opspace
 from qwmetric.constructions import operator_system_metric
 from qwmetric.errors import AlreadyInside, DimensionMismatch
 from qwmetric.numerics import (
@@ -33,7 +33,7 @@ from qwmetric.numerics import (
     range_projection,
     rank,
 )
-from qwmetric.opspace import complement
+from qwmetric.opspace import OperatorSubspace, complement
 
 from conftest import (
     I2,
@@ -332,11 +332,34 @@ def assert_separates(f, t, a, p, q):
         assert np.linalg.norm(p.matrix @ np.kron(b, amp) @ q.matrix) <= 1e-8
 
 
+def assert_slot_conjugate(n, sv, got, want):
+    """Each matrix X of ``got`` is (I_n (x) Y) X' (I_n (x) Y)^-1 for its X' of
+    ``want``, one invertible Y of M_m for all, block diagonal over the
+    clusters of equal singular values ``sv`` (a phase per simple one): the
+    freedom of the singular vectors.  Then a unitary of that shape does it
+    (the matrices are Hermitian, so Y* intertwines too, and the unitary
+    part of Y's polar decomposition does).  Y is a generic member of the
+    null space of the linear map Y -> (X (I (x) Y) - (I (x) Y) X')_X."""
+    m = len(sv)
+    tied = np.abs(sv[:, None] - sv[None]) <= 1e-8 * sv[0]
+    units = np.eye(m * m)[tied.ravel()].reshape(-1, m, m)
+    cols = [np.concatenate([(x @ np.kron(np.eye(n), u) - np.kron(np.eye(n), u) @ x0).ravel() for x, x0 in zip(got, want)]) for u in units]
+    _, s, vh = np.linalg.svd(np.stack(cols, axis=1))
+    # the matrices are projections, so the map has norm O(1): an absolute floor
+    null = np.tensordot(vh[np.count_nonzero(s > 1e-9) :].conj(), units, axes=(1, 0))
+    assert len(null)
+    y = np.tensordot(np.random.default_rng(0).standard_normal(len(null)), null, axes=(0, 0))
+    assert np.linalg.svd(y, compute_uv=False)[-1] > 1e-6 * np.linalg.norm(y, 2)
+    for x, x0 in zip(got, want):
+        np.testing.assert_allclose(x @ np.kron(np.eye(n), y), np.kron(np.eye(n), y) @ x0, rtol=0, atol=1e-10 * np.linalg.norm(y))
+
+
 def witness_cases():
     """(name, filtration): classical metrics on 2-5 points, generated and
-    truncated filtrations, dense Hamming 2, a block model and M_2."""
+    truncated filtrations, dense Hamming 2, a block model, M_2 and the
+    direct sum of classical-2 and generated-2."""
     from qwmetric.codes import block_filtration, hamming_filtration
-    from qwmetric.constructions import m2_metric, truncate
+    from qwmetric.constructions import direct_sum, m2_metric, truncate
 
     rng = np.random.default_rng(15)
     cases = [(f"classical-{n}", from_classical(random_metric(n, rng))[0]) for n in range(2, 6)]
@@ -346,6 +369,7 @@ def witness_cases():
     cases.append(("hamming-2-dense", StepFiltration.from_graded(ham.n, ham.breakpoints, ham.basis, ham.cuts)))
     cases.append(("blocks-1-2", block_filtration([1, 2])))
     cases.append(("m2", m2_metric(1, 2, 3)))
+    cases.append(("sum-2-2", direct_sum(cases[0][1], cases[4][1])))
     return cases
 
 
@@ -355,15 +379,30 @@ class TestBatchedWitnesses:
 
     @pytest.mark.parametrize("f", [pytest.param(f, id=name) for name, f in witness_cases()])
     def test_probes_match_the_per_direction_construction(self, f):
+        """The missing directions are the graded basis past the level's cut,
+        then the complement of the top, read as probes_for_level reads them
+        (through ``apply``).  With m >= 2 singular vectors, their phases,
+        and within a repeated singular value the vectors themselves, are
+        fixed only by rounding, and with them the witness, up to a unitary W
+        of the amplification slot: graded elements are often degenerate (a
+        traceless 2 x 2 Hermitian has equal singular values) and have exact
+        zeros, where a sign of rounding noise picks the phase.  So a pair
+        with m = 1 equals the construction's, and one with m >= 2 is its
+        (I (x) W)-conjugate."""
+        top = f.apply(0, f.cuts[-1], np.eye(f.n))
         for t in f.breakpoints:
-            directions = complement(f.value_at(t)).basis
+            directions = np.concatenate([top[f.cuts[f.level_index_at(t)] :], complement(OperatorSubspace(f.n, top)).basis])
             probes = probes_for_level(f, t)
             assert len(probes) == len(directions)
             for d, (p, q) in zip(directions, probes):
                 m, p_want, q_want = per_direction_witness(f, t, d)
                 assert p.m == q.m == m
-                np.testing.assert_allclose(p.matrix, p_want, rtol=0, atol=1e-12)
-                np.testing.assert_allclose(q.matrix, q_want, rtol=0, atol=1e-12)
+                if m > 1:
+                    sv = np.linalg.svd(d - f.value_at(t).project(d), compute_uv=False)[:m]
+                    assert_slot_conjugate(f.n, sv, (p.matrix, q.matrix), (p_want, q_want))
+                else:
+                    np.testing.assert_allclose(p.matrix, p_want, rtol=0, atol=1e-12)
+                    np.testing.assert_allclose(q.matrix, q_want, rtol=0, atol=1e-12)
                 assert_separates(f, t, d, p, q)
 
     @pytest.mark.parametrize("f", [pytest.param(f, id=name) for name, f in witness_cases()])
@@ -379,13 +418,16 @@ class TestBatchedWitnesses:
                 assert_separates(f, t, a, p, q)
 
     def test_a_level_takes_several_rank_groups_in_one_call(self):
-        """The corpus holds levels whose missing directions have mixed ranks."""
+        """The corpus holds levels whose missing directions have mixed ranks;
+        the direct sum has ranks 1 and 2 at every level."""
         mixed = [
             name
             for name, f in witness_cases()
             if any(len({p.m for p, _ in probes_for_level(f, t)}) > 1 for t in f.breakpoints)
         ]
-        assert {"hamming-2-dense", "blocks-1-2", "m2"} <= set(mixed)
+        assert {"hamming-2-dense", "blocks-1-2", "sum-2-2"} <= set(mixed)
+        f = dict(witness_cases())["sum-2-2"]
+        assert all({p.m for p, _ in probes_for_level(f, t)} == {1, 2} for t in f.breakpoints)
 
     def test_a_stack_with_one_member_inside_raises(self):
         f, _ = from_classical(np.array([[0.0, 1, 2], [1, 0, 1], [2, 1, 0]]))
@@ -423,7 +465,54 @@ class TestBatchedWitnesses:
         assert 0 < len(calls) <= 1 + 2 * len({p.m for p, _ in probes})
 
 
+def assert_inverts(f, dense=None):
+    """At every breakpoint: n^2 - dim probes, and a rebuilt level equal to
+    the level (read on ``dense``, the same filtration held dense)."""
+    dense = dense or f
+    for t in f.breakpoints:
+        level = dense.value_at(t)
+        probes = probes_for_level(f, t)
+        assert len(probes) == f.n ** 2 - level.dim
+        assert rebuild_level(f, t, probes).equals(level)
+
+
 class TestRecovery:
+    @pytest.mark.parametrize("f", [pytest.param(f, id=name) for name, f in witness_cases()])
+    def test_every_level_of_the_corpus_is_rebuilt(self, f):
+        assert_inverts(f)
+
+    def test_a_classical_metric_with_infinite_distances(self):
+        """The top is the block algebra of the finite components, so the
+        missing directions end with the complement of the top."""
+        d = np.array([[0.0, 1.0, math.inf, math.inf], [1.0, 0.0, math.inf, math.inf], [math.inf, math.inf, 0.0, 2.0], [math.inf, math.inf, 2.0, 0.0]])
+        f, _ = from_classical(d)
+        assert f.cuts[-1] == 8
+        assert_inverts(f)
+
+    def test_a_factored_model_rebuilds_as_its_dense_copy(self):
+        from qwmetric.codes import hamming_filtration
+
+        ham = hamming_filtration(3, 2)
+        assert_inverts(hamming_filtration(3, 2, cap=4), StepFiltration.from_graded(ham.n, ham.breakpoints, ham.basis, ham.cuts))
+
+    def test_a_rebuild_takes_one_null_space_and_no_unit_stack(self, monkeypatch):
+        """The probes of each amplification degree give one batched
+        constraint stack, and the level is one null space of them all."""
+        f = dict(witness_cases())["sum-2-2"]
+        calls = []
+
+        def counting(name, fn):
+            return lambda *args, **kwargs: calls.append(name) or fn(*args, **kwargs)
+
+        monkeypatch.setattr(geometry, "null_space_rows", counting("null_space_rows", geometry.null_space_rows))
+        monkeypatch.setattr(opspace, "full_space", counting("full_space", opspace.full_space))
+        for t in f.breakpoints:
+            probes = probes_for_level(f, t)
+            assert len({p.m for p, _ in probes}) == 2
+            calls.clear()
+            rebuild_level(f, t, probes)
+            assert calls == ["null_space_rows"]
+
     def test_level_beyond_diameter_is_everything(self, rng):
         d = random_metric(3, rng)
         f, _ = from_classical(d)

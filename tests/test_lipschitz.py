@@ -1,5 +1,6 @@
 import functools
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -519,6 +520,23 @@ class TestWitness:
         assert (got.value, got.witness["rho"]) == (want.value, want.witness["rho"])
         np.testing.assert_allclose(got.witness["matrix"], want.witness["matrix"], rtol=0, atol=1e-12)
         assert got.witness["commutator_norm"] / scale == pytest.approx(want.witness["commutator_norm"], rel=1e-12)
+
+    @pytest.mark.parametrize("scale", [1e150, 8e307, 1e308])
+    def test_the_candidate_test_is_scale_free(self, scale):
+        """The compressed-commutator test reads C over its largest modulus
+        against a floor relative to its norm, so C and s C pick the same
+        rank-one slot, with no overflow warning, and the commutator norm
+        scales with s: 2 s here, so inf at s = 1e308, past the largest float."""
+        from qwmetric.constructions import m2_metric
+
+        f = m2_metric(1, 2, 3)
+        e01 = np.array([[0, 1], [0, 0]], dtype=complex)
+        want = lipschitz_witness(f, e01)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            got = lipschitz_witness(f, scale * e01)
+        np.testing.assert_array_equal(got.witness["matrix"], want.witness["matrix"])
+        assert got.witness["commutator_norm"] == pytest.approx(scale * want.witness["commutator_norm"], rel=1e-12)
 
     @pytest.mark.parametrize("seed", range(4))
     def test_random_non_commutant_operators(self, seed):

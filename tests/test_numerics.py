@@ -291,6 +291,34 @@ def test_level_lists_are_the_readers_alone():
     assert not normalized
 
 
+# (module, top-level def) of every np.linalg.svd and np.linalg.qr call: the
+# rank-decision kernels, the range bases whose U is read, the square SVDs of
+# the witnesses and the ascent, and a random unitary
+FACTORIZERS = {
+    ("filtration.py", "_spans"),
+    ("geometry.py", "_range_each"),
+    ("geometry.py", "_separate"),
+    ("lipschitz.py", "commutation_lipschitz_lower"),
+    ("numerics.py", "range_basis"),
+    ("numerics.py", "random_unitary"),
+    ("opspace.py", "_orthonormalize"),
+    ("opspace.py", "null_space_rows"),
+}
+
+
+def test_dense_factorizations_are_held_to_an_allow_list():
+    """A null space, or a tall SVD whose U is never read, goes through
+    opspace.null_space_rows (R first, then the SVD of R), so a new call of
+    np.linalg.svd or np.linalg.qr anywhere else fails here."""
+    callers = set()
+    for path in sorted(SRC.glob("*.py")):
+        for node, scope in _scopes(ast.parse(path.read_text())):
+            func = node.func if isinstance(node, ast.Call) else None
+            if isinstance(func, ast.Attribute) and func.attr in ("svd", "qr") and ast.unparse(func.value).endswith("linalg"):
+                callers.add((path.name, scope))
+    assert callers == FACTORIZERS
+
+
 # (module, top-level def) of library code that may read how a filtration's
 # graded basis is stored: the filtration itself, the JSON writer, the dense
 # product kernel of validate and descriptors (until they read labels), and

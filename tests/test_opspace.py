@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from qwmetric.errors import MixedDimensions
-from qwmetric.numerics import DEFAULT_CONFIG, random_hermitian
+from qwmetric.numerics import DEFAULT_CONFIG, random_hermitian, rank
 from qwmetric.opspace import (
     VNAlgebra,
     adjoint,
@@ -15,6 +15,7 @@ from qwmetric.opspace import (
     full_space,
     generated_vn_algebra,
     intersect,
+    null_space_rows,
     product_span,
     scalar_space,
     span,
@@ -303,3 +304,30 @@ def test_stacked_checks_match_per_element_loops(seed):
         except MixedDimensions:
             accepted = False
         assert accepted == (single_rule(s, np.eye(n)) and adjoints and closed)
+
+
+def full_svd_null_space(k, scale=1.0):
+    """The null space of k from one full SVD of k itself, the path a tall
+    stack no longer takes."""
+    _, s, vh = np.linalg.svd(k)
+    return vh[rank(s, DEFAULT_CONFIG, scale) :].conj()
+
+
+@pytest.mark.parametrize("seed", range(6))
+def test_a_tall_null_space_is_the_full_svd_one(seed):
+    """A tall stack's null space through its triangular factor has the rank
+    and the span of the full SVD's; the same for an all-noise stack, which
+    the floor ``scale`` counts as zero, and for rows scaled far from 1."""
+    rng = np.random.default_rng(seed)
+    cols = int(rng.integers(4, 17))
+    r = int(rng.integers(0, cols))
+    low = (rng.standard_normal((5 * cols, r)) + 1j * rng.standard_normal((5 * cols, r))) @ (
+        rng.standard_normal((r, cols)) + 1j * rng.standard_normal((r, cols))
+    )
+    noise = 1e-14 * (rng.standard_normal((5 * cols, cols)) + 1j * rng.standard_normal((5 * cols, cols)))
+    for k, scale in ((low, 1.0), (1e6 * low, 1.0), (noise, 1.0), (low + noise, 1.0)):
+        got, want = null_space_rows(k, DEFAULT_CONFIG, scale), full_svd_null_space(k, scale)
+        assert got.shape == want.shape
+        np.testing.assert_allclose(got.T @ got.conj(), want.T @ want.conj(), rtol=0, atol=1e-10)
+        np.testing.assert_allclose(got.conj() @ got.T, np.eye(len(got)), rtol=0, atol=1e-12)
+    assert len(null_space_rows(noise, DEFAULT_CONFIG, 1.0)) == cols
