@@ -15,9 +15,9 @@ import numpy as np
 
 from .errors import NotACode, SizeLimit
 from .filtration import MetricContext, StepFiltration, default_context
-from .numerics import DEFAULT_CONFIG, NumericConfig, as_square, commutes_each, is_projection, rank
+from .numerics import DEFAULT_CONFIG, NumericConfig, _natural_range_basis, as_square, commutes_each, is_projection, rank
 from .opspace import OperatorSubspace, VNAlgebra, _orthonormalize, generated_vn_algebra, span
-from .constructions import TimedGenerators, _natural_range_basis, generated_filtration
+from .constructions import TimedGenerators, generated_filtration
 
 __all__ = [
     "QuantumCode",

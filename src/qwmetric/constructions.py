@@ -35,7 +35,7 @@ from .errors import (
     NotSuperadditive,
 )
 from .filtration import MetricContext, StepFiltration, _grown, default_context, descriptors
-from .numerics import DEFAULT_CONFIG, NumericConfig, as_square, commutes_each, eye, op_norm
+from .numerics import DEFAULT_CONFIG, NumericConfig, _natural_range_basis, as_square, commutes_each, eye, op_norm
 from .opspace import (
     OperatorSubspace,
     VNAlgebra,
@@ -263,23 +263,6 @@ def quotient(
         raise NotCentral("zero projection gives an empty quotient")
     x = cols.conj().T @ f.apply(0, f.cuts[-1], cols)
     return _grown(k, f.breakpoints, np.split(x, f.cuts[:-1]), cfg)
-
-
-def _natural_range_basis(p: np.ndarray, cfg: NumericConfig) -> np.ndarray:
-    """Orthonormal basis of ran(p) by Gram-Schmidt over its columns in
-    natural order (keeps coordinate alignment for diagonal projections)."""
-    n = p.shape[0]
-    picked = []
-    for j in range(n):
-        v = p[:, j].astype(complex)
-        for u in picked:
-            v = v - (u.conj() @ v) * u
-        nrm = np.linalg.norm(v)
-        # p is a projection only within membership_tol, so a dependent column
-        # leaves a remainder of order sqrt(membership_tol), not of order tol
-        if nrm > math.sqrt(cfg.membership_tol):
-            picked.append(v / nrm)
-    return np.stack(picked, axis=1) if picked else np.zeros((n, 0), dtype=complex)
 
 
 def subobject(

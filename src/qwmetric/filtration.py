@@ -19,7 +19,7 @@ constructor serves the JSON reader.  Levels handed to it must be nested
 The basis may also be held in factored form (``codes.SiteFactors``): then
 ``basis`` and ``levels`` are written out once, when first read.  Only this
 class knows the storage: queries read it through ``apply``, ``element_norm``
-and ``_rows``, and membership is one scale-free kernel, ``_first_levels``.
+and ``_rows``, and membership is one scale-free kernel, ``_levels_and_coordinates``.
 """
 
 from __future__ import annotations
@@ -182,12 +182,16 @@ class StepFiltration:
             proj, lo = proj + coef[:, lo : lo + len(rows)].conj() @ rows, lo + len(rows)
         return flat - np.conj(proj)
 
-    def _first_levels(self, mats: np.ndarray, cfg: NumericConfig, coordinates: bool = False):
-        """The membership kernel: the first level holding each A of a stack
-        (len(levels) outside the top), and with ``coordinates`` the HS coordinates
-        it formed.  The squared residual at cut c is |part outside the top|^2 +
-        sum_{a >= c} |coef_a|^2, at most membership_tol^2 max(1, |A|^2) inside (|A|^2:
-        the sum at cut 0); no nearly equal norms are subtracted, and a top spanning M_n forms none."""
+    def _first_levels(self, mats: np.ndarray, cfg: NumericConfig) -> np.ndarray:
+        """The membership kernel's levels alone (see _levels_and_coordinates)."""
+        return self._levels_and_coordinates(mats, cfg)[0]
+
+    def _levels_and_coordinates(self, mats: np.ndarray, cfg: NumericConfig):
+        """The membership kernel: the first level holding each A of a stack (len(levels)
+        outside the top), and the HS coordinates against the top it formed.  The squared
+        residual at cut c is |part outside the top|^2 + sum_{a >= c} |coef_a|^2, at most
+        membership_tol^2 max(1, |A|^2) inside (|A|^2: the sum at cut 0); no nearly equal
+        norms are subtracted, and a top spanning M_n forms no part outside it."""
         flat = mats.reshape(len(mats), self.n * self.n)
         with np.errstate(over="ignore", invalid="ignore"):
             coef, outside = self._coordinates(flat, self.cuts[-1], self.cuts[-1] < self.n * self.n)
@@ -200,7 +204,7 @@ class StepFiltration:
         if not np.isfinite(tail[:, 0].sum()):  # squares that overflow: decided again at unit size
             redo = ~np.isfinite(tail[:, 0]) & np.isfinite(flat).all(axis=1)
             first[redo] = self._first_levels(flat[redo] / np.abs(flat[redo]).max(axis=1, keepdims=True), cfg)
-        return (first, coef) if coordinates else first
+        return first, coef
 
     def displacement_gauge(self, a, cfg: NumericConfig = DEFAULT_CONFIG) -> float:
         """D(A) = inf{t : A in V_t}; +inf when A is outside the top level."""
@@ -222,25 +226,21 @@ def _adapted_basis(n: int, levels, cfg: NumericConfig):
     other by an orthonormal one; nesting is tested against that span.  A
     level whose basis then starts with the basis so far adds its own further
     elements; otherwise it adds its part orthogonal to the previous level,
-    through opspace._extend, the one growth step of a graded basis.  Rows that
-    begin bit for bit with the basis so far, of known Gram (``dev``: its largest entry
-    off I), form only the new rows' Gram, kept as given while len(rows) * dev <= tol / 2."""
-    flat, cuts, dev, tol = np.zeros((0, n * n), dtype=complex), [], 0.0, cfg.membership_tol
+    through opspace._extend, the one growth step of a graded basis."""
+    flat = np.zeros((0, n * n), dtype=complex)
+    cuts = []
     for i, lv in enumerate(levels):
         if lv.n != n:
             raise MixedDimensions("level ambient dimension mismatch")
-        x, cut = lv._flat(), len(flat)
-        peak = np.abs(x[cut:]).max(axis=1, initial=0.0)  # an entry past 1 + tol: not orthonormal, no Gram formed
-        fast = dev is not None and len(x) <= n * n and peak.all() and peak.max(initial=0.0) <= 1 + tol and np.array_equal(x[:cut], flat)
-        dev = max(dev, np.abs(x[cut:].conj() @ x.T - np.eye(len(x) - cut, len(x), cut)).max(initial=0.0)) if fast else None
-        if fast and len(x) * dev <= tol / 2:
-            new = x[cut:]
+        rows = _orthonormalize(lv._flat(), n, cfg, unit_rows=True).reshape(-1, n * n)
+        cut = len(flat)
+        if len(rows) < cut or (cut and np.linalg.norm(flat - (flat @ rows.conj().T) @ rows, axis=1).max() > cfg.membership_tol):
+            raise NotNested(f"level {i} does not contain level {i - 1}", i)
+        if np.abs(rows[:cut] - flat).max(initial=0.0) <= cfg.membership_tol:
+            new = rows[cut:]
         else:
-            dev, rows = None, _orthonormalize(x, n, cfg, unit_rows=True).reshape(-1, n * n)
-            if len(rows) < cut or (cut and np.linalg.norm(flat - (flat @ rows.conj().T) @ rows, axis=1).max() > tol):
-                raise NotNested(f"level {i} does not contain level {i - 1}", i)
             # floored at the size of an orthonormal row: a level equal to the one before leaves rounding noise
-            new = rows[cut:] if np.abs(rows[:cut] - flat).max(initial=0.0) <= tol else _extend(flat, rows, n, cfg)
+            new = _extend(flat, rows, n, cfg)
         flat = np.concatenate([flat, new])
         cuts.append(len(flat))
     return flat.reshape(-1, n, n), cuts

@@ -19,6 +19,7 @@ from .filtration import StepFiltration
 from .numerics import (
     DEFAULT_CONFIG,
     NumericConfig,
+    _natural_range_basis,
     as_square,
     eye,
     is_projection,
@@ -116,13 +117,12 @@ def _compressions(p: np.ndarray, bq: np.ndarray) -> np.ndarray:
 
 
 def _unit_compressions(n: int, p: np.ndarray, q: np.ndarray) -> np.ndarray:
-    """P (E_ij (x) I_m) Q for every matrix unit E_ij and pair of (g, nm, nm)
-    stacks P and Q, indexed (pair, a, b, i, j): entry (a, b) is
-    sum_s P[a, (i, s)] Q[(j, s), b], one batched (g, nm*n, m) @ (g, m, n*nm)
-    product, and no matrix unit is formed."""
-    (g, nm, _), m = p.shape, p.shape[1] // n
-    right = q.reshape(g, n, m, nm).transpose(0, 2, 1, 3).reshape(g, m, n * nm)
-    return (p.reshape(g, nm * n, m) @ right).reshape(g, nm, n, n, nm).transpose(0, 1, 4, 2, 3)
+    """P (E_ij (x) I_m) Q for every matrix unit E_ij and pair of a (g, nm, nm) stack P and a
+    (g, nm, c) stack Q, indexed (pair, a, b, i, j): entry (a, b) is sum_s P[a, (i, s)] Q[(j, s), b],
+    one batched (g, nm*n, m) @ (g, m, n*c) product, and no matrix unit is formed."""
+    (g, nm, c), m = q.shape, p.shape[1] // n
+    right = q.reshape(g, n, m, c).transpose(0, 2, 1, 3).reshape(g, m, n * c)
+    return (p.reshape(g, nm * n, m) @ right).reshape(g, nm, n, n, c).transpose(0, 1, 4, 2, 3)
 
 
 def rho(f: StepFiltration, p: AmplifiedProjection, q: AmplifiedProjection, cfg: NumericConfig = DEFAULT_CONFIG) -> float:
@@ -264,12 +264,25 @@ def hausdorff_distance(f: StepFiltration, p: AmplifiedProjection, q: AmplifiedPr
     return math.inf
 
 
+def _frames(rows: np.ndarray, cfg: NumericConfig) -> np.ndarray:
+    """Orthonormal columns spanning the conjugated rows of each (m, n) member of a stack (right
+    singular vectors), chosen from that span alone so that equal spans give equal witnesses."""
+    g, m, n = rows.shape
+    if m == n:  # all of C^n: the standard basis
+        return np.repeat(eye(n)[None], g, axis=0)
+    cols = rows.conj().transpose(0, 2, 1)
+    # a line: its vector, whose phase P and Q do not see; any other span: the Gram-Schmidt basis
+    # of its projector's columns in natural order
+    return cols if m == 1 else np.stack([_natural_range_basis(c @ c.conj().T, cfg) for c in cols])
+
+
 def _separate(f: StepFiltration, level: int, mats: np.ndarray, cfg: NumericConfig) -> list:
     """Witness pairs (P, Q) for every matrix A of a (k, n, n) stack outside
     the level, in stack order.
 
-    Construction: split A = (component in V_t) + C, take the singular vectors
-    v_i of C (m of them, by the rank rule), and set Q to the orbit of
+    Construction: split A = (component in V_t) + C, take an orthonormal basis
+    v_1, ..., v_m of ran C* (m by the rank rule; _frames picks it from that
+    span alone, so equal inputs give equal pairs), and set Q to the orbit of
     eta = sum v_i (x) e_i under V_0 (x) I_m and P to the complement of
     (V_t (x) I_m) ran(Q).  Then P (A (x) I) Q != 0 while P (B (x) I) Q = 0
     for every B in V_t, so rho(P, Q) exceeds t.  Both projections commute
@@ -281,7 +294,7 @@ def _separate(f: StepFiltration, level: int, mats: np.ndarray, cfg: NumericConfi
     spread of the orbits and one of the levels (_amplified_each, _range_each),
     the projection rule of is_projection on every P and Q, and both separation
     postconditions as one batched compression, in slices of _BUDGET entries."""
-    (n, cut), (first, coef) = (f.n, f.cuts[level]), f._first_levels(mats, cfg, coordinates=True)
+    (n, cut), (first, coef) = (f.n, f.cuts[level]), f._levels_and_coordinates(mats, cfg)
     if (first <= level).any():
         raise AlreadyInside(f"matrix already belongs to the level at t = {f.breakpoints[level]}")
     resid = f._residual(mats.reshape(len(mats), n * n), coef[:, :cut], cut)
@@ -293,8 +306,8 @@ def _separate(f: StepFiltration, level: int, mats: np.ndarray, cfg: NumericConfi
         nm = n * m
         per = max(1, _BUDGET // max(1, cut * nm * nm))  # spread holds cut * nm * r entries, r <= nm
         for idx in (group[lo : lo + per] for lo in range(0, len(group), per)):
-            # the rows of vh are the v_i^*; eta = sum v_i (x) e_i, base index first
-            eta = vh[idx, :m].conj().transpose(0, 2, 1).reshape(len(idx), nm, 1)
+            # eta = sum v_i (x) e_i, base index first
+            eta = _frames(vh[idx, :m], cfg).reshape(len(idx), nm, 1)
             qcols = _range_each(_amplified_each(f, f.cuts[0], eta), cfg)
             # (B (x) I) Q for every B in the level, the columns P must annihilate
             spread = _amplified_each(f, cut, qcols)
@@ -341,11 +354,17 @@ def probes_for_level(f: StepFiltration, t: float, cfg: NumericConfig = DEFAULT_C
 def rebuild_level(f: StepFiltration, t: float, probes, cfg: NumericConfig = DEFAULT_CONFIG) -> OperatorSubspace:
     """Intersection of the constraint spaces {A : P (A (x) I) Q = 0} over the probe
     pairs (all of M_n for none): one null space of their constraints, stacked in one
-    batched product per amplification degree (_unit_compressions); with probes
-    from :func:`probes_for_level` this recovers the level at t exactly."""
+    batched product per amplification degree (_unit_compressions) on the ranges of the
+    Qs; with probes from :func:`probes_for_level` this recovers the level at t exactly."""
     n, groups = f.n, {}
     for p, q in probes:
         pp, qq = _align(p, q)
         groups.setdefault(pp.m, []).append((pp.matrix, qq.matrix))
-    k = np.concatenate([np.zeros((0, n * n)), *(_unit_compressions(n, *map(np.stack, zip(*g))).reshape(-1, n * n) for g in groups.values())])
-    return OperatorSubspace(n, null_space_rows(k, cfg).reshape(-1, n, n))
+    k = [np.zeros((0, n * n))]
+    for ps, qs in (map(np.stack, zip(*g)) for g in groups.values()):
+        # P (A (x) I) Q = 0 iff P (A (x) I) Y = 0, Y the eigenvectors of Q for eigenvalues near 1 (zero
+        # past them): the same Gram, so the same null space and rank decision, from nm rank(Q) rows, not (nm)^2
+        w, v = np.linalg.eigh(qs)
+        top = w.shape[1] - int((w > 0.5).sum(axis=1).max(initial=0))  # eigenvalues ascend
+        k.append(_unit_compressions(n, ps, v[:, :, top:] * (w[:, None, top:] > 0.5)).reshape(-1, n * n))
+    return OperatorSubspace(n, null_space_rows(np.concatenate(k), cfg).reshape(-1, n, n))

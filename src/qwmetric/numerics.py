@@ -7,6 +7,7 @@ function; tolerances are carried by an explicit :class:`NumericConfig`.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -147,6 +148,24 @@ def range_basis(a, cfg: NumericConfig = DEFAULT_CONFIG) -> np.ndarray:
         return np.zeros((m.shape[0], 0), dtype=complex)
     u, s, _ = np.linalg.svd(m, full_matrices=False)
     return u[:, : rank(s, cfg)]
+
+
+def _natural_range_basis(p: np.ndarray, cfg: NumericConfig) -> np.ndarray:
+    """Orthonormal basis of ran(p) by Gram-Schmidt over its columns in
+    natural order: it depends on ran(p) alone (keeps coordinate alignment
+    for diagonal projections, and fixes the witnesses of geometry)."""
+    n = p.shape[0]
+    picked = []
+    for j in range(n):
+        v = p[:, j].astype(complex)
+        for u in picked:
+            v = v - (u.conj() @ v) * u
+        nrm = np.linalg.norm(v)
+        # p is a projection only within membership_tol, so a dependent column
+        # leaves a remainder of order sqrt(membership_tol), not of order tol
+        if nrm > math.sqrt(cfg.membership_tol):
+            picked.append(v / nrm)
+    return np.stack(picked, axis=1) if picked else np.zeros((n, 0), dtype=complex)
 
 
 def range_projection(a, cfg: NumericConfig = DEFAULT_CONFIG) -> np.ndarray:
