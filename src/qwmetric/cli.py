@@ -2,16 +2,19 @@
 for building, transforming, validating and auditing filtrations.
 
 Schema family "qwm/1".  Complex scalars serialize as [re, im] pairs, matrices
-as row-major nested arrays, subspaces as {"dim", "basis"}, filtrations as
-{"dim", "steps": [{"t", "basis"}]}, projections as {"m", "matrix"}.  Exit
-codes: 0 success, 1 usage/schema error, 2 validation failure (report still
-emitted).
+as row-major nested arrays, subspaces as {"dim", "basis"}, projections as
+{"m", "matrix"}.  A filtration is written as "qwm/2", its graded basis once:
+{"dim", "steps": [{"t", "enters"}]}, level i spanned by the "enters" lists of
+steps 0..i; the reader also takes the "qwm/1" shape, every level's basis in
+full, {"dim", "steps": [{"t", "basis"}]}.  Exit codes: 0 success, 1
+usage/schema error, 2 validation failure (report still emitted).
 """
 
 from __future__ import annotations
 
 import argparse
 import functools
+import itertools
 import json
 import math
 import sys
@@ -24,9 +27,10 @@ from .filtration import MetricContext, StepFiltration, ValidationReport, descrip
 from .geometry import AmplifiedProjection, rho
 from .lipschitz import AscentBudget, commutation_lipschitz_lower, spectral_lipschitz
 from .numerics import DEFAULT_CONFIG, NumericConfig
-from .opspace import OperatorSubspace
+from .opspace import OperatorSubspace, _is_orthonormal
 
 SCHEMA = "qwm/1"
+FILTRATION_SCHEMA = "qwm/2"
 
 
 def _fmt(x: float) -> float:
@@ -111,32 +115,36 @@ def parse_matrix(obj, pointer: str) -> np.ndarray:
 
 
 def _parse_basis(obj: list, n: int, pointer: str, first: int = 0) -> np.ndarray:
-    """A list of n x n matrices as one (k, n, n) array; an error names a
-    matrix by its index counted from ``first``."""
+    """A list of n x n matrices at ``pointer`` as one (k, n, n) array; an
+    error names a matrix by its index counted from ``first``."""
     a = _numbers(obj)
     if a is not None and a.shape[1:] == (n, n, 2) and np.isfinite(a).all():
         return a.view(complex)[..., 0]
-    mats = [parse_matrix(b, f"{pointer}/basis/{first + i}") for i, b in enumerate(obj)]
+    mats = [parse_matrix(b, f"{pointer}/{first + i}") for i, b in enumerate(obj)]
     for i, m in enumerate(mats):
         if m.shape != (n, n):
-            raise SchemaError(f"basis matrix of shape {m.shape}, ambient {n}", f"{pointer}/basis/{first + i}")
+            raise SchemaError(f"basis matrix of shape {m.shape}, ambient {n}", f"{pointer}/{first + i}")
     return np.asarray(mats, dtype=complex).reshape(len(mats), n, n)
 
 
 def emit_filtration(f: StepFiltration):
     mats = emit_matrix(f.basis)
     return {
-        "schema": SCHEMA,
+        "schema": FILTRATION_SCHEMA,
         "kind": "filtration",
         "dim": f.n,
-        # level i is the basis prefix basis[:cut_i], written out in full
-        "steps": [{"t": _fmt(t), "basis": mats[:cut]} for t, cut in zip(f.breakpoints, f.cuts)],
+        # the graded basis once: level i is spanned by the elements entering at steps 0..i
+        "steps": [{"t": _fmt(t), "enters": mats[lo:hi]} for t, lo, hi in zip(f.breakpoints, [0] + f.cuts, f.cuts)],
     }
 
 
 def parse_filtration(obj, cfg: NumericConfig) -> StepFiltration:
+    """A "qwm/2" file, or a "qwm/1" or untagged one (each level in full)."""
     if not isinstance(obj, dict):
         raise SchemaError("filtration must be an object", "")
+    schema = obj.get("schema", SCHEMA)
+    if schema not in (SCHEMA, FILTRATION_SCHEMA):
+        raise SchemaError(f"unknown schema {schema!r}", "/schema")
     if obj.get("kind", "filtration") != "filtration":
         raise SchemaError(f"expected kind 'filtration', got {obj.get('kind')!r}", "/kind")
     if "dim" not in obj or "steps" not in obj:
@@ -146,30 +154,39 @@ def parse_filtration(obj, cfg: NumericConfig) -> StepFiltration:
         raise SchemaError("'dim' must be a positive integer", "/dim")
     if not isinstance(obj["steps"], list):
         raise SchemaError("'steps' must be a list", "/steps")
-    bps = []
-    lvs = []
-    prev, mats = [], None
+    key = "enters" if schema == FILTRATION_SCHEMA else "basis"
+    bps, blocks, prev = [], [], []
     for i, step in enumerate(obj["steps"]):
         ptr = f"/steps/{i}"
-        if not isinstance(step, dict) or "t" not in step or "basis" not in step:
-            raise SchemaError("step needs 't' and 'basis'", ptr)
+        if not isinstance(step, dict) or "t" not in step or key not in step:
+            raise SchemaError(f"step needs 't' and '{key}'", ptr)
         t = step["t"]
         if not isinstance(t, (int, float)) or not _finite(t):
             raise SchemaError("breakpoints must be finite numbers", f"{ptr}/t")
         bps.append(float(t))
-        basis = step["basis"]
-        if not isinstance(basis, list):
-            raise SchemaError("'basis' must be a list of matrices", f"{ptr}/basis")
+        mats = step[key]
+        if not isinstance(mats, list):
+            raise SchemaError(f"'{key}' must be a list of matrices", f"{ptr}/{key}")
+        if key == "enters":
+            blocks.append(_parse_basis(mats, n, f"{ptr}/enters"))
         # a basis that begins with the previous step's (as JSON values) parses only its new matrices
-        if prev and basis[: len(prev)] == prev:
-            mats = np.concatenate([mats, _parse_basis(basis[len(prev) :], n, ptr, len(prev))])
+        elif prev and mats[: len(prev)] == prev:
+            blocks.append(np.concatenate([blocks[-1], _parse_basis(mats[len(prev) :], n, f"{ptr}/basis", len(prev))]))
         else:
-            mats = _parse_basis(basis, n, ptr)
-        prev = basis
-        # handed to StepFiltration as given: its one re-span keeps an orthonormal family
-        lvs.append(OperatorSubspace(n, mats))
+            blocks.append(_parse_basis(mats, n, f"{ptr}/basis"))
+        prev = mats
     try:
-        return StepFiltration(n, bps, lvs, cfg=cfg)
+        levels = blocks
+        if key == "enters":
+            basis = np.concatenate([np.zeros((0, n, n), dtype=complex), *blocks])
+            cuts = list(itertools.accumulate(map(len, blocks)))
+            flat = basis.reshape(len(basis), n * n)
+            # a graded basis kept as given is nested by construction; any other is read as its prefix levels
+            if _is_orthonormal(flat, cfg, np.abs(flat).max(initial=0.0)):
+                return StepFiltration.from_graded(n, bps, basis, cuts)
+            levels = [basis[:c] for c in cuts]
+        # handed to StepFiltration as given: its one re-span keeps an orthonormal family
+        return StepFiltration(n, bps, [OperatorSubspace(n, b) for b in levels], cfg=cfg)
     except NotNested:
         raise
     except QwmError as exc:
@@ -219,12 +236,9 @@ def _read_json(path: str):
 def _dump(obj) -> str:
     """json.dumps(obj, sort_keys=True, indent=2), byte for byte.  A
     rectangular nest of lists of floats is rendered in one pass over one
-    array; a nest whose leading items are the items (the same objects) of
-    the nest rendered last at its depth keeps their text and renders only
-    the rest.  So a filtration's steps, each basis a prefix of the next,
-    render each matrix once."""
+    array."""
     chunks = []
-    _encode(obj, 0, chunks, {})
+    _encode(obj, 0, chunks)
     return "".join(chunks)
 
 
@@ -232,11 +246,10 @@ def _indent(depth: int) -> str:
     return "\n" + "  " * depth
 
 
-def _encode(o, depth: int, chunks: list, last: dict) -> None:
-    """Append the text of o, which starts at indent depth ``depth``; ``last``
-    holds, by depth, the float nest rendered last there and its item texts."""
+def _encode(o, depth: int, chunks: list) -> None:
+    """Append the text of o, which starts at indent depth ``depth``."""
     if isinstance(o, (list, tuple)):
-        items = _float_items(o, depth, last)
+        items = _float_items(o, depth)
         if items is not None:
             sep = "," + _indent(depth + 1)
             chunks.append("[" + _indent(depth + 1) + sep.join(items) + _indent(depth) + "]")
@@ -245,7 +258,7 @@ def _encode(o, depth: int, chunks: list, last: dict) -> None:
         else:
             for i, v in enumerate(o):
                 chunks.append(("," if i else "[") + _indent(depth + 1))
-                _encode(v, depth + 1, chunks, last)
+                _encode(v, depth + 1, chunks)
             chunks.append(_indent(depth) + "]")
     elif isinstance(o, dict):
         if not o:
@@ -253,7 +266,7 @@ def _encode(o, depth: int, chunks: list, last: dict) -> None:
             return
         for i, (k, v) in enumerate(sorted(o.items())):
             chunks.append(("," if i else "{") + _indent(depth + 1) + json.dumps(_key(k)) + ": ")
-            _encode(v, depth + 1, chunks, last)
+            _encode(v, depth + 1, chunks)
         chunks.append(_indent(depth) + "}")
     else:
         chunks.append(json.dumps(o))
@@ -268,33 +281,14 @@ def _key(k) -> str:
     raise TypeError(f"keys must be str, int, float, bool or None, not {k.__class__.__name__}")
 
 
-def _float_items(o, depth: int, last: dict) -> list | None:
+def _float_items(o, depth: int) -> list | None:
     """The texts of the items of o, each at indent depth + 1, when o is a
-    nonempty nest of lists whose leaves are all Python floats, else None.
-    Items that are the leading items of last[depth] keep their text; the
-    others, a rectangular nest, are rendered in one pass."""
-    if not o:
-        return None
-    prev, texts = last.get(depth, ((), []))
-    if not (len(prev) <= len(o) and all(x is y for x, y in zip(prev, o))):
-        prev, texts = (), []
-    rest = o[len(prev) :]
-    if rest:
-        a = _float_leaves(rest)
-        if a is None:
-            return None
-        texts = texts + _float_item_texts(a, depth)
-    last[depth] = (o, texts)
-    return texts
-
-
-def _float_leaves(o) -> np.ndarray | None:
-    """o as a float array when it is a rectangular nest of lists whose
-    leaves are all Python floats, else None."""
+    nonempty rectangular nest of lists whose leaves are all Python floats,
+    else None."""
     a = np.array(o, dtype=object)
     if a.size == 0 or set(map(type, a.reshape(-1).tolist())) != {float}:
         return None
-    return a.astype(float)
+    return _float_item_texts(a.astype(float), depth)
 
 
 # json's spelling of the floats whose repr is not JSON

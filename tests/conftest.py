@@ -103,6 +103,17 @@ def random_step_filtration(n, rng, levels=None, classical=False):
     return f
 
 
+def qwm1(blob):
+    """The "qwm/1" file of a "qwm/2" filtration file: every level's basis in
+    full, each step's list the one before it followed by the step's entering
+    matrices (the same objects)."""
+    steps, basis = [], []
+    for step in blob["steps"]:
+        basis = basis + step["enters"]
+        steps.append({"t": step["t"], "basis": basis})
+    return {"schema": "qwm/1", "kind": "filtration", "dim": blob["dim"], "steps": steps}
+
+
 @pytest.fixture
 def rng():
     return np.random.default_rng(20260809)

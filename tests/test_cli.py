@@ -25,7 +25,7 @@ from qwmetric.errors import SchemaError
 from qwmetric.numerics import DEFAULT_CONFIG, NumericConfig, random_unitary
 from qwmetric.opspace import OperatorSubspace, span
 
-from conftest import I2, IMAG_OFF, REAL_OFF
+from conftest import I2, IMAG_OFF, REAL_OFF, qwm1
 
 
 def run_cli(args, capsys):
@@ -69,7 +69,7 @@ class TestSerialization:
         the steps give when each is parsed on its own."""
         from qwmetric import cli
 
-        blob = json.loads(json.dumps(emit_filtration(hamming_filtration(2, 2))))
+        blob = json.loads(json.dumps(qwm1(emit_filtration(hamming_filtration(2, 2)))))
         parsed = []
         parse_basis = cli._parse_basis
         monkeypatch.setattr(cli, "_parse_basis", lambda obj, *a: parsed.append(len(obj)) or parse_basis(obj, *a))
@@ -99,7 +99,7 @@ class TestSerialization:
         ],
     )
     def test_schema_errors_name_the_first_bad_matrix(self, bad, pointer):
-        blob = json.loads(json.dumps(emit_filtration(hamming_filtration(2, 2))))
+        blob = json.loads(json.dumps(qwm1(emit_filtration(hamming_filtration(2, 2)))))
         for step, i in bad:
             blob["steps"][step]["basis"][i][0][0] = ["x", 0.0]
         with pytest.raises(SchemaError) as exc:
@@ -107,7 +107,7 @@ class TestSerialization:
         assert exc.value.pointer == pointer
 
     def test_a_wrong_shape_in_a_shared_step_is_named_in_full(self):
-        blob = json.loads(json.dumps(emit_filtration(hamming_filtration(2, 2))))
+        blob = json.loads(json.dumps(qwm1(emit_filtration(hamming_filtration(2, 2)))))
         blob["steps"][2]["basis"][10] = [[[0.0, 0.0]]]
         with pytest.raises(SchemaError) as exc:
             parse_filtration(blob, DEFAULT_CONFIG)
@@ -140,7 +140,7 @@ class TestCommands:
         code, out, _ = run_cli(["build", "hamming", "--sites", "3", "--local-dim", "2"], capsys)
         assert code == 0
         blob = json.loads(out)
-        assert [len(s["basis"]) for s in blob["steps"]] == [1, 10, 37, 64]
+        assert np.cumsum([len(s["enters"]) for s in blob["steps"]]).tolist() == [1, 10, 37, 64]
 
     def test_validate_good_and_bad(self, tmp_path, capsys):
         good = write_json(tmp_path, "good.json", emit_filtration(m2_metric(1, 2, 3)))
@@ -148,7 +148,7 @@ class TestCommands:
         assert code == 0
         assert json.loads(out)["is_filtration"]
 
-        bad_blob = emit_filtration(m2_metric(1, 2, 3))
+        bad_blob = qwm1(emit_filtration(m2_metric(1, 2, 3)))
         del bad_blob["steps"][1]["basis"][0]  # break the chain: drop identity direction
         bad = write_json(tmp_path, "bad.json", bad_blob)
         code, out, _ = run_cli(["validate", "--filtration", bad], capsys)
@@ -287,7 +287,7 @@ class TestCommands:
         qpath = write_json(tmp_path, "q.json", emit_projection(AmplifiedProjection.base(np.diag([0.0, 1.0]))))
 
         def report(s):
-            blob = emit_filtration(m2_metric(1, 2, 3))
+            blob = qwm1(emit_filtration(m2_metric(1, 2, 3)))
             if s is not None:
                 blob["steps"][1]["basis"][1][0][0][0] = s
             fpath = write_json(tmp_path, "f.json", blob)
@@ -430,7 +430,7 @@ class TestCommands:
         assert calls == [0.0]
 
     def test_code_check_with_an_empty_level(self, tmp_path, capsys):
-        blob = emit_filtration(m2_metric(1, 2, 3))
+        blob = qwm1(emit_filtration(m2_metric(1, 2, 3)))
         blob["steps"][0]["basis"] = []
         fpath = write_json(tmp_path, "f.json", blob)
         ppath = write_json(tmp_path, "p.json", emit_matrix(np.diag([1.0, 0.0]).astype(complex)))
@@ -463,7 +463,7 @@ class TestCommands:
         code, out, _ = run_cli(["build", "classical", "--matrix", "-"], capsys)
         assert code == 0
         blob = json.loads(out)
-        assert [len(s["basis"]) for s in blob["steps"]] == [2, 4]
+        assert np.cumsum([len(s["enters"]) for s in blob["steps"]]).tolist() == [2, 4]
 
     def test_determinism_under_seed(self, tmp_path, capsys):
         d = np.array([[0.0, 1, 2], [1, 0, 1], [2, 1, 0]])

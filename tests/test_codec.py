@@ -119,8 +119,8 @@ def graded_filtrations(draw):
 @settings(database=None, max_examples=60, deadline=None)
 @given(graded_filtrations())
 def test_dump_of_a_filtration_matches_json(f):
-    """Each step's basis is a prefix of the next, cut from one graded text:
-    the output is still json's, byte for byte."""
+    """Each step's entering elements are one float block: the output is
+    json's, byte for byte."""
     blob = emit_filtration(f)
     assert _dump(blob) == reference(blob)
 
@@ -340,9 +340,10 @@ def test_emit_matrix_matches_per_entry_formatting():
     assert json.dumps(emit_matrix(m[1])) == json.dumps(expected[1])
 
 
-def test_emit_filtration_writes_every_level_in_full():
+def test_emit_filtration_writes_each_element_once():
     f = hamming_filtration(2, 2)
     blob = emit_filtration(f)
-    assert [len(s["basis"]) for s in blob["steps"]] == f.cuts
-    for step, lv in zip(blob["steps"], f.levels):
-        assert json.dumps(step["basis"]) == json.dumps([emit_matrix(b) for b in lv.basis])
+    assert blob["schema"] == "qwm/2"
+    assert np.cumsum([len(s["enters"]) for s in blob["steps"]]).tolist() == f.cuts
+    written = [m for s in blob["steps"] for m in s["enters"]]
+    assert json.dumps(written) == json.dumps([emit_matrix(b) for b in f.basis])

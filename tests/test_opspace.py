@@ -9,6 +9,7 @@ from qwmetric.errors import MixedDimensions
 from qwmetric.numerics import DEFAULT_CONFIG, random_hermitian, rank
 from qwmetric.opspace import (
     VNAlgebra,
+    _orthonormalize,
     adjoint,
     commutant,
     complement,
@@ -331,3 +332,39 @@ def test_a_tall_null_space_is_the_full_svd_one(seed):
         np.testing.assert_allclose(got.T @ got.conj(), want.T @ want.conj(), rtol=0, atol=1e-10)
         np.testing.assert_allclose(got.conj() @ got.T, np.eye(len(got)), rtol=0, atol=1e-12)
     assert len(null_space_rows(noise, DEFAULT_CONFIG, 1.0)) == cols
+
+
+def full_svd_span(rows, n, scale=0.0):
+    """The span of a stack of rows from one reduced SVD of the rows
+    themselves, the path a large tall stack no longer takes."""
+    _, s, vh = np.linalg.svd(rows[np.linalg.norm(rows, axis=1) > 0], full_matrices=False)
+    return vh[: rank(s, DEFAULT_CONFIG, scale)]
+
+
+@pytest.mark.parametrize("seed", range(6))
+def test_a_tall_span_is_the_full_svd_one(seed, monkeypatch):
+    """A tall stack re-spanned through its triangular factor has the
+    dimension and the projector of the full SVD's span; the same for the
+    products of a subspace (the stacks product_span hands in) and for an
+    all-noise stack, which the floor ``scale`` counts as zero.  A small
+    tall stack (a rank-1 code's compressions) takes the SVD alone."""
+    qr = np.linalg.qr
+    factored = []
+    monkeypatch.setattr(np.linalg, "qr", lambda a, mode: factored.append(a.shape) or qr(a, mode))
+    rng = np.random.default_rng(seed)
+    n = int(rng.integers(4, 7))
+    r = int(rng.integers(1, n * n))
+    low = (rng.standard_normal((4 * n * n, r)) + 1j * rng.standard_normal((4 * n * n, r))) @ (
+        rng.standard_normal((r, n * n)) + 1j * rng.standard_normal((r, n * n))
+    )
+    s = random_subspace(n, int(rng.integers(8, n * n)), rng)  # at least 64 products
+    prods = np.einsum("aij,bjk->abik", s.basis, s.basis).reshape(-1, n * n)
+    noise = 1e-14 * (rng.standard_normal((4 * n * n, n * n)) + 1j * rng.standard_normal((4 * n * n, n * n)))
+    for rows, scale in ((low, 0.0), (1e6 * low, 0.0), (prods, 0.0), (noise, 1.0), (low + noise, 1.0)):
+        got, want = _orthonormalize(rows, n, DEFAULT_CONFIG, scale).reshape(-1, n * n), full_svd_span(rows, n, scale)
+        assert got.shape == want.shape
+        np.testing.assert_allclose(got.T @ got.conj(), want.T @ want.conj(), rtol=0, atol=1e-12)
+    assert len(_orthonormalize(noise, n, DEFAULT_CONFIG, 1.0)) == 0
+    assert factored == [low.shape, low.shape, prods.shape, noise.shape, low.shape, noise.shape]
+    assert len(_orthonormalize(rng.standard_normal((16, 1)), 1, DEFAULT_CONFIG)) == 1
+    assert len(factored) == 6
