@@ -152,6 +152,8 @@ def parse_filtration(obj, cfg: NumericConfig) -> StepFiltration:
     n = obj["dim"]
     if not (isinstance(n, int) and not isinstance(n, bool) and n >= 1):
         raise SchemaError("'dim' must be a positive integer", "/dim")
+    if n * n > np.iinfo(np.intp).max // 16:  # checked here: an empty basis has no matrix to check it against
+        raise SchemaError(f"'dim' {n} is past the largest n x n complex array", "/dim")
     if not isinstance(obj["steps"], list):
         raise SchemaError("'steps' must be a list", "/steps")
     key = "enters" if schema == FILTRATION_SCHEMA else "basis"

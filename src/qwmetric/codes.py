@@ -16,7 +16,7 @@ import numpy as np
 from .errors import NotACode, SizeLimit
 from .filtration import MetricContext, StepFiltration, default_context
 from .numerics import DEFAULT_CONFIG, NumericConfig, _natural_range_basis, as_square, commutes_each, is_projection, rank
-from .opspace import OperatorSubspace, VNAlgebra, _orthonormalize, generated_vn_algebra, span
+from .opspace import _BUDGET, OperatorSubspace, VNAlgebra, _orthonormalize, generated_vn_algebra, span
 from .constructions import TimedGenerators, generated_filtration
 
 __all__ = [
@@ -165,6 +165,25 @@ def _split_plan(n_sites: int, d: int, weight: int) -> tuple:
     return tuple(plan)
 
 
+def _split_pairs(n_sites: int, d: int, weight: int, skip: int, count: int):
+    """Per weight of L in _split_plan, the pairs (L, R) of the run's elements
+    at positions skip..skip + count - 1: yields the L factors, the R factors,
+    pos counted from ``skip`` and the index of the pairs to keep.  A range
+    inside the run (a bounded rho chunk) keeps only the L rows and R columns
+    with a pair in it, and marks a pair outside it with pos -1."""
+    h = n_sites // 2
+    whole = skip == 0 and count == math.comb(n_sites, weight) * (d * d - 1) ** weight
+    for wl, pos in _split_plan(n_sites, d, weight):
+        left, right = _weight_block(h, d, wl), _weight_block(n_sites - h, d, weight - wl)
+        if whole:
+            yield left, right, pos, slice(None)
+            continue
+        inside = (pos >= skip) & (pos < skip + count)
+        rows, cols = np.flatnonzero(inside.any(axis=1)), np.flatnonzero(inside.any(axis=0))
+        pos = np.where(inside, pos - skip, -1)[np.ix_(rows, cols)]
+        yield left[rows], right[cols], pos, pos >= 0
+
+
 def _apply_weight(n_sites: int, d: int, weight: int, x: np.ndarray, out: np.ndarray, skip: int = 0) -> None:
     """Write B x into ``out`` (count, d**n_sites, c) for the elements B of
     weight ``weight`` on ``n_sites`` qudits from position ``skip`` on.  Below
@@ -179,17 +198,44 @@ def _apply_weight(n_sites: int, d: int, weight: int, x: np.ndarray, out: np.ndar
     dl, dr, c = d ** h, d ** (n_sites - h), x.shape[1]
     xr = x.reshape(dl, dr, c).transpose(1, 0, 2).reshape(dr, dl * c)
     dest = out.reshape(len(out), dl, dr, c, copy=False)
-    # a range inside the run (a bounded rho chunk) needs only the L and R of its pairs
-    whole = skip == 0 and len(out) == math.comb(n_sites, weight) * (d * d - 1) ** weight
-    for wl, pos in _split_plan(n_sites, d, weight):
-        left, right = _weight_block(h, d, wl), _weight_block(n_sites - h, d, weight - wl)
-        if not whole:
-            inside = (pos >= skip) & (pos < skip + len(out))
-            rows, cols = np.flatnonzero(inside.any(axis=1)), np.flatnonzero(inside.any(axis=0))
-            left, right, pos = left[rows], right[cols], np.where(inside, pos - skip, -1)[np.ix_(rows, cols)]
+    for left, right, pos, keep in _split_pairs(n_sites, d, weight, skip, len(out)):
         z = (right @ xr).reshape(len(right), dr, dl, c).transpose(2, 0, 1, 3).reshape(dl, -1)
-        keep = slice(None) if whole else pos >= 0
         dest[pos[keep]] = (left @ z).reshape(len(left), dl, len(right), dr, c).transpose(0, 2, 1, 3, 4)[keep]
+
+
+def _compress_weight(n_sites: int, d: int, weight: int, vc: np.ndarray, w: np.ndarray, out: np.ndarray, skip: int = 0) -> None:
+    """Write v* B w into ``out`` (count, cv, cw), given vc = conj(v), for the
+    elements B of weight ``weight`` on ``n_sites`` qudits from position
+    ``skip`` on.  Below dimension SPLIT_FROM the dense elements take two
+    batched products.  Above it no B w is formed: with B = L (x) R as in
+    _split_plan, v* B w is the sum of vc[i, j] L[i, i'] R[j, j'] w[i', j'],
+    three GEMMs per weight of L: the stacked R factors on w, the stacked
+    transposed L factors on vc, and their product over (i', j), which holds
+    every pair's block, scattered to basis order.  Each piece of the split
+    stays under _BUDGET entries."""
+    n, cv, cw = d ** n_sites, vc.shape[1], w.shape[1]
+    if n < SPLIT_FROM:
+        np.matmul(vc.T, _weight_block(n_sites, d, weight)[skip : skip + len(out)] @ w, out=out)
+        return
+    h = n_sites // 2
+    dl, dr = d ** h, d ** (n_sites - h)
+    wr = w.reshape(dl, dr, cw).transpose(1, 0, 2).reshape(dr, dl * cw)
+    vc = vc.reshape(dl, dr * cv)
+    rstep = max(1, _BUDGET // (n * cw))
+    for left, right, pos, keep in _split_pairs(n_sites, d, weight, skip, len(out)):
+        lt = left.transpose(0, 2, 1).reshape(-1, dl)
+        for r0 in range(0, len(right), rstep):
+            rc = right[r0 : r0 + rstep]
+            # rows (i', j), columns (R, b)
+            rw = (rc.reshape(-1, dr) @ wr).reshape(len(rc), dr, dl, cw).transpose(2, 1, 0, 3).reshape(n, -1)
+            lstep = max(1, _BUDGET // (cv * max(n, rw.shape[1])))
+            for l0 in range(0, len(left), lstep):
+                # rows (L, a), columns (i', j)
+                lv = (lt[l0 * dl : (l0 + lstep) * dl] @ vc).reshape(-1, dl, dr, cv).transpose(0, 3, 1, 2).reshape(-1, n)
+                blocks = (lv @ rw).reshape(-1, cv, len(rc), cw).transpose(0, 2, 1, 3)
+                pairs = (slice(l0, l0 + lstep), slice(r0, r0 + rstep))
+                p, k = pos[pairs], keep if isinstance(keep, slice) else keep[pairs]
+                out[p[k]] = blocks[k]
 
 
 class SiteFactors:
@@ -200,8 +246,8 @@ class SiteFactors:
     non-identity factors, which is the grade), then block, then site set,
     then local indices with the last site fastest.
 
-    ``dense`` writes the basis out, within ``cap``; ``apply`` and
-    ``element_norm`` never do."""
+    ``dense`` writes the basis out, within ``cap``; ``apply``, ``compress``
+    and ``element_norm`` never do."""
 
     def __init__(self, blocks, d: int, cap: int):
         self.blocks, self.d, self.cap = tuple(blocks), d, cap
@@ -251,6 +297,17 @@ class SiteFactors:
                 o0, o1 = self.offsets[b], self.offsets[b + 1]
                 a = max(lo, start)
                 _apply_weight(self.blocks[b], self.d, w, x[o0:o1], out[a - lo : min(hi, stop) - lo, o0:o1], a - start)
+        return out
+
+    def compress(self, lo: int, hi: int, v: np.ndarray, w: np.ndarray) -> np.ndarray:
+        """The (hi - lo, v.shape[1], w.shape[1]) stack of v* B w over the
+        elements lo..hi - 1; an element reads only its block's rows of v and w."""
+        out, vc = np.empty((hi - lo, v.shape[1], w.shape[1]), dtype=complex), v.conj()
+        for start, stop, k, b in self.runs:
+            if start < hi and stop > lo:
+                o0, o1 = self.offsets[b], self.offsets[b + 1]
+                a = max(lo, start)
+                _compress_weight(self.blocks[b], self.d, k, vc[o0:o1], w[o0:o1], out[a - lo : min(hi, stop) - lo], a - start)
         return out
 
     def element_norm(self, i: int) -> float:
@@ -330,9 +387,13 @@ def kl_check(code: QuantumCode, k: float, cfg: NumericConfig = DEFAULT_CONFIG) -
     f, v = code.error_model, code.isometry
     tr_p = float(np.trace(code.projector).real)
     cut = f.cuts[f.level_index_at(k)]
-    x = v.conj().T @ f.apply(0, cut, v)
-    eps = np.trace(x, axis1=1, axis2=2) / tr_p
-    res = np.linalg.norm(x - eps[:, None, None] * np.eye(x.shape[1]), 2, axis=(1, 2))
+    x = f.compress(0, cut, v, v)
+    r = x.shape[1]
+    # the diagonals of the V* B V, a view: every (r + 1)-th entry of a flattened block
+    diag = x.reshape(cut, r * r, copy=False)[:, :: r + 1]
+    eps = diag.sum(axis=1) / tr_p
+    diag -= eps[:, None]  # x is now the stack of V* B V - eps I
+    res = np.linalg.norm(x, 2, axis=(1, 2))
     tol = cfg.membership_tol
     # max(1, ||B||) >= 1: only residuals above the tolerance need ||B||
     detects = not any(res[i] > tol * max(1.0, f.element_norm(i)) for i in np.flatnonzero(res > tol))
@@ -346,12 +407,12 @@ def min_distance(code: QuantumCode, cfg: NumericConfig = DEFAULT_CONFIG) -> floa
     span of the V* B V (that of the P B P, isometrically) strictly grows."""
     f, v = code.error_model, code.isometry
     r = v.shape[1]
-    # filled level by level: the scan mostly stops far below the top level
-    x = np.empty((f.cuts[-1], r, r), dtype=complex)
+    # grown level by level: the scan mostly stops far below the top level
+    x = np.zeros((0, r, r), dtype=complex)
     dims = []
     for t, lo, hi in zip(f.breakpoints, [0] + f.cuts, f.cuts):
-        x[lo:hi] = v.conj().T @ f.apply(lo, hi, v)
-        dims.append(span(x[:hi], r, cfg).dim)
+        x = np.concatenate([x, f.compress(lo, hi, v, v)])
+        dims.append(span(x, r, cfg).dim)
         if dims[-1] > dims[0]:
             return t
     return math.inf
@@ -401,7 +462,7 @@ def induced_metric(
     compressions P V_t P; built with the generated-filtration engine over
     the algebra of the compressed zero level, with the span of grade i's
     compressions as generator i.  The graded basis is compressed once,
-    through ``apply``, so a factored basis is not written out."""
+    through ``compress``, so a factored basis is not written out."""
     pm = as_square(p)
     if not is_projection(pm, cfg):
         raise NotACode("corner needs an orthogonal projection")
@@ -410,7 +471,7 @@ def induced_metric(
         raise NotACode("projection must belong to the context algebra")
     cols = _natural_range_basis(pm, cfg)
     k = cols.shape[1]
-    blocks = np.split(cols.conj().T @ f.apply(0, f.cuts[-1], cols), f.cuts[:-1])
+    blocks = np.split(f.compress(0, f.cuts[-1], cols, cols), f.cuts[:-1])
     base = generated_vn_algebra(blocks[0], k, cfg)
     # floored at 1: these are compressions of orthonormal elements, so a grade of rounding noise spans nothing
     grades = [OperatorSubspace(k, _orthonormalize(d.reshape(-1, k * k), k, cfg, 1.0)) for d in blocks[1:]]

@@ -261,8 +261,7 @@ def quotient(
     k = cols.shape[1]
     if k == 0:
         raise NotCentral("zero projection gives an empty quotient")
-    x = cols.conj().T @ f.apply(0, f.cuts[-1], cols)
-    return _grown(k, f.breakpoints, np.split(x, f.cuts[:-1]), cfg)
+    return _grown(k, f.breakpoints, np.split(f.compress(0, f.cuts[-1], cols, cols), f.cuts[:-1]), cfg)
 
 
 def subobject(
@@ -572,10 +571,11 @@ def co_lipschitz_number(
 
     # U* (E_ab (x) B) U = U_a* B U_b over the row blocks U_a of U and the
     # graded basis of f: e is the filtration t -> U* (M_k (x) V_t) U, grown
-    # grade by grade, with a breakpoint where the embedded level grows
-    rows = um.reshape(amp_dim, f.n, g.n)
-    bu = f.apply(0, f.cuts[-1], rows.transpose(1, 0, 2).reshape(f.n, -1)).reshape(-1, f.n, amp_dim, g.n)
-    emb = np.einsum("axi,mxbj->mabij", rows.conj(), bu).reshape(-1, g.n, g.n)
+    # grade by grade, with a breakpoint where the embedded level grows; with
+    # V the U_a side by side, V* B V holds every U_a* B U_b
+    blocks = um.reshape(amp_dim, f.n, g.n).transpose(1, 0, 2).reshape(f.n, -1)
+    emb = f.compress(0, f.cuts[-1], blocks, blocks).reshape(-1, amp_dim, g.n, amp_dim, g.n)
+    emb = emb.transpose(0, 1, 3, 2, 4).reshape(-1, g.n, g.n)
     e = _grown(g.n, f.breakpoints, np.split(emb, np.multiply(f.cuts[:-1], amp_dim ** 2)), cfg)
     # the first level of e holding each level of g: a prefix maximum over g's graded basis, read by its reader
     first = np.concatenate([e._first_levels(rows.conj().reshape(-1, g.n, g.n), cfg) for rows in g._rows(g.cuts[-1])])

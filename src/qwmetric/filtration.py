@@ -18,8 +18,9 @@ constructor serves the JSON reader.  Levels handed to it must be nested
 
 The basis may also be held in factored form (``codes.SiteFactors``): then
 ``basis`` and ``levels`` are written out once, when first read.  Only this
-class knows the storage: queries read it through ``apply``, ``element_norm``
-and ``_rows``, and membership is one scale-free kernel, ``_levels_and_coordinates``.
+class knows the storage: queries read it through ``apply``, ``compress``,
+``element_norm`` and ``_rows``, and membership is one scale-free kernel,
+``_levels_and_coordinates``.
 """
 
 from __future__ import annotations
@@ -57,7 +58,8 @@ class StepFiltration:
         """Filtration whose level i is spanned by basis[:cuts[i]]; ``basis``
         must be HS-orthonormal and is shared, not copied.  It is a (k, n, n)
         stack, or a factored basis: an object with ``shape``, ``dense()``,
-        ``apply(lo, hi, x)`` and ``element_norm(i)`` (``codes.SiteFactors``)."""
+        ``apply(lo, hi, x)``, ``compress(lo, hi, v, w)`` and ``element_norm(i)``
+        (``codes.SiteFactors``)."""
         f = cls.__new__(cls)
         f._set(ambient_dim, breakpoints, basis, cuts)
         return f
@@ -114,6 +116,14 @@ class StepFiltration:
         (hi - lo, n, c) stack of the B x.  A dense basis takes one batched
         product; a factored one is never written out."""
         return self.basis[lo:hi] @ x if self._factors is None else self._factors.apply(lo, hi, x)
+
+    def compress(self, lo: int, hi: int, v: np.ndarray, w: np.ndarray) -> np.ndarray:
+        """The (hi - lo, v.shape[1], w.shape[1]) stack of v* B w over basis[lo:hi],
+        for n-row matrices v and w.  A dense basis takes v* (basis[lo:hi] @ w); a
+        factored one forms no B w."""
+        if self._factors is None:
+            return v.conj().T @ (self.basis[lo:hi] @ w)
+        return self._factors.compress(lo, hi, v, w)
 
     def element_norm(self, i: int) -> float:
         """Operator norm of basis element i."""

@@ -72,7 +72,11 @@ def hs_norm(a) -> float:
 
 def is_hermitian(a, cfg: NumericConfig = DEFAULT_CONFIG) -> bool:
     m = as_square(a)
-    return op_norm(m - m.conj().T) <= cfg.membership_tol * max(1.0, op_norm(m))
+    asym = m - m.conj().T
+    # the HS norm bounds the operator norm, and the cutoff is at least membership_tol
+    if hs_norm(asym) <= cfg.membership_tol:
+        return True
+    return op_norm(asym) <= cfg.membership_tol * max(1.0, op_norm(m))
 
 
 def _eig_clusters(a, cfg: NumericConfig):

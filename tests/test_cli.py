@@ -399,6 +399,24 @@ class TestCommands:
         blob = json.loads(err)
         assert blob["kind"] == "error" and "pointer" in blob
 
+    @pytest.mark.parametrize(
+        "payload",
+        [
+            {"dim": 2**40, "steps": []},
+            {"dim": 2**40, "steps": [{"t": 0, "basis": []}]},
+            {"schema": "qwm/2", "kind": "filtration", "dim": 2**40, "steps": [{"t": 0, "enters": []}]},
+        ],
+        ids=["no-steps", "empty-basis", "empty-enters"],
+    )
+    def test_a_dim_past_the_array_limits_is_a_schema_error(self, tmp_path, capsys, payload):
+        """With no matrix to check 'dim' against, it is checked on its own:
+        an n x n complex array must be indexable."""
+        path = write_json(tmp_path, "f.json", payload)
+        code, out, err = run_cli(["validate", "--filtration", path], capsys)
+        assert code == 1 and out == ""
+        blob = json.loads(err)
+        assert blob["kind"] == "error" and blob["pointer"] == "/dim"
+
     @pytest.mark.parametrize("entry", [[math.nan, 0], [math.inf, 0], [0, -math.inf], [10**400, 0]], ids=["nan", "inf", "-inf", "huge-int"])
     def test_nonfinite_matrix_entry_is_a_schema_error(self, tmp_path, capsys, entry):
         fpath = write_json(tmp_path, "f.json", emit_filtration(m2_metric(1, 2, 3)))

@@ -18,8 +18,11 @@ from qwmetric import (
     separating_projections,
     validate,
 )
+from qwmetric import codes
 from qwmetric.codes import (
     QuantumCode,
+    SiteFactors,
+    _fill_weight,
     _site_basis,
     block_algebra_context,
     block_filtration,
@@ -35,6 +38,7 @@ from qwmetric.errors import CommutantMember, NotACode, SizeLimit
 from qwmetric.filtration import default_context
 from qwmetric.lipschitz import AscentBudget, commutation_lipschitz_lower, distance_operator, lipschitz_witness, rho_from_gauge
 from qwmetric.numerics import range_projection
+from qwmetric.opspace import VNAlgebra, full_space
 
 from conftest import I2, PAULI_X, PAULI_Y, PAULI_Z, basis_state_projection
 
@@ -203,6 +207,14 @@ class TestKLCheck:
         report = kl_check(code, 0)
         # at level 0 only the normalized identity: eps = tr(P I P)/tr(P) / sqrt(8)
         assert report.epsilon[0] == pytest.approx(1 / math.sqrt(8))
+
+
+    def test_an_empty_level_has_no_residuals(self):
+        f = StepFiltration.from_graded(2, [0, 1], np.stack([I2, PAULI_X, PAULI_Y, PAULI_Z]) / np.sqrt(2), [0, 4])
+        code = QuantumCode(basis_state_projection(2, 0), f)
+        report = kl_check(code, 0)
+        assert (report.detects, report.worst_index, report.level_dim, report.residuals) == (True, None, 0, [])
+        assert min_distance(code) == 1.0
 
 
 class TestMinDistance:
@@ -552,6 +564,129 @@ class TestFactoredAndDenseAgree:
         for p in projections:
             for q in projections[:: max(1, len(projections) // 7)]:
                 assert rho(f, p, q) == rho(dense, p, q)
+
+
+def _written_out(f, lo, hi):
+    """basis[lo:hi] of a factored model, each run written out as dense()
+    writes it; only the runs the range meets, so a 6-qubit range needs no
+    whole dense basis."""
+    fac = f._factors
+    out = np.zeros((hi - lo, f.n, f.n), dtype=complex)
+    for start, stop, w, b in fac.runs:
+        if start < hi and stop > lo:
+            o0, o1 = fac.offsets[b], fac.offsets[b + 1]
+            run = np.zeros((stop - start, o1 - o0, o1 - o0), dtype=complex)
+            _fill_weight(run, fac.blocks[b], fac.d, w)
+            a, z = max(lo, start), min(hi, stop)
+            out[a - lo : z - lo, o0:o1, o0:o1] = run[a - start : z - start]
+    return out
+
+
+COMPRESS_MODELS = {
+    **{f"hamming{n}": (lambda n=n: hamming_filtration(n, 2)) for n in range(1, 7)},
+    "qutrits2": lambda: hamming_filtration(2, 3),
+    "qutrits3": lambda: hamming_filtration(3, 3),
+    "blocks12": lambda: block_filtration([1, 2]),
+    "blocks23": lambda: block_filtration([2, 3]),
+}
+
+
+def _compress_ranges(f):
+    """Whole levels, ranges inside one run and ranges across runs."""
+    runs = f._factors.runs
+    ranges = [(0, 0), (0, f.cuts[min(2, len(f.cuts) - 1)]), (f.cuts[0], f.cuts[1])]
+    for start, stop, _, _ in runs:
+        if stop - start > 2:
+            ranges.append((start + 1, stop - 1))  # inside the run
+        ranges.append((max(0, start - 1), min(f.cuts[-1], stop + 1)))  # across its ends
+    # Hamming 6 past weight 3 is checked through its smaller runs only
+    return [(lo, hi) for lo, hi in ranges if hi - lo <= 700]
+
+
+class TestCompress:
+    """compress(lo, hi, v, w) is v* B w over basis[lo:hi]; a factored basis
+    forms no B w, and the audits and corners never form the B V stack."""
+
+    def test_written_out_runs_are_the_dense_basis(self):
+        f = block_filtration([2, 3])
+        assert np.array_equal(_written_out(f, 0, f.cuts[-1]), f._factors.dense())
+
+    @pytest.mark.parametrize("model", list(COMPRESS_MODELS))
+    def test_factored_compress_is_v_star_b_w(self, model):
+        f = COMPRESS_MODELS[model]()
+        rng = np.random.default_rng([f.n, 20])
+        v = rng.standard_normal((f.n, 3)) + 1j * rng.standard_normal((f.n, 3))
+        w = rng.standard_normal((f.n, 2)) + 1j * rng.standard_normal((f.n, 2))
+        for lo, hi in _compress_ranges(f):
+            got = f.compress(lo, hi, v, w)
+            assert got.shape == (hi - lo, 3, 2)
+            np.testing.assert_allclose(got, v.conj().T @ (_written_out(f, lo, hi) @ w), rtol=0, atol=1e-12)
+            np.testing.assert_allclose(f.compress(lo, hi, w, w), w.conj().T @ (_written_out(f, lo, hi) @ w), rtol=0, atol=1e-12)
+        assert f._basis is None
+
+    @pytest.mark.parametrize("model", ["hamming5", "blocks23"])
+    def test_compress_in_pieces_under_a_small_budget(self, model, monkeypatch):
+        """With _BUDGET a few hundred entries, the split runs are compressed
+        in pieces of L and R factors, to the same stack."""
+        f = COMPRESS_MODELS[model]()
+        rng = np.random.default_rng([f.n, 21])
+        v = rng.standard_normal((f.n, 4)) + 1j * rng.standard_normal((f.n, 4))
+        want = [f.compress(lo, hi, v, v[:, :3]) for lo, hi in _compress_ranges(f)]
+        monkeypatch.setattr(codes, "_BUDGET", 300)
+        for (lo, hi), x in zip(_compress_ranges(f), want):
+            np.testing.assert_allclose(f.compress(lo, hi, v, v[:, :3]), x, rtol=0, atol=1e-12)
+
+    def test_dense_compress_is_the_batched_product(self):
+        f = _dense_copy(block_filtration([1, 2]))
+        rng = np.random.default_rng(22)
+        v = rng.standard_normal((f.n, 3)) + 1j * rng.standard_normal((f.n, 3))
+        w = rng.standard_normal((f.n, 2)) + 1j * rng.standard_normal((f.n, 2))
+        for lo, hi in [(0, f.cuts[-1]), (2, 7), (5, 5)]:
+            assert np.array_equal(f.compress(lo, hi, v, w), v.conj().T @ f.apply(lo, hi, w))
+
+    def test_audits_and_corners_form_no_stack(self, monkeypatch):
+        """With SiteFactors.apply raising, the audits and corners of a
+        factored 5-qubit model (split into half-site factors) and the
+        co-Lipschitz number of an amplified 3-qubit one give the dense
+        models' results."""
+        f, dense = hamming_filtration(5, 2), _dense_copy(hamming_filtration(5, 2))
+        f3, dense3 = hamming_filtration(3, 2), _dense_copy(hamming_filtration(3, 2))
+        # the default context of a Hamming model, M_32 over C I, without verifying M_32
+        ctx = MetricContext(VNAlgebra(32, full_space(32).basis, verify=False), VNAlgebra(32, np.eye(32)[None] / np.sqrt(32), verify=False))
+        ctx3 = default_context(dense3)
+        rng = np.random.default_rng(23)
+        v = rng.standard_normal((32, 2)) + 1j * rng.standard_normal((32, 2))
+        code = range_projection(v)
+        corner = basis_state_projection(32, 0) + basis_state_projection(32, 31)
+        plus = np.ones((2, 1)) / np.sqrt(2)
+        r, u = np.kron(plus @ plus.T, np.eye(8)), np.kron(plus, np.eye(8))
+
+        def calls(g, g3):
+            report = kl_check(QuantumCode(code, g), 2)
+            return [
+                (report.detects, report.worst_index, report.level_dim),
+                min_distance(QuantumCode(corner, g)),
+                co_lipschitz_number(g3, dense3, 2, r, u, ctx3),
+                induced_metric(g, corner, ctx),
+                quotient(g, np.eye(32), ctx),
+            ]
+
+        want = calls(dense, dense3)
+        monkeypatch.setattr(SiteFactors, "apply", lambda *a: pytest.fail("SiteFactors.apply called"))
+        got = calls(f, f3)
+        assert got[:3] == want[:3]
+        for a, b in zip(got[3:], want[3:]):
+            assert (a.breakpoints, a.cuts) == (b.breakpoints, b.cuts)
+            assert all(x.equals(y) for x, y in zip(a.levels, b.levels))
+        assert f._basis is None and f3._basis is None
+
+    def test_min_distance_grows_the_compressions_level_by_level(self):
+        """The top level of 9 qubits holds 4^9 elements, whose 64 x 64
+        compressions would take 16 GiB; the scan stops at level 1."""
+        f = hamming_filtration(9, 2)
+        p = np.zeros((512, 512), dtype=complex)
+        p[np.arange(64), np.arange(64)] = 1.0
+        assert min_distance(QuantumCode(p, f)) == 1.0
 
 
 class TestInducedMetric:

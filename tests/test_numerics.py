@@ -12,6 +12,7 @@ from qwmetric.numerics import (
     NumericConfig,
     commutes_each,
     hermitian_eig,
+    is_hermitian,
     is_projection,
     op_norm,
     range_projection,
@@ -178,6 +179,39 @@ def test_is_projection_decides_as_three_op_norms_past_the_frobenius_shortcut():
                 assert is_projection(m) == ref
                 hs = max(np.linalg.norm(m - m.conj().T), np.linalg.norm(m @ m - m))
                 seen.add((bool(hs > tol), ref))
+    assert {(False, True), (True, True), (True, False)} <= seen
+
+
+def test_is_hermitian_takes_no_svd_inside_the_hs_shortcut(monkeypatch):
+    """An exactly Hermitian matrix, or one whose skew part has HS norm within
+    membership_tol, is decided without an operator norm."""
+    import qwmetric.numerics as numerics
+
+    h = random_hermitian(16, np.random.default_rng(5))
+    monkeypatch.setattr(numerics, "op_norm", lambda a: pytest.fail("op_norm called"))
+    skew = np.zeros((16, 16), dtype=complex)
+    skew[0, 1] = 0.4j * DEFAULT_CONFIG.membership_tol  # skew part of HS norm 0.4 sqrt(2) tol
+    assert is_hermitian(h) and is_hermitian(h + skew)
+
+
+def test_is_hermitian_decides_as_two_op_norms_past_the_hs_shortcut():
+    """Skew parts of operator norm near the cutoff and HS norm past
+    membership_tol: the decision is that of |A - A*| <= tol max(1, |A|)."""
+    rng = np.random.default_rng(6)
+    tol = DEFAULT_CONFIG.membership_tol
+    n = 16
+    u = random_unitary(n, rng)
+    # i times a unitary conjugate of signs: skew-Hermitian, operator norm 1, HS norm 4
+    skew = 1j * (u @ np.diag(rng.choice([-1.0, 1.0], n)) @ u.conj().T)
+    seen = set()
+    for scale in (0.5, 1.0, 3.0):
+        h = random_hermitian(n, rng)
+        h *= scale / op_norm(h)
+        for factor in (0.1, 0.3, 0.45, 1 - 1e-5, 1 + 1e-5, 1.4, 1.6):
+            m = h + factor * tol / 2 * skew
+            ref = op_norm(m - m.conj().T) <= tol * max(1.0, op_norm(m))
+            assert is_hermitian(m) == ref
+            seen.add((bool(np.linalg.norm(m - m.conj().T) > tol), ref))
     assert {(False, True), (True, True), (True, False)} <= seen
 
 
