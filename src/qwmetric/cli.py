@@ -7,7 +7,8 @@ as row-major nested arrays, subspaces as {"dim", "basis"}, projections as
 {"dim", "steps": [{"t", "enters"}]}, level i spanned by the "enters" lists of
 steps 0..i; the reader also takes the "qwm/1" shape, every level's basis in
 full, {"dim", "steps": [{"t", "basis"}]}.  Exit codes: 0 success, 1
-usage/schema error, 2 validation failure (report still emitted).
+usage/schema error, 2 validation failure (report still emitted) or other
+typed error, running out of memory included (a "SizeLimit").
 """
 
 from __future__ import annotations
@@ -27,7 +28,7 @@ from .filtration import MetricContext, StepFiltration, ValidationReport, descrip
 from .geometry import AmplifiedProjection, rho
 from .lipschitz import AscentBudget, commutation_lipschitz_lower, spectral_lipschitz
 from .numerics import DEFAULT_CONFIG, NumericConfig
-from .opspace import OperatorSubspace, _is_orthonormal
+from .opspace import _extend, _is_orthonormal, _orthonormalize
 
 SCHEMA = "qwm/1"
 FILTRATION_SCHEMA = "qwm/2"
@@ -139,7 +140,10 @@ def emit_filtration(f: StepFiltration):
 
 
 def parse_filtration(obj, cfg: NumericConfig) -> StepFiltration:
-    """A "qwm/2" file, or a "qwm/1" or untagged one (each level in full)."""
+    """A "qwm/2" file, or a "qwm/1" or untagged one (each level in full):
+    one block per step, its "enters" list, its matrices past the previous
+    step's basis, or its whole level.  Blocks alone whose graded basis is
+    orthonormal are kept as given; any other file is read by _grown_levels."""
     if not isinstance(obj, dict):
         raise SchemaError("filtration must be an object", "")
     schema = obj.get("schema", SCHEMA)
@@ -157,7 +161,7 @@ def parse_filtration(obj, cfg: NumericConfig) -> StepFiltration:
     if not isinstance(obj["steps"], list):
         raise SchemaError("'steps' must be a list", "/steps")
     key = "enters" if schema == FILTRATION_SCHEMA else "basis"
-    bps, blocks, prev = [], [], []
+    bps, blocks, whole, prev = [], [], [], []
     for i, step in enumerate(obj["steps"]):
         ptr = f"/steps/{i}"
         if not isinstance(step, dict) or "t" not in step or key not in step:
@@ -169,30 +173,38 @@ def parse_filtration(obj, cfg: NumericConfig) -> StepFiltration:
         mats = step[key]
         if not isinstance(mats, list):
             raise SchemaError(f"'{key}' must be a list of matrices", f"{ptr}/{key}")
-        if key == "enters":
-            blocks.append(_parse_basis(mats, n, f"{ptr}/enters"))
-        # a basis that begins with the previous step's (as JSON values) parses only its new matrices
-        elif prev and mats[: len(prev)] == prev:
-            blocks.append(np.concatenate([blocks[-1], _parse_basis(mats[len(prev) :], n, f"{ptr}/basis", len(prev))]))
-        else:
-            blocks.append(_parse_basis(mats, n, f"{ptr}/basis"))
-        prev = mats
+        # a "qwm/1" basis that begins with the previous step's (as JSON values) parses only its new matrices
+        first = len(prev) if mats[: len(prev)] == prev else 0
+        blocks.append(_parse_basis(mats[first:], n, f"{ptr}/{key}", first))
+        whole.append(bool(prev) and not first)
+        prev = mats if key == "basis" else []
     try:
-        levels = blocks
-        if key == "enters":
+        if not any(whole):
             basis = np.concatenate([np.zeros((0, n, n), dtype=complex), *blocks])
-            cuts = list(itertools.accumulate(map(len, blocks)))
             flat = basis.reshape(len(basis), n * n)
-            # a graded basis kept as given is nested by construction; any other is read as its prefix levels
             if _is_orthonormal(flat, cfg, np.abs(flat).max(initial=0.0)):
-                return StepFiltration.from_graded(n, bps, basis, cuts)
-            levels = [basis[:c] for c in cuts]
-        # handed to StepFiltration as given: its one re-span keeps an orthonormal family
-        return StepFiltration(n, bps, [OperatorSubspace(n, b) for b in levels], cfg=cfg)
+                return StepFiltration.from_graded(n, bps, basis, list(itertools.accumulate(map(len, blocks))))
+        return _grown_levels(n, bps, blocks, whole, cfg)
     except NotNested:
         raise
     except QwmError as exc:
         raise SchemaError(str(exc), "/steps")
+
+
+def _grown_levels(n: int, bps: list, blocks: list, whole: list, cfg: NumericConfig) -> StepFiltration:
+    """Grown one block per step: each block, re-spanned from rows of unit
+    size, adds its part outside the basis so far (opspace._extend).  A whole
+    level nests exactly when the basis then has its rank, else NotNested; an
+    empty block keeps its cut, so validate sees a repeated level."""
+    rows, cuts = np.zeros((0, n * n), dtype=complex), []
+    for i, (block, full) in enumerate(zip(blocks, whole)):
+        level = _orthonormalize(block.reshape(len(block), n * n), n, cfg, unit_rows=True).reshape(-1, n * n)
+        new = _extend(rows, level, n, cfg)
+        if full and len(rows) + len(new) != len(level):
+            raise NotNested(f"level {i} does not contain level {i - 1}", i)
+        rows = np.concatenate([rows, new])
+        cuts.append(len(rows))
+    return StepFiltration.from_graded(n, bps, rows.reshape(-1, n, n), cuts)
 
 
 def emit_projection(p: AmplifiedProjection):
@@ -588,8 +600,9 @@ def main(argv=None) -> int:
     except SchemaError as exc:
         print(_dump({"schema": SCHEMA, "kind": "error", "error": str(exc), "pointer": exc.pointer}), file=sys.stderr)
         return 1
-    except QwmError as exc:
-        print(_dump({"schema": SCHEMA, "kind": "error", "error": f"{type(exc).__name__}: {exc}"}), file=sys.stderr)
+    except (QwmError, MemoryError) as exc:  # memory runs out as a size limit, not a traceback
+        kind = "SizeLimit" if isinstance(exc, MemoryError) else type(exc).__name__
+        print(_dump({"schema": SCHEMA, "kind": "error", "error": f"{kind}: {exc}"}), file=sys.stderr)
         return 2
 
 

@@ -15,7 +15,7 @@ import numpy as np
 
 from .errors import NotACode, SizeLimit
 from .filtration import MetricContext, StepFiltration, default_context
-from .numerics import DEFAULT_CONFIG, NumericConfig, _natural_range_basis, as_square, commutes_each, is_projection, rank
+from .numerics import DEFAULT_CONFIG, NumericConfig, _natural_range_basis, as_square, commutes_each, is_projection, op_norms, rank
 from .opspace import _BUDGET, OperatorSubspace, VNAlgebra, _orthonormalize, generated_vn_algebra, span
 from .constructions import TimedGenerators, generated_filtration
 
@@ -136,7 +136,7 @@ def _weight_labels(n_sites: int, d: int, weight: int) -> np.ndarray:
 
 @functools.lru_cache(maxsize=None)
 def _site_norms(d: int) -> np.ndarray:
-    return np.linalg.norm(_site_basis(d), 2, axis=(1, 2))
+    return op_norms(_site_basis(d))
 
 
 @functools.lru_cache(maxsize=None)
@@ -393,7 +393,7 @@ def kl_check(code: QuantumCode, k: float, cfg: NumericConfig = DEFAULT_CONFIG) -
     diag = x.reshape(cut, r * r, copy=False)[:, :: r + 1]
     eps = diag.sum(axis=1) / tr_p
     diag -= eps[:, None]  # x is now the stack of V* B V - eps I
-    res = np.linalg.norm(x, 2, axis=(1, 2))
+    res = op_norms(x)
     tol = cfg.membership_tol
     # max(1, ||B||) >= 1: only residuals above the tolerance need ||B||
     detects = not any(res[i] > tol * max(1.0, f.element_norm(i)) for i in np.flatnonzero(res > tol))

@@ -10,11 +10,9 @@ is ever stored.
 The chain is stored as one HS-orthonormal basis of the top level, adapted
 to the flag, and one cut per breakpoint: ``levels[i]`` is the prefix view
 basis[:cut_i], not a copy, and the grade of a basis element (the level it
-enters) is its displacement gauge.  Constructions build the graded basis
-directly (``from_graded``, ``from_times``, ``_grown``); the level-list
-constructor serves the JSON reader.  Levels handed to it must be nested
-(NotNested, a MixedDimensions, otherwise); a repeated level is kept and
-:func:`validate` reports it as not strictly increasing.
+enters) is its displacement gauge.  Every filtration is built from its
+graded basis (``from_graded``, ``from_times``, ``_grown``); a file that
+lists levels is read into one by the JSON reader (``cli.parse_filtration``).
 
 The basis may also be held in factored form (``codes.SiteFactors``): then
 ``basis`` and ``levels`` are written out once, when first read.  Only this
@@ -32,9 +30,9 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import MixedDimensions, NegativeTime, NotAPseudometric, NotDiagonalContext, NotNested
+from .errors import MixedDimensions, NegativeTime, NotAPseudometric, NotDiagonalContext
 from .numerics import DEFAULT_CONFIG, NumericConfig, as_square, eye, op_norm, rank
-from .opspace import _BUDGET, OperatorSubspace, VNAlgebra, _extend, _orthonormalize, commutant, full_space, generated_vn_algebra
+from .opspace import _BUDGET, OperatorSubspace, VNAlgebra, _extend, commutant, full_space, generated_vn_algebra
 
 __all__ = [
     "StepFiltration",
@@ -50,9 +48,6 @@ __all__ = [
 class StepFiltration:
     """A quantum pseudometric as a step function of operator systems."""
 
-    def __init__(self, ambient_dim: int, breakpoints, levels, cfg: NumericConfig = DEFAULT_CONFIG):
-        self._set(ambient_dim, breakpoints, *_adapted_basis(int(ambient_dim), list(levels), cfg))
-
     @classmethod
     def from_graded(cls, ambient_dim: int, breakpoints, basis, cuts) -> "StepFiltration":
         """Filtration whose level i is spanned by basis[:cuts[i]]; ``basis``
@@ -61,7 +56,23 @@ class StepFiltration:
         ``apply(lo, hi, x)``, ``compress(lo, hi, v, w)`` and ``element_norm(i)``
         (``codes.SiteFactors``)."""
         f = cls.__new__(cls)
-        f._set(ambient_dim, breakpoints, basis, cuts)
+        f.n = int(ambient_dim)
+        f.breakpoints = [float(t) for t in breakpoints]
+        f._factors = basis if hasattr(basis, "dense") else None
+        f._basis = np.asarray(basis, dtype=complex) if f._factors is None else None
+        f.cuts = [int(c) for c in cuts]
+        # product reach tables by config, filled by _product_reach
+        f._reach = {}
+        if len(f.breakpoints) != len(f.cuts) or not f.cuts:
+            raise MixedDimensions("breakpoints and levels must align and be nonempty")
+        if not all(map(math.isfinite, f.breakpoints)):
+            raise MixedDimensions("breakpoints must be finite")
+        if abs(f.breakpoints[0]) > 0:
+            raise MixedDimensions("first breakpoint must be 0")
+        if not all(t1 > t0 for t0, t1 in zip(f.breakpoints, f.breakpoints[1:])):
+            raise MixedDimensions("breakpoints must be strictly increasing")
+        if f._graded.shape != (f.cuts[-1], f.n, f.n) or np.any(np.diff(f.cuts) < 0):
+            raise MixedDimensions("cuts must be nondecreasing and end at the basis size")
         return f
 
     @classmethod
@@ -74,25 +85,6 @@ class StepFiltration:
         bps = sorted({0.0, *times.tolist()})  # not np.unique: its first call adds about 1 MB of RSS
         cuts = np.searchsorted(times[order], bps, side="right")
         return cls.from_graded(ambient_dim, bps, np.asarray(basis)[order], cuts)
-
-    def _set(self, ambient_dim, breakpoints, basis, cuts):
-        self.n = int(ambient_dim)
-        self.breakpoints = [float(t) for t in breakpoints]
-        self._factors = basis if hasattr(basis, "dense") else None
-        self._basis = np.asarray(basis, dtype=complex) if self._factors is None else None
-        self.cuts = [int(c) for c in cuts]
-        # product reach tables by config, filled by _product_reach
-        self._reach = {}
-        if len(self.breakpoints) != len(self.cuts) or not self.cuts:
-            raise MixedDimensions("breakpoints and levels must align and be nonempty")
-        if not all(map(math.isfinite, self.breakpoints)):
-            raise MixedDimensions("breakpoints must be finite")
-        if abs(self.breakpoints[0]) > 0:
-            raise MixedDimensions("first breakpoint must be 0")
-        if not all(t1 > t0 for t0, t1 in zip(self.breakpoints, self.breakpoints[1:])):
-            raise MixedDimensions("breakpoints must be strictly increasing")
-        if self._graded.shape != (self.cuts[-1], self.n, self.n) or np.any(np.diff(self.cuts) < 0):
-            raise MixedDimensions("cuts must be nondecreasing and end at the basis size")
 
     @property
     def _graded(self):
@@ -226,34 +218,6 @@ class StepFiltration:
 
     def __repr__(self):
         return f"StepFiltration(n={self.n}, breakpoints={self.breakpoints}, level_dims={self.cuts})"
-
-
-def _adapted_basis(n: int, levels, cfg: NumericConfig):
-    """One HS-orthonormal basis adapted to a nested chain of levels, and the
-    cut of each level.  Each level's basis is re-spanned by
-    opspace._orthonormalize, which keeps an orthonormal family as given (so
-    a filtration read back from its JSON keeps its basis) and replaces any
-    other by an orthonormal one; nesting is tested against that span.  A
-    level whose basis then starts with the basis so far adds its own further
-    elements; otherwise it adds its part orthogonal to the previous level,
-    through opspace._extend, the one growth step of a graded basis."""
-    flat = np.zeros((0, n * n), dtype=complex)
-    cuts = []
-    for i, lv in enumerate(levels):
-        if lv.n != n:
-            raise MixedDimensions("level ambient dimension mismatch")
-        rows = _orthonormalize(lv._flat(), n, cfg, unit_rows=True).reshape(-1, n * n)
-        cut = len(flat)
-        if len(rows) < cut or (cut and np.linalg.norm(flat - (flat @ rows.conj().T) @ rows, axis=1).max() > cfg.membership_tol):
-            raise NotNested(f"level {i} does not contain level {i - 1}", i)
-        if np.abs(rows[:cut] - flat).max(initial=0.0) <= cfg.membership_tol:
-            new = rows[cut:]
-        else:
-            # floored at the size of an orthonormal row: a level equal to the one before leaves rounding noise
-            new = _extend(flat, rows, n, cfg)
-        flat = np.concatenate([flat, new])
-        cuts.append(len(flat))
-    return flat.reshape(-1, n, n), cuts
 
 
 def _grown(n: int, times, blocks, cfg: NumericConfig) -> StepFiltration:

@@ -24,6 +24,7 @@ from .numerics import (
     eye,
     is_projection,
     op_norm,
+    projections_each,
     rank,
 )
 from .opspace import _BUDGET, OperatorSubspace, complement, null_space_rows
@@ -211,15 +212,6 @@ def _range_each(cols: np.ndarray, cfg: NumericConfig) -> np.ndarray:
     return u[:, :, :r] * (np.arange(r) < ranks[:, None])[:, None, :]
 
 
-def _check_projections(mats: np.ndarray, cfg: NumericConfig) -> None:
-    """The rule of is_projection on a (k, d, d) stack: the HS shortcut for
-    every member, and is_projection itself for any that misses it."""
-    residuals = np.stack([mats - mats.conj().transpose(0, 2, 1), mats @ mats - mats])
-    for i in np.flatnonzero(np.linalg.norm(residuals, axis=(2, 3)).max(axis=0) > cfg.membership_tol):
-        if not is_projection(mats[i], cfg):
-            raise DimensionMismatch("matrix is not an orthogonal projection within tolerance")
-
-
 def _spread_projection(f: StepFiltration, cut: int, p: AmplifiedProjection, cfg: NumericConfig) -> np.ndarray:
     """Projection onto (V (x) I_m) ran P, V = span basis[:cut]."""
     if p.n != f.n:
@@ -292,7 +284,7 @@ def _separate(f: StepFiltration, level: int, mats: np.ndarray, cfg: NumericConfi
     One membership pass gives the residuals as one projection of its
     coordinates, and one batched SVD splits them; then each rank m takes one
     spread of the orbits and one of the levels (_amplified_each, _range_each),
-    the projection rule of is_projection on every P and Q, and both separation
+    the projection rule of projections_each on every P and Q, and both separation
     postconditions as one batched compression, in slices of _BUDGET entries."""
     (n, cut), (first, coef) = (f.n, f.cuts[level]), f._levels_and_coordinates(mats, cfg)
     if (first <= level).any():
@@ -314,7 +306,8 @@ def _separate(f: StepFiltration, level: int, mats: np.ndarray, cfg: NumericConfi
             lcols = _range_each(spread, cfg)
             q = qcols @ qcols.conj().transpose(0, 2, 1)
             p = eye(nm) - lcols @ lcols.conj().transpose(0, 2, 1)
-            _check_projections(np.concatenate([q, p]), cfg)
+            if not projections_each(np.concatenate([q, p]), cfg).all():
+                raise DimensionMismatch("matrix is not an orthogonal projection within tolerance")
             # numerical verification of the separation postconditions, on the
             # columns of Q (|X Q|_HS = |X qcols|_HS, as qcols is orthonormal)
             g, _, r = qcols.shape

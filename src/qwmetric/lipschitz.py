@@ -25,6 +25,7 @@ from .numerics import (
     as_square,
     hermitian_eig,
     op_norm,
+    op_norms,
     range_projection,
 )
 
@@ -135,10 +136,10 @@ def commutation_lipschitz_lower(
     # the filtration's reader: its rows are conjugated, and conjugating A and B keeps both norms
     mc, norms, scored = m.conj(), [], []
     for rows in f._rows(f.cuts[-1]):
-        norms.append(np.linalg.norm(rows.reshape(-1, f.n, f.n), 2, axis=(1, 2)))
+        norms.append(op_norms(rows.reshape(-1, f.n, f.n)))
         norms[-1][norms[-1] == 0] = 1.0
         cs = rows.reshape(-1, f.n, f.n) / norms[-1][:, None, None]
-        scored.append(np.linalg.norm(mc @ cs - cs @ mc, 2, axis=(1, 2)))
+        scored.append(op_norms(mc @ cs - cs @ mc))
     norms, scored = np.concatenate(norms), np.concatenate(scored)
     if budget.restarts > 0:
         # only the ascent reads the whole basis, and its commutators [A, B]
@@ -170,7 +171,7 @@ def commutation_lipschitz_lower(
                 c = _norm_one(np.tensordot(z, basis[:k], axes=(0, 0)))
                 step *= 0.97
             c = _norm_one(c)[None]
-            consider(t, np.linalg.norm(m @ c - c @ m, 2, axis=(1, 2)) / t, lambda i, c=c: c[i])
+            consider(t, op_norms(m @ c - c @ m) / t, lambda i, c=c: c[i])
     return LipschitzReport(best, witness)
 
 

@@ -65,6 +65,12 @@ def op_norm(a) -> float:
     return float(np.linalg.norm(m, 2))
 
 
+def op_norms(stack) -> np.ndarray:
+    """Operator norm of each matrix of a (k, n, m) stack: one batched SVD,
+    its singular values alone."""
+    return np.linalg.svd(stack, compute_uv=False)[:, 0]
+
+
 def hs_norm(a) -> float:
     """Hilbert-Schmidt (Frobenius) norm."""
     return float(np.linalg.norm(np.asarray(a, dtype=complex)))
@@ -185,20 +191,30 @@ def commutes_each(r, mats, cfg: NumericConfig = DEFAULT_CONFIG) -> np.ndarray:
     """Whether ``r`` commutes with each matrix B of a (k, n, n) stack, one
     boolean each: ||r B - B r|| <= membership_tol * max(1, ||B||)."""
     mats = np.asarray(mats, dtype=complex)
-    comm = np.linalg.norm(r @ mats - mats @ r, 2, axis=(1, 2))
-    return comm <= cfg.membership_tol * np.maximum(1.0, np.linalg.norm(mats, 2, axis=(1, 2)))
+    return op_norms(r @ mats - mats @ r) <= cfg.membership_tol * np.maximum(1.0, op_norms(mats))
+
+
+def projections_each(mats, cfg: NumericConfig = DEFAULT_CONFIG) -> np.ndarray:
+    """Whether each P of a (k, d, d) stack is an orthogonal projection: ||P - P*||
+    and ||P^2 - P|| at most membership_tol * max(1, ||P||).  The HS norm bounds
+    the operator norm, so members inside membership_tol in HS norm take no SVD,
+    the rest one op_norms call; a residual past the float range fails, silently."""
+    mats = np.asarray(mats, dtype=complex)
+    with np.errstate(over="ignore", invalid="ignore"):
+        residuals = np.stack([mats - mats.conj().transpose(0, 2, 1), mats @ mats - mats], axis=1)
+        inside = np.linalg.norm(residuals, axis=(2, 3)).max(axis=1) <= cfg.membership_tol
+    if inside.all():
+        return inside
+    miss, d = np.flatnonzero(~inside & np.isfinite(residuals).all(axis=(1, 2, 3))), mats.shape[1]
+    norms = op_norms(np.concatenate([residuals[miss].reshape(-1, d, d), mats[miss]]))
+    tol = cfg.membership_tol * np.maximum(1.0, norms[2 * len(miss) :])
+    inside[miss] = (norms[: 2 * len(miss)].reshape(-1, 2) <= tol[:, None]).all(axis=1)
+    return inside
 
 
 def is_projection(p, cfg: NumericConfig = DEFAULT_CONFIG) -> bool:
-    m = as_square(p)
-    residuals = np.stack([m - m.conj().T, m @ m - m])
-    # the HS norm bounds the operator norm, and the cutoff is at least membership_tol
-    if np.linalg.norm(residuals, axis=(1, 2)).max() <= cfg.membership_tol:
-        return True
-    # |P - P*|, |P^2 - P| and |P| in one batched SVD call
-    asym, idem, norm = np.linalg.norm(np.concatenate([residuals, m[None]]), 2, axis=(1, 2))
-    tol = cfg.membership_tol * max(1.0, norm)
-    return bool(asym <= tol and idem <= tol)
+    """The rule of projections_each on one matrix."""
+    return bool(projections_each(as_square(p)[None], cfg)[0])
 
 
 def random_unitary(n: int, rng: np.random.Generator) -> np.ndarray:

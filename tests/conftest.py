@@ -1,9 +1,12 @@
+import math
+
 import numpy as np
 import pytest
 
-from qwmetric import from_classical, span
+from qwmetric import StepFiltration, from_classical, span
+from qwmetric.cli import parse_filtration
 from qwmetric.constructions import TimedGenerators, generated_filtration, truncate
-from qwmetric.numerics import random_hermitian
+from qwmetric.numerics import DEFAULT_CONFIG, random_hermitian
 from qwmetric.opspace import VNAlgebra, scalar_space
 
 # physics-convention Paulis (tests that follow the canonical M_2 chain use
@@ -112,6 +115,26 @@ def qwm1(blob):
         basis = basis + step["enters"]
         steps.append({"t": step["t"], "basis": basis})
     return {"schema": "qwm/1", "kind": "filtration", "dim": blob["dim"], "steps": steps}
+
+
+def read_levels(n, breakpoints, levels, cfg=DEFAULT_CONFIG):
+    """The filtration the JSON reader gives for a "qwm/1" file listing each
+    level's basis in full (OperatorSubspaces, entries written exactly)."""
+    steps = [{"t": t, "basis": np.stack([lv.basis.real, lv.basis.imag], axis=-1).tolist()} for t, lv in zip(breakpoints, levels)]
+    return parse_filtration({"schema": "qwm/1", "kind": "filtration", "dim": n, "steps": steps}, cfg)
+
+
+def m2_graded(breakpoints, letters, cuts):
+    """The filtration of M_2 whose graded basis is the Paulis named by
+    ``letters`` (from "IZXY": DIAG, REAL_OFF and IMAG_OFF for Z, X and Y)
+    over sqrt(2), cut at ``cuts``."""
+    paulis = {"I": I2, "Z": DIAG, "X": REAL_OFF, "Y": IMAG_OFF}
+    return StepFiltration.from_graded(2, breakpoints, np.stack([paulis[c] for c in letters]) / math.sqrt(2), cuts)
+
+
+def conjugated(f, u):
+    """The filtration moved by A -> U A U*: its graded basis conjugated."""
+    return StepFiltration.from_graded(f.n, f.breakpoints, u @ f.basis @ u.conj().T, f.cuts)
 
 
 @pytest.fixture

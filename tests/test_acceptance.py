@@ -14,10 +14,8 @@ import pytest
 from qwmetric import (
     AmplifiedProjection,
     MetricContext,
-    StepFiltration,
     descriptors,
     from_classical,
-    full_space,
     probes_for_level,
     rebuild_level,
     rho,
@@ -49,15 +47,16 @@ from qwmetric.lipschitz import (
 from qwmetric.numerics import random_hermitian, random_unitary, range_projection, spectral_projection, hermitian_eig
 
 from conftest import (
-    DIAG,
     I2,
     IMAG_OFF,
     REAL_OFF,
     basis_state_projection,
     bfs_distances,
     brute_lipschitz,
+    conjugated,
     graph_relation_span,
     indicator_projection,
+    m2_graded,
     random_metric,
     random_step_filtration,
 )
@@ -67,12 +66,6 @@ def announce(number, ok, detail):
     status = "PASS" if ok else "FAIL"
     print(f"[criterion {number:2d}] {status}: {detail}", file=sys.__stderr__)
     assert ok, f"criterion {number}: {detail}"
-
-
-def conjugated(f, u):
-    return StepFiltration(
-        f.n, f.breakpoints, [span([u @ b @ u.conj().T for b in lv.basis], f.n) for lv in f.levels]
-    )
 
 
 def test_criterion_01_m2_classification():
@@ -102,11 +95,11 @@ def countersum_filtration(n):
     off-diagonal directions at 1 (the construction requires 2/n <= 1)."""
     a = 2.0 / n
     if a < 1.0:
-        return StepFiltration(2, [0, a, 1], [span([I2]), span([I2, DIAG]), full_space(2)])
+        return m2_graded([0, a, 1], "IZXY", [1, 2, 4])
     if a == 1.0:
-        return StepFiltration(2, [0, 1], [span([I2]), full_space(2)])
+        return m2_graded([0, 1], "IZXY", [1, 4])
     # unsorted parameters (n = 1): gauge assignment D(diag) = 2, D(off) = 1
-    return StepFiltration(2, [0, 1, 2], [span([I2]), span([I2, REAL_OFF, IMAG_OFF]), full_space(2)])
+    return m2_graded([0, 1, 2], "IXYZ", [1, 3, 4])
 
 
 @pytest.mark.parametrize(

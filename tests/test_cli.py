@@ -3,6 +3,7 @@ codes, and determinism."""
 
 import json
 import math
+import os
 import subprocess
 import sys
 import warnings
@@ -10,7 +11,7 @@ import warnings
 import numpy as np
 import pytest
 
-from qwmetric import AmplifiedProjection, StepFiltration, from_classical, rho
+from qwmetric import AmplifiedProjection, from_classical, rho
 from qwmetric.cli import (
     emit_filtration,
     emit_matrix,
@@ -23,9 +24,9 @@ from qwmetric.codes import hamming_filtration
 from qwmetric.constructions import m2_metric, operator_system_metric
 from qwmetric.errors import SchemaError
 from qwmetric.numerics import DEFAULT_CONFIG, NumericConfig, random_unitary
-from qwmetric.opspace import OperatorSubspace, span
+from qwmetric.opspace import span
 
-from conftest import I2, IMAG_OFF, REAL_OFF, qwm1
+from conftest import I2, IMAG_OFF, REAL_OFF, conjugated, qwm1
 
 
 def run_cli(args, capsys):
@@ -38,13 +39,6 @@ def write_json(tmp_path, name, payload):
     path = tmp_path / name
     path.write_text(json.dumps(payload))
     return str(path)
-
-
-def each_step_parsed(blob):
-    """The level-list constructor fed every step parsed on its own."""
-    n = blob["dim"]
-    levels = [OperatorSubspace(n, np.array(s["basis"], dtype=float).reshape(-1, n, n, 2).view(complex)[..., 0]) for s in blob["steps"]]
-    return StepFiltration(n, [s["t"] for s in blob["steps"]], levels)
 
 
 class TestSerialization:
@@ -66,20 +60,21 @@ class TestSerialization:
     def test_each_distinct_matrix_is_parsed_once(self, monkeypatch):
         """A step whose basis begins with the previous step's (as JSON
         values) parses only its new matrices, and the filtration is the one
-        the steps give when each is parsed on its own."""
+        its "qwm/2" file gives, bit for bit."""
         from qwmetric import cli
 
         blob = json.loads(json.dumps(qwm1(emit_filtration(hamming_filtration(2, 2)))))
         parsed = []
         parse_basis = cli._parse_basis
         monkeypatch.setattr(cli, "_parse_basis", lambda obj, *a: parsed.append(len(obj)) or parse_basis(obj, *a))
-        got, want = parse_filtration(blob, DEFAULT_CONFIG), each_step_parsed(blob)
+        got = parse_filtration(blob, DEFAULT_CONFIG)
         assert parsed == [1, 6, 9]
+        want = parse_filtration(emit_filtration(hamming_filtration(2, 2)), DEFAULT_CONFIG)
         assert got.cuts == want.cuts == [1, 7, 16] and np.array_equal(got.basis, want.basis)
 
     def test_steps_in_rotated_bases_build_the_same_filtration(self):
-        """Steps that are not prefixes of each other (every level handed in
-        a rotated basis) are each parsed in full."""
+        """Steps that are not prefixes of each other (every level written in
+        a rotated basis) are each parsed in full, as whole levels."""
         f = hamming_filtration(2, 2)
         rng = np.random.default_rng(5)
         steps = [
@@ -87,8 +82,8 @@ class TestSerialization:
             for t, lv in zip(f.breakpoints, f.levels)
         ]
         blob = {"dim": 4, "steps": steps}
-        got, want = parse_filtration(blob, DEFAULT_CONFIG), each_step_parsed(blob)
-        assert got.cuts == want.cuts == f.cuts and np.array_equal(got.basis, want.basis)
+        got = parse_filtration(blob, DEFAULT_CONFIG)
+        assert got.cuts == f.cuts and all(a.equals(b) for a, b in zip(got.levels, f.levels))
 
     @pytest.mark.parametrize(
         "bad, pointer",
@@ -250,9 +245,7 @@ class TestCommands:
         rng = np.random.default_rng(5)
         f = m2_metric(1, 2, 3)
         w = random_unitary(2, rng)
-        conj = emit_filtration(
-            type(f)(2, f.breakpoints, [span([w @ b @ w.conj().T for b in lv.basis], 2) for lv in f.levels])
-        )
+        conj = emit_filtration(conjugated(f, w))
         fpath = write_json(tmp_path, "g.json", conj)
         code, out, _ = run_cli(["classify-m2", "--filtration", fpath], capsys)
         assert code == 0
@@ -526,6 +519,28 @@ class TestEntryPoint:
         assert result.returncode == 0
         blob = json.loads(result.stdout)
         assert blob["kind"] == "filtration"
+
+    @pytest.mark.parametrize("schema, key", [("qwm/2", "enters"), ("qwm/1", "basis")])
+    def test_running_out_of_memory_is_a_typed_error(self, tmp_path, schema, key):
+        """validate on a dim numpy can index but not allocate (a 16 TiB
+        identity), in a child whose address space is capped at 2 GiB: the
+        MemoryError reaches the user as a JSON SizeLimit with exit 2, not a
+        traceback."""
+        path = write_json(tmp_path, "f.json", {"schema": schema, "dim": 1 << 20, "steps": [{"t": 0, key: []}]})
+        child = (
+            "import resource, sys; "
+            "resource.setrlimit(resource.RLIMIT_AS, (2 << 30, resource.getrlimit(resource.RLIMIT_AS)[1])); "
+            "from qwmetric.cli import main; sys.exit(main(sys.argv[1:]))"
+        )
+        result = subprocess.run(
+            [sys.executable, "-c", child, "validate", "--filtration", path],
+            capture_output=True,
+            text=True,
+            timeout=60,
+            env={**os.environ, "OPENBLAS_NUM_THREADS": "1"},
+        )
+        assert (result.returncode, result.stdout) == (2, "")
+        assert json.loads(result.stderr)["error"].startswith("SizeLimit: ")
 
     def test_usage_error_is_exit_one(self):
         result = subprocess.run(

@@ -6,7 +6,6 @@ import pytest
 from qwmetric import (
     AmplifiedProjection,
     MetricContext,
-    StepFiltration,
     descriptors,
     from_classical,
     full_space,
@@ -54,17 +53,13 @@ from conftest import (
     REAL_OFF,
     basis_state_projection,
     bfs_distances,
+    conjugated,
     graph_relation_span,
     indicator_projection,
+    m2_graded,
     random_metric,
     random_step_filtration,
 )
-
-
-def conjugated(f, u):
-    return StepFiltration(
-        f.n, f.breakpoints, [span([u @ b @ u.conj().T for b in lv.basis], f.n) for lv in f.levels]
-    )
 
 
 class TestStabilize:
@@ -242,7 +237,7 @@ class TestMetricProduct:
 
     def test_product_with_trivial_factor(self, rng):
         f = random_step_filtration(2, rng)
-        trivial = StepFiltration(2, [0.0], [full_space(2)])
+        trivial = m2_graded([0.0], "IZXY", [4])
         prod = metric_product(f, trivial)
         assert [lv.dim for lv in prod.levels] == [lv.dim * 4 for lv in f.levels]
 
@@ -837,7 +832,7 @@ class TestCoLipschitz:
         R = E_00 (x) I, so phi is multiplicative only up to what those
         premises allow (about 1.75 tol here); the number is still returned."""
         cfg = NumericConfig(membership_tol=1e-3)
-        f = StepFiltration(2, [0, 1, 2], [span([I2]), span([I2, DIAG]), full_space(2)])
+        f = m2_graded([0, 1, 2], "IZXY", [1, 2, 4])
         ctx = MetricContext.full(2)
         e0, e1 = np.eye(2)[:, :1], np.eye(2)[:, 1:]
         r = np.kron(e0 @ e0.T, I2)

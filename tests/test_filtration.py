@@ -21,24 +21,17 @@ from qwmetric.errors import MixedDimensions, NegativeTime, NotAPseudometric, Not
 from qwmetric.numerics import DEFAULT_CONFIG, random_hermitian, random_unitary
 from qwmetric.opspace import OperatorSubspace, VNAlgebra, commutant, complement
 
-from conftest import DIAG, I2, IMAG_OFF, REAL_OFF, random_metric, random_step_filtration
-
-
-def m2_chain(a, b, c):
-    lv = [span([I2]), span([I2, DIAG]), span([I2, DIAG, REAL_OFF]), full_space(2)]
-    return StepFiltration(2, [0, a, b, c], lv)
+from conftest import DIAG, I2, IMAG_OFF, REAL_OFF, m2_graded, random_metric, random_step_filtration, read_levels
 
 
 class TestValidate:
     def test_m2_123_is_a_metric(self):
-        rep = validate(m2_chain(1, 2, 3), MetricContext.full(2))
+        rep = validate(m2_metric(1, 2, 3), MetricContext.full(2))
         assert rep.is_filtration and rep.is_pseudometric and rep.is_metric
         assert rep.violations == []
 
     def test_m2_113_fails_product_law(self):
-        bad = StepFiltration(
-            2, [0, 1, 3], [span([I2]), span([I2, DIAG, REAL_OFF]), full_space(2)]
-        )
+        bad = m2_graded([0, 1, 3], "IZXY", [1, 3, 4])
         rep = validate(bad, MetricContext.full(2))
         assert not rep.is_filtration
         kinds = {k for k, _ in rep.violations}
@@ -49,11 +42,11 @@ class TestValidate:
     def test_product_law_reported_for_every_pair_above_a_violation(self):
         # X Z leaves the top level, so V_1 V_2 and V_2 V_2 both break the law
         # although Z Z = I on its own grade
-        f = StepFiltration(2, [0, 1, 1.5], [span([I2]), span([I2, REAL_OFF]), span([I2, REAL_OFF, DIAG])])
+        f = m2_graded([0, 1, 1.5], "IXZ", [1, 2, 3])
         assert validate(f).violations == [("product_law", (1, 2)), ("product_law", (2, 1)), ("product_law", (2, 2))]
 
     def test_single_full_level(self):
-        f = StepFiltration(2, [0.0], [full_space(2)])
+        f = m2_graded([0.0], "IZXY", [4])
         assert validate(f, MetricContext.full(2)).is_pseudometric
         # a metric only over M = C.I
         assert not validate(f, MetricContext.full(2)).is_metric
@@ -62,7 +55,7 @@ class TestValidate:
 
     def test_non_operator_system_level_reported(self):
         e12 = np.array([[0, 1], [0, 0]], dtype=complex)
-        f = StepFiltration(2, [0, 1], [span([I2]), span([I2, e12])])
+        f = StepFiltration.from_graded(2, [0, 1], np.stack([I2 / math.sqrt(2), e12]), [1, 2])
         rep = validate(f)
         assert ("not_operator_system", 1) in rep.violations
 
@@ -80,7 +73,7 @@ class TestGradedBasis:
 
         # the level at t = 1 misses the identity that spans the zero level
         with pytest.raises(MixedDimensions):
-            StepFiltration(2, [0, 1, 2], [span([I2]), span([DIAG]), full_space(2)])
+            read_levels(2, [0, 1, 2], [span([I2]), span([DIAG]), full_space(2)])
         steps = [{"t": 0, "basis": [emit_matrix(I2)]}, {"t": 1, "basis": [emit_matrix(DIAG)]}]
         path = tmp_path / "f.json"
         path.write_text(json.dumps({"schema": "qwm/1", "kind": "filtration", "dim": 2, "steps": steps}))
@@ -90,7 +83,7 @@ class TestGradedBasis:
         assert out["violations"] == [["not_strictly_increasing", "0"]]
 
     def test_repeated_level_is_reported_not_rejected(self):
-        f = StepFiltration(2, [0, 1, 2], [span([I2]), span([I2]), full_space(2)])
+        f = read_levels(2, [0, 1, 2], [span([I2]), span([I2]), full_space(2)])
         assert f.cuts == [1, 1, 4]
         assert ("not_strictly_increasing", 0) in validate(f).violations
 
@@ -105,7 +98,7 @@ class TestGradedBasis:
         """A level whose basis is not orthonormal gets the dimension of its
         span and an HS-orthonormal graded basis."""
         lv = OperatorSubspace(2, np.stack([m / np.linalg.norm(m) for m in given]))
-        f = StepFiltration(2, [0, 1, 2], [span([I2]), lv, full_space(2)])
+        f = read_levels(2, [0, 1, 2], [span([I2]), lv, full_space(2)])
         assert f.cuts == [1, 2, 4]
         flat = f.basis.reshape(4, -1)
         np.testing.assert_allclose(flat.conj() @ flat.T, np.eye(4), atol=1e-12)
@@ -123,7 +116,7 @@ class TestGradedBasis:
         else:
             u = random_unitary(2, np.random.default_rng(rotation))
             given = np.einsum("ij,jkl->ikl", u, before.basis)
-        f = StepFiltration(2, [0, 1, 2, 3], [span([I2]), before, OperatorSubspace(2, given), full_space(2)])
+        f = read_levels(2, [0, 1, 2, 3], [span([I2]), before, OperatorSubspace(2, given), full_space(2)])
         assert f.cuts == [1, 2, 2, 4]
         assert f.levels[2].equals(before)
 
@@ -132,7 +125,7 @@ class TestGradedBasis:
         level handed in as I/sqrt(2) and (I + Z)/2, which are not orthogonal,
         contains span{I}; a level of the same kind without I does not."""
         lv = OperatorSubspace(2, np.stack([I2 / math.sqrt(2), (I2 + DIAG) / 2]))
-        f = StepFiltration(2, [0, 1, 2], [span([I2]), lv, full_space(2)])
+        f = read_levels(2, [0, 1, 2], [span([I2]), lv, full_space(2)])
         assert f.cuts == [1, 2, 4]
         flat = f.basis.reshape(4, -1)
         np.testing.assert_allclose(flat.conj() @ flat.T, np.eye(4), atol=1e-12)
@@ -140,7 +133,7 @@ class TestGradedBasis:
         assert validate(f).is_filtration
         off = OperatorSubspace(2, np.stack([DIAG / math.sqrt(2), (DIAG + REAL_OFF) / 2]))
         with pytest.raises(NotNested):
-            StepFiltration(2, [0, 1, 2], [span([I2]), off, full_space(2)])
+            read_levels(2, [0, 1, 2], [span([I2]), off, full_space(2)])
 
     def test_a_tiny_declared_row_counts(self):
         """A level that is re-spanned has each row scaled to unit size first
@@ -148,18 +141,21 @@ class TestGradedBasis:
         others counts in full: span{I, 1e-12 Z} is the diagonal algebra, not
         span{I}."""
         lv = OperatorSubspace(2, np.stack([I2 / math.sqrt(2), 1e-12 * DIAG]))
-        f = StepFiltration(2, [0, 1, 2], [span([I2]), lv, full_space(2)])
+        f = read_levels(2, [0, 1, 2], [span([I2]), lv, full_space(2)])
         assert f.cuts == [1, 2, 4]
         assert f.levels[1].equals(span([I2, DIAG]))
 
     @pytest.mark.parametrize("scale", [1e200, 1.7e308])
-    def test_a_huge_entry_does_not_overflow_the_re_span(self, scale):
-        """span{I, diag(scale, -1)} is the diagonal algebra at any scale: no
-        Gram of the unscaled rows is formed, so nothing overflows."""
-        lv = OperatorSubspace(2, np.stack([I2 / math.sqrt(2), np.diag([scale, -1.0]).astype(complex)]))
+    @pytest.mark.parametrize("shared", [True, False], ids=["new-rows", "whole-level"])
+    def test_a_huge_entry_does_not_overflow_the_re_span(self, scale, shared):
+        """span{I, diag(scale, -1)} is the diagonal algebra at any scale, read
+        as one new row after level 0's basis or as a whole level: no Gram of
+        the unscaled rows is formed, so nothing overflows."""
+        ident = span([I2]).basis if shared else I2[None] / math.sqrt(2)
+        lv = OperatorSubspace(2, np.concatenate([ident, np.diag([scale, -1.0])[None]]))
         with warnings.catch_warnings():
             warnings.simplefilter("error", RuntimeWarning)
-            f = StepFiltration(2, [0, 1, 2], [span([I2]), lv, full_space(2)])
+            f = read_levels(2, [0, 1, 2], [span([I2]), lv, full_space(2)])
         assert f.cuts == [1, 2, 4]
         assert f.levels[1].equals(span([I2, DIAG]))
 
@@ -169,7 +165,7 @@ class TestGradedBasis:
         (I + Z)/2} is the diagonal algebra."""
         ident = span([I2]).basis
         lv = OperatorSubspace(2, np.concatenate([ident, DIAG[None] / math.sqrt(2), (I2 + DIAG)[None] / 2]))
-        f = StepFiltration(2, [0, 1, 2], [span([I2]), lv, full_space(2)])
+        f = read_levels(2, [0, 1, 2], [span([I2]), lv, full_space(2)])
         assert f.cuts == [1, 2, 4]
         assert f.levels[1].equals(span([I2, DIAG]))
 
@@ -194,13 +190,13 @@ class TestGradedBasis:
 
 class TestLookup:
     def test_step_semantics(self):
-        f = m2_chain(1, 2, 3)
+        f = m2_metric(1, 2, 3)
         assert f.value_at(0.5).dim == 1
         assert f.value_at(1.0).dim == 2
         assert f.value_at(100).dim == 4
 
     def test_negative_time_rejected(self):
-        f = m2_chain(1, 2, 3)
+        f = m2_metric(1, 2, 3)
         with pytest.raises(NegativeTime):
             f.value_at(-0.1)
 
@@ -213,7 +209,7 @@ class TestLookup:
 
 class TestGauge:
     def test_identity_and_pauli_times(self):
-        f = m2_chain(1, 2, 3)
+        f = m2_metric(1, 2, 3)
         assert f.displacement_gauge(I2) == 0.0
         assert f.displacement_gauge(DIAG) == 1.0
         assert f.displacement_gauge(REAL_OFF) == 2.0
@@ -324,7 +320,7 @@ class TestMembershipKernel:
         """diag(s, 0) enters the canonical chain with the diagonal, and
         s E_01 with the off-diagonals, at every s up to 1e308, with no
         overflow on the way."""
-        f = m2_chain(1, 2, 3)
+        f = m2_metric(1, 2, 3)
         e01 = np.array([[0, 1], [0, 0]], dtype=complex)
         with warnings.catch_warnings():
             warnings.simplefilter("error", RuntimeWarning)

@@ -40,6 +40,7 @@ from conftest import (
     IMAG_OFF,
     REAL_OFF,
     basis_state_projection,
+    conjugated,
     indicator_projection,
     random_metric,
     random_step_filtration,
@@ -692,16 +693,13 @@ class TestRepresentationIndependence:
 
     @pytest.mark.parametrize("seed", range(4))
     def test_unitary_conjugation_preserves_rho(self, seed):
-        from qwmetric import StepFiltration
         from qwmetric.numerics import random_unitary
 
         rng = np.random.default_rng(seed)
         n = int(rng.integers(2, 5))
         f = random_step_filtration(n, rng, classical=bool(seed % 2))
         u = random_unitary(n, rng)
-        fu = StepFiltration(
-            n, f.breakpoints, [span([u @ b @ u.conj().T for b in lv.basis], n) for lv in f.levels]
-        )
+        fu = conjugated(f, u)
         h1, h2 = random_hermitian(n, rng), random_hermitian(n, rng)
         p = AmplifiedProjection.base(range_projection(h1[:, :1]))
         q = AmplifiedProjection.base(range_projection(h2[:, :1]))

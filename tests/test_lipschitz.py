@@ -5,7 +5,7 @@ import warnings
 import numpy as np
 import pytest
 
-from qwmetric import AmplifiedProjection, StepFiltration, from_classical, full_space, rho, span
+from qwmetric import AmplifiedProjection, from_classical, rho
 from qwmetric.errors import CommutantMember, NotHermitian, ZeroProjection
 from qwmetric.lipschitz import (
     AscentBudget,
@@ -23,9 +23,9 @@ from qwmetric.numerics import DEFAULT_CONFIG, _eig_clusters, hermitian_eig, op_n
 
 from conftest import (
     DIAG,
-    I2,
     basis_state_projection,
     brute_lipschitz,
+    m2_graded,
     random_metric,
     random_step_filtration,
 )
@@ -36,8 +36,8 @@ def countersum_metric(n):
     2/n and everything else at 1 (defined for n >= 2)."""
     a = 2.0 / n
     if a < 1.0:
-        return StepFiltration(2, [0, a, 1], [span([I2]), span([I2, DIAG]), full_space(2)])
-    return StepFiltration(2, [0, 1], [span([I2]), full_space(2)])
+        return m2_graded([0, a, 1], "IZXY", [1, 2, 4])
+    return m2_graded([0, 1], "IZXY", [1, 4])
 
 
 class TestSpectralLipschitz:

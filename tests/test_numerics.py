@@ -1,5 +1,6 @@
 import ast
 import pathlib
+import warnings
 
 import numpy as np
 import pytest
@@ -15,6 +16,8 @@ from qwmetric.numerics import (
     is_hermitian,
     is_projection,
     op_norm,
+    op_norms,
+    projections_each,
     range_projection,
     random_hermitian,
     random_unitary,
@@ -182,6 +185,49 @@ def test_is_projection_decides_as_three_op_norms_past_the_frobenius_shortcut():
     assert {(False, True), (True, True), (True, False)} <= seen
 
 
+@pytest.mark.parametrize("scale", [1e200, 1.7e308])
+def test_is_projection_past_the_float_range_is_false_without_a_warning(scale):
+    """P^2 of entries this large overflows: such a matrix is decided (not a
+    projection) with no RuntimeWarning, alone and among projections."""
+    m = np.full((2, 2), scale)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        assert not is_projection(m)
+        assert projections_each(np.stack([np.diag([1.0, 0.0]), m, np.eye(2)])).tolist() == [True, False, True]
+
+
+def test_projections_each_decides_each_member_as_is_projection_does(monkeypatch):
+    """Exact projections, near-projections past the HS shortcut and plain
+    matrices in one stack: one boolean each, that of is_projection alone,
+    with every member that misses the shortcut in one op_norms call."""
+    import qwmetric.numerics as numerics
+
+    rng = np.random.default_rng(7)
+    tol = DEFAULT_CONFIG.membership_tol
+    n = 8
+    mats = []
+    for rank in (0, 3, n):
+        v = rng.standard_normal((n, rank)) + 1j * rng.standard_normal((n, rank))
+        p = range_projection(v) if rank else np.zeros((n, n), dtype=complex)
+        u = random_unitary(n, rng)
+        h = u @ np.diag(rng.choice([-1.0, 1.0], n)) @ u.conj().T
+        mats += [p, p + 0.6 * tol * h, p + 1.5 * tol * h, p + rng.standard_normal((n, n))]
+    mats = np.stack(mats)
+    calls = []
+    batched = numerics.op_norms
+    monkeypatch.setattr(numerics, "op_norms", lambda x: calls.append(len(x)) or batched(x))
+    got = projections_each(mats)
+    assert len(calls) == 1 and any(got) and not all(got)
+    assert got.tolist() == [is_projection(m) for m in mats]
+
+
+@pytest.mark.parametrize("shape", [(0, 2, 2), (10, 2, 2), (5, 3, 7), (4, 16, 16), (1, 64, 64)])
+def test_op_norms_are_the_batched_two_norms(shape):
+    rng = np.random.default_rng(8)
+    x = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+    np.testing.assert_array_equal(op_norms(x), np.linalg.norm(x, 2, axis=(1, 2)))
+
+
 def test_is_hermitian_takes_no_svd_inside_the_hs_shortcut(monkeypatch):
     """An exactly Hermitian matrix, or one whose skew part has HS norm within
     membership_tol, is decided without an operator norm."""
@@ -309,9 +355,9 @@ def test_every_import_is_read():
 
 
 def test_level_lists_are_the_readers_alone():
-    """Constructions build graded bases: the level-list constructor
-    StepFiltration(n, breakpoints, levels) is called only by the JSON reader,
-    and nothing re-grades a filtration through ``.normalized``."""
+    """Every filtration is built from a graded basis: library code makes no
+    StepFiltration(...) call (the JSON reader grows a file's levels into one
+    basis), and nothing re-grades a filtration through ``.normalized``."""
     level_lists, normalized = set(), set()
     for path in sorted(SRC.glob("*.py")):
         for node, scope in _scopes(ast.parse(path.read_text())):
@@ -321,18 +367,19 @@ def test_level_lists_are_the_readers_alone():
                     level_lists.add((path.name, scope))
                 elif name == "normalized" and isinstance(node.func, ast.Attribute):
                     normalized.add((path.name, scope))
-    assert level_lists == {("cli.py", "parse_filtration")}
+    assert not level_lists
     assert not normalized
 
 
 # (module, top-level def) of every np.linalg.svd and np.linalg.qr call: the
 # rank-decision kernels, the range bases whose U is read, the square SVDs of
-# the witnesses and the ascent, and a random unitary
+# the witnesses and the ascent, the batched operator norm and a random unitary
 FACTORIZERS = {
     ("filtration.py", "_spans"),
     ("geometry.py", "_range_each"),
     ("geometry.py", "_separate"),
     ("lipschitz.py", "commutation_lipschitz_lower"),
+    ("numerics.py", "op_norms"),
     ("numerics.py", "range_basis"),
     ("numerics.py", "random_unitary"),
     ("opspace.py", "_orthonormalize"),

@@ -59,19 +59,23 @@ def test_round_trip_is_bitwise(name):
     assert _dump(emit_filtration(g)) == text
 
 
-def test_a_written_file_is_read_without_the_level_list_constructor(monkeypatch):
-    """The writer's graded basis is kept as given, nested by construction:
-    no level is re-spanned or tested for nesting, as its qwm/1 file's are."""
-    from qwmetric import filtration
+def test_a_written_file_is_read_without_the_growth_loop(monkeypatch):
+    """The writer's graded basis is kept as given, nested by construction, in
+    either shape: no block is re-spanned or tested for nesting."""
+    from qwmetric import cli
 
     calls = []
-    adapted = filtration._adapted_basis
-    monkeypatch.setattr(filtration, "_adapted_basis", lambda n, levels, cfg: calls.append(len(levels)) or adapted(n, levels, cfg))
+    grown = cli._grown_levels
+    monkeypatch.setattr(cli, "_grown_levels", lambda *a: calls.append(len(a[2])) or grown(*a))
     for name in sorted(CASES):
         blob = json.loads(json.dumps(emit_filtration(CASES[name]())))
         parse_filtration(blob, DEFAULT_CONFIG)
+        parse_filtration(qwm1(blob), DEFAULT_CONFIG)
         assert not calls
-    parse_filtration(qwm1(blob), DEFAULT_CONFIG)
+    # an entering element scaled off unit size: the basis is re-spanned
+    blob = json.loads(json.dumps(emit_filtration(CASES["hamming-2"]())))
+    blob["steps"][1]["enters"][0] = emit_matrix(2 * np.array(blob["steps"][1]["enters"][0]).view(complex)[..., 0])
+    parse_filtration(blob, DEFAULT_CONFIG)
     assert calls == [len(blob["steps"])]
 
 
@@ -149,6 +153,19 @@ def test_an_empty_enters_list_is_a_repeated_level(tmp_path, capsys):
     assert graded == outputs(tmp_path, capsys, qwm1(blob), runs)
     code, out, _ = graded[0]
     assert code == 2 and json.loads(out)["violations"] == [["not_strictly_increasing", "0"]]
+
+
+@pytest.mark.parametrize("tol", [1e-16, 1e-300])
+def test_a_graded_file_is_nested_under_any_tolerance(tol):
+    """Entries written to 12 digits are orthonormal only to about 1e-13, so
+    under a smaller membership_tol the basis is re-spanned; its blocks are
+    the steps' entering elements, nested by construction, so no level is
+    ever reported missing part of the one before."""
+    from qwmetric.numerics import NumericConfig
+
+    cfg = NumericConfig(rank_tol=tol, membership_tol=tol, eig_cluster_tol=tol)
+    blob = json.loads(json.dumps(emit_filtration(m2_metric(1, 2, 3))))
+    assert parse_filtration(blob, cfg).cuts == parse_filtration(qwm1(blob), cfg).cuts == [1, 2, 3, 4]
 
 
 @pytest.mark.parametrize("how", ["rotated", "scaled"])
