@@ -495,7 +495,7 @@ def cmd_code_check(args, cfg) -> int:
         "min_distance": "inf" if math.isinf(delta) else _fmt(delta),
     }
     if audit.detects:
-        vol = codes._volume_bound(code, args.k, audit, cfg)
+        vol = codes.volume_bound(code, args.k, cfg)
         out["volume"] = {
             "dim_k": vol.dim_k,
             "code_dim": vol.code_dim,

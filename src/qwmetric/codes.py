@@ -44,6 +44,8 @@ class QuantumCode:
     projector: np.ndarray
     error_model: StepFiltration
     site_structure: tuple | None = None
+    # kl_check reports by (cut, cfg), so a level is audited once per code
+    _audits: dict = field(init=False, repr=False, compare=False, default_factory=dict)
 
     def __post_init__(self):
         p = as_square(self.projector)
@@ -351,21 +353,17 @@ def block_filtration(blocks, cfg: NumericConfig = DEFAULT_CONFIG, cap: int = SIT
 
 
 def block_algebra_context(blocks, cfg: NumericConfig = DEFAULT_CONFIG) -> MetricContext:
-    """MetricContext for the block algebra (+)_i M_{2^{n_i}}."""
-    sizes = [2 ** int(b) for b in blocks]
-    total = sum(sizes)
-    offsets = np.cumsum([0] + sizes)
-    gens = []
-    for bi, size in enumerate(sizes):
-        lo = offsets[bi]
-        for i in range(size):
-            for j in range(size):
-                e = np.zeros((total, total), dtype=complex)
-                e[lo + i, lo + j] = 1.0
-                gens.append(e)
-    return MetricContext.from_algebra(
-        VNAlgebra(total, span(gens, total, cfg).basis, cfg, verify=False), cfg
-    )
+    """MetricContext for the block algebra (+)_i M_{2^{n_i}}, written down: its
+    block matrix units, and as commutant the block identities, normalized."""
+    sizes = np.array([2 ** int(b) for b in blocks])
+    total = int(sizes.sum())
+    which = np.repeat(np.arange(len(sizes)), sizes)  # the block of each basis vector
+    rows, cols = np.nonzero(which[:, None] == which[None])
+    alg = np.zeros((len(rows), total, total), dtype=complex)
+    alg[np.arange(len(rows)), rows, cols] = 1.0
+    comm = np.zeros((len(sizes), total, total), dtype=complex)
+    comm[which, np.arange(total), np.arange(total)] = 1 / np.sqrt(sizes[which])
+    return MetricContext(VNAlgebra(total, alg, cfg, verify=False), VNAlgebra(total, comm, cfg, verify=False))
 
 
 @dataclass
@@ -383,10 +381,13 @@ def kl_check(code: QuantumCode, k: float, cfg: NumericConfig = DEFAULT_CONFIG) -
     P B P must equal eps(B) P with eps(B) = tr(P B P) / tr(P).  As
     ||V Y V*|| = ||Y||, the residual is ||V* B V - eps I_r||, exactly.
     ``worst_index``: the first residual within ``membership_tol`` of the
-    largest (ties by symmetry or rounding), None when all are below it."""
+    largest (ties by symmetry or rounding), None when all are below it.
+    The report is kept on the code by level and config."""
     f, v = code.error_model, code.isometry
-    tr_p = float(np.trace(code.projector).real)
     cut = f.cuts[f.level_index_at(k)]
+    if (cut, cfg) in code._audits:
+        return code._audits[cut, cfg]
+    tr_p = float(np.trace(code.projector).real)
     x = f.compress(0, cut, v, v)
     r = x.shape[1]
     # the diagonals of the V* B V, a view: every (r + 1)-th entry of a flattened block
@@ -399,7 +400,8 @@ def kl_check(code: QuantumCode, k: float, cfg: NumericConfig = DEFAULT_CONFIG) -
     detects = not any(res[i] > tol * max(1.0, f.element_norm(i)) for i in np.flatnonzero(res > tol))
     worst = float(res.max(initial=0.0))
     worst_index = int(np.argmax(res >= worst - tol)) if worst > tol else None
-    return KLReport(detects, dict(enumerate(eps.tolist())), worst, worst_index, cut, res.tolist())
+    code._audits[cut, cfg] = KLReport(detects, dict(enumerate(eps.tolist())), worst, worst_index, cut, res.tolist())
+    return code._audits[cut, cfg]
 
 
 def min_distance(code: QuantumCode, cfg: NumericConfig = DEFAULT_CONFIG) -> float:
@@ -430,13 +432,9 @@ class VolumeReport:
 def volume_bound(code: QuantumCode, k: float, cfg: NumericConfig = DEFAULT_CONFIG) -> VolumeReport:
     """Gram-rank form of the packing bound: on the level at floor(k/2) the
     form <A, B> = eps(B* A) has rank dim_K, and a code passing the
-    detectability audit at k satisfies dim(C) <= dim(H) / dim_K."""
-    return _volume_bound(code, k, kl_check(code, k, cfg), cfg)
-
-
-def _volume_bound(code: QuantumCode, k: float, audit: KLReport, cfg: NumericConfig) -> VolumeReport:
-    """volume_bound, given the code's audit at k."""
-    if not audit.detects:
+    detectability audit at k satisfies dim(C) <= dim(H) / dim_K.  The audit
+    is the code's kl_check at k, which a code keeps once taken."""
+    if not kl_check(code, k, cfg).detects:
         raise NotACode("the code fails the scalar-compression audit at k")
     f, v = code.error_model, code.isometry
     tr_p = float(np.trace(code.projector).real)

@@ -35,7 +35,7 @@ from .errors import (
     NotSuperadditive,
 )
 from .filtration import MetricContext, StepFiltration, _grown, default_context, descriptors
-from .numerics import DEFAULT_CONFIG, NumericConfig, _natural_range_basis, as_square, commutes_each, eye, op_norm
+from .numerics import DEFAULT_CONFIG, NumericConfig, _natural_range_basis, as_square, commutes_each, eye, is_projection, op_norm
 from .opspace import (
     OperatorSubspace,
     VNAlgebra,
@@ -252,8 +252,7 @@ def quotient(
     the graded basis compressed once, then grown grade block by grade block."""
     rm = as_square(r)
     ctx = ctx or default_context(f, cfg)
-    scale = max(1.0, op_norm(rm))
-    if op_norm(rm @ rm - rm) > cfg.membership_tol * scale or op_norm(rm - rm.conj().T) > cfg.membership_tol * scale:
+    if not is_projection(rm, cfg):
         raise NotCentral("quotient needs an orthogonal projection")
     if not commutes_each(rm, np.concatenate([ctx.algebra.basis, ctx.commutant.basis]), cfg).all():
         raise NotCentral("projection is not central in the context algebra")

@@ -97,10 +97,6 @@ class BridgeTooSmall(QwmError):
     pass
 
 
-class NonConvergent(QwmError):
-    pass
-
-
 class SizeLimit(QwmError):
     pass
 

@@ -32,7 +32,7 @@ import numpy as np
 
 from .errors import MixedDimensions, NegativeTime, NotAPseudometric, NotDiagonalContext
 from .numerics import DEFAULT_CONFIG, NumericConfig, as_square, eye, op_norm, rank
-from .opspace import _BUDGET, OperatorSubspace, VNAlgebra, _extend, commutant, full_space, generated_vn_algebra
+from .opspace import _BUDGET, OperatorSubspace, VNAlgebra, _extend, _orthonormalize, _star_rows, commutant, full_space, scalar_space
 
 __all__ = [
     "StepFiltration",
@@ -236,16 +236,20 @@ def _grown(n: int, times, blocks, cfg: NumericConfig) -> StepFiltration:
     return StepFiltration.from_graded(n, bps, rows.reshape(-1, n, n), cuts)
 
 
-@dataclass
 class MetricContext:
-    """The von Neumann algebra a pseudometric lives on, with cached commutant.
+    """The von Neumann algebra M a pseudometric lives on, held by its
+    commutant M'.  By the bicommutant theorem M = M'', so M' alone fixes
+    the context, and it is what validate reads.  Handed None for M, the
+    context forms M on its first read, as commutant(M')."""
 
-    The bicommutant identity M'' = M is automatic here: VNAlgebra verifies
-    unital/self-adjoint/product closure, and such subspaces of M_n equal
-    their double commutant."""
+    def __init__(self, algebra: VNAlgebra | None, commutant: VNAlgebra):
+        self.commutant, self._cfg = commutant, DEFAULT_CONFIG  # _cfg: the config M is formed with
+        if algebra is not None:
+            self.algebra = algebra
 
-    algebra: VNAlgebra
-    commutant: VNAlgebra
+    @functools.cached_property
+    def algebra(self) -> VNAlgebra:
+        return commutant(self.commutant.basis, self.commutant.n, self._cfg)
 
     @classmethod
     def from_algebra(cls, algebra: VNAlgebra, cfg: NumericConfig = DEFAULT_CONFIG) -> "MetricContext":
@@ -253,13 +257,16 @@ class MetricContext:
 
     @classmethod
     def from_generators(cls, gens, n: int, cfg: NumericConfig = DEFAULT_CONFIG) -> "MetricContext":
-        return cls.from_algebra(generated_vn_algebra(gens, n, cfg), cfg)
+        """The context W*(S), held as W*(S)' = (S u S*)', the commutant of the
+        span of S u S* at unit size; no algebra is generated."""
+        ctx = cls(None, commutant(_orthonormalize(_star_rows(gens, n), n, cfg, unit_rows=True), n, cfg))
+        ctx._cfg = cfg
+        return ctx
 
     @classmethod
     def full(cls, n: int, cfg: NumericConfig = DEFAULT_CONFIG) -> "MetricContext":
-        """M = M_n, M' = C.I."""
-        alg = VNAlgebra(n, full_space(n).basis, cfg, verify=False)
-        return cls.from_algebra(alg, cfg)
+        """M = M_n with its matrix units, M' = C.I."""
+        return cls(VNAlgebra(n, full_space(n).basis, cfg, verify=False), VNAlgebra(n, scalar_space(n).basis, cfg, verify=False))
 
     @classmethod
     def diagonal(cls, n: int, cfg: NumericConfig = DEFAULT_CONFIG) -> "MetricContext":
@@ -269,8 +276,9 @@ class MetricContext:
         return cls(alg, alg)
 
     def is_diagonal(self, cfg: NumericConfig = DEFAULT_CONFIG) -> bool:
-        n = self.algebra.n
-        return self.algebra.dim == n and bool(self.algebra.contains_each(_diagonal_units(n), cfg).all())
+        """M is the diagonal algebra D exactly when M' is: D is maximal abelian."""
+        n = self.commutant.n
+        return self.commutant.dim == n and bool(self.commutant.contains_each(_diagonal_units(n), cfg).all())
 
 
 def _diagonal_units(n: int) -> np.ndarray:
@@ -281,12 +289,11 @@ def _diagonal_units(n: int) -> np.ndarray:
 
 
 def default_context(f: StepFiltration, cfg: NumericConfig = DEFAULT_CONFIG) -> MetricContext:
-    """The canonical context M = (V_0)': every filtration is a metric there.
-    Level 0 is read through ``apply``, so a factored basis is not written out."""
-    v0 = f.apply(0, f.cuts[0], eye(f.n))
-    comm = commutant(v0, f.n, cfg)
-    alg = VNAlgebra(f.n, v0, cfg)
-    return MetricContext(algebra=comm, commutant=alg)
+    """The canonical context M = (V_0)', held as M' = V_0: every filtration is a
+    metric there.  Level 0 is read through ``apply``, so a factored basis is not written out."""
+    ctx = MetricContext(None, VNAlgebra(f.n, f.apply(0, f.cuts[0], eye(f.n)), cfg))
+    ctx._cfg = cfg
+    return ctx
 
 
 @dataclass

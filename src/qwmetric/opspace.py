@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .errors import MixedDimensions, NonConvergent
+from .errors import MixedDimensions
 from .numerics import DEFAULT_CONFIG, NumericConfig, as_square, eye, hs_norm, rank
 
 _BUDGET = 1 << 20  # complex entries a batch of products may hold, about 16 MB
@@ -187,9 +187,8 @@ def span(mats, ambient_dim: int | None = None, cfg: NumericConfig = DEFAULT_CONF
         if not mats:
             raise MixedDimensions("cannot infer ambient dimension from an empty family")
         ambient_dim = mats[0].shape[0]
-    for m in mats:
-        if m.shape[0] != ambient_dim:
-            raise MixedDimensions("matrices of mixed sizes")
+    if any(m.shape[0] != ambient_dim for m in mats):
+        raise MixedDimensions("matrices of mixed sizes")
     if not mats:
         return OperatorSubspace(ambient_dim, np.zeros((0, ambient_dim, ambient_dim)))
     rows = np.stack([m.reshape(-1) for m in mats])
@@ -273,9 +272,8 @@ def commutant(gens, n: int, cfg: NumericConfig = DEFAULT_CONFIG) -> VNAlgebra:
     (A (x) I) vec(X).
     """
     gens = [as_square(g) for g in gens]
-    for g in gens:
-        if g.shape[0] != n:
-            raise MixedDimensions("generator size does not match ambient dimension")
+    if any(g.shape[0] != n for g in gens):
+        raise MixedDimensions("generator size does not match ambient dimension")
     if not gens:
         return VNAlgebra(n, full_space(n).basis, cfg, verify=False)
     a = np.stack(gens)
@@ -299,27 +297,27 @@ def null_space_rows(k: np.ndarray, cfg: NumericConfig, scale: float = 1.0) -> np
     return vh[rank(sv, cfg, scale) :].conj()
 
 
+def _star_rows(gens, n: int) -> np.ndarray:
+    """The generators S and their adjoints S* as (2k, n^2) rows, for a re-span with
+    ``unit_rows``: the algebra they generate and its commutant ignore their scale."""
+    mats = [m for g in map(as_square, gens) for m in (g, g.conj().T)]
+    if any(m.shape[0] != n for m in mats):
+        raise MixedDimensions("generator size does not match ambient dimension")
+    return np.reshape(mats, (len(mats), n * n)).astype(complex)
+
+
 def generated_vn_algebra(gens, n: int, cfg: NumericConfig = DEFAULT_CONFIG) -> VNAlgebra:
     """Smallest algebra containing I and the generators, closed under * and
-    products; iterates span closure until the dimension stabilizes.  The
-    algebra does not depend on the generators' scale, so each is divided by
-    the modulus of its largest entry, then by its HS norm (which then cannot
-    overflow): the rank rule sees I beside unit generators."""
-    mats = [eye(n)]
-    for g in gens:
-        g = as_square(g)
-        if g.shape[0] != n:
-            raise MixedDimensions("generator size does not match ambient dimension")
-        peak = np.abs(g).max(initial=0.0)
-        if peak > 0:
-            g = g / peak
-            g = g / hs_norm(g)
-        mats.append(g)
-        mats.append(g.conj().T)
-    current = span(mats, n, cfg)
-    for _ in range(n * n + 1):
-        nxt = sum_spaces(current, product_span(current, current, cfg), cfg)
-        if nxt.dim == current.dim:
-            return VNAlgebra(n, current.basis, cfg)
-        current = nxt
-    raise NonConvergent("algebra closure did not stabilize")
+    products.  W_1 = span{I, S, S*} is taken with ``unit_rows``, so I weighs
+    as much as each generator at any scale; then the words grow semi-naively,
+    W_{k+1} = W_k + W_1 Delta_k with Delta_k the rows W_k added, through
+    _extend, until a step adds nothing (at most n^2 steps)."""
+    w1 = _orthonormalize(np.concatenate([eye(n).reshape(1, -1), _star_rows(gens, n)]), n, cfg, unit_rows=True)
+    flat, start = w1.reshape(-1, n * n), 0
+    step = max(1, _BUDGET // (len(w1) * n * n))  # rows of Delta per batch of products
+    while start < len(flat):
+        delta, start = flat[start:], len(flat)
+        for d0 in range(0, len(delta), step):
+            prods = (w1[:, None] @ delta[d0 : d0 + step].reshape(-1, n, n)[None]).reshape(-1, n * n)
+            flat = np.concatenate([flat, _extend(flat, prods, n, cfg)])
+    return VNAlgebra(n, flat.reshape(-1, n, n), cfg)

@@ -420,25 +420,29 @@ class TestCommands:
         assert blob["kind"] == "error" and blob["pointer"] == "/1/1"
 
     def test_code_check_audits_once(self, tmp_path, capsys, monkeypatch):
-        from qwmetric import codes
+        """code-check calls kl_check and then volume_bound, which reads the
+        audit the code keeps: the level at k is compressed once."""
+        from qwmetric.filtration import StepFiltration
 
-        kl_check = codes.kl_check
-        calls = []
+        compress = StepFiltration.compress
+        ranges = []
 
-        def counting(code, k, cfg=DEFAULT_CONFIG):
-            calls.append(k)
-            return kl_check(code, k, cfg)
+        def counting(f, lo, hi, v, w):
+            ranges.append((lo, hi))
+            return compress(f, lo, hi, v, w)
 
-        monkeypatch.setattr(codes, "kl_check", counting)
+        monkeypatch.setattr(StepFiltration, "compress", counting)
         fpath = write_json(tmp_path, "h.json", emit_filtration(hamming_filtration(2, 2)))
         p = np.zeros((4, 4), dtype=complex)
-        p[0, 0] = p[3, 3] = 1.0
+        p[0, 0] = 1.0
         ppath = write_json(tmp_path, "p.json", emit_matrix(p))
-        # every code detects the scalars of V_0, so the volume bound runs
-        code, out, _ = run_cli(["code-check", "--filtration", fpath, "--projector", ppath, "--k", "0"], capsys)
+        # a rank-1 code detects every level, so the volume bound runs; the level at
+        # k = 1 is basis[:7], and min_distance compresses grade by grade
+        code, out, _ = run_cli(["code-check", "--filtration", fpath, "--projector", ppath, "--k", "1"], capsys)
         assert code == 0
         assert json.loads(out)["volume"]["dim_k"] == 1
-        assert calls == [0.0]
+        assert ranges.count((0, 7)) == 1
+        assert ranges[0] == (0, 7)
 
     def test_code_check_with_an_empty_level(self, tmp_path, capsys):
         blob = qwm1(emit_filtration(m2_metric(1, 2, 3)))
