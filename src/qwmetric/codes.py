@@ -9,7 +9,6 @@ import bisect
 import functools
 import math
 from dataclasses import dataclass, field
-from itertools import combinations, product
 
 import numpy as np
 
@@ -94,44 +93,49 @@ def _site_basis(d: int) -> np.ndarray:
     return out
 
 
-def _fill_weight(out: np.ndarray, n_sites: int, d: int, weight: int) -> None:
-    """Write the (HS-orthonormal) elementary tensors with exactly ``weight``
-    traceless factors into ``out``, by site set, then choices with the last
-    site fastest: one outer product per factor over a site-set group."""
-    site = _site_basis(d)
-    group = (d * d - 1) ** weight
-    for a, sites in enumerate(combinations(range(n_sites), weight)):
-        rows = out[a * group : (a + 1) * group]
-        acc = np.ones((1, 1, 1), dtype=complex)
-        for s in range(n_sites):
-            y = site[1:] if s in sites else site[:1]  # site[0] is the normalized identity
-            (g, e, _), f = acc.shape, len(y)
-            # only axes are split, so this reshape of ``rows`` is a view
-            dest = rows.reshape(g, f, e, d, e, d) if s == n_sites - 1 else None
-            acc = np.multiply(acc[:, None, :, None, :, None], y[None, :, None, :, None, :], out=dest)
-            acc = acc.reshape(g * f, e * d, e * d)
+def _run_length(n_sites: int, d: int, weight: int) -> int:
+    return math.comb(n_sites, weight) * (d * d - 1) ** weight
+
+
+@functools.lru_cache(maxsize=None)
+def _splits(n_sites: int, d: int, weight: int) -> tuple:
+    """The pair order of the elements of weight ``weight`` on ``n_sites``
+    qudits: an element is L (x) R, L on the first h = n_sites // 2 sites and
+    R on the rest, and the pairs come by the weight wl of L, ascending, then
+    with L major, each half's elements in their own pair order.  Per wl:
+    (wl, the position of its first pair in the run, the number of L, the
+    number of R)."""
+    h, at, out = n_sites // 2, 0, []
+    for wl in range(max(0, weight - (n_sites - h)), min(weight, h) + 1):
+        nl, nr = _run_length(h, d, wl), _run_length(n_sites - h, d, weight - wl)
+        out.append((wl, at, nl, nr))
+        at += nl * nr
+    return tuple(out)
+
+
+def _write_run(out: np.ndarray, n_sites: int, d: int, weight: int) -> None:
+    """Write the elements of weight ``weight`` on ``n_sites`` qudits, in pair
+    order, into the (count, d**n_sites, d**n_sites) view ``out``: on one site
+    the traceless site basis or the normalized identity, on more the
+    Kronecker products of the halves' elements, one product per wl."""
+    if n_sites == 1:
+        out[...] = _site_basis(d)[1:] if weight else _site_basis(d)[:1]
+        return
+    h = n_sites // 2
+    dl, dr = d ** h, d ** (n_sites - h)
+    for wl, at, nl, nr in _splits(n_sites, d, weight):
+        left, right = _weight_block(h, d, wl), _weight_block(n_sites - h, d, weight - wl)
+        dest = out[at : at + nl * nr].reshape(nl, nr, dl, dr, dl, dr, copy=False)
+        np.multiply(left[:, None, :, None, :, None], right[None, :, None, :, None, :], out=dest)
 
 
 @functools.lru_cache(maxsize=None)
 def _weight_block(n_sites: int, d: int, weight: int) -> np.ndarray:
     """The elements of weight ``weight`` on ``n_sites`` qudits, dense and in
-    basis order (on no sites, the 1 x 1 identity).  Shared and read-only."""
-    out = np.ones((math.comb(n_sites, weight) * (d * d - 1) ** weight, d ** n_sites, d ** n_sites), dtype=complex)
+    pair order (on no sites, the 1 x 1 identity).  Shared and read-only."""
+    out = np.ones((_run_length(n_sites, d, weight), d ** n_sites, d ** n_sites), dtype=complex)
     if n_sites:
-        _fill_weight(out, n_sites, d, weight)
-    out.flags.writeable = False
-    return out
-
-
-@functools.lru_cache(maxsize=None)
-def _weight_labels(n_sites: int, d: int, weight: int) -> np.ndarray:
-    """The labels of the elements of weight ``weight`` on ``n_sites`` qudits,
-    in basis order: the index into ``_site_basis(d)`` at each site."""
-    choices = np.array(list(product(range(1, d * d), repeat=weight)), dtype=np.intp).reshape((d * d - 1) ** weight, weight)
-    out = np.zeros((math.comb(n_sites, weight), len(choices), n_sites), dtype=np.intp)
-    for a, sites in enumerate(combinations(range(n_sites), weight)):
-        out[a][:, list(sites)] = choices
-    out = out.reshape(-1, n_sites)
+        _write_run(out, n_sites, d, weight)
     out.flags.writeable = False
     return out
 
@@ -141,68 +145,49 @@ def _site_norms(d: int) -> np.ndarray:
     return op_norms(_site_basis(d))
 
 
-@functools.lru_cache(maxsize=None)
-def _split_plan(n_sites: int, d: int, weight: int) -> tuple:
-    """Index plan of the two-half split of the weight-``weight`` elements on
-    ``n_sites`` qudits.  An element is L (x) R, L on the first h = n_sites // 2
-    sites and R on the rest; per weight wl of L, every pair of an L of weight
-    wl and an R of weight ``weight - wl`` is an element.  Returns, per wl,
-    (wl, pos) with pos[i, j] the position in basis order of the element
-    _weight_block(h, d, wl)[i] (x) _weight_block(n_sites - h, d, weight - wl)[j]."""
-    h, q = n_sites // 2, d * d - 1
-    rank = {s: a for a, s in enumerate(combinations(range(n_sites), weight))}
-    plan = []
-    for wl in range(max(0, weight - (n_sites - h)), min(weight, h) + 1):
-        wr = weight - wl
-        # site-set rank of each (left set, right set) pair
-        sets = np.array(
-            [[rank[sl + tuple(h + s for s in sr)] for sr in combinations(range(n_sites - h), wr)] for sl in combinations(range(h), wl)],
-            dtype=np.intp,
-        ).reshape(math.comb(h, wl), math.comb(n_sites - h, wr))
-        # local indices: the left choice, then the right one, last site fastest
-        pos = sets[:, None, :, None] * q ** weight + np.arange(q ** wl)[None, :, None, None] * q ** wr + np.arange(q ** wr)
-        pos = pos.reshape(math.comb(h, wl) * q ** wl, -1)
-        pos.flags.writeable = False
-        plan.append((wl, pos))
-    return tuple(plan)
-
-
-def _split_pairs(n_sites: int, d: int, weight: int, skip: int, count: int):
-    """Per weight of L in _split_plan, the pairs (L, R) of the run's elements
-    at positions skip..skip + count - 1: yields the L factors, the R factors,
-    pos counted from ``skip`` and the index of the pairs to keep.  A range
-    inside the run (a bounded rho chunk) keeps only the L rows and R columns
-    with a pair in it, and marks a pair outside it with pos -1."""
+def _element_norm(n_sites: int, d: int, weight: int, k: int) -> float:
+    """||B|| for the k-th element B of weight ``weight`` on ``n_sites``
+    qudits: down the splits by divmod, a product of site norms."""
+    if n_sites == 1:
+        return float(_site_norms(d)[weight + k])
     h = n_sites // 2
-    whole = skip == 0 and count == math.comb(n_sites, weight) * (d * d - 1) ** weight
-    for wl, pos in _split_plan(n_sites, d, weight):
-        left, right = _weight_block(h, d, wl), _weight_block(n_sites - h, d, weight - wl)
-        if whole:
-            yield left, right, pos, slice(None)
-            continue
-        inside = (pos >= skip) & (pos < skip + count)
-        rows, cols = np.flatnonzero(inside.any(axis=1)), np.flatnonzero(inside.any(axis=0))
-        pos = np.where(inside, pos - skip, -1)[np.ix_(rows, cols)]
-        yield left[rows], right[cols], pos, pos >= 0
+    wl, at, _, nr = next(s for s in reversed(_splits(n_sites, d, weight)) if s[1] <= k)
+    i, j = divmod(k - at, nr)
+    return _element_norm(h, d, wl, i) * _element_norm(n_sites - h, d, weight - wl, j)
+
+
+def _pairs(n_sites: int, d: int, weight: int, skip: int, out: np.ndarray):
+    """Per wl of the pair order, the run's elements skip..skip + len(out) - 1
+    in at most three pieces: the end of an L row, whole L rows, the start of
+    an L row.  Yields per piece its L factors, its R factors and its slice
+    of ``out`` as a (L's, R's, ...) view, so each pair is formed once."""
+    h = n_sites // 2
+    for wl, at, nl, nr in _splits(n_sites, d, weight):
+        a, b = max(skip, at) - at, min(skip + len(out), at + nl * nr) - at
+        while a < b:
+            l, r = divmod(a, nr)
+            rows, width = ((b - a) // nr, nr) if r == 0 and b - a >= nr else (1, min(nr - r, b - a))
+            dest = out[at + a - skip : at + a - skip + rows * width]
+            yield _weight_block(h, d, wl)[l : l + rows], _weight_block(n_sites - h, d, weight - wl)[r : r + width], dest.reshape(rows, width, *out.shape[1:], copy=False)
+            a += rows * width
 
 
 def _apply_weight(n_sites: int, d: int, weight: int, x: np.ndarray, out: np.ndarray, skip: int = 0) -> None:
     """Write B x into ``out`` (count, d**n_sites, c) for the elements B of
     weight ``weight`` on ``n_sites`` qudits from position ``skip`` on.  Below
     dimension SPLIT_FROM the dense elements take one batched product.  Above
-    it, with B = L (x) R as in _split_plan and x read as (left index, right
+    it, with B = L (x) R as in _splits and x read as (left index, right
     index, column), the R factors act first, then the L factors: two batched
-    products per weight of L, scattered to basis order."""
+    products per wl."""
     if d ** n_sites < SPLIT_FROM:
         np.matmul(_weight_block(n_sites, d, weight)[skip : skip + len(out)], x, out=out)
         return
     h = n_sites // 2
     dl, dr, c = d ** h, d ** (n_sites - h), x.shape[1]
     xr = x.reshape(dl, dr, c).transpose(1, 0, 2).reshape(dr, dl * c)
-    dest = out.reshape(len(out), dl, dr, c, copy=False)
-    for left, right, pos, keep in _split_pairs(n_sites, d, weight, skip, len(out)):
+    for left, right, dest in _pairs(n_sites, d, weight, skip, out):
         z = (right @ xr).reshape(len(right), dr, dl, c).transpose(2, 0, 1, 3).reshape(dl, -1)
-        dest[pos[keep]] = (left @ z).reshape(len(left), dl, len(right), dr, c).transpose(0, 2, 1, 3, 4)[keep]
+        dest.reshape(len(left), len(right), dl, dr, c, copy=False)[...] = (left @ z).reshape(len(left), dl, len(right), dr, c).transpose(0, 2, 1, 3, 4)
 
 
 def _compress_weight(n_sites: int, d: int, weight: int, vc: np.ndarray, w: np.ndarray, out: np.ndarray, skip: int = 0) -> None:
@@ -210,11 +195,10 @@ def _compress_weight(n_sites: int, d: int, weight: int, vc: np.ndarray, w: np.nd
     elements B of weight ``weight`` on ``n_sites`` qudits from position
     ``skip`` on.  Below dimension SPLIT_FROM the dense elements take two
     batched products.  Above it no B w is formed: with B = L (x) R as in
-    _split_plan, v* B w is the sum of vc[i, j] L[i, i'] R[j, j'] w[i', j'],
-    three GEMMs per weight of L: the stacked R factors on w, the stacked
-    transposed L factors on vc, and their product over (i', j), which holds
-    every pair's block, scattered to basis order.  Each piece of the split
-    stays under _BUDGET entries."""
+    _splits, v* B w is the sum of vc[i, j] L[i, i'] R[j, j'] w[i', j'],
+    three GEMMs per wl: the stacked R factors on w, the stacked transposed
+    L factors on vc, and their product over (i', j), which holds every
+    pair's block.  Each piece of the split stays under _BUDGET entries."""
     n, cv, cw = d ** n_sites, vc.shape[1], w.shape[1]
     if n < SPLIT_FROM:
         np.matmul(vc.T, _weight_block(n_sites, d, weight)[skip : skip + len(out)] @ w, out=out)
@@ -224,7 +208,7 @@ def _compress_weight(n_sites: int, d: int, weight: int, vc: np.ndarray, w: np.nd
     wr = w.reshape(dl, dr, cw).transpose(1, 0, 2).reshape(dr, dl * cw)
     vc = vc.reshape(dl, dr * cv)
     rstep = max(1, _BUDGET // (n * cw))
-    for left, right, pos, keep in _split_pairs(n_sites, d, weight, skip, len(out)):
+    for left, right, dest in _pairs(n_sites, d, weight, skip, out):
         lt = left.transpose(0, 2, 1).reshape(-1, dl)
         for r0 in range(0, len(right), rstep):
             rc = right[r0 : r0 + rstep]
@@ -234,19 +218,20 @@ def _compress_weight(n_sites: int, d: int, weight: int, vc: np.ndarray, w: np.nd
             for l0 in range(0, len(left), lstep):
                 # rows (L, a), columns (i', j)
                 lv = (lt[l0 * dl : (l0 + lstep) * dl] @ vc).reshape(-1, dl, dr, cv).transpose(0, 3, 1, 2).reshape(-1, n)
-                blocks = (lv @ rw).reshape(-1, cv, len(rc), cw).transpose(0, 2, 1, 3)
-                pairs = (slice(l0, l0 + lstep), slice(r0, r0 + rstep))
-                p, k = pos[pairs], keep if isinstance(keep, slice) else keep[pairs]
-                out[p[k]] = blocks[k]
+                dest[l0 : l0 + lstep, r0 : r0 + rstep] = (lv @ rw).reshape(-1, cv, len(rc), cw).transpose(0, 2, 1, 3)
 
 
 class SiteFactors:
     """A graded basis of elementary tensors, held as factors: the site basis
-    of M_d and, per element, a label (its block and the site-local index at
-    each site of the block, 0 for the identity).  Blocks of qudits sit on
-    the diagonal of M_n.  Elements come by weight (the number of
-    non-identity factors, which is the grade), then block, then site set,
-    then local indices with the last site fastest.
+    of M_d (normalized identity first) and the block sizes.  Blocks of
+    qudits sit on the diagonal of M_n.  Elements come by weight (the number
+    of non-identity factors, which is the grade), then block, then in the
+    Kronecker pair order of the block's halves: on one site, the normalized
+    identity (weight 0) or the traceless site basis (weight 1); on more,
+    an element is L (x) R with L on the first n // 2 sites, and the pairs
+    come by the weight of L, ascending, then with L major, each half in its
+    own pair order.  So a block's elements are ordered as lp_product(first
+    half, second half, 1) orders them.
 
     ``dense`` writes the basis out, within ``cap``; ``apply``, ``compress``
     and ``element_norm`` never do."""
@@ -264,7 +249,7 @@ class SiteFactors:
         self.runs, start = [], 0
         for w in range(max(self.blocks) + 1):
             for b, nb in enumerate(self.blocks):
-                stop = start + math.comb(nb, w) * (d * d - 1) ** w
+                stop = start + _run_length(nb, d, w)
                 if stop > start:
                     self.runs.append((start, stop, w, b))
                 start = stop
@@ -288,7 +273,7 @@ class SiteFactors:
         out = np.zeros(self.shape, dtype=complex)
         for start, stop, w, b in self.runs:
             lo, hi = self.offsets[b], self.offsets[b + 1]
-            _fill_weight(out[start:stop, lo:hi, lo:hi], self.blocks[b], self.d, w)
+            _write_run(out[start:stop, lo:hi, lo:hi], self.blocks[b], self.d, w)
         return out
 
     def apply(self, lo: int, hi: int, x: np.ndarray) -> np.ndarray:
@@ -315,8 +300,7 @@ class SiteFactors:
     def element_norm(self, i: int) -> float:
         """||B_i||: the product of the operator norms of its site factors."""
         start, _, w, b = self.runs[bisect.bisect_right(self._starts, i) - 1]
-        labels = _weight_labels(self.blocks[b], self.d, w)[i - start]
-        return float(np.prod(_site_norms(self.d)[labels]))
+        return _element_norm(self.blocks[b], self.d, w, i - start)
 
 
 def hamming_filtration(
@@ -325,7 +309,11 @@ def hamming_filtration(
     """Quantum Hamming metric on n qudits: integer breakpoints 0..n, level t
     spanned by elementary tensors with at most t non-identity factors.  The
     level dimension is sum_{j<=t} C(n, j) (d^2 - 1)^j.  The basis is held as
-    site factors; ``cap`` bounds the ambient dimension of its dense form."""
+    site factors; ``cap`` bounds the ambient dimension of its dense form.
+    Within a weight the elements come in the Kronecker pair order of
+    SiteFactors, so for n >= 2 the model is, basis and all,
+    lp_product(hamming_filtration(h), hamming_filtration(n - h), 1) with
+    h = n // 2."""
     if n_sites < 1 or local_dim < 2:
         raise SizeLimit("need at least one site of local dimension >= 2")
     factors = SiteFactors([n_sites], local_dim, cap)

@@ -119,16 +119,23 @@ class VNAlgebra(OperatorSubspace):
     def __init__(self, ambient_dim: int, basis: np.ndarray, cfg: NumericConfig = DEFAULT_CONFIG, verify: bool = True):
         super().__init__(ambient_dim, basis)
         if verify:
-            if not self.is_unital(cfg):
-                raise MixedDimensions("algebra must contain the identity")
-            if not self.is_self_adjoint(cfg):
-                raise MixedDimensions("algebra must be closed under adjoints")
-            # a block of basis rows against the whole basis, _BUDGET entries of products at a time
-            rows = max(1, _BUDGET // max(1, self.dim * self.n * self.n))
-            for a0 in range(0, self.dim, rows):
-                prods = (self.basis[a0 : a0 + rows, None] @ self.basis[None]).reshape(-1, self.n, self.n)
-                if not self.contains_each(prods, cfg).all():
-                    raise MixedDimensions("algebra must be closed under products")
+            _check_algebra(self, self.basis, cfg)
+
+
+def _check_algebra(alg: OperatorSubspace, left: np.ndarray, cfg: NumericConfig) -> None:
+    """Raise MixedDimensions unless ``alg`` holds I, the adjoint of each
+    element and every product of a matrix of ``left`` (k, n, n) with an
+    element: ``left`` is the basis, or a family whose words span ``alg``."""
+    if not alg.is_unital(cfg):
+        raise MixedDimensions("algebra must contain the identity")
+    if not alg.is_self_adjoint(cfg):
+        raise MixedDimensions("algebra must be closed under adjoints")
+    # a block of ``left`` against the whole basis, _BUDGET entries of products at a time
+    rows = max(1, _BUDGET // max(1, alg.dim * alg.n * alg.n))
+    for a0 in range(0, len(left), rows):
+        prods = (left[a0 : a0 + rows, None] @ alg.basis[None]).reshape(-1, alg.n, alg.n)
+        if not alg.contains_each(prods, cfg).all():
+            raise MixedDimensions("algebra must be closed under products")
 
 
 def _is_orthonormal(rows: np.ndarray, cfg: NumericConfig, peak: float) -> bool:
@@ -311,7 +318,8 @@ def generated_vn_algebra(gens, n: int, cfg: NumericConfig = DEFAULT_CONFIG) -> V
     products.  W_1 = span{I, S, S*} is taken with ``unit_rows``, so I weighs
     as much as each generator at any scale; then the words grow semi-naively,
     W_{k+1} = W_k + W_1 Delta_k with Delta_k the rows W_k added, through
-    _extend, until a step adds nothing (at most n^2 steps)."""
+    _extend, until a step adds nothing (at most n^2 steps).  Words in W_1
+    span the result B, so its closure check is W_1 B inside B."""
     w1 = _orthonormalize(np.concatenate([eye(n).reshape(1, -1), _star_rows(gens, n)]), n, cfg, unit_rows=True)
     flat, start = w1.reshape(-1, n * n), 0
     step = max(1, _BUDGET // (len(w1) * n * n))  # rows of Delta per batch of products
@@ -320,4 +328,6 @@ def generated_vn_algebra(gens, n: int, cfg: NumericConfig = DEFAULT_CONFIG) -> V
         for d0 in range(0, len(delta), step):
             prods = (w1[:, None] @ delta[d0 : d0 + step].reshape(-1, n, n)[None]).reshape(-1, n * n)
             flat = np.concatenate([flat, _extend(flat, prods, n, cfg)])
-    return VNAlgebra(n, flat.reshape(-1, n, n), cfg)
+    alg = VNAlgebra(n, flat.reshape(-1, n, n), cfg, verify=False)
+    _check_algebra(alg, w1, cfg)
+    return alg

@@ -1,6 +1,4 @@
-import functools
 import math
-from itertools import combinations, product
 
 import numpy as np
 import pytest
@@ -22,8 +20,7 @@ from qwmetric import codes
 from qwmetric.codes import (
     QuantumCode,
     SiteFactors,
-    _fill_weight,
-    _site_basis,
+    _write_run,
     block_algebra_context,
     block_filtration,
     hamming_filtration,
@@ -37,7 +34,7 @@ from qwmetric.constructions import co_lipschitz_number, hoelder, lp_product, quo
 from qwmetric.errors import CommutantMember, NotACode, SizeLimit
 from qwmetric.filtration import default_context
 from qwmetric.lipschitz import AscentBudget, commutation_lipschitz_lower, distance_operator, lipschitz_witness, rho_from_gauge
-from qwmetric.numerics import range_projection
+from qwmetric.numerics import op_norm, op_norms, range_projection
 from qwmetric.opspace import VNAlgebra, full_space
 
 from conftest import I2, PAULI_X, PAULI_Y, PAULI_Z, basis_state_projection
@@ -90,31 +87,41 @@ class TestHammingFiltration:
                 q = AmplifiedProjection.base(basis_state_projection(dim, y))
                 assert rho(h, p, q) == bin(x ^ y).count("1")
 
-    def test_equals_l1_power_of_single_site(self):
-        h1 = hamming_filtration(1, 2)
-        h2 = hamming_filtration(2, 2)
-        prod = lp_product(h1, h1, 1.0)
-        assert prod.breakpoints == h2.breakpoints
-        for a, b in zip(prod.levels, h2.levels):
-            assert a.dim == b.dim and a.equals(b)
+    @pytest.mark.parametrize("n_sites, local_dim", [(n, 2) for n in range(2, 7)] + [(2, 3), (3, 3)])
+    def test_is_the_l1_product_of_its_halves(self, n_sites, local_dim):
+        """The pair order makes the identity hold element for element."""
+        h = n_sites // 2
+        prod = lp_product(hamming_filtration(h, local_dim), hamming_filtration(n_sites - h, local_dim), 1.0)
+        want = hamming_filtration(n_sites, local_dim)
+        assert (prod.breakpoints, prod.cuts) == (want.breakpoints, want.cuts)
+        assert np.array_equal(prod.basis, want.basis)
 
     @pytest.mark.parametrize(
         "n_sites, local_dim",
         [(n, d) for d in range(2, 9) for n in range(1, 7) if d ** n <= 64],
     )
     def test_basis_is_the_kron_enumeration(self, n_sites, local_dim):
-        """Weight, then site set, then traceless choices with the last site
-        fastest; each element the Kronecker product of its site factors."""
-        site = list(_site_basis(local_dim))
-        want = []
-        for w in range(n_sites + 1):
-            for sites in combinations(range(n_sites), w):
-                for choice in product(range(1, local_dim ** 2), repeat=w):
-                    pick = dict(zip(sites, choice))
-                    want.append(functools.reduce(np.kron, [site[pick.get(s, 0)] for s in range(n_sites)]))
+        """Weight, then the Kronecker pair order of the halves' site-local
+        labels; each element the Kronecker product of its halves' elements."""
+        d = local_dim
+        site = [np.eye(d, dtype=complex) / math.sqrt(d)]
+        site += [np.outer(np.eye(d)[i], np.eye(d)[j]).astype(complex) for i in range(d) for j in range(d) if i != j]
+        site += [np.diag([1.0] * k + [-k] + [0.0] * (d - k - 1)).astype(complex) / math.sqrt(k * k + k) for k in range(1, d)]
+
+        def labels(n, w):
+            if n == 1:
+                return [(0,)] if w == 0 else [(k,) for k in range(1, d * d)]
+            h = n // 2
+            return [a + b for wl in range(max(0, w - (n - h)), min(w, h) + 1) for a in labels(h, wl) for b in labels(n - h, w - wl)]
+
+        def element(label):
+            h = len(label) // 2
+            return site[label[0]] if len(label) == 1 else np.kron(element(label[:h]), element(label[h:]))
+
         h = hamming_filtration(n_sites, local_dim, cap=64)
-        np.testing.assert_array_equal(h.basis, np.stack(want))
         assert h.cuts == [hamming_level_dimension(n_sites, local_dim, t) for t in range(n_sites + 1)]
+        for w, lo, hi in zip(range(n_sites + 1), [0] + h.cuts, h.cuts):
+            np.testing.assert_array_equal(h.basis[lo:hi], np.stack([element(label) for label in labels(n_sites, w)]))
 
     @pytest.mark.parametrize(
         "n_sites, pairs",
@@ -576,7 +583,7 @@ def _written_out(f, lo, hi):
         if start < hi and stop > lo:
             o0, o1 = fac.offsets[b], fac.offsets[b + 1]
             run = np.zeros((stop - start, o1 - o0, o1 - o0), dtype=complex)
-            _fill_weight(run, fac.blocks[b], fac.d, w)
+            _write_run(run, fac.blocks[b], fac.d, w)
             a, z = max(lo, start), min(hi, stop)
             out[a - lo : z - lo, o0:o1, o0:o1] = run[a - start : z - start]
     return out
@@ -687,6 +694,97 @@ class TestCompress:
         p = np.zeros((512, 512), dtype=complex)
         p[np.arange(64), np.arange(64)] = 1.0
         assert min_distance(QuantumCode(p, f)) == 1.0
+
+
+def _split_sizes(n_sites, d, weight):
+    """(pairs, R factors) of each weight of L in the pair order of a run,
+    counted from the halves' site sets and choices."""
+    h, q = n_sites // 2, d * d - 1
+    out = []
+    for wl in range(max(0, weight - (n_sites - h)), min(weight, h) + 1):
+        nr = math.comb(n_sites - h, weight - wl) * q ** (weight - wl)
+        out.append((math.comb(h, wl) * q ** wl * nr, nr))
+    return out
+
+
+class TestElementNorm:
+    """element_norm(i) is the operator norm of the written-out element."""
+
+    @pytest.mark.parametrize("model", list(COMPRESS_MODELS))
+    def test_every_element(self, model):
+        f = COMPRESS_MODELS[model]()
+        for lo in range(0, f.cuts[-1], 256):
+            hi = min(lo + 256, f.cuts[-1])
+            got = [f.element_norm(i) for i in range(lo, hi)]
+            np.testing.assert_allclose(got, op_norms(_written_out(f, lo, hi)), rtol=0, atol=1e-12)
+
+    def test_sampled_elements_past_the_cap(self):
+        """9 qubits: each run's first and last element and one at random,
+        each read through apply(i, i + 1, I)."""
+        f = hamming_filtration(9, 2)
+        rng = np.random.default_rng(24)
+        eye = np.eye(f.n, dtype=complex)
+        for start, stop, _, _ in f._factors.runs:
+            for i in {start, stop - 1, int(rng.integers(start, stop))}:
+                assert abs(f.element_norm(i) - op_norm(f.apply(i, i + 1, eye)[0])) <= 1e-12
+
+
+class TestPairsMultiplied:
+    """A range inside a run multiplies, per weight of L, the L rows it meets
+    with the R factors they need: at most count + 2 (|R| - 1) pairs for
+    count elements of the range."""
+
+    @staticmethod
+    def recording(monkeypatch):
+        """Per kernel call, its arguments and, per piece, the position in
+        ``out`` of its first pair and the number of pairs it multiplies."""
+        calls, original = [], codes._pairs
+
+        def wrapper(n_sites, d, weight, skip, out):
+            made = []
+            calls.append(((n_sites, d, weight, skip, len(out)), made))
+            for left, right, dest in original(n_sites, d, weight, skip, out):
+                assert dest.shape[:2] == (len(left), len(right)) and np.shares_memory(dest, out)
+                made.append(((dest.ctypes.data - out.ctypes.data) // out.strides[0], len(left) * len(right)))
+                yield left, right, dest
+
+        monkeypatch.setattr(codes, "_pairs", wrapper)
+        return calls
+
+    @staticmethod
+    def assert_bounded(calls):
+        assert calls
+        for (n_sites, d, weight, skip, count), made in calls:
+            at, pairs = 0, []
+            for size, nr in _split_sizes(n_sites, d, weight):
+                inside = min(skip + count, at + size) - max(skip, at)
+                if inside > 0:
+                    pairs.append(sum(n for p, n in made if at <= skip + p < at + size))
+                    assert pairs[-1] <= inside + 2 * (nr - 1)
+                at += size
+            assert sum(pairs) == sum(n for _, n in made) >= count
+
+    def test_compress_ranges(self, monkeypatch):
+        calls = self.recording(monkeypatch)
+        for model in COMPRESS_MODELS:
+            f = COMPRESS_MODELS[model]()
+            v = np.ones((f.n, 1), dtype=complex)
+            for lo, hi in _compress_ranges(f):
+                f.compress(lo, hi, v, v)
+        self.assert_bounded(calls)
+
+    def test_chunks_inside_the_runs_of_nine_qubits(self, monkeypatch):
+        f = hamming_filtration(9, 2)
+        rng = np.random.default_rng(25)
+        x = rng.standard_normal((f.n, 1)) + 1j * rng.standard_normal((f.n, 1))
+        calls = self.recording(monkeypatch)
+        long_runs = [(start, stop) for start, stop, _, _ in f._factors.runs if stop - start > 2048]
+        for start, stop in long_runs:
+            for lo in rng.integers(start, stop - 2048, size=2).tolist():
+                f.apply(lo, lo + 2048, x)
+                f.compress(lo, lo + 2048, x, x)
+        assert len(calls) == 4 * len(long_runs)
+        self.assert_bounded(calls)
 
 
 class TestInducedMetric:

@@ -103,6 +103,26 @@ def test_mixed_sizes_are_rejected():
         generated_vn_algebra([np.eye(2), np.eye(3)], 2)
 
 
+def test_generated_algebra_checks_its_generators_against_the_basis(monkeypatch):
+    """Shift and clock at n = 8 generate M_8 (dim 64) from W_1 = span{I, S,
+    S*, C, C*}.  The closure check of generated_vn_algebra tests I, the 64
+    adjoints and the 5 x 64 products W_1 B; VNAlgebra's own check of the
+    same basis tests the 64 x 64 products B B."""
+    checked = []
+    original = opspace.OperatorSubspace.contains_each
+
+    def counted(self, mats, *args, **kwargs):
+        checked.append(len(mats))
+        return original(self, mats, *args, **kwargs)
+
+    monkeypatch.setattr(opspace.OperatorSubspace, "contains_each", counted)
+    alg = generated_vn_algebra(shift_and_clock(8), 8)
+    assert (alg.dim, sum(checked)) == (64, 1 + 64 + 5 * 64)
+    checked.clear()
+    opspace.VNAlgebra(8, alg.basis)
+    assert sum(checked) == 1 + 64 + 64 * 64
+
+
 def counting(monkeypatch, names, modules=(opspace, filtration, constructions, codes)):
     """Count calls to each function in ``names`` through every module that
     imports it; returns the name -> count dict."""
