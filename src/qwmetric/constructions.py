@@ -6,7 +6,9 @@ the M_2 classification, and co-Lipschitz numbers of morphisms.
 
 Every construction builds its graded basis directly.  Truncations, direct
 sums, both products, the M_2 metric and reparameterizations give each basis
-element an entry time and build through StepFiltration.from_times; meets,
+element an entry time and build through StepFiltration.from_times, or the
+two products, which write their Kronecker stack sorted by time
+(_kron_in_order), through from_graded; meets,
 quotients and the three-level metric grow one basis block by block
 (filtration._grown), and generated filtrations grow theirs event by event.
 A meet takes one HS complement per input and one null space per point of
@@ -34,7 +36,7 @@ from .errors import (
     NotSubalgebra,
     NotSuperadditive,
 )
-from .filtration import MetricContext, StepFiltration, _grown, default_context, descriptors
+from .filtration import MetricContext, StepFiltration, _grown, _time_steps, default_context, descriptors
 from .numerics import DEFAULT_CONFIG, NumericConfig, _natural_range_basis, as_square, commutes_each, eye, is_projection, op_norm
 from .opspace import (
     OperatorSubspace,
@@ -170,7 +172,21 @@ def metric_product(f: StepFiltration, g: StepFiltration, cfg: NumericConfig = DE
     finite dimension equals V_t (x) W_t, so B_a (x) C_b enters at
     max(s_a, t_b)."""
     times = np.maximum.outer(f.times, g.times).reshape(-1)
-    return StepFiltration.from_times(f.n * g.n, kron_stack(f.basis, g.basis), times)
+    order = np.argsort(times, kind="stable")
+    bps, cuts = _time_steps(times[order])
+    return StepFiltration.from_graded(f.n * g.n, bps, _kron_in_order(f.basis, g.basis, order), cuts)
+
+
+def _kron_in_order(fb: np.ndarray, gb: np.ndarray, order: np.ndarray) -> np.ndarray:
+    """kron_stack(fb, gb)[order], bit for bit, written straight into one
+    stack a slice as long as the larger stack at a time: the product is held
+    once, not once in natural order and again sorted."""
+    (fk, n, _), (gk, k, _) = fb.shape, gb.shape
+    out, step = np.empty((fk * gk, n * k, n * k), dtype=complex), max(fk, gk)
+    for start in range(0, fk * gk, step):
+        a, b = np.divmod(order[start : start + step], gk)
+        np.einsum("aij,akl->aikjl", fb[a], gb[b], out=out[start : start + len(a)].reshape(-1, n, k, n, k))
+    return out
 
 
 def generated_filtration(tg: TimedGenerators, cfg: NumericConfig = DEFAULT_CONFIG) -> StepFiltration:
@@ -306,7 +322,8 @@ def lp_product(f: StepFiltration, g: StepFiltration, p: float, cfg: NumericConfi
         j = max(i + 1, int(np.searchsorted(runs, runs[i] + TIME_MERGE)))
         runs[i:j] = runs[i]
         i = j
-    return StepFiltration.from_times(f.n * g.n, kron_stack(f.basis, g.basis)[order], runs)
+    bps, cuts = _time_steps(runs)
+    return StepFiltration.from_graded(f.n * g.n, bps, _kron_in_order(f.basis, g.basis, order), cuts)
 
 
 def hoelder(f: StepFiltration, alpha: float, cfg: NumericConfig = DEFAULT_CONFIG) -> StepFiltration:

@@ -14,11 +14,15 @@ enters) is its displacement gauge.  Every filtration is built from its
 graded basis (``from_graded``, ``from_times``, ``_grown``); a file that
 lists levels is read into one by the JSON reader (``cli.parse_filtration``).
 
-The basis may also be held in factored form (``codes.SiteFactors``): then
+The basis may also be held in factored form: as site factors
+(``codes.SiteFactors``, the Hamming and block models) or as matrix units
+(``MatrixUnits``, the classical metrics of ``from_classical``).  Then
 ``basis`` and ``levels`` are written out once, when first read.  Only this
 class knows the storage: queries read it through ``apply``, ``compress``,
-``element_norm`` and ``_rows``, and membership is one scale-free kernel,
-``_levels_and_coordinates``.
+``element_norm``, ``_rows`` and the label answers of matrix units
+(``_compression_norms``, ``_contractions``, ``_entry_times``), and
+membership is one scale-free kernel, ``_levels_and_coordinates``.  The
+dense path stays the general path, and the oracle of the label answers.
 """
 
 from __future__ import annotations
@@ -31,11 +35,12 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import MixedDimensions, NegativeTime, NotAPseudometric, NotDiagonalContext
-from .numerics import DEFAULT_CONFIG, NumericConfig, as_square, eye, op_norm, rank
+from .numerics import DEFAULT_CONFIG, NumericConfig, as_square, eye, op_norm, op_norms, rank
 from .opspace import _BUDGET, OperatorSubspace, VNAlgebra, _extend, _orthonormalize, _star_rows, commutant, full_space, scalar_space
 
 __all__ = [
     "StepFiltration",
+    "MatrixUnits",
     "MetricContext",
     "ValidationReport",
     "validate",
@@ -43,6 +48,56 @@ __all__ = [
     "to_classical",
     "descriptors",
 ]
+
+
+class MatrixUnits:
+    """A graded basis of matrix units, held as labels: element i is
+    E_{rows[i], cols[i]} of M_n.  ``dense`` writes the basis out; ``apply``
+    is a row gather, ``compress`` an outer product of gathered rows, and
+    every element has norm 1.  StepFiltration reads the labels for rho's
+    compression norms, the commutation scan, to_classical and membership."""
+
+    def __init__(self, n: int, rows, cols):
+        self.n, self.rows, self.cols = int(n), np.asarray(rows, dtype=np.intp), np.asarray(cols, dtype=np.intp)
+        self.shape = (len(self.rows), self.n, self.n)
+        # each unit's entry in a row-major flattened matrix: its HS coordinate
+        self.entries = self.rows * self.n + self.cols
+
+    def dense(self) -> np.ndarray:
+        out = np.zeros(self.shape, dtype=complex)
+        out[np.arange(len(self.rows)), self.rows, self.cols] = 1.0
+        return out
+
+    def apply(self, lo: int, hi: int, x: np.ndarray) -> np.ndarray:
+        """The (hi - lo, n, c) stack of E_xy x: row y of x, moved to row x."""
+        out = np.zeros((hi - lo, self.n, x.shape[1]), dtype=complex)
+        out[np.arange(hi - lo), self.rows[lo:hi]] = x[self.cols[lo:hi]]
+        return out
+
+    def compress(self, lo: int, hi: int, v: np.ndarray, w: np.ndarray) -> np.ndarray:
+        """The (hi - lo, v.shape[1], w.shape[1]) stack of v* E_xy w: the outer
+        product of row x of conj(v) and row y of w."""
+        return v[self.rows[lo:hi]].conj()[:, :, None] * w[self.cols[lo:hi]][:, None, :]
+
+    def element_norm(self, i: int) -> float:
+        return 1.0
+
+
+def _amplify(bx: np.ndarray, nm: int) -> np.ndarray:
+    """The columns (B (x) I_m) X for every B, as one (nm, k*c) matrix in
+    stack order, from the products B X' of StepFiltration.apply, X' the nm x c
+    X read as n x (m*c): rows are indexed base-first, so B (x) I_m acts on X
+    read that way, and the Kronecker product is never formed."""
+    k, n, mc = bx.shape
+    c = n * mc // nm
+    return bx.reshape(k, nm, c).transpose(1, 0, 2).reshape(nm, k * c)
+
+
+def _time_steps(times: np.ndarray):
+    """Breakpoints and cuts of elements entering at the nondecreasing
+    ``times``: one breakpoint per distinct time, and 0 always a breakpoint."""
+    bps = sorted({0.0, *times.tolist()})  # not np.unique: its first call adds about 1 MB of RSS
+    return bps, np.searchsorted(times, bps, side="right")
 
 
 class StepFiltration:
@@ -54,12 +109,14 @@ class StepFiltration:
         must be HS-orthonormal and is shared, not copied.  It is a (k, n, n)
         stack, or a factored basis: an object with ``shape``, ``dense()``,
         ``apply(lo, hi, x)``, ``compress(lo, hi, v, w)`` and ``element_norm(i)``
-        (``codes.SiteFactors``)."""
+        (``codes.SiteFactors``, or ``MatrixUnits``, whose labels the queries
+        read in place of the dense kernels)."""
         f = cls.__new__(cls)
         f.n = int(ambient_dim)
         f.breakpoints = [float(t) for t in breakpoints]
         f._factors = basis if hasattr(basis, "dense") else None
         f._basis = np.asarray(basis, dtype=complex) if f._factors is None else None
+        f._units = basis if isinstance(basis, MatrixUnits) else None
         f.cuts = [int(c) for c in cuts]
         # product reach tables by config, filled by _product_reach
         f._reach = {}
@@ -82,8 +139,7 @@ class StepFiltration:
         distinct time, and 0 always a breakpoint.  No two levels are equal."""
         times = np.asarray(times, dtype=float)
         order = np.argsort(times, kind="stable")
-        bps = sorted({0.0, *times.tolist()})  # not np.unique: its first call adds about 1 MB of RSS
-        cuts = np.searchsorted(times[order], bps, side="right")
+        bps, cuts = _time_steps(times[order])
         return cls.from_graded(ambient_dim, bps, np.asarray(basis)[order], cuts)
 
     @property
@@ -123,8 +179,9 @@ class StepFiltration:
 
     @property
     def grades(self) -> np.ndarray:
-        """Index of the level each basis element enters."""
-        return np.repeat(np.arange(len(self.cuts)), np.diff(self.cuts, prepend=0))
+        """Index of the level each basis element enters: the number of cuts at
+        or below its index."""
+        return np.searchsorted(self.cuts, np.arange(self.cuts[-1]), side="right")
 
     @property
     def times(self) -> np.ndarray:
@@ -171,14 +228,23 @@ class StepFiltration:
 
     def _coordinates(self, flat: np.ndarray, cut: int, residual: bool = False):
         """HS coordinates of the rows of ``flat`` against basis[:cut], one GEMM per
-        piece of _rows, and with ``residual`` each row less its projection."""
-        coefs = [flat @ rows.T for rows in self._rows(cut)]
-        coef = coefs[0] if len(coefs) == 1 else np.concatenate(coefs, axis=1)
+        piece of _rows (a gather of the units' entries for matrix units), and with
+        ``residual`` each row less its projection."""
+        if self._units is not None:
+            coef = flat[:, self._units.entries[:cut]]
+        else:
+            coefs = [flat @ rows.T for rows in self._rows(cut)]
+            coef = coefs[0] if len(coefs) == 1 else np.concatenate(coefs, axis=1)
         return coef, self._residual(flat, coef, cut) if residual else None
 
     def _residual(self, flat: np.ndarray, coef: np.ndarray, cut: int) -> np.ndarray:
         """Each row of ``flat`` less its projection onto basis[:cut], from its
-        coordinates ``coef`` against it: one GEMM per piece of _rows."""
+        coordinates ``coef`` against it: one GEMM per piece of _rows, or one
+        scatter into the units' entries for matrix units."""
+        if self._units is not None:
+            out = flat.copy()
+            out[:, self._units.entries[:cut]] -= coef
+            return out
         proj, lo = 0, 0
         for rows in self._rows(cut):  # the conjugated projection: conj(coef) @ rows, summed
             proj, lo = proj + coef[:, lo : lo + len(rows)].conj() @ rows, lo + len(rows)
@@ -204,9 +270,69 @@ class StepFiltration:
             inside = tail[:, self.cuts] <= cfg.membership_tol ** 2 * np.maximum(1.0, tail[:, :1])
         first = len(self.cuts) - inside.sum(axis=1)  # nested levels: each row is False up to its first
         if not np.isfinite(tail[:, 0].sum()):  # squares that overflow: decided again at unit size
-            redo = ~np.isfinite(tail[:, 0]) & np.isfinite(flat).all(axis=1)
+            finite = np.isfinite(flat).all(axis=1)
+            first[~finite] = len(self.cuts)  # a non-finite entry lies in no level, whatever the coordinates
+            redo = ~np.isfinite(tail[:, 0]) & finite
             first[redo] = self._first_levels(flat[redo] / np.abs(flat[redo]).max(axis=1, keepdims=True), cfg)
         return first, coef
+
+    def _compression_norms(self, left: np.ndarray, right: np.ndarray, left_starts=(0,), right_starts=(0,)):
+        """The reader of amplified compressions: per piece of the graded basis, its
+        first element lo and the (len(left_starts), hi - lo, len(right_starts))
+        squared HS norms of the blocks of L (B (x) I_m) R over its elements B, for
+        an a x nm matrix L and an nm x b matrix R, the rows of L and the columns
+        of R cut into blocks at the starts.
+
+        A dense or site basis takes one apply and one product per chunk of
+        _chunks (_amplify), and with one block each side drops the zero rows of
+        L and zero columns of R first: they add nothing.  A matrix unit applies
+        no B.  For m = 1, |L_i E_xy R_j|^2 = |L_i[:, x]|^2 |R_j[y, :]|^2, a
+        product of two sums of squares, so it is 0 exactly where the dense
+        compression is: the column and row sums once, then one gather per
+        chunk.  For m > 1, L (E_xy (x) I_m) R is the product of the x-th column
+        block of L and the y-th row block of R, one batched product of gathered
+        blocks per chunk.  (The Grams of those blocks would cancel to about eps
+        where the compression vanishes, and the square root of that reaches
+        the zero test.)"""
+        n, m, units = self.n, left.shape[1] // self.n, self._units
+        if units is not None and m == 1:
+            g = np.add.reduceat(np.abs(left) ** 2, left_starts, axis=0)
+            h = np.add.reduceat(np.abs(right) ** 2, right_starts, axis=1)
+            for lo, hi in self._chunks(len(left_starts) * len(right_starts)):
+                yield lo, g[:, units.rows[lo:hi], None] * h[units.cols[lo:hi]]
+            return
+        if len(left_starts) == len(right_starts) == 1:
+            left, right = left[left.any(axis=1)], right[:, right.any(axis=0)]
+        # lx[x]: the x-th column block of L; ry[y]: the y-th row block of R
+        lx, ry = left.reshape(len(left), n, m).transpose(1, 0, 2), right.reshape(n, m, -1)
+        for lo, hi in self._chunks(right.size) if left.size and right.size else ():
+            if units is None:
+                c = (left @ _amplify(self.apply(lo, hi, right.reshape(n, right.size // n)), left.shape[1])).reshape(len(left), hi - lo, -1)
+            else:
+                c = (lx[units.rows[lo:hi]] @ ry[units.cols[lo:hi]]).transpose(1, 0, 2)
+            yield lo, np.add.reduceat(np.add.reduceat(c.real ** 2 + c.imag ** 2, left_starts, axis=0), right_starts, axis=2)
+
+    def _contractions(self, cut: int):
+        """The reader of normalized elements: per piece of _rows, its rows over
+        their elements' operator norms (1 for 0), and those norms.  Matrix
+        units have norm 1 and take no SVD."""
+        for rows in self._rows(cut):
+            if self._units is not None:
+                yield rows, np.ones(len(rows))
+                continue
+            norms = op_norms(rows.reshape(-1, self.n, self.n))
+            norms[norms == 0] = 1.0
+            yield rows / norms[:, None], norms
+
+    def _entry_times(self, cfg: NumericConfig) -> np.ndarray:
+        """The (n, n) matrix of the entry time of the first basis element
+        touching each entry (+inf for none): one scatter of the times for matrix
+        units, a scan of the dense basis otherwise."""
+        if self._units is not None:
+            out = np.full((self.n, self.n), math.inf)
+            out[self._units.rows, self._units.cols] = self.times
+            return out
+        return np.where(np.abs(self.basis) > cfg.membership_tol, self.times[:, None, None], math.inf).min(axis=0, initial=math.inf)
 
     def displacement_gauge(self, a, cfg: NumericConfig = DEFAULT_CONFIG) -> float:
         """D(A) = inf{t : A in V_t}; +inf when A is outside the top level."""
@@ -398,18 +524,20 @@ def from_classical(d, cfg: NumericConfig = DEFAULT_CONFIG):
     """Quantum pseudometric of a classical distance matrix on n points.
 
     Level at t is the span of the matrix units E_xy with d(x, y) <= t, so
-    the matrix units sorted by distance are a graded basis.  Entries may be
-    +inf; those pairs never enter, so the top level is the block algebra of
-    finite-distance components.  Returns (filtration, ctx) with ctx the
+    the matrix units sorted stably by distance are a graded basis, held as
+    labels (MatrixUnits) and never written out by the queries.  Entries may
+    be +inf; those pairs never enter, so the top level is the block algebra
+    of finite-distance components.  Returns (filtration, ctx) with ctx the
     diagonal algebra.
     """
     d = np.asarray(d, dtype=float)
     _check_classical(d, cfg)
     n = d.shape[0]
     finite = np.flatnonzero(np.isfinite(d))
-    units = np.zeros((len(finite), n, n), dtype=complex)
-    units[np.arange(len(finite)), finite // n, finite % n] = 1.0
-    return StepFiltration.from_times(n, units, d.reshape(-1)[finite]), MetricContext.diagonal(n, cfg)
+    times = d.reshape(-1)[finite]
+    order = np.argsort(times, kind="stable")
+    entries, (bps, cuts) = finite[order], _time_steps(times[order])
+    return StepFiltration.from_graded(n, bps, MatrixUnits(n, entries // n, entries % n), cuts), MetricContext.diagonal(n, cfg)
 
 
 def to_classical(f: StepFiltration, ctx: MetricContext, cfg: NumericConfig = DEFAULT_CONFIG) -> np.ndarray:
@@ -418,7 +546,7 @@ def to_classical(f: StepFiltration, ctx: MetricContext, cfg: NumericConfig = DEF
     entry."""
     if not ctx.is_diagonal(cfg):
         raise NotDiagonalContext("context algebra is not the diagonal algebra")
-    return np.where(np.abs(f.basis) > cfg.membership_tol, f.times[:, None, None], math.inf).min(axis=0, initial=math.inf)
+    return f._entry_times(cfg)
 
 
 def _spans(f: StepFiltration, i: int, j: int, k: int, cfg: NumericConfig) -> bool:

@@ -10,6 +10,7 @@ are named by their cuts, and read only through the filtration's methods.
 from __future__ import annotations
 
 import bisect
+import itertools
 import math
 
 import numpy as np
@@ -100,23 +101,6 @@ def _align(p: AmplifiedProjection, q: AmplifiedProjection):
     return p.padded(m), q.padded(m)
 
 
-def _amplify(bx: np.ndarray, nm: int) -> np.ndarray:
-    """The columns (B (x) I_m) X for every B, as one (nm, k*c) matrix in
-    stack order, from the products B X' of StepFiltration.apply, X' the nm x c
-    X read as n x (m*c): rows are indexed base-first, so B (x) I_m acts on X
-    read that way, and the Kronecker product is never formed."""
-    k, n, mc = bx.shape
-    c = n * mc // nm
-    return bx.reshape(k, nm, c).transpose(1, 0, 2).reshape(nm, k * c)
-
-
-def _compressions(p: np.ndarray, bq: np.ndarray) -> np.ndarray:
-    """P (B (x) I_m) Q for every B, indexed (row, B, column), from the
-    products B Q' (see _amplify)."""
-    k, n, mc = bq.shape
-    return (p @ _amplify(bq, p.shape[1])).reshape(len(p), k, n * mc // p.shape[1])
-
-
 def _unit_compressions(n: int, p: np.ndarray, q: np.ndarray) -> np.ndarray:
     """P (E_ij (x) I_m) Q for every matrix unit E_ij and pair of a (g, nm, nm) stack P and a
     (g, nm, c) stack Q, indexed (pair, a, b, i, j): entry (a, b) is sum_s P[a, (i, s)] Q[(j, s), b],
@@ -131,18 +115,15 @@ def rho(f: StepFiltration, p: AmplifiedProjection, q: AmplifiedProjection, cfg: 
 
     Scanning an HS basis is exact by linearity (the zero test uses the HS
     norm of the compression), so rho is the breakpoint of the grade of the
-    first graded element with a nonzero compression.  The scan takes the
-    chunks of StepFiltration._chunks and stops at the first holding such an
-    element (+inf if none does).
+    first graded element with a nonzero compression.  The scan reads the
+    filtration's compression norms piece by piece and stops at the first
+    piece holding such an element (+inf if none does).
     """
     if p.n != f.n:
         raise DimensionMismatch("projection base dimension does not match filtration")
     pp, qq = _align(p, q)
-    # zero rows of P and zero columns of Q add nothing to the HS norms
-    pm, qm = pp.matrix[pp.matrix.any(axis=1)], qq.matrix[:, qq.matrix.any(axis=0)]
-    for lo, hi in f._chunks(qm.size):
-        norms = np.linalg.norm(_compressions(pm, f.apply(lo, hi, qm.reshape(f.n, qm.size // f.n))), axis=(0, 2))
-        linked = np.flatnonzero(norms > cfg.membership_tol)
+    for lo, sq in f._compression_norms(pp.matrix, qq.matrix):
+        linked = np.flatnonzero(np.sqrt(sq[0, :, 0]) > cfg.membership_tol)
         if linked.size:
             return f.breakpoints[bisect.bisect_right(f.cuts, lo + linked[0])]
     return math.inf
@@ -158,25 +139,22 @@ def _rho_table(f: StepFiltration, blocks, cfg: NumericConfig) -> np.ndarray:
     is unitarily invariant, so ||P (B (x) I) Q||_HS^2 is the sum of the
     squared HS norms of the blocks (k, l), k <= i <= j <= l, of
     V* (B (x) I) V: a prefix sum over i and a suffix sum over j, held to
-    rho's own zero test.  The scan takes the chunks of rho and stops once
-    every pair is linked."""
+    rho's own zero test.  The scan reads the compression norms of rho and
+    stops once every pair is linked."""
     v = np.concatenate(blocks, axis=1)
-    starts = np.cumsum([0] + [b.shape[1] for b in blocks[:-1]])
+    starts = list(itertools.accumulate((b.shape[1] for b in blocks[:-1]), initial=0))
     p = len(blocks)
-    upper = np.triu(np.ones((p, p), dtype=bool), 1)
+    upper = np.arange(p)[:, None] < np.arange(p)
     pending, first = upper.copy(), np.full((p, p), -1)
-    vh = v.conj().T
-    for lo, hi in f._chunks(v.size):
-        if not pending.any():
-            break
-        c = _compressions(vh, f.apply(lo, hi, v.reshape(f.n, v.size // f.n)))
-        # squared norms of the cluster blocks, indexed (i, B, j)
-        sq = np.add.reduceat(np.add.reduceat(c.real ** 2 + c.imag ** 2, starts, axis=0), starts, axis=2)
+    # squared norms of the cluster blocks, indexed (i, B, j)
+    for lo, sq in f._compression_norms(v.conj().T, v, starts, starts) if p > 1 else ():
         sq = np.cumsum(np.cumsum(sq, axis=0)[:, :, ::-1], axis=2)[:, :, ::-1]
         linked = np.sqrt(sq) > cfg.membership_tol
         hit = pending & linked.any(axis=1)
         first[hit] = lo + linked.argmax(axis=1)[hit]
         pending &= ~hit
+        if not pending.any():
+            break
     table = np.where(upper, math.inf, math.nan)
     found = first >= 0
     table[found] = np.asarray(f.breakpoints)[np.searchsorted(f.cuts, first[found], side="right")]
@@ -192,10 +170,10 @@ def linkable(p: AmplifiedProjection, q: AmplifiedProjection, cfg: NumericConfig 
 def _amplified_each(f: StepFiltration, cut: int, x: np.ndarray) -> np.ndarray:
     """The columns (B (x) I_m) X_j for every B in basis[:cut] and every
     nm x c matrix X_j of a (g, nm, c) stack, with one apply: a
-    (g, nm, cut*c) stack, each member's columns in _amplify's order."""
+    (g, nm, cut*c) stack, each member's columns in the order of filtration._amplify."""
     g, nm, c = x.shape
     n, m = f.n, nm // f.n
-    # the members side by side, each read as n x (m*c) (see _amplify)
+    # the members side by side, each read as n x (m*c) (see filtration._amplify)
     bx = f.apply(0, cut, x.reshape(g, n, m * c).transpose(1, 0, 2).reshape(n, g * m * c))
     # member j's rows (i, a) and columns (B, col)
     return bx.reshape(cut, n, g, m, c).transpose(2, 1, 3, 0, 4).reshape(g, nm, cut * c)

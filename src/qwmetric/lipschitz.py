@@ -75,17 +75,15 @@ def spectral_lipschitz(f: StepFiltration, a, amp_degree: int = 1, cfg: NumericCo
     # _eig_clusters raises NotHermitian on a non-Hermitian input
     values, blocks = _eig_clusters(m, cfg)
     table = _rho_table(f, blocks, cfg)
-    best, at = 0.0, None
-    for i in range(len(values)):
-        for j in range(i + 1, len(values)):
-            gap = values[j] - values[i]
-            r = float(table[i, j])
-            ratio = 0.0 if gap == 0 else (math.inf if r == 0 else gap / r)
-            if ratio > best:
-                best, at = ratio, (i, j, r)
-    if at is None:
-        return LipschitzReport(best, {"pair": None, "rho": None})
-    i, j, r = at
+    # ratios[i, j] of the pairs i < j, 0 elsewhere (the table is nan there): the first maximum
+    # in row-major order is the first pair of a scan in order
+    vals = np.asarray(values)
+    with np.errstate(divide="ignore"):
+        ratios = np.fmax(np.where(table == 0, math.inf, (vals - vals[:, None]) / table), 0.0)
+    i, j = divmod(int(np.argmax(ratios)), len(values))
+    if not ratios[i, j] > 0:
+        return LipschitzReport(0.0, {"pair": None, "rho": None})
+    best, r = float(ratios[i, j]), float(table[i, j])
     # the witness's half-line projections, summed in the order of a cumulative sum from each end
     low = sum(b @ b.conj().T for b in blocks[: i + 1])
     high = sum(b @ b.conj().T for b in reversed(blocks[j:]))
@@ -117,7 +115,8 @@ def commutation_lipschitz_lower(
     (normalized basis elements) with multi-start projected subgradient
     ascent in the HS coordinates of the level.  Every evaluated ratio is a
     true lower bound, so the report never overshoots.  The basis is read
-    through the filtration's reader of basis rows, one chunk at a time.
+    through the filtration's reader of normalized elements, one chunk at a
+    time.
     """
     m = as_square(a)
     if m.shape[0] != f.n:
@@ -125,36 +124,33 @@ def commutation_lipschitz_lower(
     rng = np.random.default_rng(seed)
     best, witness = 0.0, {"t": None, "contraction": None}
 
-    def consider(t, vals, pick):
-        """Keep the best of scored candidates, the i-th pick(i); ties keep the first."""
+    def consider(ts, vals, pick):
+        """Keep the best of scored candidates, the i-th taken at ts[i] as pick(i); ties keep the first."""
         nonlocal best, witness
         i = int(np.argmax(vals))
         if vals[i] > best:
-            best, witness = float(vals[i]), {"t": t, "contraction": pick(i)}
+            best, witness = float(vals[i]), {"t": float(ts[i]), "contraction": pick(i)}
 
     # each basis element's operator norm (1 for 0) and normalized commutator norm, per piece of
-    # the filtration's reader: its rows are conjugated, and conjugating A and B keeps both norms
+    # the reader: its rows are conjugated, and conjugating A and B keeps both norms
     mc, norms, scored = m.conj(), [], []
-    for rows in f._rows(f.cuts[-1]):
-        norms.append(op_norms(rows.reshape(-1, f.n, f.n)))
-        norms[-1][norms[-1] == 0] = 1.0
-        cs = rows.reshape(-1, f.n, f.n) / norms[-1][:, None, None]
+    for rows, nrm in f._contractions(f.cuts[-1]):
+        cs = rows.reshape(-1, f.n, f.n)
+        norms.append(nrm)
         scored.append(op_norms(mc @ cs - cs @ mc))
     norms, scored = np.concatenate(norms), np.concatenate(scored)
-    if budget.restarts > 0:
-        # only the ascent reads the whole basis, and its commutators [A, B]
-        basis = np.concatenate(list(f._rows(f.cuts[-1]))).conj().reshape(-1, f.n, f.n)
-        comms = m @ basis - basis @ m
-    lo = 0
+    if scored.size and len(f.breakpoints) > 1:
+        # each element scores once, at its entry time: at a later t it had the smaller ratio
+        # ||[A, C]|| / t; elements of V_0 compete at the first positive breakpoint
+        entry = np.maximum(f.times, f.breakpoints[1])
+        consider(entry, scored / entry, lambda i: f.apply(i, i + 1, np.eye(f.n))[0] / norms[i])
+    if budget.restarts <= 0:
+        return LipschitzReport(best, witness)
+    # only the ascent reads the whole basis, and its commutators [A, B]
+    basis = np.concatenate(list(f._rows(f.cuts[-1]))).conj().reshape(-1, f.n, f.n)
+    comms = m @ basis - basis @ m
     for t, k in zip(f.breakpoints, f.cuts):
-        if t <= 0 or k == 0:
-            continue
-        # an element scored at an earlier t' < t had the larger ratio
-        # ||[A, C]|| / t' there, so only the elements entering at t compete
-        if k > lo:
-            consider(t, scored[lo:k] / t, lambda i, lo=lo: f.apply(lo + i, lo + i + 1, np.eye(f.n))[0] / norms[lo + i])
-        lo = k
-        if budget.restarts <= 0 or np.max(np.abs(comms[:k])) <= cfg.membership_tol:
+        if t <= 0 or k == 0 or np.max(np.abs(comms[:k])) <= cfg.membership_tol:
             continue
         for _ in range(budget.restarts):
             z = rng.standard_normal(k) + 1j * rng.standard_normal(k)
@@ -171,7 +167,7 @@ def commutation_lipschitz_lower(
                 c = _norm_one(np.tensordot(z, basis[:k], axes=(0, 0)))
                 step *= 0.97
             c = _norm_one(c)[None]
-            consider(t, op_norms(m @ c - c @ m) / t, lambda i, c=c: c[i])
+            consider([t], op_norms(m @ c - c @ m) / t, lambda i, c=c: c[i])
     return LipschitzReport(best, witness)
 
 

@@ -94,19 +94,11 @@ def _eig_clusters(a, cfg: NumericConfig):
         raise NotHermitian("matrix is not Hermitian within tolerance")
     h = (m + m.conj().T) / 2
     w, v = np.linalg.eigh(h)
-    values = []
-    blocks = []
-    i = 0
-    n = len(w)
-    while i < n:
-        j = i + 1
-        # grow the cluster while consecutive gaps stay below the merge width
-        while j < n and w[j] - w[j - 1] <= cfg.eig_cluster_tol:
-            j += 1
-        values.append(float(np.mean(w[i:j])))
-        blocks.append(v[:, i:j])
-        i = j
-    return values, blocks
+    # a cluster grows while consecutive gaps stay within the merge width, and ends at any other gap
+    bounds = [0, *(np.flatnonzero(~(np.diff(w) <= cfg.eig_cluster_tol)) + 1).tolist(), len(w)]
+    clusters = list(zip(bounds, bounds[1:]))
+    # each mean summed as np.mean sums it
+    return [float(w[i:j].sum() / (j - i)) for i, j in clusters], [v[:, i:j] for i, j in clusters]
 
 
 def hermitian_eig(a, cfg: NumericConfig = DEFAULT_CONFIG):

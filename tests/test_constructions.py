@@ -639,6 +639,43 @@ class TestLpProduct:
             assert prod.value_at(t).contains_space(lp.value_at(t))
 
 
+    @pytest.mark.parametrize("p", [1.0, 1.5])
+    def test_basis_is_the_time_sorted_kron_stack_bit_for_bit(self, p):
+        """The products are written in time order straight into one stack: the
+        basis of the lp and the max product is kron_stack(f.basis, g.basis)
+        sorted stably by entry time, bit for bit, on factored, classical and
+        random complex inputs."""
+        from qwmetric.codes import hamming_filtration
+        from qwmetric.opspace import kron_stack
+
+        rng = np.random.default_rng(int(4 * p))
+        pairs = [(hamming_filtration(2), hamming_filtration(1)), (hamming_filtration(1), hamming_filtration(2))]
+        pairs += [(random_step_filtration(2, rng), random_step_filtration(3, rng)), (from_classical(random_metric(3, rng))[0], random_step_filtration(2, rng))]
+        for f, g in pairs:
+            lp, prod = lp_product(f, g, p), metric_product(f, g)
+            s, t = f.times[:, None], g.times[None]
+            for out, times in [(lp, np.maximum(s, t) * (1 + (np.minimum(s, t) / np.maximum(np.maximum(s, t), 1e-300)) ** p) ** (1 / p)), (prod, np.maximum(s, t))]:
+                assert out.basis.tobytes() == kron_stack(f.basis, g.basis)[np.argsort(times.reshape(-1), kind="stable")].tobytes()
+
+    @pytest.mark.parametrize("product", [lambda f, g: lp_product(f, g, 1.0), metric_product], ids=["lp", "max"])
+    def test_the_product_is_held_once(self, product):
+        """A product of Hamming models peaks under 1.25x its own basis in
+        traced memory: no second copy of the stack (sorting a written-out
+        kron stack reached 2x)."""
+        import tracemalloc
+
+        from qwmetric.codes import hamming_filtration
+
+        f, g = hamming_filtration(2), hamming_filtration(2)
+        f.basis, g.basis, product(f, g)  # the inputs written out, and numpy warmed up
+        tracemalloc.start()
+        try:
+            out = product(f, g)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1.25 * out.basis.nbytes
+
     @pytest.mark.parametrize("abc", [(0.5, 0.5, 0.9), (1.0, 2.0, 3.0)])
     def test_large_p_neither_underflows_nor_overflows(self, abc):
         """At p = 2000, 0.5^p underflows to 0 and 2^p overflows; every time

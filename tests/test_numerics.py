@@ -11,6 +11,7 @@ from qwmetric.errors import NotHermitian
 from qwmetric.numerics import (
     DEFAULT_CONFIG,
     NumericConfig,
+    _eig_clusters,
     commutes_each,
     hermitian_eig,
     is_hermitian,
@@ -71,6 +72,49 @@ def test_eig_clusters_near_degenerate():
     values, projs = hermitian_eig(a)
     assert len(values) == 2
     assert np.trace(projs[0]).real == pytest.approx(2.0)
+
+
+def eig_clusters_by_loop(a, cfg):
+    """The cluster split as a loop over consecutive eigenvalues: a cluster grows
+    while the next gap is at most eig_cluster_tol; its value is np.mean."""
+    w, v = np.linalg.eigh((a + a.conj().T) / 2)
+    values, blocks, i = [], [], 0
+    while i < len(w):
+        j = i + 1
+        while j < len(w) and w[j] - w[j - 1] <= cfg.eig_cluster_tol:
+            j += 1
+        values.append(float(np.mean(w[i:j])))
+        blocks.append(v[:, i:j])
+        i = j
+    return values, blocks
+
+
+@pytest.mark.parametrize("seed", range(40))
+def test_eig_clusters_split_as_the_loop(seed):
+    """Near-degenerate spectra on a grid of tol = 2^-20, so gaps of exactly tol
+    (merged), 2 tol and tol / 2 are exact; chains of small gaps make long
+    clusters, also past the 8 values where numpy's sum turns pairwise.  Values
+    and blocks equal the loop's bit for bit, diagonal or rotated."""
+    rng = np.random.default_rng(seed)
+    n = int(rng.integers(1, 30))
+    tol = 2.0 ** -20
+    w = 1.0 + np.cumsum(rng.choice([0.0, tol / 2, tol, 2 * tol, 0.25], size=n, p=[0.1, 0.3, 0.3, 0.2, 0.1]))
+    u = random_unitary(n, rng) if seed % 2 else np.eye(n)
+    a = (u * w) @ u.conj().T
+    for cfg in (NumericConfig(eig_cluster_tol=tol), DEFAULT_CONFIG):
+        values, blocks = _eig_clusters(a, cfg)
+        want_values, want_blocks = eig_clusters_by_loop(a, cfg)
+        assert values == want_values
+        assert len(blocks) == len(want_blocks)
+        for got, want in zip(blocks, want_blocks):
+            np.testing.assert_array_equal(got, want)
+
+
+def test_eig_clusters_merge_a_gap_of_exactly_the_tolerance():
+    tol = 2.0 ** -20
+    values, blocks = _eig_clusters(np.diag([1.0, 1.0 + tol, 1.0 + 3 * tol, 2.0]), NumericConfig(eig_cluster_tol=tol))
+    assert [b.shape[1] for b in blocks] == [2, 1, 1]
+    assert values == [1.0 + tol / 2, 1.0 + 3 * tol, 2.0]
 
 
 @pytest.mark.parametrize("seed", range(5))
@@ -407,7 +451,6 @@ def test_dense_factorizations_are_held_to_an_allow_list():
 STORAGE_READERS = {
     ("filtration.py", "StepFiltration"),
     ("cli.py", "emit_filtration"),
-    ("filtration.py", "to_classical"),
     ("filtration.py", "_products"),
     ("filtration.py", "validate"),
     ("constructions.py", "stabilize"),
@@ -450,9 +493,11 @@ def _filtration_names(tree, makers):
 
 def test_graded_storage_is_read_through_the_filtration():
     """Queries reach the graded basis only through StepFiltration (apply,
-    element_norm and its reader of basis rows): ``.levels``, ``.value_at``,
-    ``.top`` and the cached ``._conj_rows`` anywhere, and ``.basis`` on a
-    name known to hold a filtration, are read only by the allow-list."""
+    element_norm, its readers of basis rows and its label answers):
+    ``.levels``, ``.value_at``, ``.top``, the cached ``._conj_rows`` and the
+    factored basis (``._factors``, ``._units``) anywhere, and ``.basis`` on
+    a name known to hold a filtration, are read only by the allow-list, so
+    only StepFiltration branches on how the basis is stored."""
     trees = {path.name: ast.parse(path.read_text()) for path in sorted(SRC.glob("*.py"))}
     makers = _filtration_makers(trees.values())
     readers = set()
@@ -462,6 +507,6 @@ def test_graded_storage_is_read_through_the_filtration():
             if not isinstance(node, ast.Attribute):
                 continue
             on_filtration = isinstance(node.value, ast.Name) and node.value.id in names.get(scope, ())
-            if node.attr in ("levels", "value_at", "top", "_conj_rows") or (node.attr == "basis" and on_filtration):
+            if node.attr in ("levels", "value_at", "top", "_conj_rows", "_factors", "_units") or (node.attr == "basis" and on_filtration):
                 readers.add((module, scope))
     assert readers == STORAGE_READERS
