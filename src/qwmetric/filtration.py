@@ -179,9 +179,8 @@ class StepFiltration:
 
     @property
     def grades(self) -> np.ndarray:
-        """Index of the level each basis element enters: the number of cuts at
-        or below its index."""
-        return np.searchsorted(self.cuts, np.arange(self.cuts[-1]), side="right")
+        """Index of the level each basis element enters."""
+        return np.repeat(np.arange(len(self.cuts)), np.diff(self.cuts, prepend=0))
 
     @property
     def times(self) -> np.ndarray:

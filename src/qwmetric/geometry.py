@@ -10,7 +10,6 @@ are named by their cuts, and read only through the filtration's methods.
 from __future__ import annotations
 
 import bisect
-import itertools
 import math
 
 import numpy as np
@@ -142,9 +141,9 @@ def _rho_table(f: StepFiltration, blocks, cfg: NumericConfig) -> np.ndarray:
     rho's own zero test.  The scan reads the compression norms of rho and
     stops once every pair is linked."""
     v = np.concatenate(blocks, axis=1)
-    starts = list(itertools.accumulate((b.shape[1] for b in blocks[:-1]), initial=0))
+    starts = np.cumsum([0] + [b.shape[1] for b in blocks[:-1]])
     p = len(blocks)
-    upper = np.arange(p)[:, None] < np.arange(p)
+    upper = np.triu(np.ones((p, p), dtype=bool), 1)
     pending, first = upper.copy(), np.full((p, p), -1)
     # squared norms of the cluster blocks, indexed (i, B, j)
     for lo, sq in f._compression_norms(v.conj().T, v, starts, starts) if p > 1 else ():

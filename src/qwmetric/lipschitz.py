@@ -75,15 +75,17 @@ def spectral_lipschitz(f: StepFiltration, a, amp_degree: int = 1, cfg: NumericCo
     # _eig_clusters raises NotHermitian on a non-Hermitian input
     values, blocks = _eig_clusters(m, cfg)
     table = _rho_table(f, blocks, cfg)
-    # ratios[i, j] of the pairs i < j, 0 elsewhere (the table is nan there): the first maximum
-    # in row-major order is the first pair of a scan in order
-    vals = np.asarray(values)
-    with np.errstate(divide="ignore"):
-        ratios = np.fmax(np.where(table == 0, math.inf, (vals - vals[:, None]) / table), 0.0)
-    i, j = divmod(int(np.argmax(ratios)), len(values))
-    if not ratios[i, j] > 0:
-        return LipschitzReport(0.0, {"pair": None, "rho": None})
-    best, r = float(ratios[i, j]), float(table[i, j])
+    best, at = 0.0, None
+    for i in range(len(values)):
+        for j in range(i + 1, len(values)):
+            gap = values[j] - values[i]
+            r = float(table[i, j])
+            ratio = 0.0 if gap == 0 else (math.inf if r == 0 else gap / r)
+            if ratio > best:
+                best, at = ratio, (i, j, r)
+    if at is None:
+        return LipschitzReport(best, {"pair": None, "rho": None})
+    i, j, r = at
     # the witness's half-line projections, summed in the order of a cumulative sum from each end
     low = sum(b @ b.conj().T for b in blocks[: i + 1])
     high = sum(b @ b.conj().T for b in reversed(blocks[j:]))
