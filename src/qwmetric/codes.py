@@ -13,7 +13,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import NotACode, SizeLimit
-from .filtration import MetricContext, StepFiltration, default_context
+from .filtration import MetricContext, StepFiltration, _sized, default_context
 from .numerics import DEFAULT_CONFIG, NumericConfig, _natural_range_basis, as_square, commutes_each, is_projection, op_norms, rank
 from .opspace import _BUDGET, OperatorSubspace, VNAlgebra, _orthonormalize, generated_vn_algebra, span
 from .constructions import TimedGenerators, generated_filtration
@@ -452,7 +452,7 @@ def induced_metric(
     pm = as_square(p)
     if not is_projection(pm, cfg):
         raise NotACode("corner needs an orthogonal projection")
-    ctx = ctx or default_context(f, cfg)
+    ctx = _sized(f, ctx) or default_context(f, cfg)
     if not commutes_each(pm, ctx.commutant.basis, cfg).all():
         raise NotACode("projection must belong to the context algebra")
     cols = _natural_range_basis(pm, cfg)

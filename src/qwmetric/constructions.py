@@ -7,8 +7,8 @@ the M_2 classification, and co-Lipschitz numbers of morphisms.
 Every construction builds its graded basis directly.  Truncations, direct
 sums, both products, the M_2 metric and reparameterizations give each basis
 element an entry time and build through StepFiltration.from_times, or the
-two products, which write their Kronecker stack sorted by time
-(_kron_in_order), through from_graded; meets,
+two products, which write their Kronecker stack in time order
+(opspace.kron_stack), through from_graded; meets,
 quotients and the three-level metric grow one basis block by block
 (filtration._grown), and generated filtrations grow theirs event by event.
 A meet takes one HS complement per input and one null space per point of
@@ -36,13 +36,15 @@ from .errors import (
     NotSubalgebra,
     NotSuperadditive,
 )
-from .filtration import MetricContext, StepFiltration, _grown, _time_steps, default_context, descriptors
+from .filtration import MetricContext, StepFiltration, _grown, _sized, _time_steps, default_context, descriptors
 from .numerics import DEFAULT_CONFIG, NumericConfig, _natural_range_basis, as_square, commutes_each, eye, is_projection, op_norm
 from .opspace import (
+    _BUDGET,
     OperatorSubspace,
     VNAlgebra,
     _extend,
     _orthonormalize,
+    _products,
     commutant,
     complement,
     full_space,
@@ -101,8 +103,7 @@ def stabilize(f: StepFiltration, m: int, cfg: NumericConfig = DEFAULT_CONFIG) ->
     algebra."""
     if m < 1:
         raise MixedDimensions("amplification degree must be >= 1")
-    basis = np.kron(f.basis, np.eye(m)) / math.sqrt(m)
-    return StepFiltration.from_graded(f.n * m, f.breakpoints, basis, f.cuts)
+    return StepFiltration.from_graded(f.n * m, f.breakpoints, kron_stack(f.basis / math.sqrt(m), eye(m)[None]), f.cuts)
 
 
 def truncate(f: StepFiltration, c: float, cfg: NumericConfig = DEFAULT_CONFIG) -> StepFiltration:
@@ -174,19 +175,7 @@ def metric_product(f: StepFiltration, g: StepFiltration, cfg: NumericConfig = DE
     times = np.maximum.outer(f.times, g.times).reshape(-1)
     order = np.argsort(times, kind="stable")
     bps, cuts = _time_steps(times[order])
-    return StepFiltration.from_graded(f.n * g.n, bps, _kron_in_order(f.basis, g.basis, order), cuts)
-
-
-def _kron_in_order(fb: np.ndarray, gb: np.ndarray, order: np.ndarray) -> np.ndarray:
-    """kron_stack(fb, gb)[order], bit for bit, written straight into one
-    stack a slice as long as the larger stack at a time: the product is held
-    once, not once in natural order and again sorted."""
-    (fk, n, _), (gk, k, _) = fb.shape, gb.shape
-    out, step = np.empty((fk * gk, n * k, n * k), dtype=complex), max(fk, gk)
-    for start in range(0, fk * gk, step):
-        a, b = np.divmod(order[start : start + step], gk)
-        np.einsum("aij,akl->aikjl", fb[a], gb[b], out=out[start : start + len(a)].reshape(-1, n, k, n, k))
-    return out
+    return StepFiltration.from_graded(f.n * g.n, bps, kron_stack(f.basis, g.basis, order), cuts)
 
 
 def generated_filtration(tg: TimedGenerators, cfg: NumericConfig = DEFAULT_CONFIG) -> StepFiltration:
@@ -216,18 +205,18 @@ def generated_filtration(tg: TimedGenerators, cfg: NumericConfig = DEFAULT_CONFI
     # the graded basis as rows: jump i adds rows[cuts[i - 1]:cuts[i]] at times[i]
     rows, times, cuts = b.reshape(-1, n * n), [0.0], [len(b)]
 
-    def products(x, y):
-        return np.matmul(x[:, None], y[None]).reshape(-1, n, n)
-
     def block(i):
         return rows[cuts[i - 1] : cuts[i]].reshape(-1, n, n)
 
     def candidates(kind, data):
+        """An event's products and their adjoints, a block of _products at a time."""
         if kind == "gen":
-            p = products(b, _orthonormalize(products(data.basis, b).reshape(-1, n * n), n, cfg))
+            xb = np.concatenate([p for _, p in _products(data.basis, b)]).reshape(-1, n * n)
+            blocks = _products(b, _orthonormalize(xb, n, cfg))
         else:
-            p = products(block(data[0]), block(data[1]))
-        return np.concatenate([p, np.conj(np.transpose(p, (0, 2, 1)))]).reshape(-1, n * n)
+            blocks = _products(block(data[0]), block(data[1]))
+        for _, p in blocks:
+            yield np.concatenate([p, np.conj(np.transpose(p, (0, 2, 1)))]).reshape(-1, n * n)
 
     tick = itertools.count()  # ties in time pop in push order
     heap = [(u, next(tick), ("gen", g)) for u, g in tg.gens if TIME_MERGE <= u]
@@ -239,10 +228,19 @@ def generated_filtration(tg: TimedGenerators, cfg: NumericConfig = DEFAULT_CONFI
             payloads.append(heapq.heappop(heap)[2])
         if len(rows) == n * n:
             continue
-        new = _extend(rows, np.concatenate([candidates(*p) for p in payloads]), n, cfg)
-        if not len(new):
+        # the candidate blocks go to _extend once they reach _BUDGET entries, and
+        # stop once the rows span M_n
+        before, pending = len(rows), []
+        for cand in itertools.chain.from_iterable(candidates(*p) for p in payloads):
+            pending.append(cand)
+            if sum(map(np.size, pending)) >= _BUDGET:
+                rows, pending = np.concatenate([rows, _extend(rows, np.concatenate(pending), n, cfg)]), []
+                if len(rows) == n * n:
+                    break
+        if pending:
+            rows = np.concatenate([rows, _extend(rows, np.concatenate(pending), n, cfg)])
+        if len(rows) == before:
             continue
-        rows = np.concatenate([rows, new])
         if abs(times[-1] - t) < TIME_MERGE:
             # a merged jump keeps the first time of its run, and its events are pushed again:
             # the event that merged it has popped, and took its product against the partial block
@@ -267,7 +265,7 @@ def quotient(
     """Corner filtration W_t = R V_t R on the range of a central projection:
     the graded basis compressed once, then grown grade block by grade block."""
     rm = as_square(r)
-    ctx = ctx or default_context(f, cfg)
+    ctx = _sized(f, ctx) or default_context(f, cfg)
     if not is_projection(rm, cfg):
         raise NotCentral("quotient needs an orthogonal projection")
     if not commutes_each(rm, np.concatenate([ctx.algebra.basis, ctx.commutant.basis]), cfg).all():
@@ -288,7 +286,7 @@ def subobject(
     """Smallest pseudometric on the subalgebra dominating f: generated
     filtration over the subalgebra's commutant and V_0, with f's grade blocks
     D_i as timed generators (D_j, j < i, is absorbed at t_j already)."""
-    ctx = ctx or default_context(f, cfg)
+    ctx = _sized(f, ctx) or default_context(f, cfg)
     if sub.n != f.n or not ctx.algebra.contains_space(sub, cfg) or not sub.is_unital(cfg):
         raise NotSubalgebra("need a unital von Neumann subalgebra of the context algebra")
     sub_comm = commutant(sub.basis, f.n, cfg)
@@ -323,7 +321,7 @@ def lp_product(f: StepFiltration, g: StepFiltration, p: float, cfg: NumericConfi
         runs[i:j] = runs[i]
         i = j
     bps, cuts = _time_steps(runs)
-    return StepFiltration.from_graded(f.n * g.n, bps, _kron_in_order(f.basis, g.basis, order), cuts)
+    return StepFiltration.from_graded(f.n * g.n, bps, kron_stack(f.basis, g.basis, order), cuts)
 
 
 def hoelder(f: StepFiltration, alpha: float, cfg: NumericConfig = DEFAULT_CONFIG) -> StepFiltration:
@@ -460,10 +458,11 @@ def canonicalize_m2(f: StepFiltration, cfg: NumericConfig = DEFAULT_CONFIG):
     canonical chain: conjugation A -> U* A U maps every level onto the
     canonical level.
 
-    The dim-2 level fixes the basis up to phases by diagonalizing its
-    non-scalar Hermitian generator; the dim-3 level then fixes the relative
-    phase by making its off-diagonal generator a positive multiple of the
-    real symmetric off-diagonal matrix.
+    The dim-2 level, or else the dim-3 level, fixes the basis up to phases
+    by diagonalizing a non-scalar Hermitian element (any traceless Hermitian
+    direction of the dim-3 plane can be carried to diag(1, -1)); the dim-3
+    level then fixes the relative phase by making its off-diagonal generator
+    a positive multiple of the real symmetric off-diagonal matrix.
     """
     if f.n != 2:
         raise NotCanonicalizable("only ambient dimension 2 is classifiable")
@@ -491,37 +490,16 @@ def canonicalize_m2(f: StepFiltration, cfg: NumericConfig = DEFAULT_CONFIG):
                     best_norm = nrm
         return best
 
-    if 2 in times:
-        gen = hermitian_nonscalar(f.levels[dims.index(2)])
+    d = 2 if 2 in times else 3
+    if d in times:
+        gen = hermitian_nonscalar(f.levels[dims.index(d)])
         if gen is None:
-            raise NotCanonicalizable("dim-2 level has no non-scalar Hermitian generator")
+            raise NotCanonicalizable(f"dim-{d} level has no non-scalar Hermitian generator")
         _, vecs = np.linalg.eigh(gen)
         # descending eigenvalue order puts the generator on +diag(1,-1)
         u = vecs[:, ::-1]
     if 3 in times:
-        lv3 = f.levels[dims.index(3)]
-        rotated = [u.conj().T @ bmat @ u for bmat in lv3.basis]
-        if 2 not in times:
-            # no dim-2 level: diagonalize the traceless Hermitian direction
-            # missing from the system (the HS complement inside M_2)
-            sp3 = span(rotated, 2, cfg)
-            comp = None
-            for cand in (_M2_DIAG, _M2_REAL_OFF, _M2_IMAG_OFF):
-                resid = cand - sp3.project(cand)
-                if op_norm(resid) > cfg.membership_tol:
-                    comp = resid + resid.conj().T
-                    break
-            if comp is None:
-                raise NotCanonicalizable("dim-3 level looks like all of M_2")
-            _, vecs = np.linalg.eigh(comp)
-            u0 = vecs[:, ::-1]
-            # rotate the missing direction onto the imaginary off-diagonal
-            t_fix = (
-                np.array([[1, 1], [-1, 1]], dtype=complex) / np.sqrt(2)
-            ) @ np.diag([1.0, 1j]).astype(complex)
-            u = u @ u0 @ t_fix
-            rotated = [u.conj().T @ bmat @ u for bmat in lv3.basis]
-            # fall through to phase fixing using the now-present structure
+        rotated = [u.conj().T @ bmat @ u for bmat in f.levels[dims.index(3)].basis]
         theta = None
         for bmat in rotated:
             for cand in (bmat + bmat.conj().T, 1j * (bmat - bmat.conj().T)):
@@ -564,7 +542,7 @@ def co_lipschitz_number(
     s_j.  Infinite when the zero level fails at t = 0 or some level is never
     absorbed; 0 when every ratio degenerates.
     """
-    ctx = ctx or default_context(f, cfg)
+    ctx = _sized(f, ctx) or default_context(f, cfg)
     rm = as_square(r)
     um = np.asarray(u, dtype=complex)
     k_amb = amp_dim * f.n

@@ -34,6 +34,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from . import opspace
 from .errors import MixedDimensions, NegativeTime, NotAPseudometric, NotDiagonalContext
 from .numerics import DEFAULT_CONFIG, NumericConfig, as_square, eye, op_norm, op_norms, rank
 from .opspace import _BUDGET, OperatorSubspace, VNAlgebra, _extend, _orthonormalize, _star_rows, commutant, full_space, scalar_space
@@ -81,16 +82,6 @@ class MatrixUnits:
 
     def element_norm(self, i: int) -> float:
         return 1.0
-
-
-def _amplify(bx: np.ndarray, nm: int) -> np.ndarray:
-    """The columns (B (x) I_m) X for every B, as one (nm, k*c) matrix in
-    stack order, from the products B X' of StepFiltration.apply, X' the nm x c
-    X read as n x (m*c): rows are indexed base-first, so B (x) I_m acts on X
-    read that way, and the Kronecker product is never formed."""
-    k, n, mc = bx.shape
-    c = n * mc // nm
-    return bx.reshape(k, nm, c).transpose(1, 0, 2).reshape(nm, k * c)
 
 
 def _time_steps(times: np.ndarray):
@@ -164,6 +155,18 @@ class StepFiltration:
         (hi - lo, n, c) stack of the B x.  A dense basis takes one batched
         product; a factored one is never written out."""
         return self.basis[lo:hi] @ x if self._factors is None else self._factors.apply(lo, hi, x)
+
+    def _amplified(self, lo: int, hi: int, x: np.ndarray) -> np.ndarray:
+        """The columns (B (x) I_m) X_j for every B in basis[lo:hi] and every nm x c
+        matrix X_j of a (g, nm, c) stack: a (g, nm, (hi - lo)*c) stack, each
+        member's columns indexed (B, column).  Rows are indexed base-first, so
+        B (x) I_m acts on X_j read as n x (m*c): the members side by side take
+        one apply, and the Kronecker product is never formed."""
+        g, nm, c = x.shape
+        n, m = self.n, nm // self.n
+        bx = self.apply(lo, hi, x.reshape(g, n, m * c).transpose(1, 0, 2).reshape(n, g * m * c))
+        # member j's rows (i, a) and columns (B, col)
+        return bx.reshape(hi - lo, n, g, m, c).transpose(2, 1, 3, 0, 4).reshape(g, nm, (hi - lo) * c)
 
     def compress(self, lo: int, hi: int, v: np.ndarray, w: np.ndarray) -> np.ndarray:
         """The (hi - lo, v.shape[1], w.shape[1]) stack of v* B w over basis[lo:hi],
@@ -283,7 +286,7 @@ class StepFiltration:
         of R cut into blocks at the starts.
 
         A dense or site basis takes one apply and one product per chunk of
-        _chunks (_amplify), and with one block each side drops the zero rows of
+        _chunks (_amplified), and with one block each side drops the zero rows of
         L and zero columns of R first: they add nothing.  A matrix unit applies
         no B.  For m = 1, |L_i E_xy R_j|^2 = |L_i[:, x]|^2 |R_j[y, :]|^2, a
         product of two sums of squares, so it is 0 exactly where the dense
@@ -306,7 +309,7 @@ class StepFiltration:
         lx, ry = left.reshape(len(left), n, m).transpose(1, 0, 2), right.reshape(n, m, -1)
         for lo, hi in self._chunks(right.size) if left.size and right.size else ():
             if units is None:
-                c = (left @ _amplify(self.apply(lo, hi, right.reshape(n, right.size // n)), left.shape[1])).reshape(len(left), hi - lo, -1)
+                c = (left @ self._amplified(lo, hi, right[None])[0]).reshape(len(left), hi - lo, -1)
             else:
                 c = (lx[units.rows[lo:hi]] @ ry[units.cols[lo:hi]]).transpose(1, 0, 2)
             yield lo, np.add.reduceat(np.add.reduceat(c.real ** 2 + c.imag ** 2, left_starts, axis=0), right_starts, axis=2)
@@ -413,6 +416,14 @@ def _diagonal_units(n: int) -> np.ndarray:
     return units
 
 
+def _sized(f: StepFiltration, ctx: MetricContext | None) -> MetricContext | None:
+    """``ctx`` as given, once it lives on the M_n of ``f`` (None passes): the
+    size check of every query that takes a context."""
+    if ctx is not None and ctx.commutant.n != f.n:
+        raise MixedDimensions(f"context on M_{ctx.commutant.n} for a filtration on M_{f.n}")
+    return ctx
+
+
 def default_context(f: StepFiltration, cfg: NumericConfig = DEFAULT_CONFIG) -> MetricContext:
     """The canonical context M = (V_0)', held as M' = V_0: every filtration is a
     metric there.  Level 0 is read through ``apply``, so a factored basis is not written out."""
@@ -433,12 +444,8 @@ class ValidationReport:
 
 
 def _products(f: StepFiltration, ci: int, cj: int):
-    """The products B_a B_b for a < ci, b < cj, in blocks of rows a: yields
-    each block's first a and its products, a (rows * cj, n, n) stack."""
-    rows = max(1, _BUDGET // max(1, cj * f.n * f.n))  # _BUDGET entries of products per block
-    left, right = f.basis[:ci, None], f.basis[None, :cj]
-    for a0 in range(0, ci, rows):
-        yield a0, np.matmul(left[a0 : a0 + rows], right).reshape(-1, f.n, f.n)
+    """The products B_a B_b for a < ci, b < cj, in blocks of rows a (opspace._products)."""
+    return opspace._products(f.basis[:ci], f.basis[:cj])
 
 
 def _product_reach(f: StepFiltration, cfg: NumericConfig) -> np.ndarray:
@@ -470,6 +477,7 @@ def validate(f: StepFiltration, ctx: MetricContext | None = None, cfg: NumericCo
     law is checked for all breakpoint pairs, which is necessary and
     sufficient under step semantics.
     """
+    _sized(f, ctx)
     # level i is an operator system when I and the adjoints of its basis lie in it
     mats = np.concatenate([eye(f.n)[None], np.conj(np.transpose(f.basis, (0, 2, 1)))])
     system_from = np.maximum.accumulate(f._first_levels(mats, cfg))
@@ -543,7 +551,7 @@ def to_classical(f: StepFiltration, ctx: MetricContext, cfg: NumericConfig = DEF
     """Distance matrix recovered from a filtration over the diagonal algebra:
     d(x, y) is the grade of the first basis element touching the (x, y)
     entry."""
-    if not ctx.is_diagonal(cfg):
+    if not _sized(f, ctx).is_diagonal(cfg):
         raise NotDiagonalContext("context algebra is not the diagonal algebra")
     return f._entry_times(cfg)
 

@@ -166,18 +166,6 @@ def linkable(p: AmplifiedProjection, q: AmplifiedProjection, cfg: NumericConfig 
     return bool(np.linalg.norm(_unit_compressions(p.n, pp.matrix[None], qq.matrix[None]), axis=(1, 2)).max() > cfg.membership_tol)
 
 
-def _amplified_each(f: StepFiltration, cut: int, x: np.ndarray) -> np.ndarray:
-    """The columns (B (x) I_m) X_j for every B in basis[:cut] and every
-    nm x c matrix X_j of a (g, nm, c) stack, with one apply: a
-    (g, nm, cut*c) stack, each member's columns in the order of filtration._amplify."""
-    g, nm, c = x.shape
-    n, m = f.n, nm // f.n
-    # the members side by side, each read as n x (m*c) (see filtration._amplify)
-    bx = f.apply(0, cut, x.reshape(g, n, m * c).transpose(1, 0, 2).reshape(n, g * m * c))
-    # member j's rows (i, a) and columns (B, col)
-    return bx.reshape(cut, n, g, m, c).transpose(2, 1, 3, 0, 4).reshape(g, nm, cut * c)
-
-
 def _range_each(cols: np.ndarray, cfg: NumericConfig) -> np.ndarray:
     """Orthonormal columns spanning the range of each matrix of a stack,
     with one batched SVD: a (g, d, r) stack, r the largest rank, each
@@ -193,7 +181,7 @@ def _spread_projection(f: StepFiltration, cut: int, p: AmplifiedProjection, cfg:
     """Projection onto (V (x) I_m) ran P, V = span basis[:cut]."""
     if p.n != f.n:
         raise DimensionMismatch("projection base dimension does not match filtration")
-    cols = _range_each(_amplified_each(f, cut, p.matrix[None]), cfg)[0]
+    cols = _range_each(f._amplified(0, cut, p.matrix[None]), cfg)[0]
     return cols @ cols.conj().T
 
 
@@ -260,7 +248,7 @@ def _separate(f: StepFiltration, level: int, mats: np.ndarray, cfg: NumericConfi
 
     One membership pass gives the residuals as one projection of its
     coordinates, and one batched SVD splits them; then each rank m takes one
-    spread of the orbits and one of the levels (_amplified_each, _range_each),
+    spread of the orbits and one of the levels (StepFiltration._amplified, _range_each),
     the projection rule of projections_each on every P and Q, and both separation
     postconditions as one batched compression, in slices of _BUDGET entries."""
     (n, cut), (first, coef) = (f.n, f.cuts[level]), f._levels_and_coordinates(mats, cfg)
@@ -277,9 +265,9 @@ def _separate(f: StepFiltration, level: int, mats: np.ndarray, cfg: NumericConfi
         for idx in (group[lo : lo + per] for lo in range(0, len(group), per)):
             # eta = sum v_i (x) e_i, base index first
             eta = _frames(vh[idx, :m], cfg).reshape(len(idx), nm, 1)
-            qcols = _range_each(_amplified_each(f, f.cuts[0], eta), cfg)
+            qcols = _range_each(f._amplified(0, f.cuts[0], eta), cfg)
             # (B (x) I) Q for every B in the level, the columns P must annihilate
-            spread = _amplified_each(f, cut, qcols)
+            spread = f._amplified(0, cut, qcols)
             lcols = _range_each(spread, cfg)
             q = qcols @ qcols.conj().transpose(0, 2, 1)
             p = eye(nm) - lcols @ lcols.conj().transpose(0, 2, 1)

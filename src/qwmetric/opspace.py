@@ -130,12 +130,19 @@ def _check_algebra(alg: OperatorSubspace, left: np.ndarray, cfg: NumericConfig) 
         raise MixedDimensions("algebra must contain the identity")
     if not alg.is_self_adjoint(cfg):
         raise MixedDimensions("algebra must be closed under adjoints")
-    # a block of ``left`` against the whole basis, _BUDGET entries of products at a time
-    rows = max(1, _BUDGET // max(1, alg.dim * alg.n * alg.n))
-    for a0 in range(0, len(left), rows):
-        prods = (left[a0 : a0 + rows, None] @ alg.basis[None]).reshape(-1, alg.n, alg.n)
+    for _, prods in _products(left, alg.basis):
         if not alg.contains_each(prods, cfg).all():
             raise MixedDimensions("algebra must be closed under products")
+
+
+def _products(left: np.ndarray, right: np.ndarray):
+    """The products L_a R_b of a (p, n, n) and a (q, n, n) stack, a major, in
+    blocks of rows a of _BUDGET entries (one row at least): yields each
+    block's first a and its (rows * q, n, n) products."""
+    (p, n, _), q = left.shape, len(right)
+    rows = max(1, _BUDGET // max(1, q * n * n))
+    for a0 in range(0, p, rows):
+        yield a0, np.matmul(left[a0 : a0 + rows, None], right[None]).reshape(-1, n, n)
 
 
 def _is_orthonormal(rows: np.ndarray, cfg: NumericConfig, peak: float) -> bool:
@@ -264,11 +271,19 @@ def tensor(s: OperatorSubspace, t: OperatorSubspace, cfg: NumericConfig = DEFAUL
     return OperatorSubspace(s.n * t.n, kron_stack(s.basis, t.basis))
 
 
-def kron_stack(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+def kron_stack(a: np.ndarray, b: np.ndarray, order: np.ndarray | None = None) -> np.ndarray:
     """The Kronecker products a_i (x) b_j of a (p, n, n) and a (q, k, k)
-    stack, as one (p*q, nk, nk) stack with i major."""
+    stack, as one (p*q, nk, nk) stack with i major, or with pair i*q + j at
+    the place it takes in ``order``.  The products are written straight into
+    the stack, a slice as long as the larger input at a time, so they are
+    held once and never sorted."""
     (p, n, _), (q, k, _) = a.shape, b.shape
-    return np.einsum("aij,bkl->abikjl", a, b).reshape(p * q, n * k, n * k)
+    order = np.arange(p * q) if order is None else order
+    out, step = np.empty((p * q, n * k, n * k), dtype=complex), max(p, q)
+    for start in range(0, p * q, step):
+        i, j = np.divmod(order[start : start + step], q)
+        np.einsum("aij,akl->aikjl", a[i], b[j], out=out[start : start + len(i)].reshape(-1, n, k, n, k))
+    return out
 
 
 def commutant(gens, n: int, cfg: NumericConfig = DEFAULT_CONFIG) -> VNAlgebra:
@@ -322,12 +337,10 @@ def generated_vn_algebra(gens, n: int, cfg: NumericConfig = DEFAULT_CONFIG) -> V
     span the result B, so its closure check is W_1 B inside B."""
     w1 = _orthonormalize(np.concatenate([eye(n).reshape(1, -1), _star_rows(gens, n)]), n, cfg, unit_rows=True)
     flat, start = w1.reshape(-1, n * n), 0
-    step = max(1, _BUDGET // (len(w1) * n * n))  # rows of Delta per batch of products
     while start < len(flat):
-        delta, start = flat[start:], len(flat)
-        for d0 in range(0, len(delta), step):
-            prods = (w1[:, None] @ delta[d0 : d0 + step].reshape(-1, n, n)[None]).reshape(-1, n * n)
-            flat = np.concatenate([flat, _extend(flat, prods, n, cfg)])
+        delta, start = flat[start:].reshape(-1, n, n), len(flat)
+        for _, prods in _products(w1, delta):
+            flat = np.concatenate([flat, _extend(flat, prods.reshape(-1, n * n), n, cfg)])
     alg = VNAlgebra(n, flat.reshape(-1, n, n), cfg, verify=False)
     _check_algebra(alg, w1, cfg)
     return alg

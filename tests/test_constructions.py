@@ -795,6 +795,18 @@ class TestM2Classification:
             moved = span([u.conj().T @ mat @ u for mat in lv.basis], 2)
             assert moved.equals(target.value_at(t))
 
+    @pytest.mark.parametrize("form", ["aac", "acc", "aaa", "0aa"])
+    def test_collapsed_chains_round_trip_under_random_conjugation(self, form, rng):
+        """(a, a, c) has no dim-2 level, so its diagonal direction comes from the
+        dim-3 plane; every form gives back its parameters and a unitary that
+        passes the final check of the canonical chain."""
+        for _ in range(25):
+            a = rng.uniform(0.5, 2.0)
+            c = a * rng.uniform(1.0, 2.0)
+            abc = {"aac": (a, a, c), "acc": (a, c, c), "aaa": (a, a, a), "0aa": (0.0, a, a)}[form]
+            fc = conjugated(m2_metric(*abc), random_unitary(2, rng))
+            assert canonicalize_m2(fc)[:3] == pytest.approx(abc, abs=1e-12)
+
     def test_reflexivity_flag(self):
         from qwmetric.constructions import reflexivity_flag_m2
 

@@ -197,3 +197,25 @@ def test_large_contexts_fit_in_one_gib(build):
         env={**os.environ, "OPENBLAS_NUM_THREADS": "1"},
     )
     assert (result.returncode, result.stderr) == (0, "")
+
+
+# every query that takes a context, called on a 2-point filtration
+SIZED = {
+    "validate": lambda f, ctx: validate(f, ctx),
+    "to_classical": lambda f, ctx: to_classical(f, ctx),
+    "quotient": lambda f, ctx: constructions.quotient(f, np.eye(2), ctx),
+    "subobject": lambda f, ctx: constructions.subobject(f, MetricContext.diagonal(2).algebra, ctx),
+    "induced_metric": lambda f, ctx: codes.induced_metric(f, np.eye(2), ctx),
+    "co_lipschitz_number": lambda f, ctx: constructions.co_lipschitz_number(f, f, 1, np.eye(2), np.eye(2), ctx),
+}
+
+
+@pytest.mark.parametrize("name", SIZED)
+def test_a_context_of_another_size_is_a_typed_error(name):
+    """A context on M_3 for a filtration on M_2 raises MixedDimensions (it
+    used to escape as numpy's ValueError, or, in to_classical, to pass),
+    and the context of the right size is taken."""
+    f, ctx = from_classical(np.array([[0.0, 1.0], [1.0, 0.0]]))
+    SIZED[name](f, ctx)
+    with pytest.raises(MixedDimensions, match="context on M_3"):
+        SIZED[name](f, MetricContext.diagonal(3))

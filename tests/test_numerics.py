@@ -444,6 +444,31 @@ def test_dense_factorizations_are_held_to_an_allow_list():
     assert callers == FACTORIZERS
 
 
+# (module, top-level def) of every np.einsum and np.kron call: the one writer
+# of Kronecker stacks, the constraint map of the commutant, the product span
+# (the oracle of generated algebras and of the generated engine) and the
+# quadratic form of the Lipschitz witness
+PRODUCT_WRITERS = {
+    ("lipschitz.py", "lipschitz_witness"),
+    ("opspace.py", "commutant"),
+    ("opspace.py", "kron_stack"),
+    ("opspace.py", "product_span"),
+}
+
+
+def test_einsum_and_kron_are_held_to_an_allow_list():
+    """A Kronecker stack goes through opspace.kron_stack, and a product stack
+    through opspace._products (a batched matmul), so a hand-written
+    np.einsum or np.kron anywhere else fails here."""
+    callers = set()
+    for path in sorted(SRC.glob("*.py")):
+        for node, scope in _scopes(ast.parse(path.read_text())):
+            func = node.func if isinstance(node, ast.Call) else None
+            if isinstance(func, ast.Attribute) and func.attr in ("einsum", "kron") and ast.unparse(func.value) in ("np", "numpy"):
+                callers.add((path.name, scope))
+    assert callers == PRODUCT_WRITERS
+
+
 # (module, top-level def) of library code that may read how a filtration's
 # graded basis is stored: the filtration itself, the JSON writer, the dense
 # product kernel of validate and descriptors (until they read labels), and
