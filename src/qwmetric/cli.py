@@ -5,10 +5,16 @@ Schema family "qwm/1".  Complex scalars serialize as [re, im] pairs, matrices
 as row-major nested arrays, subspaces as {"dim", "basis"}, projections as
 {"m", "matrix"}.  A filtration is written as "qwm/2", its graded basis once:
 {"dim", "steps": [{"t", "enters"}]}, level i spanned by the "enters" lists of
-steps 0..i; the reader also takes the "qwm/1" shape, every level's basis in
-full, {"dim", "steps": [{"t", "basis"}]}.  Exit codes: 0 success, 1
-usage/schema error, 2 validation failure (report still emitted) or other
-typed error, running out of memory included (a "SizeLimit").
+steps 0..i.  A basis of matrix units is written as its labels, steps
+{"t", "units": [[x, y], ...]} with [x, y] the unit E_xy, and read back into
+MatrixUnits; a label that is not an integer (a bool included) or lies
+outside 0..n-1, a repeated unit, an item that is not a pair, and "units"
+beside "enters" in one file are schema errors with a pointer.  An empty
+"units" or "enters" list is a repeated level.  The reader also takes the
+"qwm/1" shape, every level's basis in full, {"dim", "steps": [{"t",
+"basis"}]}.  Exit codes: 0 success, 1 usage/schema error, 2 validation
+failure (report still emitted) or other typed error, running out of memory
+included (a "SizeLimit").
 """
 
 from __future__ import annotations
@@ -24,7 +30,7 @@ import numpy as np
 
 from . import codes, constructions
 from .errors import NotNested, QwmError, SchemaError
-from .filtration import MetricContext, StepFiltration, ValidationReport, descriptors, from_classical, validate
+from .filtration import MatrixUnits, MetricContext, StepFiltration, ValidationReport, descriptors, from_classical, validate
 from .geometry import AmplifiedProjection, rho
 from .lipschitz import AscentBudget, commutation_lipschitz_lower, spectral_lipschitz
 from .numerics import DEFAULT_CONFIG, NumericConfig
@@ -129,21 +135,28 @@ def _parse_basis(obj: list, n: int, pointer: str, first: int = 0) -> np.ndarray:
 
 
 def emit_filtration(f: StepFiltration):
-    mats = emit_matrix(f.basis)
+    """The "qwm/2" file: matrix units as their [x, y] labels, any other basis
+    as its matrices."""
+    if f._units is None:
+        key, items = "enters", emit_matrix(f.basis)
+    else:
+        key, items = "units", np.stack([f._units.rows, f._units.cols], axis=1).tolist()
     return {
         "schema": FILTRATION_SCHEMA,
         "kind": "filtration",
         "dim": f.n,
         # the graded basis once: level i is spanned by the elements entering at steps 0..i
-        "steps": [{"t": _fmt(t), "enters": mats[lo:hi]} for t, lo, hi in zip(f.breakpoints, [0] + f.cuts, f.cuts)],
+        "steps": [{"t": _fmt(t), key: items[lo:hi]} for t, lo, hi in zip(f.breakpoints, [0] + f.cuts, f.cuts)],
     }
 
 
 def parse_filtration(obj, cfg: NumericConfig) -> StepFiltration:
     """A "qwm/2" file, or a "qwm/1" or untagged one (each level in full):
-    one block per step, its "enters" list, its matrices past the previous
-    step's basis, or its whole level.  Blocks alone whose graded basis is
-    orthonormal are kept as given; any other file is read by _grown_levels."""
+    one block per step, its "units" or "enters" list, its matrices past the
+    previous step's basis, or its whole level.  Units are held as
+    MatrixUnits.  Blocks alone whose graded basis is orthonormal are kept as
+    given, as MatrixUnits when every element is a matrix unit exactly; any
+    other file is read by _grown_levels."""
     if not isinstance(obj, dict):
         raise SchemaError("filtration must be an object", "")
     schema = obj.get("schema", SCHEMA)
@@ -160,16 +173,25 @@ def parse_filtration(obj, cfg: NumericConfig) -> StepFiltration:
         raise SchemaError(f"'dim' {n} is past the largest n x n complex array", "/dim")
     if not isinstance(obj["steps"], list):
         raise SchemaError("'steps' must be a list", "/steps")
-    key = "enters" if schema == FILTRATION_SCHEMA else "basis"
-    bps, blocks, whole, prev = [], [], [], []
+    key = "basis"
+    if schema == FILTRATION_SCHEMA:  # the shape of the first step: "units" or "enters"
+        first_step = obj["steps"][0] if obj["steps"] else {}
+        key = "units" if isinstance(first_step, dict) and "units" in first_step else "enters"
+    other = {"units": "enters", "enters": "units"}.get(key)
+    bps, blocks, whole, prev, seen = [], [], [], [], set()
     for i, step in enumerate(obj["steps"]):
         ptr = f"/steps/{i}"
         if not isinstance(step, dict) or "t" not in step or key not in step:
             raise SchemaError(f"step needs 't' and '{key}'", ptr)
+        if other in step:
+            raise SchemaError("a file lists 'units' or 'enters', not both", ptr)
         t = step["t"]
         if not isinstance(t, (int, float)) or not _finite(t):
             raise SchemaError("breakpoints must be finite numbers", f"{ptr}/t")
         bps.append(float(t))
+        if key == "units":
+            blocks.append(_parse_units(step[key], n, f"{ptr}/units", seen))
+            continue
         mats = step[key]
         if not isinstance(mats, list):
             raise SchemaError(f"'{key}' must be a list of matrices", f"{ptr}/{key}")
@@ -178,17 +200,41 @@ def parse_filtration(obj, cfg: NumericConfig) -> StepFiltration:
         blocks.append(_parse_basis(mats[first:], n, f"{ptr}/{key}", first))
         whole.append(bool(prev) and not first)
         prev = mats if key == "basis" else []
+    cuts = list(itertools.accumulate(map(len, blocks)))
     try:
+        if key == "units":
+            labels = np.array([xy for block in blocks for xy in block], dtype=np.intp).reshape(-1, 2)
+            return StepFiltration.from_graded(n, bps, MatrixUnits(n, labels[:, 0], labels[:, 1]), cuts)
         if not any(whole):
             basis = np.concatenate([np.zeros((0, n, n), dtype=complex), *blocks])
             flat = basis.reshape(len(basis), n * n)
             if _is_orthonormal(flat, cfg, np.abs(flat).max(initial=0.0)):
-                return StepFiltration.from_graded(n, bps, basis, list(itertools.accumulate(map(len, blocks))))
+                return StepFiltration.from_graded(n, bps, MatrixUnits.found_in(basis) or basis, cuts)
         return _grown_levels(n, bps, blocks, whole, cfg)
     except NotNested:
         raise
     except QwmError as exc:
         raise SchemaError(str(exc), "/steps")
+
+
+def _parse_units(obj, n: int, pointer: str, seen: set) -> list:
+    """A "units" list at ``pointer``: [x, y] pairs of integer labels in
+    0..n-1, none in ``seen`` (the units of the steps before), which gains
+    them."""
+    if not isinstance(obj, list):
+        raise SchemaError("'units' must be a list of [x, y] pairs", pointer)
+    for j, item in enumerate(obj):
+        if not (isinstance(item, list) and len(item) == 2):
+            raise SchemaError("a unit must be an [x, y] pair", f"{pointer}/{j}")
+        for c, v in enumerate(item):
+            if type(v) is not int:  # a bool is an int to isinstance
+                raise SchemaError("unit labels must be integers", f"{pointer}/{j}/{c}")
+            if not 0 <= v < n:
+                raise SchemaError(f"unit label {v} outside 0..{n - 1}", f"{pointer}/{j}/{c}")
+        if tuple(item) in seen:
+            raise SchemaError(f"unit {item} repeated", f"{pointer}/{j}")
+        seen.add(tuple(item))
+    return obj
 
 
 def _grown_levels(n: int, bps: list, blocks: list, whole: list, cfg: NumericConfig) -> StepFiltration:

@@ -36,7 +36,7 @@ from .errors import (
     NotSubalgebra,
     NotSuperadditive,
 )
-from .filtration import MetricContext, StepFiltration, _grown, _sized, _time_steps, default_context, descriptors
+from .filtration import MetricContext, StepFiltration, _grown, _off_diagonal, _sized, _time_steps, default_context, descriptors
 from .numerics import DEFAULT_CONFIG, NumericConfig, _natural_range_basis, as_square, commutes_each, eye, is_projection, op_norm
 from .opspace import (
     _BUDGET,
@@ -109,14 +109,19 @@ def stabilize(f: StepFiltration, m: int, cfg: NumericConfig = DEFAULT_CONFIG) ->
 def truncate(f: StepFiltration, c: float, cfg: NumericConfig = DEFAULT_CONFIG) -> StepFiltration:
     """Levels below c kept, everything at and above c becomes M_n: the
     elements entering before c keep their times, and the HS complement of
-    their span enters at c."""
+    their span enters at c.  Matrix units stay units: the complement is the
+    missing units, in row-major order, so truncate(from_classical(d), c) is
+    from_classical(min(d, c))."""
     if not 0 <= c < math.inf:
         raise MixedDimensions("truncation level must be finite and >= 0")
     times = f.times
     kept = np.searchsorted(times, c)
-    below = f.basis[:kept]
-    basis = np.concatenate([below, complement(OperatorSubspace(f.n, below), cfg).basis])
-    return StepFiltration.from_times(f.n, basis, np.concatenate([times[:kept], np.full(len(basis) - kept, c)]))
+    if f._units is not None:
+        basis = f._units.completed(kept)
+    else:
+        below = f.basis[:kept]
+        basis = np.concatenate([below, complement(OperatorSubspace(f.n, below), cfg).basis])
+    return StepFiltration.from_times(f.n, basis, np.concatenate([times[:kept], np.full(basis.shape[0] - kept, c)]))
 
 
 def direct_sum(
@@ -126,7 +131,8 @@ def direct_sum(
     cfg: NumericConfig = DEFAULT_CONFIG,
 ) -> StepFiltration:
     """Blockwise V_t (+) W_t on M_{n+k}; with a bridge r, the full
-    off-diagonal blocks adjoin at every t >= r."""
+    off-diagonal blocks adjoin at every t >= r, as matrix units.  Two
+    matrix-unit bases give matrix units."""
     n, k = f.n, g.n
     if bridge is not None:
         if not math.isfinite(bridge):
@@ -140,12 +146,18 @@ def direct_sum(
                 f"bridge {bridge} below max(diam)/2 = {max(diam_f, diam_g) / 2}"
             )
     # the blocks' graded bases, then the off-diagonal matrix units entering at the bridge
-    off = [(i, j) for i in range(n + k) for j in range(n + k) if (i < n) != (j < n)] if bridge is not None else []
-    basis = np.zeros((len(f.basis) + len(g.basis) + len(off), n + k, n + k), dtype=complex)
-    basis[: len(f.basis), :n, :n] = f.basis
-    basis[len(f.basis) : len(f.basis) + len(g.basis), n:, n:] = g.basis
-    basis[len(f.basis) + len(g.basis) + np.arange(len(off)), [i for i, _ in off], [j for _, j in off]] = 1.0
-    return StepFiltration.from_times(n + k, basis, np.concatenate([f.times, g.times, [bridge] * len(off)]))
+    off = 2 * n * k if bridge is not None else 0
+    times = np.concatenate([f.times, g.times, [bridge] * off])
+    if f._units is not None and g._units is not None:
+        return StepFiltration.from_times(n + k, f._units.beside(g._units, bool(off)), times)
+    p, q = f.cuts[-1], g.cuts[-1]
+    basis = np.zeros((p + q + off, n + k, n + k), dtype=complex)
+    basis[:p, :n, :n] = f.basis
+    basis[p : p + q, n:, n:] = g.basis
+    if off:
+        x, y = _off_diagonal(n, k)
+        basis[p + q + np.arange(off), x, y] = 1.0
+    return StepFiltration.from_times(n + k, basis, times)
 
 
 def meet(filtrations, cfg: NumericConfig = DEFAULT_CONFIG) -> StepFiltration:
@@ -171,11 +183,13 @@ def meet(filtrations, cfg: NumericConfig = DEFAULT_CONFIG) -> StepFiltration:
 def metric_product(f: StepFiltration, g: StepFiltration, cfg: NumericConfig = DEFAULT_CONFIG) -> StepFiltration:
     """Fubini product: level at t is (V_t (x) M_k) cap (M_n (x) W_t), which at
     finite dimension equals V_t (x) W_t, so B_a (x) C_b enters at
-    max(s_a, t_b)."""
+    max(s_a, t_b).  Two matrix-unit bases give the units of the pairs."""
     times = np.maximum.outer(f.times, g.times).reshape(-1)
     order = np.argsort(times, kind="stable")
     bps, cuts = _time_steps(times[order])
-    return StepFiltration.from_graded(f.n * g.n, bps, kron_stack(f.basis, g.basis, order), cuts)
+    units = f._units is not None and g._units is not None
+    basis = f._units.kron(g._units, order) if units else kron_stack(f.basis, g.basis, order)
+    return StepFiltration.from_graded(f.n * g.n, bps, basis, cuts)
 
 
 def generated_filtration(tg: TimedGenerators, cfg: NumericConfig = DEFAULT_CONFIG) -> StepFiltration:
@@ -306,7 +320,8 @@ def lp_product(f: StepFiltration, g: StepFiltration, p: float, cfg: NumericConfi
     time of its run taking that first value, as in the generated engine.
     Inputs that are not filtrations are not closed up.  The time is
     computed as max(s, t) (1 + (min/max)^p)^(1/p), which neither under- nor
-    overflows for large p."""
+    overflows for large p.  Two matrix-unit bases give the units of the
+    pairs."""
     if not 1 <= p < math.inf:
         raise MixedDimensions("lp product needs a finite p >= 1")
     s, t = f.times[:, None], g.times[None]
@@ -321,7 +336,9 @@ def lp_product(f: StepFiltration, g: StepFiltration, p: float, cfg: NumericConfi
         runs[i:j] = runs[i]
         i = j
     bps, cuts = _time_steps(runs)
-    return StepFiltration.from_graded(f.n * g.n, bps, kron_stack(f.basis, g.basis, order), cuts)
+    units = f._units is not None and g._units is not None
+    basis = f._units.kron(g._units, order) if units else kron_stack(f.basis, g.basis, order)
+    return StepFiltration.from_graded(f.n * g.n, bps, basis, cuts)
 
 
 def hoelder(f: StepFiltration, alpha: float, cfg: NumericConfig = DEFAULT_CONFIG) -> StepFiltration:

@@ -20,7 +20,9 @@ The basis may also be held in factored form: as site factors
 ``basis`` and ``levels`` are written out once, when first read.  Only this
 class knows the storage: queries read it through ``apply``, ``compress``,
 ``element_norm``, ``_rows`` and the label answers of matrix units
-(``_compression_norms``, ``_contractions``, ``_entry_times``), and
+(``_compression_norms``, ``_contractions``, ``_entry_times``, and for
+validate and descriptors ``_adjoint_levels``, ``_product_levels`` and
+``_product_hits``, which give None for a basis without labels), and
 membership is one scale-free kernel, ``_levels_and_coordinates``.  The
 dense path stays the general path, and the oracle of the label answers.
 """
@@ -55,14 +57,31 @@ class MatrixUnits:
     """A graded basis of matrix units, held as labels: element i is
     E_{rows[i], cols[i]} of M_n.  ``dense`` writes the basis out; ``apply``
     is a row gather, ``compress`` an outer product of gathered rows, and
-    every element has norm 1.  StepFiltration reads the labels for rho's
-    compression norms, the commutation scan, to_classical and membership."""
+    every element has norm 1.  The label arithmetic lives here: products
+    (E_xy E_yw = E_xw), adjoints (E_xy* = E_yx), supports, and the label
+    sets of truncations, Kronecker products and direct sums.  StepFiltration
+    reads the labels for rho's compression norms, the commutation scan,
+    to_classical, membership, validate and descriptors."""
 
     def __init__(self, n: int, rows, cols):
         self.n, self.rows, self.cols = int(n), np.asarray(rows, dtype=np.intp), np.asarray(cols, dtype=np.intp)
         self.shape = (len(self.rows), self.n, self.n)
         # each unit's entry in a row-major flattened matrix: its HS coordinate
         self.entries = self.rows * self.n + self.cols
+
+    @classmethod
+    def found_in(cls, basis: np.ndarray) -> "MatrixUnits | None":
+        """The labels of a nonempty (k, n, n) stack whose every element is a
+        matrix unit exactly (one entry 1, the rest 0), else None."""
+        k, n, _ = basis.shape
+        flat = basis.reshape(k, n * n)
+        hot = np.argmax(flat != 0, axis=1)
+        if not k or not (np.count_nonzero(flat, axis=1) == 1).all() or not (flat[np.arange(k), hot] == 1).all():
+            return None
+        return cls(n, hot // n, hot % n)
+
+    def __getitem__(self, index) -> "MatrixUnits":
+        return MatrixUnits(self.n, self.rows[index], self.cols[index])
 
     def dense(self) -> np.ndarray:
         out = np.zeros(self.shape, dtype=complex)
@@ -82,6 +101,63 @@ class MatrixUnits:
 
     def element_norm(self, i: int) -> float:
         return 1.0
+
+    def grade_table(self, grades: np.ndarray, missing: int) -> np.ndarray:
+        """The (n, n) table of the grade of the unit at each label, ``missing``
+        where no unit sits."""
+        table = np.full((self.n, self.n), missing)
+        table[self.rows, self.cols] = grades
+        return table
+
+    def product_pairs(self):
+        """The index pairs (a, b) whose product E_a E_b is not 0, those with
+        cols[a] == rows[b] (E_xy E_yw = E_xw), a major and b ascending: one
+        gather from the units sorted by row."""
+        by_row = np.argsort(self.rows, kind="stable")
+        starts = np.searchsorted(self.rows[by_row], np.arange(self.n + 1))
+        count = (starts[1:] - starts[:-1])[self.cols]  # the b of each a
+        a = np.repeat(np.arange(len(self.rows)), count)
+        # b runs over by_row[starts[cols[a]]:starts[cols[a] + 1]]
+        skip = np.repeat(starts[self.cols] - (np.cumsum(count) - count), count)
+        return a, by_row[np.arange(len(a)) + skip]
+
+    def support(self, cut: int) -> np.ndarray:
+        """The (n, n) 0/1 matrix of the labels of units[:cut]."""
+        out = np.zeros((self.n, self.n))
+        out[self.rows[:cut], self.cols[:cut]] = 1.0
+        return out
+
+    def completed(self, kept: int) -> "MatrixUnits":
+        """units[:kept], then every other unit of M_n in row-major order."""
+        rest = np.ones(self.n * self.n, dtype=bool)
+        rest[self.entries[:kept]] = False
+        entries = np.concatenate([self.entries[:kept], np.flatnonzero(rest)])
+        return MatrixUnits(self.n, entries // self.n, entries % self.n)
+
+    def kron(self, other: "MatrixUnits", order: np.ndarray) -> "MatrixUnits":
+        """The units E_xy (x) E_zw = E_{(xk + z)(yk + w)} on M_{nk}, pair
+        a * len(other) + b at the place it takes in ``order`` (as kron_stack)."""
+        a, b = np.divmod(order, len(other.rows))
+        k = other.n
+        return MatrixUnits(self.n * k, self.rows[a] * k + other.rows[b], self.cols[a] * k + other.cols[b])
+
+    def beside(self, other: "MatrixUnits", bridged: bool) -> "MatrixUnits":
+        """The units of self and of other as the diagonal blocks of M_{n+k},
+        then, when ``bridged``, the off-diagonal units in row-major order."""
+        x, y = _off_diagonal(self.n, other.n) if bridged else np.zeros((2, 0), dtype=np.intp)
+        return MatrixUnits(
+            self.n + other.n,
+            np.concatenate([self.rows, other.rows + self.n, x]),
+            np.concatenate([self.cols, other.cols + self.n, y]),
+        )
+
+
+def _off_diagonal(n: int, k: int):
+    """The labels (x, y) of M_{n+k} outside its diagonal blocks M_n and M_k, in
+    row-major order."""
+    x, y = np.divmod(np.arange((n + k) ** 2), n + k)
+    off = (x < n) != (y < n)
+    return x[off], y[off]
 
 
 def _time_steps(times: np.ndarray):
@@ -126,12 +202,14 @@ class StepFiltration:
     @classmethod
     def from_times(cls, ambient_dim: int, basis, times) -> "StepFiltration":
         """Filtration whose element basis[i] enters at times[i]: the (k, n, n)
-        HS-orthonormal stack sorted stably by time, one breakpoint per
-        distinct time, and 0 always a breakpoint.  No two levels are equal."""
+        HS-orthonormal stack, or MatrixUnits, sorted stably by time, one
+        breakpoint per distinct time, and 0 always a breakpoint.  No two
+        levels are equal."""
         times = np.asarray(times, dtype=float)
         order = np.argsort(times, kind="stable")
         bps, cuts = _time_steps(times[order])
-        return cls.from_graded(ambient_dim, bps, np.asarray(basis)[order], cuts)
+        basis = basis if isinstance(basis, MatrixUnits) else np.asarray(basis)
+        return cls.from_graded(ambient_dim, bps, basis[order], cuts)
 
     @property
     def _graded(self):
@@ -336,6 +414,51 @@ class StepFiltration:
             return out
         return np.where(np.abs(self.basis) > cfg.membership_tol, self.times[:, None, None], math.inf).min(axis=0, initial=math.inf)
 
+    def _unit_levels(self, rows: np.ndarray, cols: np.ndarray, cfg: NumericConfig) -> np.ndarray:
+        """The first level holding each matrix unit E_{rows[i], cols[i]}, from the
+        labels: the grade of the unit at its label, len(levels) for none.  The
+        membership kernel's cutoff on exact residuals: a unit has squared
+        residual 1 outside a level and 0 inside, against membership_tol^2
+        max(1, 1), so at membership_tol >= 1 every unit lies in level 0."""
+        if 1.0 <= cfg.membership_tol ** 2:
+            return np.zeros(len(rows), dtype=np.intp)
+        return self._units.grade_table(self.grades, len(self.cuts))[rows, cols]
+
+    def _adjoint_levels(self, cfg: NumericConfig) -> np.ndarray | None:
+        """The label reader of validate's adjoint check: the first level holding
+        the adjoint of each basis element, E_xy* = E_yx a lookup in the grade
+        table; None for a basis without labels, which validate reads whole."""
+        if self._units is None:
+            return None
+        return self._unit_levels(self._units.cols, self._units.rows, cfg)
+
+    def _product_levels(self, cfg: NumericConfig) -> np.ndarray | None:
+        """The label reader of the product pass: per pair of grades (i, j), the
+        largest first level of a product B_a B_b of grades (i, j), -1 where a
+        grade is empty.  A product of matrix units is 0 (level 0) or
+        E_xy E_yw = E_xw, so the table is 0 on every pair of nonempty grades,
+        raised by one np.maximum.at over the pairs with cols[a] == rows[b].
+        None for a basis without labels."""
+        if self._units is None:
+            return None
+        grades, units = self.grades, self._units
+        filled = np.diff(self.cuts, prepend=0) > 0
+        reach = np.where(filled[:, None] & filled[None], 0, -1)
+        a, b = units.product_pairs()
+        np.maximum.at(reach, (grades[a], grades[b]), self._unit_levels(units.rows[a], units.cols[b], cfg))
+        return reach
+
+    def _product_hits(self, ci: int, cj: int, ck: int) -> np.ndarray | None:
+        """The label reader of the path check: for each unit of basis[:ck], the
+        number of products B_a B_b (a < ci, b < cj) equal to it, one product
+        of the 0/1 supports of the two levels (counts are exact in floats).
+        None for a basis without labels."""
+        if self._units is None:
+            return None
+        units = self._units
+        hits = units.support(ci) @ units.support(cj)
+        return hits[units.rows[:ck], units.cols[:ck]]
+
     def displacement_gauge(self, a, cfg: NumericConfig = DEFAULT_CONFIG) -> float:
         """D(A) = inf{t : A in V_t}; +inf when A is outside the top level."""
         m = as_square(a)
@@ -372,6 +495,7 @@ class MetricContext:
 
     def __init__(self, algebra: VNAlgebra | None, commutant: VNAlgebra):
         self.commutant, self._cfg = commutant, DEFAULT_CONFIG  # _cfg: the config M is formed with
+        self._diagonal = False  # set by diagonal: M is D by construction
         if algebra is not None:
             self.algebra = algebra
 
@@ -401,12 +525,15 @@ class MetricContext:
         """M = diagonal algebra of M_n (the classical algebra on n points)."""
         alg = VNAlgebra(n, _diagonal_units(n), cfg, verify=False)
         # the diagonal algebra is maximal abelian, hence its own commutant
-        return cls(alg, alg)
+        ctx = cls(alg, alg)
+        ctx._diagonal = True
+        return ctx
 
     def is_diagonal(self, cfg: NumericConfig = DEFAULT_CONFIG) -> bool:
-        """M is the diagonal algebra D exactly when M' is: D is maximal abelian."""
+        """M is the diagonal algebra D exactly when M' is: D is maximal abelian.
+        A context made by ``diagonal`` is D and takes no membership check."""
         n = self.commutant.n
-        return self.commutant.dim == n and bool(self.commutant.contains_each(_diagonal_units(n), cfg).all())
+        return self._diagonal or (self.commutant.dim == n and bool(self.commutant.contains_each(_diagonal_units(n), cfg).all()))
 
 
 def _diagonal_units(n: int) -> np.ndarray:
@@ -452,17 +579,19 @@ def _product_reach(f: StepFiltration, cfg: NumericConfig) -> np.ndarray:
     """reach[i, j]: the first level containing V_{t_i} V_{t_j}, or
     len(levels) when it leaves the top.  By bilinearity this is the largest
     first level of a product B_a B_b with grades at most (i, j): one pass
-    over basis pairs, then a prefix maximum over grades.  The table is kept
-    on the filtration (read-only, by config), so validate followed by
-    descriptors makes the pass once and no module state holds f."""
+    over basis pairs (over the nonzero label pairs for matrix units,
+    StepFiltration._product_levels), then a prefix maximum over grades.  The
+    table is kept on the filtration (read-only, by config), so validate
+    followed by descriptors makes the pass once and no module state holds f."""
     if cfg in f._reach:
         return f._reach[cfg]
-    grades = f.grades
-    reach = np.full((len(f.cuts), len(f.cuts)), -1)
-    k = f.cuts[-1]
-    for a0, prods in _products(f, k, k):
-        first = f._first_levels(prods, cfg).reshape(-1, k)
-        np.maximum.at(reach, (grades[a0 : a0 + len(first), None], grades[None]), first)
+    reach = f._product_levels(cfg)
+    if reach is None:
+        grades, k = f.grades, f.cuts[-1]
+        reach = np.full((len(f.cuts), len(f.cuts)), -1)
+        for a0, prods in _products(f, k, k):
+            first = f._first_levels(prods, cfg).reshape(-1, k)
+            np.maximum.at(reach, (grades[a0 : a0 + len(first), None], grades[None]), first)
     reach = np.maximum.accumulate(np.maximum.accumulate(reach, axis=0), axis=1)
     reach.flags.writeable = False
     f._reach[cfg] = reach
@@ -478,9 +607,12 @@ def validate(f: StepFiltration, ctx: MetricContext | None = None, cfg: NumericCo
     sufficient under step semantics.
     """
     _sized(f, ctx)
-    # level i is an operator system when I and the adjoints of its basis lie in it
-    mats = np.concatenate([eye(f.n)[None], np.conj(np.transpose(f.basis, (0, 2, 1)))])
-    system_from = np.maximum.accumulate(f._first_levels(mats, cfg))
+    # level i is an operator system when I and the adjoints of its basis lie in
+    # it; matrix units read the adjoints' levels off their labels
+    adjoints = f._adjoint_levels(cfg)
+    if adjoints is None:
+        adjoints = f._first_levels(np.conj(np.transpose(f.basis, (0, 2, 1))), cfg)
+    system_from = np.maximum.accumulate(np.concatenate([f._first_levels(eye(f.n)[None], cfg), adjoints]))
     violations = [("not_operator_system", i) for i, c in enumerate(f.cuts) if system_from[c] > i]
     violations += [("not_strictly_increasing", i) for i, c in enumerate(f.cuts[1:]) if c == f.cuts[i]]
     target = np.searchsorted(f.breakpoints, np.add.outer(f.breakpoints, f.breakpoints), side="right") - 1
@@ -558,10 +690,15 @@ def to_classical(f: StepFiltration, ctx: MetricContext, cfg: NumericConfig = DEF
 
 def _spans(f: StepFiltration, i: int, j: int, k: int, cfg: NumericConfig) -> bool:
     """Whether the products B_a B_b (a < cut_i, b < cut_j) have rank dim V_k under
-    span's rank rule, read on their coefficients against V_k accumulated by QR."""
+    span's rank rule, read on their coefficients against V_k accumulated by QR.
+    For matrix units each coefficient row is 0 or a unit vector, so the
+    singular values are the square roots of the hit counts of V_k's units."""
     ci, cj, ck = f.cuts[i], f.cuts[j], f.cuts[k]
     if not (ci and cj):
         return ck == 0
+    hits = f._product_hits(ci, cj, ck)
+    if hits is not None:
+        return rank(np.sqrt(hits), cfg) == ck
     r = np.zeros((0, ck), dtype=complex)
     for _, prods in _products(f, ci, cj):
         coef = f._coordinates(prods.reshape(len(prods), -1), ck)[0]

@@ -106,13 +106,18 @@ def random_step_filtration(n, rng, levels=None, classical=False):
     return f
 
 
+def unit_matrix(n, x, y):
+    """The matrix unit E_xy of M_n as a JSON matrix of [re, im] pairs."""
+    return [[[1.0 if (i, j) == (x, y) else 0.0, 0.0] for j in range(n)] for i in range(n)]
+
+
 def qwm1(blob):
     """The "qwm/1" file of a "qwm/2" filtration file: every level's basis in
     full, each step's list the one before it followed by the step's entering
-    matrices (the same objects)."""
+    matrices (the same objects), a "units" step's units written out."""
     steps, basis = [], []
     for step in blob["steps"]:
-        basis = basis + step["enters"]
+        basis = basis + (step["enters"] if "enters" in step else [unit_matrix(blob["dim"], x, y) for x, y in step["units"]])
         steps.append({"t": step["t"], "basis": basis})
     return {"schema": "qwm/1", "kind": "filtration", "dim": blob["dim"], "steps": steps}
 

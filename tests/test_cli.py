@@ -478,7 +478,7 @@ class TestCommands:
         code, out, _ = run_cli(["build", "classical", "--matrix", "-"], capsys)
         assert code == 0
         blob = json.loads(out)
-        assert np.cumsum([len(s["enters"]) for s in blob["steps"]]).tolist() == [2, 4]
+        assert np.cumsum([len(s["units"]) for s in blob["steps"]]).tolist() == [2, 4]
 
     def test_determinism_under_seed(self, tmp_path, capsys):
         d = np.array([[0.0, 1, 2], [1, 0, 1], [2, 1, 0]])

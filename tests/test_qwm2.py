@@ -10,7 +10,7 @@ import warnings
 import numpy as np
 import pytest
 
-from qwmetric import AmplifiedProjection, MetricContext, from_classical
+from qwmetric import AmplifiedProjection, MetricContext, descriptors, from_classical, validate
 from qwmetric.cli import _dump, _fmt, emit_filtration, emit_matrix, emit_projection, main, parse_filtration
 from qwmetric.codes import hamming_filtration
 from qwmetric.constructions import TimedGenerators, generated_filtration, m2_metric, truncate
@@ -238,6 +238,170 @@ def test_schema_errors_point_into_enters(damage, pointer):
     with pytest.raises(SchemaError) as exc:
         parse_filtration(blob, DEFAULT_CONFIG)
     assert exc.value.pointer == pointer
+
+
+def units_blob():
+    """The "units" file of from_classical(D3): steps at 0, 1 and 2 of 3, 4 and 2 units."""
+    return json.loads(json.dumps(emit_filtration(from_classical(D3)[0])))
+
+
+def set_item(step, j, item):
+    def damage(blob):
+        blob["steps"][step]["units"][j] = item
+
+    return damage
+
+
+def units_not_a_list(blob):
+    blob["steps"][1]["units"] = 3
+
+
+def enters_step(blob):
+    blob["steps"][1] = {"t": 1.0, "enters": emit_matrix(np.eye(3)[None])}
+
+
+def both_keys(blob):
+    blob["steps"][0]["enters"] = []
+
+
+UNIT_DAMAGE = {
+    "out-of-range": (set_item(1, 2, [1, 3]), "/steps/1/units/2/1"),
+    "negative": (set_item(1, 0, [-1, 0]), "/steps/1/units/0/0"),
+    "repeated-across-steps": (set_item(2, 1, [0, 1]), "/steps/2/units/1"),
+    "repeated-in-a-step": (set_item(1, 3, [0, 1]), "/steps/1/units/3"),
+    "float": (set_item(1, 0, [0, 1.0]), "/steps/1/units/0/1"),
+    "bool": (set_item(1, 0, [True, 0]), "/steps/1/units/0/0"),
+    "string": (set_item(1, 0, ["0", 1]), "/steps/1/units/0/0"),
+    "short": (set_item(1, 0, [0]), "/steps/1/units/0"),
+    "long": (set_item(1, 0, [0, 1, 2]), "/steps/1/units/0"),
+    "not-a-list": (set_item(1, 0, 5), "/steps/1/units/0"),
+    "units-not-a-list": (units_not_a_list, "/steps/1/units"),
+    "enters-after-units": (enters_step, "/steps/1"),
+    "both-keys": (both_keys, "/steps/0"),
+}
+
+
+@pytest.mark.parametrize("name", sorted(UNIT_DAMAGE))
+def test_schema_errors_point_into_units(tmp_path, capsys, name):
+    """A bad label, a repeated unit, an item that is not a pair, or "units"
+    beside "enters" is a schema error with a pointer, exit 1, no traceback."""
+    damage, pointer = UNIT_DAMAGE[name]
+    blob = units_blob()
+    damage(blob)
+    with pytest.raises(SchemaError) as exc:
+        parse_filtration(blob, DEFAULT_CONFIG)
+    assert exc.value.pointer == pointer
+    code, out, err = outputs(tmp_path, capsys, blob, [["validate", "--filtration", "{f}"]])[0]
+    assert (code, out) == (1, "") and json.loads(err)["pointer"] == pointer
+
+
+def test_units_in_an_enters_file_point_at_their_step():
+    blob = json.loads(json.dumps(emit_filtration(hamming_filtration(2, 2))))
+    blob["steps"][1]["units"] = []
+    with pytest.raises(SchemaError) as exc:
+        parse_filtration(blob, DEFAULT_CONFIG)
+    assert exc.value.pointer == "/steps/1"
+
+
+def test_a_units_file_is_read_as_labels():
+    """No growth loop and no dense basis: the reader rebuilds MatrixUnits, and
+    a "qwm/1" file of exact matrix units reads to the same labels."""
+    blob = units_blob()
+    assert [len(s["units"]) for s in blob["steps"]] == [3, 4, 2]
+    for obj in (blob, qwm1(blob)):
+        f = parse_filtration(obj, DEFAULT_CONFIG)
+        assert f._basis is None and f.cuts == [3, 7, 9] and f.breakpoints == [0.0, 1.0, 2.0]
+        np.testing.assert_array_equal(f._units.rows * 3 + f._units.cols, [0, 4, 8, 1, 3, 5, 7, 2, 6])
+
+
+def test_an_empty_units_list_is_a_repeated_level(tmp_path, capsys):
+    blob = units_blob()
+    blob["steps"].insert(1, {"t": 0.5, "units": []})
+    assert parse_filtration(blob, DEFAULT_CONFIG).cuts == [3, 3, 7, 9]
+    runs = [["validate", "--filtration", "{f}"]]
+    graded = outputs(tmp_path, capsys, blob, runs)
+    assert graded == outputs(tmp_path, capsys, qwm1(blob), runs)
+    code, out, _ = graded[0]
+    assert code == 2 and json.loads(out)["violations"] == [["not_strictly_increasing", "0"]]
+
+
+def distance_json(d):
+    return [["inf" if math.isinf(v) else float(v) for v in row] for row in np.asarray(d, dtype=float)]
+
+
+def rotated(blob):
+    """The dense twin of a "units" file that no reader takes for labels: each
+    step's units mixed by a random real orthogonal matrix, so the levels are
+    the same and the basis is no matrix-unit stack."""
+    rng = np.random.default_rng(len(json.dumps(blob)))
+    n, steps = blob["dim"], []
+    for step in blob["steps"]:
+        units = np.zeros((len(step["units"]), n, n))
+        for i, (x, y) in enumerate(step["units"]):
+            units[i, x, y] = 1.0
+        q = np.linalg.qr(rng.standard_normal((len(units), len(units))))[0]
+        steps.append({"t": step["t"], "enters": emit_matrix(np.einsum("ij,jkl->ikl", q, units))})
+    return {"schema": "qwm/2", "kind": "filtration", "dim": n, "steps": steps}
+
+
+D2 = np.array([[0.0, 1.5], [1.5, 0.0]])
+# (first metric, second metric, the transform's arguments after its files)
+PIPELINES = {
+    "build": (D3, None, None),
+    "build-inf": (D_INF, None, None),
+    "truncate": (D3, None, ["truncate", "--at", "1.5"]),
+    "truncate-inf": (D_INF, None, ["truncate", "--at", "0.5"]),
+    "product": (D3, D2, ["product"]),
+    "product-inf": (D_INF, D2, ["product"]),
+    "lp": (D3, D2, ["lp", "--p", "1"]),
+    "direct-sum": (D_INF, D2, ["direct-sum"]),
+    "direct-sum-bridged": (D3, D2, ["direct-sum", "--bridge", "1"]),
+}
+
+
+@pytest.mark.parametrize("name", sorted(PIPELINES))
+def test_cli_pipelines_on_units_and_their_dense_twins(tmp_path, capsys, name):
+    """build classical [| transform] | validate prints the same bytes on the
+    "units" files, on their "qwm/1" twins and on rotated dense twins, which
+    take the dense path of every stage."""
+    da, db, transform = PIPELINES[name]
+    built = []
+    for i, d in enumerate(x for x in (da, db) if x is not None):
+        code, out, _ = outputs(tmp_path, capsys, distance_json(d), [["build", "classical", "--matrix", "{f}"]])[0]
+        assert code == 0
+        built.append(json.loads(out))
+        assert "units" in built[-1]["steps"][0]
+    reports = []
+    for shape in (lambda blob: blob, qwm1, rotated):
+        files = [write(tmp_path, f"in{i}.json", shape(blob)) for i, blob in enumerate(built)]
+        assert (parse_filtration(json.loads(open(files[0]).read()), DEFAULT_CONFIG)._units is None) == (shape is rotated)
+        target = files[0]
+        if transform is not None:
+            argv = ["transform", transform[0], "--filtration", files[0], *transform[1:]]
+            argv += ["--with", files[1]] if len(files) > 1 else []
+            code, out, _ = outputs(tmp_path, capsys, {}, [argv])[0]
+            assert code == 0
+            target = write(tmp_path, "out.json", json.loads(out))
+        n = parse_filtration(json.loads(open(target).read()), DEFAULT_CONFIG).n
+        alg = write(tmp_path, "alg.json", [emit_matrix(np.diag(np.arange(n, dtype=float)))])
+        reports.append(outputs(tmp_path, capsys, {}, [["validate", "--filtration", target, "--algebra", alg], ["validate", "--filtration", target]]))
+    assert reports[0] == reports[1] == reports[2]
+    (code, out, _), _ = reports[0]
+    assert code == 0 and json.loads(out)["is_metric"]
+
+
+def test_the_grid_file_is_small_and_validates_on_labels(tmp_path, capsys):
+    """The l1 metric of the 4 x 4 grid: build classical writes 256 labels,
+    under 16 KB (4.4 MB as matrices), and validate and descriptors of the
+    file read the labels."""
+    points = [(x, y) for x in range(4) for y in range(4)]
+    d = [[abs(a - c) + abs(b - e) for c, e in points] for a, b in points]
+    code, text, _ = outputs(tmp_path, capsys, distance_json(d), [["build", "classical", "--matrix", "{f}"]])[0]
+    assert code == 0 and len(text) < 16 * 1024
+    f = parse_filtration(json.loads(text), DEFAULT_CONFIG)
+    assert validate(f, MetricContext.diagonal(16)).is_metric
+    assert descriptors(f) == {"diameter": 6.0, "uniformly_discrete": True, "gap": 1.0, "path_flag": True}
+    assert f._basis is None
 
 
 @pytest.mark.parametrize("tag", ["qwm/3", "qwm/0", "", 2, None])
