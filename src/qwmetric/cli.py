@@ -296,7 +296,8 @@ def _read_json(path: str):
 def _dump(obj) -> str:
     """json.dumps(obj, sort_keys=True, indent=2), byte for byte.  A
     rectangular nest of lists of floats is rendered in one pass over one
-    array."""
+    array, and a flat list of exact ints (bools are not) item by item
+    through str."""
     chunks = []
     _encode(obj, 0, chunks)
     return "".join(chunks)
@@ -309,7 +310,8 @@ def _indent(depth: int) -> str:
 def _encode(o, depth: int, chunks: list) -> None:
     """Append the text of o, which starts at indent depth ``depth``."""
     if isinstance(o, (list, tuple)):
-        items = _float_items(o, depth)
+        # a flat list of exact ints, such as a unit's label: str is json's text of each
+        items = list(map(str, o)) if o and all(type(v) is int for v in o) else _float_items(o, depth)
         if items is not None:
             sep = "," + _indent(depth + 1)
             chunks.append("[" + _indent(depth + 1) + sep.join(items) + _indent(depth) + "]")

@@ -10,9 +10,10 @@ element an entry time and build through StepFiltration.from_times, or the
 two products, which write their Kronecker stack in time order
 (opspace.kron_stack), through from_graded; meets,
 quotients and the three-level metric grow one basis block by block
-(filtration._grown), and generated filtrations grow theirs event by event.
-A meet takes one HS complement per input and one null space per point of
-its grid.
+(filtration._grown), and generated filtrations grow theirs event by event,
+as dense rows, or as matrix-unit labels when the zero level is the diagonal
+algebra.  A meet takes one HS complement per input and one null space per
+point of its grid.
 """
 
 from __future__ import annotations
@@ -36,8 +37,8 @@ from .errors import (
     NotSubalgebra,
     NotSuperadditive,
 )
-from .filtration import MetricContext, StepFiltration, _grown, _off_diagonal, _sized, _time_steps, default_context, descriptors
-from .numerics import DEFAULT_CONFIG, NumericConfig, _natural_range_basis, as_square, commutes_each, eye, is_projection, op_norm
+from .filtration import MatrixUnits, MetricContext, StepFiltration, _diameter, _grown, _off_diagonal, _sized, _time_steps, default_context
+from .numerics import DEFAULT_CONFIG, NumericConfig, _natural_range_basis, as_square, commutes_each, eye, is_projection, op_norm, rank
 from .opspace import (
     _BUDGET,
     OperatorSubspace,
@@ -137,8 +138,7 @@ def direct_sum(
     if bridge is not None:
         if not math.isfinite(bridge):
             raise MixedDimensions("bridge must be finite")
-        diam_f = descriptors(f, cfg)["diameter"]
-        diam_g = descriptors(g, cfg)["diameter"]
+        diam_f, diam_g = _diameter(f), _diameter(g)
         if not math.isfinite(diam_f) or not math.isfinite(diam_g):
             raise BridgeTooSmall("bridging requires both diameters finite")
         if bridge < max(diam_f, diam_g) / 2:
@@ -209,6 +209,13 @@ def generated_filtration(tg: TimedGenerators, cfg: NumericConfig = DEFAULT_CONFI
     at most n^2 events, so there are at most g + n^4 pops for g generators:
     the construction terminates with the exact filtration on all of
     [0, inf), with no grid horizon.
+
+    One event loop, two block kinds.  A zero level that is exactly the
+    diagonal algebra D (its orthonormalized basis the n units E_xx, as
+    MatrixUnits.found_in reads them) makes every block a span of matrix
+    units, a quantum relation over D, so blocks are label sets
+    (_label_rows) and the result is MatrixUnits; any other zero level grows
+    dense rows (_dense_rows).
     """
     n = tg.base.n
     # a generator within TIME_MERGE of 0 merges into the zero level, which
@@ -216,21 +223,12 @@ def generated_filtration(tg: TimedGenerators, cfg: NumericConfig = DEFAULT_CONFI
     early = [b for t, g in tg.gens if t < TIME_MERGE for b in g.basis]
     base = generated_vn_algebra([*tg.base.basis, *early], n, cfg).basis if early else tg.base.basis
     b = _orthonormalize(np.asarray(base, dtype=complex).reshape(-1, n * n), n, cfg)
-    # the graded basis as rows: jump i adds rows[cuts[i - 1]:cuts[i]] at times[i]
-    rows, times, cuts = b.reshape(-1, n * n), [0.0], [len(b)]
-
-    def block(i):
-        return rows[cuts[i - 1] : cuts[i]].reshape(-1, n, n)
-
-    def candidates(kind, data):
-        """An event's products and their adjoints, a block of _products at a time."""
-        if kind == "gen":
-            xb = np.concatenate([p for _, p in _products(data.basis, b)]).reshape(-1, n * n)
-            blocks = _products(b, _orthonormalize(xb, n, cfg))
-        else:
-            blocks = _products(block(data[0]), block(data[1]))
-        for _, p in blocks:
-            yield np.concatenate([p, np.conj(np.transpose(p, (0, 2, 1)))]).reshape(-1, n * n)
+    units = MatrixUnits.found_in(b)
+    diagonal = units is not None and len(b) == n and bool((units.rows == units.cols).all())
+    grow = _label_rows if diagonal else _dense_rows
+    # the graded basis, as labels (row-major entries) or rows: jump i adds
+    # rows[cuts[i - 1]:cuts[i]] at times[i]
+    rows, times, cuts = units.entries if diagonal else b.reshape(-1, n * n), [0.0], [len(b)]
 
     tick = itertools.count()  # ties in time pop in push order
     heap = [(u, next(tick), ("gen", g)) for u, g in tg.gens if TIME_MERGE <= u]
@@ -242,17 +240,9 @@ def generated_filtration(tg: TimedGenerators, cfg: NumericConfig = DEFAULT_CONFI
             payloads.append(heapq.heappop(heap)[2])
         if len(rows) == n * n:
             continue
-        # the candidate blocks go to _extend once they reach _BUDGET entries, and
-        # stop once the rows span M_n
-        before, pending = len(rows), []
-        for cand in itertools.chain.from_iterable(candidates(*p) for p in payloads):
-            pending.append(cand)
-            if sum(map(np.size, pending)) >= _BUDGET:
-                rows, pending = np.concatenate([rows, _extend(rows, np.concatenate(pending), n, cfg)]), []
-                if len(rows) == n * n:
-                    break
-        if pending:
-            rows = np.concatenate([rows, _extend(rows, np.concatenate(pending), n, cfg)])
+        # an event's data: a generator, or its two blocks
+        events = [(kind, data if kind == "gen" else [rows[cuts[i - 1] : cuts[i]] for i in data]) for kind, data in payloads]
+        before, rows = len(rows), grow(rows, events, b, cfg)
         if len(rows) == before:
             continue
         if abs(times[-1] - t) < TIME_MERGE:
@@ -267,7 +257,60 @@ def generated_filtration(tg: TimedGenerators, cfg: NumericConfig = DEFAULT_CONFI
         for i in range(1, j + 1):
             heapq.heappush(heap, (times[i] + t, next(tick), ("prod", (i, j))))
 
-    return StepFiltration.from_graded(n, times, rows.reshape(-1, n, n), cuts)
+    basis = MatrixUnits(n, rows // n, rows % n) if diagonal else rows.reshape(-1, n, n)
+    return StepFiltration.from_graded(n, times, basis, cuts)
+
+
+def _dense_rows(rows: np.ndarray, events: list, b: np.ndarray, cfg: NumericConfig) -> np.ndarray:
+    """The dense block kind: the (k, n^2) rows grown by a pop's events.  A
+    generator X gives B span(X B), a product event its two blocks' products,
+    each with their adjoints, in the blocks of _products; the candidates go
+    to _extend once they hold _BUDGET entries, and stop once the rows span
+    M_n."""
+    n = b.shape[1]
+
+    def candidates(kind, data):
+        if kind == "gen":
+            xb = np.concatenate([p for _, p in _products(data.basis, b)]).reshape(-1, n * n)
+            blocks = _products(b, _orthonormalize(xb, n, cfg))
+        else:
+            blocks = _products(*(d.reshape(-1, n, n) for d in data))
+        for _, p in blocks:
+            yield np.concatenate([p, np.conj(np.transpose(p, (0, 2, 1)))]).reshape(-1, n * n)
+
+    pending = []
+    for cand in itertools.chain.from_iterable(candidates(*e) for e in events):
+        pending.append(cand)
+        if sum(map(np.size, pending)) >= _BUDGET:
+            rows, pending = np.concatenate([rows, _extend(rows, np.concatenate(pending), n, cfg)]), []
+            if len(rows) == n * n:
+                return rows
+    if pending:
+        rows = np.concatenate([rows, _extend(rows, np.concatenate(pending), n, cfg)])
+    return rows
+
+
+def _label_rows(entries: np.ndarray, events: list, b: np.ndarray, cfg: NumericConfig) -> np.ndarray:
+    """The label block kind over the diagonal algebra D: the row-major entries
+    x n + y of the units E_xy grown by a pop's events.  D span(X) D is the
+    span of the units where an element of span(X) is nonzero, the labels
+    whose HS weight |P_X E_xy| (the norm of the entries of X's basis there)
+    passes the rank rule against the largest; a product of two blocks is
+    spanned by E_xy E_yw = E_xw, the boolean product of their supports.
+    Both come with their transposes (E_xy* = E_yx), and the labels not yet
+    present enter in row-major order."""
+    n = b.shape[1]
+    support = np.zeros((n, n), dtype=bool)
+    for kind, data in events:
+        if kind == "gen":
+            weight = np.linalg.norm(data.basis, axis=0).reshape(-1, 1)
+            support |= (rank(weight, cfg, weight.max(initial=0.0)) > 0).reshape(n, n)
+        else:
+            left, right = (np.bincount(d, minlength=n * n).reshape(n, n) for d in data)
+            support |= left @ right > 0
+    support = (support | support.T).reshape(-1)
+    support[entries] = False
+    return np.concatenate([entries, np.flatnonzero(support)])
 
 
 def quotient(

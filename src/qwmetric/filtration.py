@@ -721,6 +721,12 @@ def _path_triples(f: StepFiltration) -> list:
     return triples[np.argsort(cost, kind="stable")].tolist()
 
 
+def _diameter(f: StepFiltration) -> float:
+    """The first breakpoint whose level is M_n, read off the cuts; +inf when
+    the top level is smaller."""
+    return next((t for t, c in zip(f.breakpoints, f.cuts) if c == f.n * f.n), math.inf)
+
+
 def descriptors(f: StepFiltration, cfg: NumericConfig = DEFAULT_CONFIG) -> dict:
     """Scalar shape descriptors: diameter, uniform-discreteness gap, and the
     path property certified on the breakpoint sum grid.
@@ -729,7 +735,7 @@ def descriptors(f: StepFiltration, cfg: NumericConfig = DEFAULT_CONFIG) -> dict:
     V_i V_j = V_k when the products lie in V_k and span it.  A triple
     containing a spanning triple with the same target spans too, so only
     its containment is checked."""
-    diameter = next((t for t, c in zip(f.breakpoints, f.cuts) if c == f.n * f.n), math.inf)
+    diameter = _diameter(f)
     gap = f.breakpoints[1] if len(f.breakpoints) > 1 else math.inf
     reach = _product_reach(f, cfg)
     spanning = {}

@@ -7,7 +7,8 @@ from qwmetric import StepFiltration, from_classical, span
 from qwmetric.cli import parse_filtration
 from qwmetric.constructions import TimedGenerators, generated_filtration, truncate
 from qwmetric.numerics import DEFAULT_CONFIG, random_hermitian
-from qwmetric.opspace import VNAlgebra, scalar_space
+from qwmetric.filtration import MetricContext
+from qwmetric.opspace import OperatorSubspace, VNAlgebra, scalar_space
 
 # physics-convention Paulis (tests that follow the canonical M_2 chain use
 # DIAG / REAL_OFF / IMAG_OFF directly)
@@ -83,6 +84,37 @@ def graph_relation_span(adj):
                 e[x, y] = 1.0
                 mats.append(e)
     return span(mats, n)
+
+
+# the graphs of the axioms workload: a 5-cycle, a 4-path, a triangle beside a
+# 3-path (two components) and a 5-star
+AXIOM_GRAPHS = [
+    (5, [(0, 1), (1, 2), (2, 3), (3, 4), (4, 0)]),
+    (4, [(0, 1), (1, 2), (2, 3)]),
+    (6, [(0, 1), (1, 2), (2, 0), (3, 4), (4, 5)]),
+    (5, [(0, 1), (0, 2), (0, 3), (0, 4)]),
+]
+
+
+def adjacency(n, edges):
+    adj = np.zeros((n, n), dtype=bool)
+    for x, y in edges:
+        adj[x, y] = adj[y, x] = True
+    return adj
+
+
+def graph_generators(adj):
+    """The graph's relation (its edges and the diagonal) at time 1 over the diagonal algebra."""
+    return TimedGenerators(MetricContext.diagonal(adj.shape[0]).commutant, [(1.0, graph_relation_span(adj))])
+
+
+def conjugated_generators(tg, u):
+    """The timed generators moved by A -> U A U*: the base's basis and each
+    generator's conjugated, so a diagonal base is no longer held as units."""
+    def moved(s):
+        return u @ s.basis @ u.conj().T
+
+    return TimedGenerators(VNAlgebra(tg.base.n, moved(tg.base), verify=False), [(t, OperatorSubspace(g.n, moved(g))) for t, g in tg.gens])
 
 
 def random_step_filtration(n, rng, levels=None, classical=False):

@@ -30,6 +30,14 @@ EDGE_OBJECTS = [
     [True, 1.0],
     [None, 1.0],
     [[1, 2], [3, 4]],
+    [0, 7],
+    [True, 1],
+    [1, False],
+    [2**64, -(2**70), 0],
+    [[[1, 2]], [[3, 4], [5, 6]]],
+    [[], [1, 2], []],
+    [[1, 2], [3, 4.0]],
+    [1, "2"],
     [],
     {},
     [[]],
@@ -123,6 +131,26 @@ def test_dump_of_a_filtration_matches_json(f):
     json's, byte for byte."""
     blob = emit_filtration(f)
     assert _dump(blob) == reference(blob)
+
+
+BUILDS = [
+    ["build", "hamming", "--sites", "2"],
+    ["build", "blocks", "--blocks", "1,2"],
+    ["build", "m2", "--a", "1", "--b", "2", "--c", "3"],
+    ["build", "classical", "--matrix", "{d}"],
+]
+
+
+@pytest.mark.parametrize("argv", BUILDS, ids=[argv[1] for argv in BUILDS])
+def test_dump_of_every_build_kind_matches_json(tmp_path, capsys, argv):
+    """Each kind's file is json's text of itself: dense matrices of floats,
+    and the [x, y] int labels of a classical metric's units."""
+    d = tmp_path / "d.json"
+    d.write_text(json.dumps([[0, 1, "inf"], [1, 0, "inf"], ["inf", "inf", 0]]))
+    assert main([a.format(d=d) for a in argv]) == 0
+    text = capsys.readouterr().out
+    assert text == reference(json.loads(text)) + "\n"
+    assert ("units" in text) == (argv[1] == "classical")
 
 
 def test_dump_renders_each_basis_matrix_once(monkeypatch):

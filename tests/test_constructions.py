@@ -14,6 +14,7 @@ from qwmetric import (
     to_classical,
     validate,
 )
+from qwmetric.codes import hamming_filtration
 from qwmetric.constructions import (
     PiecewiseLinear,
     TimedGenerators,
@@ -44,16 +45,21 @@ from qwmetric.errors import (
     QwmError,
 )
 from qwmetric.numerics import NumericConfig, random_hermitian, random_unitary
+from qwmetric.filtration import MatrixUnits
 from qwmetric.opspace import VNAlgebra, generated_vn_algebra, intersect, product_span, scalar_space, tensor
 
 from conftest import (
+    AXIOM_GRAPHS,
     DIAG,
     I2,
     IMAG_OFF,
     REAL_OFF,
+    adjacency,
     basis_state_projection,
     bfs_distances,
     conjugated,
+    conjugated_generators,
+    graph_generators,
     graph_relation_span,
     indicator_projection,
     m2_graded,
@@ -162,6 +168,28 @@ class TestDirectSum:
         with pytest.raises(BridgeTooSmall):
             direct_sum(fa, fa, bridge=da.max() / 4)
 
+    def test_a_bridge_reads_the_diameters_off_the_cuts(self, monkeypatch):
+        """The bridge is checked against each input's diameter, the first
+        breakpoint whose level is M_n: no reach pass and no path check, and
+        the result and the BridgeTooSmall rule are the ones the diameter of
+        descriptors gives."""
+        from qwmetric import filtration
+
+        h = hamming_filtration(3)
+        diameter = descriptors(h)["diameter"]
+        calls = []
+        for name in ("_product_reach", "_spans"):
+            monkeypatch.setattr(filtration, name, lambda *a, real=getattr(filtration, name): calls.append(real) or real(*a))
+        s = direct_sum(h, h, 2.0)
+        assert s.breakpoints == [0.0, 1.0, 2.0, 3.0]
+        assert s.cuts == [2 * c + 2 * 8 * 8 * (t >= 2.0) for t, c in zip(h.breakpoints, h.cuts)]
+        assert direct_sum(h, h, diameter / 2).breakpoints == [0.0, 1.0, 1.5, 2.0, 3.0]
+        with pytest.raises(BridgeTooSmall, match="below max"):
+            direct_sum(h, h, np.nextafter(diameter / 2, 0))
+        with pytest.raises(BridgeTooSmall, match="finite"):
+            direct_sum(h, from_classical(np.where(np.eye(2, dtype=bool), 0.0, math.inf))[0], 10.0)
+        assert not calls
+
     @pytest.mark.parametrize("seed", range(3))
     def test_rho_is_blockwise_min(self, seed):
         rng = np.random.default_rng(seed)
@@ -263,6 +291,40 @@ class TestMetricProduct:
         assert validate(metric_product(fm, fm), ctx4).is_metric
         assert not validate(metric_product(fm, fp), ctx4).is_metric
         assert validate(metric_product(fm, fp), ctx4).is_pseudometric
+
+
+def fixed_point_case(seed):
+    """The base and timed generators of the fixed-point oracle's case ``seed``:
+    a diagonal base (seeds divisible by 3, in the standard basis), or the
+    algebra of a Hermitian or of a block sum, in a random basis."""
+    rng = np.random.default_rng(1000 + seed)
+    n = int(rng.integers(2, 5))
+    u = random_unitary(n, rng) if seed % 3 else np.eye(n)
+    if seed % 3 == 0:
+        base = MetricContext.diagonal(n).commutant
+    elif seed % 3 == 1 or n == 2:
+        # the spectral projections of a Hermitian with two or three eigenvalues
+        values = rng.permutation([0.0, 1.0, *rng.choice([0.0, 1.0, 2.0], size=n - 2)])
+        base = generated_vn_algebra([u @ np.diag(values) @ u.conj().T], n)
+    else:
+        # M_k (+) M_{n-k}
+        k = int(rng.integers(1, n))
+        block = np.zeros((n, n), dtype=complex)
+        block[:k, :k], block[k:, k:] = random_hermitian(k, rng), random_hermitian(n - k, rng)
+        shift = np.diag(np.arange(n, dtype=float))
+        base = generated_vn_algebra([u @ block @ u.conj().T, u @ shift @ u.conj().T], n)
+    b = span(list(base.basis), n)
+    assert 1 < b.dim < n * n
+    gens = []
+    # drawn until some generator is not closed under the base
+    while all(g.contains_space(product_span(b, product_span(g, b))) for _, g in gens):
+        gens = []
+        for _ in range(int(rng.integers(1, 3))):
+            # two random entries in the base's own basis, so the levels grow in several steps
+            x = np.zeros((n, n), dtype=complex)
+            x[rng.integers(0, n, 2), rng.integers(0, n, 2)] = rng.standard_normal(2) + 1j * rng.standard_normal(2)
+            gens.append((float(rng.choice([0.5, 1.0, 1.5])), span([u @ x @ u.conj().T], n)))
+    return n, base, gens
 
 
 class TestGeneratedFiltration:
@@ -384,33 +446,8 @@ class TestGeneratedFiltration:
         sandwich by the base until that is stable.  The engine closes only
         generators under the base and multiplies only the new blocks, so
         this pins that the blocks are bimodules over the base."""
-        rng = np.random.default_rng(1000 + seed)
-        n = int(rng.integers(2, 5))
-        u = random_unitary(n, rng) if seed % 3 else np.eye(n)
-        if seed % 3 == 0:
-            base = MetricContext.diagonal(n).commutant
-        elif seed % 3 == 1 or n == 2:
-            # the spectral projections of a Hermitian with two or three eigenvalues
-            values = rng.permutation([0.0, 1.0, *rng.choice([0.0, 1.0, 2.0], size=n - 2)])
-            base = generated_vn_algebra([u @ np.diag(values) @ u.conj().T], n)
-        else:
-            # M_k (+) M_{n-k}
-            k = int(rng.integers(1, n))
-            block = np.zeros((n, n), dtype=complex)
-            block[:k, :k], block[k:, k:] = random_hermitian(k, rng), random_hermitian(n - k, rng)
-            shift = np.diag(np.arange(n, dtype=float))
-            base = generated_vn_algebra([u @ block @ u.conj().T, u @ shift @ u.conj().T], n)
+        n, base, gens = fixed_point_case(seed)
         b = span(list(base.basis), n)
-        assert 1 < b.dim < n * n
-        gens = []
-        # drawn until some generator is not closed under the base
-        while all(g.contains_space(product_span(b, product_span(g, b))) for _, g in gens):
-            gens = []
-            for _ in range(int(rng.integers(1, 3))):
-                # two random entries in the base's own basis, so the levels grow in several steps
-                x = np.zeros((n, n), dtype=complex)
-                x[rng.integers(0, n, 2), rng.integers(0, n, 2)] = rng.standard_normal(2) + 1j * rng.standard_normal(2)
-                gens.append((float(rng.choice([0.5, 1.0, 1.5])), span([u @ x @ u.conj().T], n)))
         f = generated_filtration(TimedGenerators(base, gens))
         assert all(t == round(2 * t) / 2 for t in f.breakpoints)
         # no level grows past twice the last breakpoint: the top times itself lies in the top
@@ -434,14 +471,116 @@ class TestGeneratedFiltration:
         for k, level in enumerate(levels):
             assert f.value_at(k / 2).equals(level), k / 2
 
+    def test_the_30_point_path_grows_labels_with_no_extend(self, monkeypatch):
+        """Over the diagonal algebra the engine grows matrix-unit labels: the
+        30-point path takes no dense growth step, and its distance is |x - y|."""
+        from qwmetric import constructions
+
+        monkeypatch.setattr(constructions, "_extend", lambda *a: pytest.fail("_extend called"))
+        f = generated_filtration(graph_generators(path_or_cycle(30, False)))
+        assert isinstance(f._graded, MatrixUnits)
+        x = np.arange(30)
+        np.testing.assert_array_equal(to_classical(f, MetricContext.diagonal(30)), np.abs(x[:, None] - x[None]))
+
     @pytest.mark.parametrize("n, cycle", [(12, False), (14, False), (12, True)])
     def test_long_paths_and_a_cycle_are_bfs(self, n, cycle):
-        adj = np.zeros((n, n), dtype=bool)
-        for x in range(n if cycle else n - 1):
-            adj[x, (x + 1) % n] = adj[(x + 1) % n, x] = True
+        adj = path_or_cycle(n, cycle)
         ctx = MetricContext.diagonal(n)
         f = generated_filtration(TimedGenerators(ctx.commutant, [(1.0, graph_relation_span(adj))]))
         np.testing.assert_array_equal(to_classical(f, ctx), bfs_distances(adj))
+
+
+def path_or_cycle(n, cycle):
+    adj = np.zeros((n, n), dtype=bool)
+    for x in range(n if cycle else n - 1):
+        adj[x, (x + 1) % n] = adj[(x + 1) % n, x] = True
+    return adj
+
+
+def random_graph(rng, high, density=lambda rng: 0.45):
+    """A graph on 2 to high - 1 points, drawn as the BFS tests draw theirs:
+    the size, the coins, then the density they are compared with."""
+    n = int(rng.integers(2, high))
+    adj = np.triu(rng.random((n, n)) < density(rng), 1)
+    return adj | adj.T
+
+
+# generator times with runs that merge: 1 and 1 + 1e-13 are one time, and so
+# are sums such as 0.5 + 1.5 and 2 - 1e-13; 1e-12 is a jump of its own
+MERGED_TIMES = [1e-12, 0.5, 1.0, 1.0 + 1e-13, 1.5, 2.0 - 1e-13, 2.0, 3.0]
+
+
+def random_relation(seed):
+    """One to three generators over the diagonal algebra, each the span of
+    one or two complex matrices with a few random entries, at MERGED_TIMES."""
+    rng = np.random.default_rng(seed)
+    n = int(rng.integers(3, 9))
+    gens = []
+    for _ in range(int(rng.integers(1, 4))):
+        mats = []
+        for _ in range(int(rng.integers(1, 3))):
+            x = np.zeros((n, n), dtype=complex)
+            k = int(rng.integers(1, n + 1))
+            x[rng.integers(0, n, k), rng.integers(0, n, k)] = rng.standard_normal(k) + 1j * rng.standard_normal(k)
+            mats.append(x)
+        gens.append((float(rng.choice(MERGED_TIMES)), span(mats, n)))
+    return TimedGenerators(MetricContext.diagonal(n).commutant, gens)
+
+
+def merged_jump():
+    """The generators of test_a_merged_jump_takes_its_products_again."""
+    units = np.eye(16, dtype=complex).reshape(16, 4, 4)
+    return TimedGenerators(MetricContext.diagonal(4).commutant, [(1e-12, span([units[1], units[6]], 4)), (16.0, span([units[11]], 4))])
+
+
+def diagonal_cases():
+    """Every generated filtration over the diagonal algebra the tests build,
+    by name: the graphs of criterion 05 and of the BFS tests, the long paths
+    and the cycle, the merged jump, the diagonal fixed-point cases, the
+    axioms graphs, and random relations at merged times."""
+    criterion05 = np.random.default_rng(105)
+    cases = [(f"criterion05-{k}", lambda adj=random_graph(criterion05, 9, lambda r: r.uniform(0.2, 0.7)): graph_generators(adj)) for k in range(100)]
+    cases += [(f"bfs-{seed}", lambda seed=seed: graph_generators(random_graph(np.random.default_rng(seed), 8))) for seed in range(6)]
+    cases += [(f"long-{n}-{cycle}", lambda n=n, cycle=cycle: graph_generators(path_or_cycle(n, cycle))) for n, cycle in [(12, False), (14, False), (12, True)]]
+    cases += [("merged-jump", merged_jump)]
+    cases += [(f"fixed-point-{seed}", lambda seed=seed: TimedGenerators(*fixed_point_case(seed)[1:])) for seed in range(0, 30, 3)]
+    cases += [(f"axioms-{j}", lambda n=n, e=e: graph_generators(adjacency(n, e))) for j, (n, e) in enumerate(AXIOM_GRAPHS)]
+    return cases + [(f"random-{seed}", lambda seed=seed: random_relation(seed)) for seed in range(120)]
+
+
+def assert_labels_match_dense(tg, seed):
+    """The label engine's filtration over D is MatrixUnits, and the dense
+    engine grows the same filtration, moved by A -> U A U*, from the
+    generators on the conjugated base: breakpoints within 1e-12, equal
+    cuts, and equal levels."""
+    f = generated_filtration(tg)
+    assert isinstance(f._graded, MatrixUnits)
+    u = random_unitary(tg.base.n, np.random.default_rng(seed))
+    g = generated_filtration(conjugated_generators(tg, u))
+    assert not isinstance(g._graded, MatrixUnits)
+    assert f.cuts == g.cuts
+    np.testing.assert_allclose(f.breakpoints, g.breakpoints, rtol=0, atol=1e-12)
+    assert all(a.equals(b) for a, b in zip(conjugated(f, u).levels, g.levels))
+    return f
+
+
+DIAGONAL_CASES = diagonal_cases()
+
+
+@pytest.mark.parametrize("seed, case", list(enumerate(DIAGONAL_CASES)), ids=[name for name, _ in DIAGONAL_CASES])
+def test_labels_match_the_dense_engine_on_a_conjugated_base(seed, case):
+    assert_labels_match_dense(case[1](), seed)
+
+
+def test_a_support_entry_counts_by_the_rank_rule():
+    """A generator entry 1e-6 of the largest passes the rank rule and one of
+    1e-13 does not, in either engine: E_12 joins the relation, E_23 does not."""
+    x = np.zeros((4, 4), dtype=complex)
+    x[0, 1], x[1, 2], x[2, 3] = 1.0, 1e-6, 1e-13
+    f = assert_labels_match_dense(TimedGenerators(MetricContext.diagonal(4).commutant, [(1.0, span([x], 4))]), 0)
+    inf = math.inf
+    want = [[0, 1, 2, inf], [1, 0, 1, inf], [2, 1, 0, inf], [inf, inf, inf, 0]]
+    np.testing.assert_array_equal(to_classical(f, MetricContext.diagonal(4)), want)
 
 
 @pytest.mark.parametrize("bad", [math.nan, math.inf])

@@ -469,6 +469,25 @@ def test_einsum_and_kron_are_held_to_an_allow_list():
     assert callers == PRODUCT_WRITERS
 
 
+# (module, top-level def) of every heapq.heappop call: the one event loop of
+# the generated engine, whose dense rows and matrix-unit labels differ only
+# in how a pop's events grow the basis
+EVENT_LOOPS = {("constructions.py", "generated_filtration")}
+
+
+def test_heappop_is_held_to_the_event_loop():
+    """Both block kinds of generated filtrations share one heap, one merge of
+    TIME_MERGE runs and one re-push after a merged jump, so a heappop
+    anywhere else fails here."""
+    callers = set()
+    for path in sorted(SRC.glob("*.py")):
+        for node, scope in _scopes(ast.parse(path.read_text())):
+            func = node.func if isinstance(node, ast.Call) else None
+            if getattr(func, "attr", getattr(func, "id", None)) == "heappop":
+                callers.add((path.name, scope))
+    assert callers == EVENT_LOOPS
+
+
 # (module, top-level def) of library code that may read how a filtration's
 # graded basis is stored: the filtration itself, the JSON writer, the dense
 # product kernel of validate and descriptors (until they read labels), and

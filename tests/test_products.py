@@ -10,32 +10,12 @@ from qwmetric import constructions, filtration, opspace
 from qwmetric.codes import block_filtration, hamming_filtration
 from qwmetric.constructions import TimedGenerators, generated_filtration
 from qwmetric.filtration import MetricContext, StepFiltration, descriptors, from_classical, to_classical, validate
-from qwmetric.numerics import random_hermitian
+from qwmetric.numerics import random_hermitian, random_unitary
 from qwmetric.opspace import VNAlgebra, generated_vn_algebra, kron_stack, scalar_space, span
 
-from conftest import bfs_distances, graph_relation_span, random_metric
+from conftest import AXIOM_GRAPHS, adjacency, bfs_distances, conjugated_generators, graph_generators, random_metric
 
-# the graphs of the axioms workload: a 5-cycle, a 4-path, a triangle beside a
-# 3-path (two components) and a 5-star
-GRAPHS = [
-    (5, [(0, 1), (1, 2), (2, 3), (3, 4), (4, 0)]),
-    (4, [(0, 1), (1, 2), (2, 3)]),
-    (6, [(0, 1), (1, 2), (2, 0), (3, 4), (4, 5)]),
-    (5, [(0, 1), (0, 2), (0, 3), (0, 4)]),
-]
 SMALL_BUDGET = 300
-
-
-def adjacency(n, edges):
-    adj = np.zeros((n, n), dtype=bool)
-    for x, y in edges:
-        adj[x, y] = adj[y, x] = True
-    return adj
-
-
-def graph_generators(n, edges):
-    ctx = MetricContext.diagonal(n)
-    return TimedGenerators(ctx.commutant, [(1.0, graph_relation_span(adjacency(n, edges)))])
 
 
 def hermitian_generators(n, seed):
@@ -45,7 +25,9 @@ def hermitian_generators(n, seed):
     return TimedGenerators(base, [(t, span([np.eye(n), random_hermitian(n, rng)], n)) for t in (1.0, 1.7)])
 
 
-CASES = [(f"graph{j}", graph_generators(n, e)) for j, (n, e) in enumerate(GRAPHS)]
+# the graphs on a conjugated base, which the dense engine grows (over the
+# diagonal algebra itself they grow as labels, with no _extend)
+CASES = [(f"graph{j}", conjugated_generators(graph_generators(adjacency(n, e)), random_unitary(n, np.random.default_rng(j)))) for j, (n, e) in enumerate(AXIOM_GRAPHS)]
 CASES += [(f"hermitian{n}", hermitian_generators(n, n)) for n in (3, 4, 5)]
 
 
@@ -72,10 +54,11 @@ def product_results(tg):
 @pytest.mark.parametrize("name, tg", CASES, ids=[c[0] for c in CASES])
 def test_a_small_budget_changes_no_result(monkeypatch, name, tg):
     """With _BUDGET a few hundred entries every product stack is cut into
-    many blocks, and on the graphs the generated engine hands them to
-    _extend in many pieces: the filtration, the validation report, the
-    reach table, the path flag, the generated algebra and its verification
-    are unchanged."""
+    many blocks, and on the conjugated graphs the generated engine hands
+    them to _extend in many pieces: the filtration, the validation report,
+    the reach table, the path flag, the generated algebra and its
+    verification are unchanged.  The graphs over the diagonal algebra
+    itself still give their BFS distances."""
     extends = []
     monkeypatch.setattr(constructions, "_extend", lambda *a: extends.append(len(a[1])) or opspace._extend(*a))
     want = product_results(tg)
@@ -92,8 +75,9 @@ def test_a_small_budget_changes_no_result(monkeypatch, name, tg):
     VNAlgebra(f.n, want["algebra"].basis)  # the closure check passes block by block
     if name.startswith("graph"):
         assert len(extends) > len(default) and max(extends) < max(default)
-        n, edges = GRAPHS[int(name[5:])]
-        np.testing.assert_array_equal(to_classical(g, MetricContext.diagonal(n)), bfs_distances(adjacency(n, edges)))
+        adj = adjacency(*AXIOM_GRAPHS[int(name[5:])])
+        diagonal = generated_filtration(graph_generators(adj))
+        np.testing.assert_array_equal(to_classical(diagonal, MetricContext.diagonal(len(adj))), bfs_distances(adj))
 
 
 def test_a_small_budget_still_finds_an_open_product(monkeypatch):

@@ -13,22 +13,14 @@ import pytest
 from qwmetric import AmplifiedProjection, MetricContext, descriptors, from_classical, validate
 from qwmetric.cli import _dump, _fmt, emit_filtration, emit_matrix, emit_projection, main, parse_filtration
 from qwmetric.codes import hamming_filtration
-from qwmetric.constructions import TimedGenerators, generated_filtration, m2_metric, truncate
+from qwmetric.constructions import generated_filtration, m2_metric, truncate
 from qwmetric.errors import SchemaError
 from qwmetric.numerics import DEFAULT_CONFIG, random_unitary
 
-from conftest import graph_relation_span, qwm1
+from conftest import adjacency, graph_generators, qwm1, unit_matrix
 
 D3 = np.array([[0.0, 1, 2], [1, 0, 1], [2, 1, 0]])
 D_INF = np.array([[0.0, 1, math.inf], [1, 0, math.inf], [math.inf, math.inf, 0]])
-
-
-def graph_metric(edges, n):
-    adj = np.zeros((n, n), dtype=bool)
-    for x, y in edges:
-        adj[x, y] = adj[y, x] = True
-    tg = TimedGenerators(MetricContext.diagonal(n).commutant, [(1.0, graph_relation_span(adj))])
-    return generated_filtration(tg)
 
 
 CASES = {
@@ -37,8 +29,8 @@ CASES = {
     "hamming-3": lambda: hamming_filtration(3, 2),
     "m2": lambda: m2_metric(1, 2, 3),
     "classical-inf": lambda: from_classical(D_INF)[0],
-    "graph-path-4": lambda: graph_metric([(0, 1), (1, 2), (2, 3)], 4),
-    "graph-cycle-5": lambda: graph_metric([(0, 1), (1, 2), (2, 3), (3, 4), (4, 0)], 5),
+    "graph-path-4": lambda: generated_filtration(graph_generators(adjacency(4, [(0, 1), (1, 2), (2, 3)]))),
+    "graph-cycle-5": lambda: generated_filtration(graph_generators(adjacency(5, [(0, 1), (1, 2), (2, 3), (3, 4), (4, 0)]))),
     "truncation": lambda: truncate(from_classical(D3)[0], 1.5),
 }
 
@@ -130,7 +122,7 @@ def reading_runs(tmp_path, n):
     return runs + ([["classify-m2", "--filtration", "{f}"]] if n == 2 else [])
 
 
-@pytest.mark.parametrize("name", ["m2", "hamming-2", "classical-inf", "truncation"])
+@pytest.mark.parametrize("name", ["m2", "hamming-2", "classical-inf", "truncation", "graph-path-4"])
 def test_every_command_reports_both_shapes_alike(tmp_path, capsys, name):
     f = CASES[name]()
     blob = emit_filtration(f)
@@ -141,6 +133,21 @@ def test_every_command_reports_both_shapes_alike(tmp_path, capsys, name):
     for argv, (code, out, err) in zip(runs, graded):
         assert code in (0, 2)
         assert json.loads(out or err)["schema"] == ("qwm/2" if "transform" in argv and out else "qwm/1")
+
+
+@pytest.mark.parametrize("name", ["graph-path-4", "graph-cycle-5"])
+def test_a_generated_graph_is_a_units_file_validated_as_its_dense_twin(tmp_path, capsys, name):
+    """A graph metric grown over the diagonal algebra is written as its unit
+    labels, and validate over the diagonal algebra prints the same bytes for
+    that file and for its "qwm/1" twin of dense units."""
+    blob = emit_filtration(CASES[name]())
+    assert all("units" in step and "enters" not in step for step in blob["steps"])
+    n = blob["dim"]
+    diag = write(tmp_path, "diag.json", [unit_matrix(n, x, x) for x in range(n)])
+    runs = [["validate", "--filtration", "{f}", "--algebra", diag]]
+    graded = outputs(tmp_path, capsys, blob, runs)
+    assert graded == outputs(tmp_path, capsys, qwm1(blob), runs)
+    assert graded[0][0] == 0 and json.loads(graded[0][1])["is_metric"]
 
 
 def test_an_empty_enters_list_is_a_repeated_level(tmp_path, capsys):
