@@ -137,10 +137,11 @@ def _parse_basis(obj: list, n: int, pointer: str, first: int = 0) -> np.ndarray:
 def emit_filtration(f: StepFiltration):
     """The "qwm/2" file: matrix units as their [x, y] labels, any other basis
     as its matrices."""
-    if f._units is None:
-        key, items = "enters", emit_matrix(f.basis)
+    units = f._graded
+    if isinstance(units, MatrixUnits):
+        key, items = "units", np.stack([units.rows, units.cols], axis=1).tolist()
     else:
-        key, items = "units", np.stack([f._units.rows, f._units.cols], axis=1).tolist()
+        key, items = "enters", emit_matrix(f.basis)
     return {
         "schema": FILTRATION_SCHEMA,
         "kind": "filtration",

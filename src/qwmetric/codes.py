@@ -13,7 +13,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import NotACode, SizeLimit
-from .filtration import MetricContext, StepFiltration, _sized, default_context
+from .filtration import GradedBasis, MetricContext, StepFiltration, _sized, default_context
 from .numerics import DEFAULT_CONFIG, NumericConfig, _natural_range_basis, as_square, commutes_each, is_projection, op_norms, rank
 from .opspace import _BUDGET, OperatorSubspace, VNAlgebra, _orthonormalize, generated_vn_algebra, span
 from .constructions import TimedGenerators, generated_filtration
@@ -221,7 +221,7 @@ def _compress_weight(n_sites: int, d: int, weight: int, vc: np.ndarray, w: np.nd
                 dest[l0 : l0 + lstep, r0 : r0 + rstep] = (lv @ rw).reshape(-1, cv, len(rc), cw).transpose(0, 2, 1, 3)
 
 
-class SiteFactors:
+class SiteFactors(GradedBasis):
     """A graded basis of elementary tensors, held as factors: the site basis
     of M_d (normalized identity first) and the block sizes.  Blocks of
     qudits sit on the diagonal of M_n.  Elements come by weight (the number
@@ -234,7 +234,8 @@ class SiteFactors:
     half, second half, 1) orders them.
 
     ``dense`` writes the basis out, within ``cap``; ``apply``, ``compress``
-    and ``element_norm`` never do."""
+    and ``element_norm`` never do.  The queries take the general kernels of
+    GradedBasis, built on ``apply``."""
 
     def __init__(self, blocks, d: int, cap: int):
         self.blocks, self.d, self.cap = tuple(blocks), d, cap

@@ -117,8 +117,8 @@ def truncate(f: StepFiltration, c: float, cfg: NumericConfig = DEFAULT_CONFIG) -
         raise MixedDimensions("truncation level must be finite and >= 0")
     times = f.times
     kept = np.searchsorted(times, c)
-    if f._units is not None:
-        basis = f._units.completed(kept)
+    if isinstance(f._graded, MatrixUnits):
+        basis = f._graded.completed(kept)
     else:
         below = f.basis[:kept]
         basis = np.concatenate([below, complement(OperatorSubspace(f.n, below), cfg).basis])
@@ -148,8 +148,8 @@ def direct_sum(
     # the blocks' graded bases, then the off-diagonal matrix units entering at the bridge
     off = 2 * n * k if bridge is not None else 0
     times = np.concatenate([f.times, g.times, [bridge] * off])
-    if f._units is not None and g._units is not None:
-        return StepFiltration.from_times(n + k, f._units.beside(g._units, bool(off)), times)
+    if isinstance(f._graded, MatrixUnits) and isinstance(g._graded, MatrixUnits):
+        return StepFiltration.from_times(n + k, f._graded.beside(g._graded, bool(off)), times)
     p, q = f.cuts[-1], g.cuts[-1]
     basis = np.zeros((p + q + off, n + k, n + k), dtype=complex)
     basis[:p, :n, :n] = f.basis
@@ -187,9 +187,7 @@ def metric_product(f: StepFiltration, g: StepFiltration, cfg: NumericConfig = DE
     times = np.maximum.outer(f.times, g.times).reshape(-1)
     order = np.argsort(times, kind="stable")
     bps, cuts = _time_steps(times[order])
-    units = f._units is not None and g._units is not None
-    basis = f._units.kron(g._units, order) if units else kron_stack(f.basis, g.basis, order)
-    return StepFiltration.from_graded(f.n * g.n, bps, basis, cuts)
+    return StepFiltration.from_graded(f.n * g.n, bps, f._graded.kron(f, g, order), cuts)
 
 
 def generated_filtration(tg: TimedGenerators, cfg: NumericConfig = DEFAULT_CONFIG) -> StepFiltration:
@@ -266,13 +264,13 @@ def _dense_rows(rows: np.ndarray, events: list, b: np.ndarray, cfg: NumericConfi
     generator X gives B span(X B), a product event its two blocks' products,
     each with their adjoints, in the blocks of _products; the candidates go
     to _extend once they hold _BUDGET entries, and stop once the rows span
-    M_n."""
+    M_n.  A generator with no basis gives no candidates."""
     n = b.shape[1]
 
     def candidates(kind, data):
         if kind == "gen":
-            xb = np.concatenate([p for _, p in _products(data.basis, b)]).reshape(-1, n * n)
-            blocks = _products(b, _orthonormalize(xb, n, cfg))
+            xb = [p for _, p in _products(data.basis, b)]
+            blocks = _products(b, _orthonormalize(np.concatenate(xb).reshape(-1, n * n), n, cfg)) if xb else ()
         else:
             blocks = _products(*(d.reshape(-1, n, n) for d in data))
         for _, p in blocks:
@@ -379,9 +377,7 @@ def lp_product(f: StepFiltration, g: StepFiltration, p: float, cfg: NumericConfi
         runs[i:j] = runs[i]
         i = j
     bps, cuts = _time_steps(runs)
-    units = f._units is not None and g._units is not None
-    basis = f._units.kron(g._units, order) if units else kron_stack(f.basis, g.basis, order)
-    return StepFiltration.from_graded(f.n * g.n, bps, basis, cuts)
+    return StepFiltration.from_graded(f.n * g.n, bps, f._graded.kron(f, g, order), cuts)
 
 
 def hoelder(f: StepFiltration, alpha: float, cfg: NumericConfig = DEFAULT_CONFIG) -> StepFiltration:

@@ -14,17 +14,14 @@ enters) is its displacement gauge.  Every filtration is built from its
 graded basis (``from_graded``, ``from_times``, ``_grown``); a file that
 lists levels is read into one by the JSON reader (``cli.parse_filtration``).
 
-The basis may also be held in factored form: as site factors
-(``codes.SiteFactors``, the Hamming and block models) or as matrix units
-(``MatrixUnits``, the classical metrics of ``from_classical``).  Then
-``basis`` and ``levels`` are written out once, when first read.  Only this
-class knows the storage: queries read it through ``apply``, ``compress``,
-``element_norm``, ``_rows`` and the label answers of matrix units
-(``_compression_norms``, ``_contractions``, ``_entry_times``, and for
-validate and descriptors ``_adjoint_levels``, ``_product_levels`` and
-``_product_hits``, which give None for a basis without labels), and
-membership is one scale-free kernel, ``_levels_and_coordinates``.  The
-dense path stays the general path, and the oracle of the label answers.
+The basis is a GradedBasis of one of three kinds: a dense stack
+(``DenseBasis``), site factors (``codes.SiteFactors``, the Hamming and block
+models) or matrix units (``MatrixUnits``, the classical metrics of
+``from_classical``); ``basis`` and ``levels`` are written out once, when
+first read.  Only the basis knows its storage: StepFiltration makes no type
+test, and its queries call the basis's kernels, whose general form, built
+on ``apply``, is the oracle of every kind's shortcut.  Membership is one
+scale-free kernel, ``_levels_and_coordinates``.
 """
 
 from __future__ import annotations
@@ -39,7 +36,7 @@ import numpy as np
 from . import opspace
 from .errors import MixedDimensions, NegativeTime, NotAPseudometric, NotDiagonalContext
 from .numerics import DEFAULT_CONFIG, NumericConfig, as_square, eye, op_norm, op_norms, rank
-from .opspace import _BUDGET, OperatorSubspace, VNAlgebra, _extend, _orthonormalize, _star_rows, commutant, full_space, scalar_space
+from .opspace import _BUDGET, OperatorSubspace, VNAlgebra, _extend, _orthonormalize, _star_rows, commutant, full_space, kron_stack, scalar_space
 
 __all__ = [
     "StepFiltration",
@@ -53,15 +50,130 @@ __all__ = [
 ]
 
 
-class MatrixUnits:
+class GradedBasis:
+    """A graded basis as stored.  A kind defines ``shape``, ``dense()``,
+    ``apply(lo, hi, x)`` (the stack of B x over basis[lo:hi]), ``compress(lo,
+    hi, v, w)`` (of v* B w) and ``element_norm(i)``.  The kernels here, each
+    of the filtration ``f`` it grades, are the general path, built on
+    ``apply`` and ``f.basis``: the oracle of every shortcut of a kind."""
+
+    def row_pieces(self, f: StepFiltration, cut: int):
+        """StepFiltration._rows: apply(lo, hi, I) per chunk of f._chunks."""
+        for lo, hi in f._chunks(f.n * f.n):
+            yield self.apply(lo, min(hi, cut), eye(f.n)).reshape(-1, f.n * f.n).conj()
+            if hi >= cut:
+                return
+
+    def coordinates(self, f: StepFiltration, flat: np.ndarray, cut: int) -> np.ndarray:
+        """One GEMM per piece of row_pieces."""
+        coefs = [flat @ rows.T for rows in self.row_pieces(f, cut)]
+        return coefs[0] if len(coefs) == 1 else np.concatenate(coefs, axis=1)
+
+    def residual(self, f: StepFiltration, flat: np.ndarray, coef: np.ndarray, cut: int) -> np.ndarray:
+        """One GEMM per piece of row_pieces."""
+        proj, lo = 0, 0
+        for rows in self.row_pieces(f, cut):  # the conjugated projection: conj(coef) @ rows, summed
+            proj, lo = proj + coef[:, lo : lo + len(rows)].conj() @ rows, lo + len(rows)
+        return flat - np.conj(proj)
+
+    def compression_norms(self, f: StepFiltration, left, right, left_starts, right_starts):
+        """Per chunk of f._chunks, the squared norms of the blocks of
+        ``compressions``; with one block each side, the zero rows of L and
+        zero columns of R, which add nothing, are dropped first."""
+        if len(left_starts) == len(right_starts) == 1:
+            left, right = left[left.any(axis=1)], right[:, right.any(axis=0)]
+        for lo, hi in f._chunks(right.size) if left.size and right.size else ():
+            c = self.compressions(f, left, right, lo, hi)
+            yield lo, np.add.reduceat(np.add.reduceat(c.real ** 2 + c.imag ** 2, left_starts, axis=0), right_starts, axis=2)
+
+    def compressions(self, f: StepFiltration, left: np.ndarray, right: np.ndarray, lo: int, hi: int) -> np.ndarray:
+        """The (len(left), hi - lo, b) stack of L (B (x) I_m) R over
+        basis[lo:hi]: one apply and one product (StepFiltration._amplified)."""
+        return (left @ f._amplified(lo, hi, right[None])[0]).reshape(len(left), hi - lo, -1)
+
+    def contractions(self, f: StepFiltration, cut: int):
+        """The operator norms of each piece of row_pieces, by op_norms."""
+        for rows in self.row_pieces(f, cut):
+            norms = op_norms(rows.reshape(-1, f.n, f.n))
+            norms[norms == 0] = 1.0
+            yield rows / norms[:, None], norms
+
+    def entry_times(self, f: StepFiltration, cfg: NumericConfig) -> np.ndarray:
+        """to_classical: the (n, n) matrix of the entry time of the first basis
+        element touching each entry (+inf for none), a scan of the basis."""
+        return np.where(np.abs(f.basis) > cfg.membership_tol, f.times[:, None, None], math.inf).min(axis=0, initial=math.inf)
+
+    def adjoint_levels(self, f: StepFiltration, cfg: NumericConfig) -> np.ndarray:
+        """The first level holding the adjoint of each basis element (validate):
+        the adjoint stack through the membership kernel."""
+        return f._first_levels(np.conj(np.transpose(f.basis, (0, 2, 1))), cfg)
+
+    def product_levels(self, f: StepFiltration, cfg: NumericConfig) -> np.ndarray:
+        """The pass of _product_reach: per pair of grades (i, j), the largest
+        first level of a product B_a B_b of those grades, -1 where a grade is
+        empty; one pass over the basis pairs in _products blocks."""
+        grades, k = f.grades, f.cuts[-1]
+        reach = np.full((len(f.cuts), len(f.cuts)), -1)
+        for a0, prods in _products(f, k, k):
+            first = f._first_levels(prods, cfg).reshape(-1, k)
+            np.maximum.at(reach, (grades[a0 : a0 + len(first), None], grades[None]), first)
+        return reach
+
+    def spans(self, f: StepFiltration, ci: int, cj: int, ck: int, cfg: NumericConfig) -> bool:
+        """_spans, for ci, cj > 0: the products' coefficients against
+        basis[:ck], accumulated by QR."""
+        r = np.zeros((0, ck), dtype=complex)
+        for _, prods in _products(f, ci, cj):
+            coef = f._coordinates(prods.reshape(len(prods), -1), ck)[0]
+            r = np.linalg.qr(np.concatenate([r, coef]), mode="r")
+        return rank(np.linalg.svd(r, compute_uv=False), cfg) == ck
+
+    def kron(self, f: StepFiltration, g: StepFiltration, order: np.ndarray):
+        """The products' basis: the kron_stack of the written-out (and kept)
+        f.basis and g.basis, pair a * len(g.basis) + b at its place in ``order``."""
+        return kron_stack(f.basis, g.basis, order)
+
+
+class DenseBasis(GradedBasis):
+    """A graded basis held as its dense (k, n, n) stack."""
+
+    def __init__(self, stack: np.ndarray):
+        self.stack, self.shape = stack, stack.shape
+
+    def __getitem__(self, index) -> "DenseBasis":
+        return DenseBasis(self.stack[index])
+
+    def dense(self) -> np.ndarray:
+        return self.stack
+
+    def apply(self, lo: int, hi: int, x: np.ndarray) -> np.ndarray:
+        return self.stack[lo:hi] @ x
+
+    def compress(self, lo: int, hi: int, v: np.ndarray, w: np.ndarray) -> np.ndarray:
+        return v.conj().T @ (self.stack[lo:hi] @ w)
+
+    def element_norm(self, i: int) -> float:
+        return op_norm(self.stack[i])
+
+    def row_pieces(self, f: StepFiltration, cut: int):
+        """The filtration's cached conjugated rows, in one piece."""
+        yield f._conj_rows[:cut]
+
+
+def _as_graded(basis) -> GradedBasis:
+    """A GradedBasis as given, any other basis as the DenseBasis of its stack."""
+    return basis if isinstance(basis, GradedBasis) else DenseBasis(np.asarray(basis, dtype=complex))
+
+
+class MatrixUnits(GradedBasis):
     """A graded basis of matrix units, held as labels: element i is
     E_{rows[i], cols[i]} of M_n.  ``dense`` writes the basis out; ``apply``
     is a row gather, ``compress`` an outer product of gathered rows, and
     every element has norm 1.  The label arithmetic lives here: products
     (E_xy E_yw = E_xw), adjoints (E_xy* = E_yx), supports, and the label
-    sets of truncations, Kronecker products and direct sums.  StepFiltration
-    reads the labels for rho's compression norms, the commutation scan,
-    to_classical, membership, validate and descriptors."""
+    sets of truncations, Kronecker products and direct sums; the kernels of
+    rho's compression norms, the commutation scan, to_classical, membership,
+    validate and descriptors read the labels."""
 
     def __init__(self, n: int, rows, cols):
         self.n, self.rows, self.cols = int(n), np.asarray(rows, dtype=np.intp), np.asarray(cols, dtype=np.intp)
@@ -102,13 +214,6 @@ class MatrixUnits:
     def element_norm(self, i: int) -> float:
         return 1.0
 
-    def grade_table(self, grades: np.ndarray, missing: int) -> np.ndarray:
-        """The (n, n) table of the grade of the unit at each label, ``missing``
-        where no unit sits."""
-        table = np.full((self.n, self.n), missing)
-        table[self.rows, self.cols] = grades
-        return table
-
     def product_pairs(self):
         """The index pairs (a, b) whose product E_a E_b is not 0, those with
         cols[a] == rows[b] (E_xy E_yw = E_xw), a major and b ascending: one
@@ -134,11 +239,13 @@ class MatrixUnits:
         entries = np.concatenate([self.entries[:kept], np.flatnonzero(rest)])
         return MatrixUnits(self.n, entries // self.n, entries % self.n)
 
-    def kron(self, other: "MatrixUnits", order: np.ndarray) -> "MatrixUnits":
-        """The units E_xy (x) E_zw = E_{(xk + z)(yk + w)} on M_{nk}, pair
-        a * len(other) + b at the place it takes in ``order`` (as kron_stack)."""
-        a, b = np.divmod(order, len(other.rows))
-        k = other.n
+    def kron(self, f: StepFiltration, g: StepFiltration, order: np.ndarray):
+        """Over two unit bases, the units E_xy (x) E_zw = E_{(xk + z)(yk + w)}
+        on M_{nk}, in the pair order of kron_stack; else the default."""
+        other = g._graded
+        if not isinstance(other, MatrixUnits):
+            return super().kron(f, g, order)
+        (a, b), k = np.divmod(order, len(other.rows)), other.n
         return MatrixUnits(self.n * k, self.rows[a] * k + other.rows[b], self.cols[a] * k + other.cols[b])
 
     def beside(self, other: "MatrixUnits", bridged: bool) -> "MatrixUnits":
@@ -150,6 +257,85 @@ class MatrixUnits:
             np.concatenate([self.rows, other.rows + self.n, x]),
             np.concatenate([self.cols, other.cols + self.n, y]),
         )
+
+    def coordinates(self, f: StepFiltration, flat: np.ndarray, cut: int) -> np.ndarray:
+        """A unit's HS coordinate is its entry: one gather."""
+        return flat[:, self.entries[:cut]]
+
+    def residual(self, f: StepFiltration, flat: np.ndarray, coef: np.ndarray, cut: int) -> np.ndarray:
+        """One scatter of the coordinates into the units' entries."""
+        out = flat.copy()
+        out[:, self.entries[:cut]] -= coef
+        return out
+
+    def compression_norms(self, f: StepFiltration, left, right, left_starts, right_starts):
+        """No B is applied.  For m = 1, |L_i E_xy R_j|^2 = |L_i[:, x]|^2
+        |R_j[y, :]|^2, a product of two sums of squares, so it is 0 exactly
+        where the dense compression is: the column and row sums once, then one
+        gather per chunk.  For m > 1, the default over ``compressions``."""
+        if left.shape[1] // f.n != 1:
+            yield from super().compression_norms(f, left, right, left_starts, right_starts)
+            return
+        g = np.add.reduceat(np.abs(left) ** 2, left_starts, axis=0)
+        h = np.add.reduceat(np.abs(right) ** 2, right_starts, axis=1)
+        for lo, hi in f._chunks(len(left_starts) * len(right_starts)):
+            yield lo, g[:, self.rows[lo:hi], None] * h[self.cols[lo:hi]]
+
+    def compressions(self, f: StepFiltration, left: np.ndarray, right: np.ndarray, lo: int, hi: int) -> np.ndarray:
+        """L (E_xy (x) I_m) R is the product of the x-th column block of L and
+        the y-th row block of R: one batched product of gathered blocks.  (The
+        Grams of those blocks would cancel to about eps where the compression
+        vanishes, and the square root of that reaches the zero test.)"""
+        n, m = f.n, left.shape[1] // f.n
+        # lx[x]: the x-th column block of L; ry[y]: the y-th row block of R
+        lx, ry = left.reshape(len(left), n, m).transpose(1, 0, 2), right.reshape(n, m, -1)
+        return (lx[self.rows[lo:hi]] @ ry[self.cols[lo:hi]]).transpose(1, 0, 2)
+
+    def contractions(self, f: StepFiltration, cut: int):
+        """Matrix units have norm 1 and take no SVD."""
+        for rows in self.row_pieces(f, cut):
+            yield rows, np.ones(len(rows))
+
+    def entry_times(self, f: StepFiltration, cfg: NumericConfig) -> np.ndarray:
+        """One scatter of the times."""
+        out = np.full((self.n, self.n), math.inf)
+        out[self.rows, self.cols] = f.times
+        return out
+
+    def unit_levels(self, f: StepFiltration, rows: np.ndarray, cols: np.ndarray, cfg: NumericConfig) -> np.ndarray:
+        """The first level holding each matrix unit E_{rows[i], cols[i]}, from the
+        labels: a lookup in the table of the grade of the unit at each label,
+        len(levels) for none.  The membership kernel's cutoff on exact
+        residuals: a unit has squared residual 1 outside a level and 0 inside,
+        against membership_tol^2 max(1, 1), so at membership_tol >= 1 every
+        unit lies in level 0."""
+        if 1.0 <= cfg.membership_tol ** 2:
+            return np.zeros(len(rows), dtype=np.intp)
+        table = np.full((self.n, self.n), len(f.cuts))
+        table[self.rows, self.cols] = f.grades
+        return table[rows, cols]
+
+    def adjoint_levels(self, f: StepFiltration, cfg: NumericConfig) -> np.ndarray:
+        """E_xy* = E_yx: a lookup of (y, x) in the grade table."""
+        return self.unit_levels(f, self.cols, self.rows, cfg)
+
+    def product_levels(self, f: StepFiltration, cfg: NumericConfig) -> np.ndarray:
+        """A product of matrix units is 0 (level 0) or E_xy E_yw = E_xw, so the
+        table is 0 on every pair of nonempty grades, raised by one
+        np.maximum.at over the pairs with cols[a] == rows[b]."""
+        grades = f.grades
+        filled = np.diff(f.cuts, prepend=0) > 0
+        reach = np.where(filled[:, None] & filled[None], 0, -1)
+        a, b = self.product_pairs()
+        np.maximum.at(reach, (grades[a], grades[b]), self.unit_levels(f, self.rows[a], self.cols[b], cfg))
+        return reach
+
+    def spans(self, f: StepFiltration, ci: int, cj: int, ck: int, cfg: NumericConfig) -> bool:
+        """Each coefficient row is 0 or a unit vector, so the singular values are
+        the square roots of the number of products B_a B_b equal to each unit of
+        basis[:ck]: one product of the 0/1 supports (exact in floats)."""
+        hits = (self.support(ci) @ self.support(cj))[self.rows[:ck], self.cols[:ck]]
+        return rank(np.sqrt(hits), cfg) == ck
 
 
 def _off_diagonal(n: int, k: int):
@@ -173,17 +359,14 @@ class StepFiltration:
     @classmethod
     def from_graded(cls, ambient_dim: int, breakpoints, basis, cuts) -> "StepFiltration":
         """Filtration whose level i is spanned by basis[:cuts[i]]; ``basis``
-        must be HS-orthonormal and is shared, not copied.  It is a (k, n, n)
-        stack, or a factored basis: an object with ``shape``, ``dense()``,
-        ``apply(lo, hi, x)``, ``compress(lo, hi, v, w)`` and ``element_norm(i)``
-        (``codes.SiteFactors``, or ``MatrixUnits``, whose labels the queries
-        read in place of the dense kernels)."""
+        must be HS-orthonormal and is shared, not copied.  It is a GradedBasis
+        (``MatrixUnits``, ``codes.SiteFactors``), whose kernels the queries
+        call, or a (k, n, n) stack, held as a DenseBasis."""
         f = cls.__new__(cls)
         f.n = int(ambient_dim)
         f.breakpoints = [float(t) for t in breakpoints]
-        f._factors = basis if hasattr(basis, "dense") else None
-        f._basis = np.asarray(basis, dtype=complex) if f._factors is None else None
-        f._units = basis if isinstance(basis, MatrixUnits) else None
+        # the basis as stored, and its written-out stack once ``basis`` is read
+        f._graded, f._basis = _as_graded(basis), None
         f.cuts = [int(c) for c in cuts]
         # product reach tables by config, filled by _product_reach
         f._reach = {}
@@ -208,20 +391,14 @@ class StepFiltration:
         times = np.asarray(times, dtype=float)
         order = np.argsort(times, kind="stable")
         bps, cuts = _time_steps(times[order])
-        basis = basis if isinstance(basis, MatrixUnits) else np.asarray(basis)
-        return cls.from_graded(ambient_dim, bps, basis[order], cuts)
-
-    @property
-    def _graded(self):
-        """The basis as stored: the dense stack, or its factors."""
-        return self._basis if self._factors is None else self._factors
+        return cls.from_graded(ambient_dim, bps, _as_graded(basis)[order], cuts)
 
     @property
     def basis(self) -> np.ndarray:
         """The graded basis as a dense (k, n, n) stack; a factored basis is
         written out on the first read and kept."""
         if self._basis is None:
-            self._basis = self._factors.dense()
+            self._basis = self._graded.dense()
         return self._basis
 
     @functools.cached_property
@@ -232,7 +409,7 @@ class StepFiltration:
         """basis[lo:hi] applied to the columns of the n x c matrix x: the
         (hi - lo, n, c) stack of the B x.  A dense basis takes one batched
         product; a factored one is never written out."""
-        return self.basis[lo:hi] @ x if self._factors is None else self._factors.apply(lo, hi, x)
+        return self._graded.apply(lo, hi, x)
 
     def _amplified(self, lo: int, hi: int, x: np.ndarray) -> np.ndarray:
         """The columns (B (x) I_m) X_j for every B in basis[lo:hi] and every nm x c
@@ -250,13 +427,11 @@ class StepFiltration:
         """The (hi - lo, v.shape[1], w.shape[1]) stack of v* B w over basis[lo:hi],
         for n-row matrices v and w.  A dense basis takes v* (basis[lo:hi] @ w); a
         factored one forms no B w."""
-        if self._factors is None:
-            return v.conj().T @ (self.basis[lo:hi] @ w)
-        return self._factors.compress(lo, hi, v, w)
+        return self._graded.compress(lo, hi, v, w)
 
     def element_norm(self, i: int) -> float:
         """Operator norm of basis element i."""
-        return op_norm(self.basis[i]) if self._factors is None else self._factors.element_norm(i)
+        return self._graded.element_norm(i)
 
     @property
     def grades(self) -> np.ndarray:
@@ -296,39 +471,18 @@ class StepFiltration:
             lo = hi
 
     def _rows(self, cut: int):
-        """The reader: the conjugated rows of basis[:cut], in order; cached in
-        one piece for a dense basis, apply(lo, hi, I) per chunk for factors."""
-        if self._factors is None:
-            yield self._conj_rows[:cut]
-            return
-        for lo, hi in self._chunks(self.n * self.n):
-            yield self.apply(lo, min(hi, cut), eye(self.n)).reshape(-1, self.n * self.n).conj()
-            if hi >= cut:
-                return
+        """The reader: the conjugated rows of basis[:cut], in pieces, in order."""
+        return self._graded.row_pieces(self, cut)
 
     def _coordinates(self, flat: np.ndarray, cut: int, residual: bool = False):
-        """HS coordinates of the rows of ``flat`` against basis[:cut], one GEMM per
-        piece of _rows (a gather of the units' entries for matrix units), and with
+        """HS coordinates of the rows of ``flat`` against basis[:cut], and with
         ``residual`` each row less its projection."""
-        if self._units is not None:
-            coef = flat[:, self._units.entries[:cut]]
-        else:
-            coefs = [flat @ rows.T for rows in self._rows(cut)]
-            coef = coefs[0] if len(coefs) == 1 else np.concatenate(coefs, axis=1)
+        coef = self._graded.coordinates(self, flat, cut)
         return coef, self._residual(flat, coef, cut) if residual else None
 
     def _residual(self, flat: np.ndarray, coef: np.ndarray, cut: int) -> np.ndarray:
-        """Each row of ``flat`` less its projection onto basis[:cut], from its
-        coordinates ``coef`` against it: one GEMM per piece of _rows, or one
-        scatter into the units' entries for matrix units."""
-        if self._units is not None:
-            out = flat.copy()
-            out[:, self._units.entries[:cut]] -= coef
-            return out
-        proj, lo = 0, 0
-        for rows in self._rows(cut):  # the conjugated projection: conj(coef) @ rows, summed
-            proj, lo = proj + coef[:, lo : lo + len(rows)].conj() @ rows, lo + len(rows)
-        return flat - np.conj(proj)
+        """Each row of ``flat`` less its projection onto basis[:cut], from ``coef``."""
+        return self._graded.residual(self, flat, coef, cut)
 
     def _first_levels(self, mats: np.ndarray, cfg: NumericConfig) -> np.ndarray:
         """The membership kernel's levels alone (see _levels_and_coordinates)."""
@@ -361,103 +515,13 @@ class StepFiltration:
         first element lo and the (len(left_starts), hi - lo, len(right_starts))
         squared HS norms of the blocks of L (B (x) I_m) R over its elements B, for
         an a x nm matrix L and an nm x b matrix R, the rows of L and the columns
-        of R cut into blocks at the starts.
-
-        A dense or site basis takes one apply and one product per chunk of
-        _chunks (_amplified), and with one block each side drops the zero rows of
-        L and zero columns of R first: they add nothing.  A matrix unit applies
-        no B.  For m = 1, |L_i E_xy R_j|^2 = |L_i[:, x]|^2 |R_j[y, :]|^2, a
-        product of two sums of squares, so it is 0 exactly where the dense
-        compression is: the column and row sums once, then one gather per
-        chunk.  For m > 1, L (E_xy (x) I_m) R is the product of the x-th column
-        block of L and the y-th row block of R, one batched product of gathered
-        blocks per chunk.  (The Grams of those blocks would cancel to about eps
-        where the compression vanishes, and the square root of that reaches
-        the zero test.)"""
-        n, m, units = self.n, left.shape[1] // self.n, self._units
-        if units is not None and m == 1:
-            g = np.add.reduceat(np.abs(left) ** 2, left_starts, axis=0)
-            h = np.add.reduceat(np.abs(right) ** 2, right_starts, axis=1)
-            for lo, hi in self._chunks(len(left_starts) * len(right_starts)):
-                yield lo, g[:, units.rows[lo:hi], None] * h[units.cols[lo:hi]]
-            return
-        if len(left_starts) == len(right_starts) == 1:
-            left, right = left[left.any(axis=1)], right[:, right.any(axis=0)]
-        # lx[x]: the x-th column block of L; ry[y]: the y-th row block of R
-        lx, ry = left.reshape(len(left), n, m).transpose(1, 0, 2), right.reshape(n, m, -1)
-        for lo, hi in self._chunks(right.size) if left.size and right.size else ():
-            if units is None:
-                c = (left @ self._amplified(lo, hi, right[None])[0]).reshape(len(left), hi - lo, -1)
-            else:
-                c = (lx[units.rows[lo:hi]] @ ry[units.cols[lo:hi]]).transpose(1, 0, 2)
-            yield lo, np.add.reduceat(np.add.reduceat(c.real ** 2 + c.imag ** 2, left_starts, axis=0), right_starts, axis=2)
+        of R cut into blocks at the starts."""
+        return self._graded.compression_norms(self, left, right, left_starts, right_starts)
 
     def _contractions(self, cut: int):
         """The reader of normalized elements: per piece of _rows, its rows over
-        their elements' operator norms (1 for 0), and those norms.  Matrix
-        units have norm 1 and take no SVD."""
-        for rows in self._rows(cut):
-            if self._units is not None:
-                yield rows, np.ones(len(rows))
-                continue
-            norms = op_norms(rows.reshape(-1, self.n, self.n))
-            norms[norms == 0] = 1.0
-            yield rows / norms[:, None], norms
-
-    def _entry_times(self, cfg: NumericConfig) -> np.ndarray:
-        """The (n, n) matrix of the entry time of the first basis element
-        touching each entry (+inf for none): one scatter of the times for matrix
-        units, a scan of the dense basis otherwise."""
-        if self._units is not None:
-            out = np.full((self.n, self.n), math.inf)
-            out[self._units.rows, self._units.cols] = self.times
-            return out
-        return np.where(np.abs(self.basis) > cfg.membership_tol, self.times[:, None, None], math.inf).min(axis=0, initial=math.inf)
-
-    def _unit_levels(self, rows: np.ndarray, cols: np.ndarray, cfg: NumericConfig) -> np.ndarray:
-        """The first level holding each matrix unit E_{rows[i], cols[i]}, from the
-        labels: the grade of the unit at its label, len(levels) for none.  The
-        membership kernel's cutoff on exact residuals: a unit has squared
-        residual 1 outside a level and 0 inside, against membership_tol^2
-        max(1, 1), so at membership_tol >= 1 every unit lies in level 0."""
-        if 1.0 <= cfg.membership_tol ** 2:
-            return np.zeros(len(rows), dtype=np.intp)
-        return self._units.grade_table(self.grades, len(self.cuts))[rows, cols]
-
-    def _adjoint_levels(self, cfg: NumericConfig) -> np.ndarray | None:
-        """The label reader of validate's adjoint check: the first level holding
-        the adjoint of each basis element, E_xy* = E_yx a lookup in the grade
-        table; None for a basis without labels, which validate reads whole."""
-        if self._units is None:
-            return None
-        return self._unit_levels(self._units.cols, self._units.rows, cfg)
-
-    def _product_levels(self, cfg: NumericConfig) -> np.ndarray | None:
-        """The label reader of the product pass: per pair of grades (i, j), the
-        largest first level of a product B_a B_b of grades (i, j), -1 where a
-        grade is empty.  A product of matrix units is 0 (level 0) or
-        E_xy E_yw = E_xw, so the table is 0 on every pair of nonempty grades,
-        raised by one np.maximum.at over the pairs with cols[a] == rows[b].
-        None for a basis without labels."""
-        if self._units is None:
-            return None
-        grades, units = self.grades, self._units
-        filled = np.diff(self.cuts, prepend=0) > 0
-        reach = np.where(filled[:, None] & filled[None], 0, -1)
-        a, b = units.product_pairs()
-        np.maximum.at(reach, (grades[a], grades[b]), self._unit_levels(units.rows[a], units.cols[b], cfg))
-        return reach
-
-    def _product_hits(self, ci: int, cj: int, ck: int) -> np.ndarray | None:
-        """The label reader of the path check: for each unit of basis[:ck], the
-        number of products B_a B_b (a < ci, b < cj) equal to it, one product
-        of the 0/1 supports of the two levels (counts are exact in floats).
-        None for a basis without labels."""
-        if self._units is None:
-            return None
-        units = self._units
-        hits = units.support(ci) @ units.support(cj)
-        return hits[units.rows[:ck], units.cols[:ck]]
+        their elements' operator norms (1 for 0), and those norms."""
+        return self._graded.contractions(self, cut)
 
     def displacement_gauge(self, a, cfg: NumericConfig = DEFAULT_CONFIG) -> float:
         """D(A) = inf{t : A in V_t}; +inf when A is outside the top level."""
@@ -579,20 +643,13 @@ def _product_reach(f: StepFiltration, cfg: NumericConfig) -> np.ndarray:
     """reach[i, j]: the first level containing V_{t_i} V_{t_j}, or
     len(levels) when it leaves the top.  By bilinearity this is the largest
     first level of a product B_a B_b with grades at most (i, j): one pass
-    over basis pairs (over the nonzero label pairs for matrix units,
-    StepFiltration._product_levels), then a prefix maximum over grades.  The
+    over basis pairs (GradedBasis.product_levels; over the nonzero label
+    pairs for matrix units), then a prefix maximum over grades.  The
     table is kept on the filtration (read-only, by config), so validate
     followed by descriptors makes the pass once and no module state holds f."""
     if cfg in f._reach:
         return f._reach[cfg]
-    reach = f._product_levels(cfg)
-    if reach is None:
-        grades, k = f.grades, f.cuts[-1]
-        reach = np.full((len(f.cuts), len(f.cuts)), -1)
-        for a0, prods in _products(f, k, k):
-            first = f._first_levels(prods, cfg).reshape(-1, k)
-            np.maximum.at(reach, (grades[a0 : a0 + len(first), None], grades[None]), first)
-    reach = np.maximum.accumulate(np.maximum.accumulate(reach, axis=0), axis=1)
+    reach = np.maximum.accumulate(np.maximum.accumulate(f._graded.product_levels(f, cfg), axis=0), axis=1)
     reach.flags.writeable = False
     f._reach[cfg] = reach
     return reach
@@ -609,9 +666,7 @@ def validate(f: StepFiltration, ctx: MetricContext | None = None, cfg: NumericCo
     _sized(f, ctx)
     # level i is an operator system when I and the adjoints of its basis lie in
     # it; matrix units read the adjoints' levels off their labels
-    adjoints = f._adjoint_levels(cfg)
-    if adjoints is None:
-        adjoints = f._first_levels(np.conj(np.transpose(f.basis, (0, 2, 1))), cfg)
+    adjoints = f._graded.adjoint_levels(f, cfg)
     system_from = np.maximum.accumulate(np.concatenate([f._first_levels(eye(f.n)[None], cfg), adjoints]))
     violations = [("not_operator_system", i) for i, c in enumerate(f.cuts) if system_from[c] > i]
     violations += [("not_strictly_increasing", i) for i, c in enumerate(f.cuts[1:]) if c == f.cuts[i]]
@@ -685,25 +740,15 @@ def to_classical(f: StepFiltration, ctx: MetricContext, cfg: NumericConfig = DEF
     entry."""
     if not _sized(f, ctx).is_diagonal(cfg):
         raise NotDiagonalContext("context algebra is not the diagonal algebra")
-    return f._entry_times(cfg)
+    return f._graded.entry_times(f, cfg)
 
 
 def _spans(f: StepFiltration, i: int, j: int, k: int, cfg: NumericConfig) -> bool:
     """Whether the products B_a B_b (a < cut_i, b < cut_j) have rank dim V_k under
-    span's rank rule, read on their coefficients against V_k accumulated by QR.
-    For matrix units each coefficient row is 0 or a unit vector, so the
-    singular values are the square roots of the hit counts of V_k's units."""
+    span's rank rule (GradedBasis.spans; the hit counts of V_k's units for
+    matrix units)."""
     ci, cj, ck = f.cuts[i], f.cuts[j], f.cuts[k]
-    if not (ci and cj):
-        return ck == 0
-    hits = f._product_hits(ci, cj, ck)
-    if hits is not None:
-        return rank(np.sqrt(hits), cfg) == ck
-    r = np.zeros((0, ck), dtype=complex)
-    for _, prods in _products(f, ci, cj):
-        coef = f._coordinates(prods.reshape(len(prods), -1), ck)[0]
-        r = np.linalg.qr(np.concatenate([r, coef]), mode="r")
-    return rank(np.linalg.svd(r, compute_uv=False), cfg) == ck
+    return f._graded.spans(f, ci, cj, ck, cfg) if ci and cj else ck == 0
 
 
 def _path_triples(f: StepFiltration) -> list:

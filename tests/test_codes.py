@@ -577,7 +577,7 @@ def _written_out(f, lo, hi):
     """basis[lo:hi] of a factored model, each run written out as dense()
     writes it; only the runs the range meets, so a 6-qubit range needs no
     whole dense basis."""
-    fac = f._factors
+    fac = f._graded
     out = np.zeros((hi - lo, f.n, f.n), dtype=complex)
     for start, stop, w, b in fac.runs:
         if start < hi and stop > lo:
@@ -600,7 +600,7 @@ COMPRESS_MODELS = {
 
 def _compress_ranges(f):
     """Whole levels, ranges inside one run and ranges across runs."""
-    runs = f._factors.runs
+    runs = f._graded.runs
     ranges = [(0, 0), (0, f.cuts[min(2, len(f.cuts) - 1)]), (f.cuts[0], f.cuts[1])]
     for start, stop, _, _ in runs:
         if stop - start > 2:
@@ -616,7 +616,7 @@ class TestCompress:
 
     def test_written_out_runs_are_the_dense_basis(self):
         f = block_filtration([2, 3])
-        assert np.array_equal(_written_out(f, 0, f.cuts[-1]), f._factors.dense())
+        assert np.array_equal(_written_out(f, 0, f.cuts[-1]), f._graded.dense())
 
     @pytest.mark.parametrize("model", list(COMPRESS_MODELS))
     def test_factored_compress_is_v_star_b_w(self, model):
@@ -724,7 +724,7 @@ class TestElementNorm:
         f = hamming_filtration(9, 2)
         rng = np.random.default_rng(24)
         eye = np.eye(f.n, dtype=complex)
-        for start, stop, _, _ in f._factors.runs:
+        for start, stop, _, _ in f._graded.runs:
             for i in {start, stop - 1, int(rng.integers(start, stop))}:
                 assert abs(f.element_norm(i) - op_norm(f.apply(i, i + 1, eye)[0])) <= 1e-12
 
@@ -778,7 +778,7 @@ class TestPairsMultiplied:
         rng = np.random.default_rng(25)
         x = rng.standard_normal((f.n, 1)) + 1j * rng.standard_normal((f.n, 1))
         calls = self.recording(monkeypatch)
-        long_runs = [(start, stop) for start, stop, _, _ in f._factors.runs if stop - start > 2048]
+        long_runs = [(start, stop) for start, stop, _, _ in f._graded.runs if stop - start > 2048]
         for start, stop in long_runs:
             for lo in rng.integers(start, stop - 2048, size=2).tolist():
                 f.apply(lo, lo + 2048, x)

@@ -46,7 +46,7 @@ from qwmetric.errors import (
 )
 from qwmetric.numerics import NumericConfig, random_hermitian, random_unitary
 from qwmetric.filtration import MatrixUnits
-from qwmetric.opspace import VNAlgebra, generated_vn_algebra, intersect, product_span, scalar_space, tensor
+from qwmetric.opspace import OperatorSubspace, VNAlgebra, generated_vn_algebra, intersect, product_span, scalar_space, tensor
 
 from conftest import (
     AXIOM_GRAPHS,
@@ -583,6 +583,25 @@ def test_a_support_entry_counts_by_the_rank_rule():
     np.testing.assert_array_equal(to_classical(f, MetricContext.diagonal(4)), want)
 
 
+@pytest.mark.parametrize("diagonal", [True, False], ids=["labels", "dense"])
+def test_a_zero_generator_adds_nothing(diagonal):
+    """A generator with no basis adds no candidates in either block kind:
+    alone it gives the base filtration, and beside a nonzero generator, at
+    its time, before it or after it, the basis is the same bit for bit."""
+    n = 3
+    base = MetricContext.diagonal(n).commutant if diagonal else scalar_space(n)
+    zero = OperatorSubspace(n, np.zeros((0, n, n)))
+    alone = generated_filtration(TimedGenerators(base, [(1.0, zero)]))
+    assert (alone.breakpoints, alone.cuts) == ([0.0], [base.dim])
+    assert isinstance(alone._graded, MatrixUnits) == diagonal
+    x = span([np.eye(n, k=1)], n)
+    want = generated_filtration(TimedGenerators(base, [(1.0, x)]))
+    for gens in ([(1.0, zero), (1.0, x)], [(1.0, x), (0.5, zero)], [(1.0, x), (2.5, zero)]):
+        got = generated_filtration(TimedGenerators(base, gens))
+        assert (got.breakpoints, got.cuts) == (want.breakpoints, want.cuts)
+        assert got.basis.tobytes() == want.basis.tobytes()
+
+
 @pytest.mark.parametrize("bad", [math.nan, math.inf])
 def test_non_finite_parameters_rejected(bad):
     f = m2_metric(1, 2, 3)
@@ -783,13 +802,16 @@ class TestLpProduct:
         """The products are written in time order straight into one stack: the
         basis of the lp and the max product is kron_stack(f.basis, g.basis)
         sorted stably by entry time, bit for bit, on factored, classical and
-        random complex inputs."""
+        random complex inputs and on every mix of basis kinds."""
         from qwmetric.codes import hamming_filtration
         from qwmetric.opspace import kron_stack
 
         rng = np.random.default_rng(int(4 * p))
         pairs = [(hamming_filtration(2), hamming_filtration(1)), (hamming_filtration(1), hamming_filtration(2))]
         pairs += [(random_step_filtration(2, rng), random_step_filtration(3, rng)), (from_classical(random_metric(3, rng))[0], random_step_filtration(2, rng))]
+        # the mixed kinds: dense x units, units x site factors, site factors x units
+        units = from_classical(random_metric(2, rng))[0]
+        pairs += [(random_step_filtration(2, rng), units), (units, hamming_filtration(1)), (hamming_filtration(2), units)]
         for f, g in pairs:
             lp, prod = lp_product(f, g, p), metric_product(f, g)
             s, t = f.times[:, None], g.times[None]

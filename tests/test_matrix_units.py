@@ -72,8 +72,8 @@ def with_oracle(seed):
 @pytest.mark.parametrize("seed", SEEDS)
 def test_the_labels_are_the_written_out_units(seed):
     rng, d, f, _, dense = with_oracle(seed)
-    units = f._units
-    assert isinstance(units, MatrixUnits) and dense._units is None
+    units = f._graded
+    assert isinstance(units, MatrixUnits) and not isinstance(dense._graded, MatrixUnits)
     n, k = f.n, f.cuts[-1]
     assert k == np.isfinite(d).sum()
     np.testing.assert_array_equal(d[units.rows, units.cols], f.times)
@@ -202,14 +202,14 @@ CONFIGS = [
 def dense_twin(f):
     """The same filtration over the written-out units: the dense path."""
     twin = StepFiltration.from_graded(f.n, f.breakpoints, f.basis, f.cuts)
-    assert twin._units is None
+    assert not isinstance(twin._graded, MatrixUnits)
     return twin
 
 
 def assert_dense_answers(f, ctx=None):
     """validate (exact violation lists), the reach table and descriptors of
     the labels equal the dense path's under every config."""
-    assert f._units is not None
+    assert isinstance(f._graded, MatrixUnits)
     dense = dense_twin(f)
     for cfg in CONFIGS:
         assert validate(f, ctx, cfg) == validate(dense, ctx, cfg)
@@ -240,8 +240,8 @@ def test_truncations_keep_their_labels(seed):
         got = truncate(f, c)
         want, _ = from_classical(np.minimum(d, c))
         assert (got.breakpoints, got.cuts) == (want.breakpoints, want.cuts)
-        np.testing.assert_array_equal(got._units.rows, want._units.rows)
-        np.testing.assert_array_equal(got._units.cols, want._units.cols)
+        np.testing.assert_array_equal(got._graded.rows, want._graded.rows)
+        np.testing.assert_array_equal(got._graded.cols, want._graded.cols)
         old = truncate(dense, c)
         assert (old.breakpoints, old.cuts) == (got.breakpoints, got.cuts)
         assert all(a.equals(b) for a, b in zip(got.levels, old.levels))
@@ -274,7 +274,7 @@ def test_products_and_direct_sums_keep_their_labels(seed):
         bridged = np.where(np.isinf(block), r, block)
         made.append((direct_sum(f, g, r), direct_sum(dense_twin(f), dense_twin(g), r), bridged))
     for got, old, d in made:
-        assert isinstance(got._units, MatrixUnits)
+        assert isinstance(got._graded, MatrixUnits)
         assert (got.breakpoints, got.cuts) == (old.breakpoints, old.cuts)
         np.testing.assert_array_equal(got.basis, old.basis)
         ctx = MetricContext.diagonal(got.n)
@@ -323,14 +323,14 @@ def test_unit_sets_with_units_dropped(seed):
     products leave the levels, as the dense path finds."""
     rng, d, f, ctx, _ = with_oracle(seed)
     keep = rng.random(f.cuts[-1]) < 0.7
-    g = StepFiltration.from_times(f.n, f._units[keep], f.times[keep])
+    g = StepFiltration.from_times(f.n, f._graded[keep], f.times[keep])
     assert_dense_answers(g)
     assert_dense_answers(g, ctx)
     # a truncation keeps the units below c and adds the missing ones in row-major order
     c = float(rng.choice(g.breakpoints))
-    kept = g._units.entries[g.times < c].tolist()
+    kept = g._graded.entries[g.times < c].tolist()
     got = truncate(g, c)
-    assert got._units.entries.tolist() == kept + [e for e in range(g.n * g.n) if e not in kept]
+    assert got._graded.entries.tolist() == kept + [e for e in range(g.n * g.n) if e not in kept]
 
 
 @pytest.mark.parametrize("seed", SEEDS[:8])

@@ -416,10 +416,11 @@ def test_level_lists_are_the_readers_alone():
 
 
 # (module, top-level def) of every np.linalg.svd and np.linalg.qr call: the
-# rank-decision kernels, the range bases whose U is read, the square SVDs of
-# the witnesses and the ascent, the batched operator norm and a random unitary
+# rank-decision kernels (the general path check among them, in GradedBasis),
+# the range bases whose U is read, the square SVDs of the witnesses and the
+# ascent, the batched operator norm and a random unitary
 FACTORIZERS = {
-    ("filtration.py", "_spans"),
+    ("filtration.py", "GradedBasis"),
     ("geometry.py", "_range_each"),
     ("geometry.py", "_separate"),
     ("lipschitz.py", "commutation_lipschitz_lower"),
@@ -489,11 +490,18 @@ def test_heappop_is_held_to_the_event_loop():
 
 
 # (module, top-level def) of library code that may read how a filtration's
-# graded basis is stored: the filtration itself, the JSON writer, the dense
-# product kernel of validate and descriptors (until they read labels), and
-# the constructions that build a new dense basis from the old one
+# graded basis is stored: the filtration itself, the basis kinds and their
+# callers in its module, the JSON writer, the dense product kernel of
+# validate and descriptors, and the constructions that build a new basis
+# from the old one or share it
 STORAGE_READERS = {
     ("filtration.py", "StepFiltration"),
+    ("filtration.py", "GradedBasis"),
+    ("filtration.py", "DenseBasis"),
+    ("filtration.py", "MatrixUnits"),
+    ("filtration.py", "_product_reach"),
+    ("filtration.py", "_spans"),
+    ("filtration.py", "to_classical"),
     ("cli.py", "emit_filtration"),
     ("filtration.py", "_products"),
     ("filtration.py", "validate"),
@@ -506,6 +514,7 @@ STORAGE_READERS = {
     ("constructions.py", "lp_product"),
     ("constructions.py", "f_transform"),
     ("constructions.py", "canonicalize_m2"),
+    ("constructions.py", "hoelder"),
 }
 
 
@@ -537,11 +546,11 @@ def _filtration_names(tree, makers):
 
 def test_graded_storage_is_read_through_the_filtration():
     """Queries reach the graded basis only through StepFiltration (apply,
-    element_norm, its readers of basis rows and its label answers):
+    element_norm and its readers, which call the basis's kernels):
     ``.levels``, ``.value_at``, ``.top``, the cached ``._conj_rows`` and the
-    factored basis (``._factors``, ``._units``) anywhere, and ``.basis`` on
-    a name known to hold a filtration, are read only by the allow-list, so
-    only StepFiltration branches on how the basis is stored."""
+    basis as stored (``._graded``) anywhere, and ``.basis`` on a name known
+    to hold a filtration, are read only by the allow-list, so only the basis
+    kinds decide how the basis is stored."""
     trees = {path.name: ast.parse(path.read_text()) for path in sorted(SRC.glob("*.py"))}
     makers = _filtration_makers(trees.values())
     readers = set()
@@ -551,6 +560,25 @@ def test_graded_storage_is_read_through_the_filtration():
             if not isinstance(node, ast.Attribute):
                 continue
             on_filtration = isinstance(node.value, ast.Name) and node.value.id in names.get(scope, ())
-            if node.attr in ("levels", "value_at", "top", "_conj_rows", "_factors", "_units") or (node.attr == "basis" and on_filtration):
+            if node.attr in ("levels", "value_at", "top", "_conj_rows", "_graded") or (node.attr == "basis" and on_filtration):
                 readers.add((module, scope))
     assert readers == STORAGE_READERS
+
+
+def test_the_filtration_makes_no_type_test():
+    """StepFiltration calls its basis and never asks what kind it is: the
+    class makes no isinstance or hasattr call, and no module names a
+    per-kind storage attribute (``_units``, ``_factors``), so a new basis
+    kind is one more GradedBasis and adds no branch to the filtration."""
+    type_tests, named, seen = set(), set(), False
+    for path in sorted(SRC.glob("*.py")):
+        for node, scope in _scopes(ast.parse(path.read_text())):
+            where = (path.name, scope)
+            seen |= where == ("filtration.py", "StepFiltration")
+            if isinstance(node, ast.Call) and getattr(node.func, "id", None) in ("isinstance", "hasattr") and where == ("filtration.py", "StepFiltration"):
+                type_tests.add(ast.unparse(node))
+            if isinstance(node, ast.Attribute) and node.attr in ("_units", "_factors"):
+                named.add(where)
+    assert seen
+    assert not type_tests
+    assert not named

@@ -15,6 +15,7 @@ from qwmetric.cli import _dump, _fmt, emit_filtration, emit_matrix, emit_project
 from qwmetric.codes import hamming_filtration
 from qwmetric.constructions import generated_filtration, m2_metric, truncate
 from qwmetric.errors import SchemaError
+from qwmetric.filtration import MatrixUnits
 from qwmetric.numerics import DEFAULT_CONFIG, random_unitary
 
 from conftest import adjacency, graph_generators, qwm1, unit_matrix
@@ -318,7 +319,7 @@ def test_a_units_file_is_read_as_labels():
     for obj in (blob, qwm1(blob)):
         f = parse_filtration(obj, DEFAULT_CONFIG)
         assert f._basis is None and f.cuts == [3, 7, 9] and f.breakpoints == [0.0, 1.0, 2.0]
-        np.testing.assert_array_equal(f._units.rows * 3 + f._units.cols, [0, 4, 8, 1, 3, 5, 7, 2, 6])
+        np.testing.assert_array_equal(f._graded.rows * 3 + f._graded.cols, [0, 4, 8, 1, 3, 5, 7, 2, 6])
 
 
 def test_an_empty_units_list_is_a_repeated_level(tmp_path, capsys):
@@ -381,7 +382,7 @@ def test_cli_pipelines_on_units_and_their_dense_twins(tmp_path, capsys, name):
     reports = []
     for shape in (lambda blob: blob, qwm1, rotated):
         files = [write(tmp_path, f"in{i}.json", shape(blob)) for i, blob in enumerate(built)]
-        assert (parse_filtration(json.loads(open(files[0]).read()), DEFAULT_CONFIG)._units is None) == (shape is rotated)
+        assert (not isinstance(parse_filtration(json.loads(open(files[0]).read()), DEFAULT_CONFIG)._graded, MatrixUnits)) == (shape is rotated)
         target = files[0]
         if transform is not None:
             argv = ["transform", transform[0], "--filtration", files[0], *transform[1:]]
